@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,17 +22,6 @@ from . import weyl_asymptotics as weyl
 from .errors import RabispecError, UsageError
 
 JSON_FLOAT_FORMAT = "%.17g"
-
-EXIT_CODES = {
-    "RabispecError": 1,
-    "UsageError": 2,
-    "DegenerateInput": 3,
-    "InsufficientNodes": 4,
-    "PrecisionError": 5,
-    "CoverageError": 6,
-    "ModelSpecError": 7,
-    "NumericError": 8,
-}
 
 
 def _format_json(obj, indent=0):
@@ -580,8 +568,8 @@ def main(argv=None):
         _print_error(type(e).__name__, str(e), e.exit_code)
         return e.exit_code
     except (ValueError, KeyError) as e:
-        _print_error("UsageError", str(e), EXIT_CODES["UsageError"])
-        return EXIT_CODES["UsageError"]
+        _print_error("UsageError", str(e), UsageError.exit_code)
+        return UsageError.exit_code
 
 
 def _print_error(name, message, code):

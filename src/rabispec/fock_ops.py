@@ -190,14 +190,20 @@ def _x_sparse(dim):
     return sp.diags([off, off], [1, -1], shape=(dim, dim), format="csr")
 
 
-def _mode_operator(basis, mode, opmat):
-    """I_spin x I x ... x opmat(mode) x ... x I as sparse, mode is 1-based."""
-    dims = basis.mode_dims
+def _mode_factor(basis, mode, opmat):
+    """I x ... x opmat(mode) x ... x I on the mode space as sparse, mode is
+    1-based."""
     acc = sp.identity(1, format="csr")
-    for j, d in enumerate(dims, start=1):
+    for j, d in enumerate(basis.mode_dims, start=1):
         f = opmat if j == mode else sp.identity(d, format="csr")
         acc = sp.kron(acc, f, format="csr")
-    return sp.kron(sp.identity(basis.spin_dim, format="csr"), acc, format="csr")
+    return acc
+
+
+def _mode_operator(basis, mode, opmat):
+    """I_spin x _mode_factor(basis, mode, opmat) as sparse."""
+    return sp.kron(sp.identity(basis.spin_dim, format="csr"),
+                   _mode_factor(basis, mode, opmat), format="csr")
 
 
 def position_matrix(basis, mode=1):
@@ -224,23 +230,14 @@ def harmonic_matrix(basis):
     return TruncatedOperator(basis, np.diag(np.tile(occ, basis.spin_dim)))
 
 
-def _spin_coupler(family, spin_dim, k):
-    """Symmetric E-pattern for coupling k (1-based) in the given family."""
-    c = np.zeros((spin_dim, spin_dim))
-    if family == XI:
-        i, j = k - 1, k
-    elif family == LAMBDA:
-        i, j = k - 1, spin_dim - 1
-    else:
-        i, j = 0, k
-    c[i, j] = c[j, i] = 1.0
-    return i, j, sp.csr_matrix(c)
-
-
 def coupling_pattern(family, spin_dim, k):
-    """The (row, col) level pair coupled by coupling k, 0-based."""
-    i, j, _ = _spin_coupler(family, spin_dim, k)
-    return i, j
+    """The (row, col) level pair coupled by coupling k (1-based), 0-based
+    and row < col. Every family couples (0, 1) at two levels."""
+    if family == XI:
+        return k - 1, k
+    if family == LAMBDA:
+        return k - 1, spin_dim - 1
+    return 0, k
 
 
 def build(spec):
@@ -268,13 +265,11 @@ def build(spec):
     h = sp.kron(sp.identity(spec.spin_dim, format="csr"),
                 sp.diags(_harmonic_diag(basis), format="csr"), format="csr")
     for k in range(1, spec.spin_dim):
-        _, _, c = _spin_coupler(spec.family, spec.spin_dim, k)
-        dims = basis.mode_dims
-        acc = sp.identity(1, format="csr")
-        for j, d in enumerate(dims, start=1):
-            f = _x_sparse(d) if j == k else sp.identity(d, format="csr")
-            acc = sp.kron(acc, f, format="csr")
-        h = h + spec.alphas[k - 1] * sp.kron(c, acc, format="csr")
+        i, j = coupling_pattern(spec.family, spec.spin_dim, k)
+        c = sp.csr_matrix(([1.0, 1.0], ([i, j], [j, i])),
+                          shape=(spec.spin_dim, spec.spin_dim))
+        x = _mode_factor(basis, k, _x_sparse(basis.mode_dims[k - 1]))
+        h = h + spec.alphas[k - 1] * sp.kron(c, x, format="csr")
     levels = np.concatenate(([0.0], np.asarray(spec.gammas)))
     h = h + sp.kron(sp.diags(levels, format="csr"),
                     sp.identity(basis.mode_space_dim, format="csr"), format="csr")

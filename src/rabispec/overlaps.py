@@ -87,9 +87,15 @@ def overlap_closed(N, k, alpha):
     _check_degrees(N, k)
     mant, texp = _dyadic(alpha)
     numer = _alternating_series(N, k, mant, texp, N, half_powers=True)
-    val = float(Fraction(numer, 1 << (texp * (N + k))))
+    try:
+        val = float(Fraction(numer, 1 << (texp * (N + k))))
+    except OverflowError:
+        val = math.inf
     if (N + k) & 1:
         val *= DISPLACEMENT_COEFF_SCALE
+    if math.isinf(val):
+        raise PrecisionError(
+            "closed-form sum at alpha=%r overflows the double range" % alpha)
     return val * SQRT_PI * math.exp(-alpha * alpha)
 
 

@@ -166,8 +166,6 @@ def parity_split(spec, m, tol, cap=None):
     def solve(cutoffs):
         spec2 = spec.with_cutoffs(cutoffs)
         h = build(spec2).matrix
-        if sp.issparse(h):
-            h = h.toarray()
         signs = np.diag(parity_matrix(spec2.basis()).matrix)
         merged_vals = []
         merged_labels = []

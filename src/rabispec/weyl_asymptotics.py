@@ -9,9 +9,12 @@ The counting function of such an operator grows like
 with n the number of modes. The leading coefficient only sees the phase
 space volume of {p2 <= 1} and the number of internal levels; the subleading
 one integrates the trace of the order-one symbol a1 over the sphere p2 = 1.
-All three coupling configurations have off-diagonal a1, so their subleading
-coefficient vanishes; the quadrature here confirms that rather than
-assuming it.
+In every family here a1 = sum_k alpha_k x_k (E_ij + E_ji), with one
+off-diagonal level pair i < j per coupling: its diagonal is zero, so
+Tr a1 = 0 at every point of the sphere and the subleading coefficient is
+exactly 0. (Being linear in X, Tr a1 would also be odd under X -> -X; only
+an X-independent part of a1 could give a nonzero integral, and there is
+none.) The prediction is therefore closed-form.
 
 Phase space points are X = (x_1..x_n, xi_1..xi_n) and p2 = |X|^2 / 2, so
 the energy sphere p2 = 1 is |X| = sqrt(2) and |grad p2| = |X| is constant
@@ -24,14 +27,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fock_ops import (QR, QRABI, TruncatedOperator, build, coupling_pattern)
+from .fock_ops import build, coupling_pattern
 from .spectral_analysis import count_below
 
 SPHERE_RADIUS = math.sqrt(2.0)
 DEFAULT_RELIABLE_FRACTION = 0.5
-DEFAULT_MC_SAMPLES = 200000
 
 
 @dataclass
@@ -57,27 +58,23 @@ class SymbolSample:
 
 def _couplings(spec):
     """(alpha_k, row, col) for each coupling, rows below cols."""
-    if spec.family in (QR, QRABI):
-        return [(spec.alphas[0], 0, 1)]
-    out = []
-    for k, ak in enumerate(spec.alphas, start=1):
-        i, j = coupling_pattern(spec.family, spec.spin_dim, k)
-        out.append((ak, min(i, j), max(i, j)))
-    return out
+    return [(ak,) + coupling_pattern(spec.family, spec.spin_dim, k)
+            for k, ak in enumerate(spec.alphas, start=1)]
 
 
 def a1_matrix(spec, X):
     """Order-one symbol: sum over couplings of alpha_k x_k on the pattern.
 
-    Coupling k reads the position coordinate of mode k, so X[k-1] in the
-    (x_1..x_n, xi_1..xi_n) layout.
+    Coupling k reads the position coordinate of mode k, so X[..., k-1] in
+    the (x_1..x_n, xi_1..xi_n) layout. Leading axes of X are point axes:
+    X of shape (..., 2n) gives a stack of shape (..., Nlev, Nlev).
     """
     X = np.asarray(X, dtype=float)
-    m = np.zeros((spec.spin_dim, spec.spin_dim))
+    m = np.zeros(X.shape[:-1] + (spec.spin_dim, spec.spin_dim))
     for k, (ak, i, j) in enumerate(_couplings(spec)):
-        v = ak * X[k]
-        m[i, j] += v
-        m[j, i] += v
+        v = ak * X[..., k]
+        m[..., i, j] += v
+        m[..., j, i] += v
     return m
 
 
@@ -86,15 +83,17 @@ def b1_matrix(spec, X, eps=1.0):
 
     Built so that a1 + eps*b1 has entry sqrt(2) alpha_k psi_k at each
     coupling slot, psi_k = (x_k + i eps xi_k)/sqrt(2); the eps-linear part
-    is therefore +-i alpha_k xi_k, upper slot positive.
+    is therefore +-i alpha_k xi_k, upper slot positive. Leading axes of X
+    are point axes, as in a1_matrix.
     """
     X = np.asarray(X, dtype=float)
     n = spec.modes
-    m = np.zeros((spec.spin_dim, spec.spin_dim), dtype=complex)
+    m = np.zeros(X.shape[:-1] + (spec.spin_dim, spec.spin_dim),
+                 dtype=complex)
     for k, (ak, i, j) in enumerate(_couplings(spec)):
-        xi = X[n + k]
-        m[i, j] += 1j * ak * xi
-        m[j, i] += -1j * ak * xi
+        xi = X[..., n + k]
+        m[..., i, j] += 1j * ak * xi
+        m[..., j, i] += -1j * ak * xi
     return m
 
 
@@ -123,65 +122,19 @@ def ball_volume_numeric(n, nodes=200):
     return float(np.sum(w * _sphere_area(2 * n, r)) * 0.5 * SPHERE_RADIUS)
 
 
-def _sphere_quadrature(n, nodes=60):
-    """Deterministic points and weights covering the sphere |X| = sqrt(2)
-    in 2n dimensions, for n <= 2. Weights sum to the sphere area."""
-    r = SPHERE_RADIUS
-    if n == 1:
-        m = 4 * nodes
-        theta = 2.0 * math.pi * np.arange(m) / m
-        pts = r * np.stack((np.cos(theta), np.sin(theta)), axis=1)
-        wts = np.full(m, 2.0 * math.pi * r / m)
-        return pts, wts
-    if n == 2:
-        # hyperspherical product rule on S^3: Gauss-Legendre in the two
-        # polar angles, uniform in the azimuthal one
-        tc, wc = np.polynomial.legendre.leggauss(nodes)
-        chi = 0.5 * math.pi * (tc + 1.0)
-        wchi = 0.5 * math.pi * wc * np.sin(chi) ** 2
-        phi = 0.5 * math.pi * (tc + 1.0)
-        wphi = 0.5 * math.pi * wc * np.sin(phi)
-        m = 2 * nodes
-        psi = 2.0 * math.pi * np.arange(m) / m
-        wpsi = np.full(m, 2.0 * math.pi / m)
-        pts = []
-        wts = []
-        for c, wcv in zip(chi, wchi):
-            for f, wfv in zip(phi, wphi):
-                for p, wpv in zip(psi, wpsi):
-                    pts.append((r * math.cos(c),
-                                r * math.sin(c) * math.cos(f),
-                                r * math.sin(c) * math.sin(f) * math.cos(p),
-                                r * math.sin(c) * math.sin(f) * math.sin(p)))
-                    wts.append(wcv * wfv * wpv * r ** 3)
-        return np.array(pts), np.array(wts)
-    raise ValueError("deterministic sphere rule only for one or two modes")
-
-
-def weyl_prediction(spec, nodes=24, mc_samples=DEFAULT_MC_SAMPLES, seed=0):
+def weyl_prediction(spec):
     """Two-term counting coefficients for the model.
 
     leading = Nlev * (2 pi)^{-n} * vol{p2 <= 1} = Nlev / n!. The subleading
     coefficient integrates Tr(a1) over the sphere p2 = 1 against
-    1/|grad p2|, by deterministic product quadrature for n <= 2 and seeded
-    Monte Carlo otherwise.
+    1/|grad p2|; a1 has zero diagonal in every family (each coupling fills
+    one off-diagonal pair of levels, see the module docstring), so the
+    integrand vanishes pointwise and the coefficient is exactly 0.
     """
     spec.validate()
     n = spec.modes
     nlev = spec.spin_dim
-    leading = nlev / math.factorial(n)
-    if n <= 2:
-        pts, wts = _sphere_quadrature(n, nodes)
-        traces = np.array([np.trace(a1_matrix(spec, x)) for x in pts])
-        integral = float(np.sum(wts * traces))
-    else:
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((mc_samples, 2 * n))
-        g *= SPHERE_RADIUS / np.linalg.norm(g, axis=1)[:, None]
-        traces = np.array([np.trace(a1_matrix(spec, x)) for x in g])
-        integral = float(np.mean(traces)) * _sphere_area(2 * n, SPHERE_RADIUS)
-    subleading = (2.0 * math.pi) ** (-n) * integral / SPHERE_RADIUS
-    return WeylPrediction(n, nlev, leading, subleading)
+    return WeylPrediction(n, nlev, nlev / math.factorial(n), 0.0)
 
 
 class CountRow(NamedTuple):
@@ -207,10 +160,6 @@ def empirical_counting(spec, lambdas, cutoffs=None,
         spec = spec.with_cutoffs(cutoffs)
     pred = weyl_prediction(spec)
     op = build(spec)
-    m = op.matrix
-    if sp.issparse(m):
-        m = m.toarray()
-    op = TruncatedOperator(op.basis, m)
     bound = reliable_fraction * min(spec.cutoffs)
     lambdas = [float(x) for x in lambdas]
     if jobs > 1:
@@ -235,11 +184,7 @@ def nonpositive_count(spec, cutoffs=None):
     """
     if cutoffs is not None:
         spec = spec.with_cutoffs(cutoffs)
-    op = build(spec)
-    m = op.matrix
-    if sp.issparse(m):
-        m = m.toarray()
-    return count_below(TruncatedOperator(op.basis, m), 0.0)
+    return count_below(build(spec), 0.0)
 
 
 class GapCheck(NamedTuple):
@@ -293,9 +238,8 @@ def smges_gap_check(spec, eps, samples, seed=0, grid=False):
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((samples, 2 * n))
         pts = g * (SPHERE_RADIUS / np.linalg.norm(g, axis=1)[:, None])
-    best = None
-    for x in pts:
-        s = symbol_sample(spec, x, eps)
-        if best is None or s.min_gap < best.min_gap:
-            best = s
+    s = a1_matrix(spec, pts) + eps * b1_matrix(spec, pts)
+    gaps = np.diff(np.sort(np.linalg.eigvalsh(s)))
+    # argmin keeps the first of tied minima, as a strict-< scan would
+    best = symbol_sample(spec, pts[int(np.argmin(gaps.min(axis=-1)))], eps)
     return GapCheck(best.min_gap, best.X, best)

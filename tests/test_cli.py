@@ -212,6 +212,17 @@ def test_weyl_command_json(tmp_path):
     check_schema(doc, load_schema("weyl"))
 
 
+def test_weyl_command_three_modes(tmp_path):
+    doc = run_json(tmp_path, ["weyl", "--family", "vee",
+                              "--alpha", "0.6,0.7,0.8",
+                              "--gamma", "0.1,0.4,0.6", "--eps", "0.05",
+                              "--cutoff", "4", "--lambdas", "2,3"])
+    assert doc["modes"] == 3 and doc["spin_dim"] == 4
+    assert doc["leading_coeff"] == 4 / 6
+    assert doc["subleading_coeff"] == 0
+    check_schema(doc, load_schema("weyl"))
+
+
 def test_smges_check_command_grid_seed_invariance(tmp_path):
     base = ["smges-check", "--family", "xi", "--alpha", "1,0.8",
             "--gamma", "0.3,0.5", "--eps", "0.5", "--cutoff", "10",
@@ -334,6 +345,12 @@ def test_exit_code_insufficient_nodes(capsys):
 
 def test_exit_code_precision(capsys):
     expect_error(capsys, ["overlap", "--N", "70", "--k", "60", "--alpha", "1"],
+                 5, "PrecisionError")
+
+
+def test_exit_code_precision_overflow(capsys):
+    expect_error(capsys, ["overlap", "--N", "1", "--k", "1",
+                          "--alpha", "1e300"],
                  5, "PrecisionError")
 
 

@@ -89,6 +89,11 @@ def test_coefficient_scale_calibration():
 def test_degree_cap_raises():
     with pytest.raises(PrecisionError):
         overlap_closed(61, 60, 0.5)
+    # the exact sum, or its odd-degree sqrt(2) rescaling, overflows a double
+    with pytest.raises(PrecisionError):
+        overlap_closed(1, 1, 1e300)
+    with pytest.raises(PrecisionError):
+        overlap_closed(1, 0, 1.7e308)
     with pytest.raises(ValueError):
         overlap_closed(-1, 0, 0.5)
 

@@ -10,6 +10,7 @@ import scipy.linalg
 from rabispec.fock_ops import ModelSpec, build
 from rabispec.weyl_asymptotics import (
     WeylPrediction,
+    _grid_points,
     a1_matrix,
     b1_matrix,
     ball_volume_numeric,
@@ -37,16 +38,24 @@ def test_prediction_leading_coefficients():
     assert p.leading_coeff == pytest.approx(2.0, rel=1e-15)
     p3 = weyl_prediction(XI3)
     assert p3.leading_coeff == pytest.approx(3.0 / 2.0, rel=1e-15)
-    p4 = weyl_prediction(LAM4, mc_samples=2000)
+    p4 = weyl_prediction(LAM4)
     assert p4.leading_coeff == pytest.approx(4.0 / 6.0, rel=1e-15)
 
 
 def test_prediction_subleading_vanishes():
     # the order-one symbol has zero diagonal, so its trace integral dies
-    # identically, on the deterministic rules and on the sampled one alike
-    assert abs(weyl_prediction(QR_SPEC).subleading_coeff) < 1e-12
-    assert abs(weyl_prediction(XI3).subleading_coeff) < 1e-12
-    assert abs(weyl_prediction(LAM4, mc_samples=2000).subleading_coeff) < 1e-12
+    # identically, for one, two and three modes alike
+    assert weyl_prediction(QR_SPEC).subleading_coeff == 0.0
+    assert weyl_prediction(XI3).subleading_coeff == 0.0
+    assert weyl_prediction(LAM4).subleading_coeff == 0.0
+
+
+def test_prediction_three_modes_exact():
+    for ctor in (ModelSpec.xi, ModelSpec.lam, ModelSpec.vee):
+        spec = ctor([0.6, 0.7, 0.8], [0.1, 0.4, 0.6], 0.05, [4, 4, 4])
+        p = weyl_prediction(spec)
+        assert (p.n, p.Nlev) == (3, 4)
+        assert (p.leading_coeff, p.subleading_coeff) == (4 / 6, 0.0)
 
 
 def test_prediction_evaluate_two_terms():
@@ -112,6 +121,38 @@ def test_gap_check_sampling_stays_on_sphere():
     assert np.linalg.norm(g.X) == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert g.min_gap >= 0.0
     assert g.sample.min_gap == g.min_gap
+
+
+def _gap_check_by_loop(spec, eps, samples, seed=0, grid=False):
+    """Reference: one symbol_sample per point, keeping the first strict
+    minimum, on the same points smges_gap_check draws."""
+    if grid:
+        pts = _grid_points(spec.modes, samples)
+    else:
+        g = np.random.default_rng(seed).standard_normal((samples, 2 * spec.modes))
+        pts = g * (math.sqrt(2.0) / np.linalg.norm(g, axis=1)[:, None])
+    best = None
+    for x in pts:
+        s = symbol_sample(spec, x, eps)
+        if best is None or s.min_gap < best.min_gap:
+            best = s
+    return best
+
+
+@pytest.mark.parametrize("spec", [QR_SPEC] + [
+    ctor([1.0, 0.8, 0.6][:n], [0.1, 0.3, 0.5][:n], 0.05, [6] * n)
+    for ctor in (ModelSpec.xi, ModelSpec.lam, ModelSpec.vee) for n in (2, 3)
+])
+def test_gap_check_batched_matches_pointwise_loop(spec):
+    runs = [dict(eps=0.3, samples=400, seed=7), dict(eps=0.0, samples=150, seed=2)]
+    if spec.modes <= 2:
+        runs.append(dict(eps=0.5, samples=300, grid=True))
+    for kw in runs:
+        got = smges_gap_check(spec, **kw)
+        want = _gap_check_by_loop(spec, **kw)
+        assert got.min_gap == want.min_gap
+        assert np.array_equal(got.X, want.X)
+        assert np.array_equal(got.sample.eigenvalues, want.eigenvalues)
 
 
 def test_gap_check_argument_validation():
