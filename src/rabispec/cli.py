@@ -83,19 +83,16 @@ def _emit_csv(header, rows, config, path):
 def _parse_config_file(path):
     """Flat key=value lines; blank lines and # comments are skipped."""
     out = {}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for ln, raw in enumerate(f, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError("config %s line %d: expected key=value"
-                                     % (path, ln))
-                key, _, val = line.partition("=")
-                out[key.strip()] = val.strip()
-    except OSError as e:
-        raise UsageError("cannot read config file: %s" % e)
+    with open(path, "r", encoding="utf-8") as f:
+        for ln, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise UsageError("config %s line %d: expected key=value"
+                                 % (path, ln))
+            key, _, val = line.partition("=")
+            out[key.strip()] = val.strip()
     return out
 
 
@@ -567,7 +564,9 @@ def main(argv=None):
     except RabispecError as e:
         _print_error(type(e).__name__, str(e), e.exit_code)
         return e.exit_code
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, OSError) as e:
+        # OSError: a config file that cannot be read or an output file
+        # (--out, --dump-matrix) that cannot be written
         _print_error("UsageError", str(e), UsageError.exit_code)
         return UsageError.exit_code
 

@@ -18,6 +18,7 @@ makes the large multimode cases affordable.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +159,11 @@ class ModelSpec:
     def validate(self):
         if self.family not in FAMILIES:
             raise ModelSpecError("unknown model family %r" % (self.family,))
+        params = self.alphas + self.gammas + (self.eps,)
+        if self.delta is not None:
+            params += (self.delta,)
+        if not all(math.isfinite(v) for v in params):
+            raise ModelSpecError("model parameters must be finite")
         if self.family in (QR, QRABI, AB_FRAME):
             if self.spin_dim != 2 or self.modes != 1 or len(self.alphas) != 1:
                 raise ModelSpecError("%s is a two-level single-mode model" % self.family)
@@ -246,22 +252,6 @@ def build(spec):
     basis = spec.basis()
     if spec.family == AB_FRAME:
         return _build_ab(spec, basis)
-    if spec.family in (QR, QRABI):
-        cut = spec.cutoffs[0]
-        x = _x_sparse(cut + 1)
-        p0 = sp.diags(np.arange(cut + 1) + 0.5, format="csr")
-        sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        ident = sp.identity(cut + 1, format="csr")
-        h = sp.kron(sp.identity(2, format="csr"), p0, format="csr")
-        h = h + spec.alphas[0] * sp.kron(sx, x, format="csr")
-        gdiag = sp.diags(list(spec.gammas), format="csr")
-        h = h + spec.eps * sp.kron(gdiag, ident, format="csr")
-        mat = h.toarray()
-        if spec.family == QRABI:
-            mat[np.diag_indices_from(mat)] -= 0.5
-        return TruncatedOperator(basis, mat)
-    # N-level families: principal part plus unscaled gamma diagonal; eps
-    # only enters the subprincipal analysis elsewhere
     h = sp.kron(sp.identity(spec.spin_dim, format="csr"),
                 sp.diags(_harmonic_diag(basis), format="csr"), format="csr")
     for k in range(1, spec.spin_dim):
@@ -270,10 +260,32 @@ def build(spec):
                           shape=(spec.spin_dim, spec.spin_dim))
         x = _mode_factor(basis, k, _x_sparse(basis.mode_dims[k - 1]))
         h = h + spec.alphas[k - 1] * sp.kron(c, x, format="csr")
-    levels = np.concatenate(([0.0], np.asarray(spec.gammas)))
+    # QR/QRabi scale their levels by eps; the N-level families carry the
+    # bare (0, gammas...) and eps only enters the subprincipal analysis
+    if spec.family in (QR, QRABI):
+        levels = spec.eps * np.asarray(spec.gammas)
+    else:
+        levels = np.concatenate(([0.0], np.asarray(spec.gammas)))
     h = h + sp.kron(sp.diags(levels, format="csr"),
                     sp.identity(basis.mode_space_dim, format="csr"), format="csr")
-    return TruncatedOperator(basis, h.toarray())
+    mat = h.toarray()
+    if spec.family == QRABI:
+        mat[np.diag_indices_from(mat)] -= 0.5
+    return TruncatedOperator(basis, mat)
+
+
+def parity_chains(spec):
+    """[(diag, off) for parity sector +, sector -] of a QR/QRabi model: the
+    tridiagonal chains |n, spin n mod 2> and |n, spin 1 - n mod 2> for
+    n = 0..cutoff, formed as in build so each equals its sector exactly."""
+    spec.validate()
+    if spec.family not in (QR, QRABI):
+        raise ValueError("parity splitting requires a QR-type two-level model")
+    n = np.arange(spec.cutoffs[0] + 1)
+    off = spec.alphas[0] * _x_sparse(n.size).diagonal(1)
+    levels = spec.eps * np.asarray(spec.gammas)
+    shift = 0.5 if spec.family == QRABI else 0.0
+    return [((n + 0.5) + levels[s] - shift, off) for s in (n % 2, 1 - n % 2)]
 
 
 def _build_ab(spec, basis):

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .errors import CoverageError
-from .fock_ops import QR, QRABI, build, parity_matrix
+from .fock_ops import QR, QRABI, build, parity_chains
 
 log = logging.getLogger(__name__)
 
@@ -143,8 +143,12 @@ def converged_spectrum(spec, m, tol, cap=None):
     Cutoffs grow geometrically (factor 1.5, rounded up) from the ones in the
     ModelSpec. Hitting the cap yields a partial result: converged_count
     reports how long a prefix was stable at the last comparison and the
-    partial flag is set.
+    partial flag is set. QR and QRabi are parity_split without the labels.
     """
+    if spec.family in (QR, QRABI):
+        result = parity_split(spec, m, tol, cap)
+        result.parity = None
+        return result
 
     def solve(cutoffs):
         ev = eigen_spectrum(build(spec.with_cutoffs(cutoffs)))
@@ -156,26 +160,18 @@ def converged_spectrum(spec, m, tol, cap=None):
 def parity_split(spec, m, tol, cap=None):
     """Converged spectrum with a parity label on every eigenvalue.
 
-    The conserved parity is diagonal in the product basis, so each sector is
-    just an index subset; the Hamiltonian is diagonalized per sector and the
-    results merged sorted.
+    The conserved parity splits a QR/QRabi Hamiltonian into two symmetric
+    tridiagonal chains (fock_ops.parity_chains); all eigenvalues of each
+    chain are computed and the two sets merged sorted, "+" before "-" on
+    exact ties. Other families raise ValueError.
     """
-    if spec.family not in (QR, QRABI):
-        raise ValueError("parity splitting requires a QR-type two-level model")
 
     def solve(cutoffs):
-        spec2 = spec.with_cutoffs(cutoffs)
-        h = build(spec2).matrix
-        signs = np.diag(parity_matrix(spec2.basis()).matrix)
-        merged_vals = []
-        merged_labels = []
-        for label, sign in (("+", 1.0), ("-", -1.0)):
-            idx = np.nonzero(signs == sign)[0]
-            block = h[np.ix_(idx, idx)]
-            merged_vals.append(np.sort(scipy.linalg.eigvalsh(block)))
-            merged_labels.append(np.full(idx.size, label, dtype=object))
-        vals = np.concatenate(merged_vals)
-        labels = np.concatenate(merged_labels)
+        chains = parity_chains(spec.with_cutoffs(cutoffs))
+        vals = np.concatenate([scipy.linalg.eigvalsh_tridiagonal(d, e)
+                               for d, e in chains])
+        labels = np.repeat(np.array(["+", "-"], dtype=object),
+                           [d.size for d, _ in chains])
         order = np.argsort(vals, kind="stable")
         return vals[order], list(labels[order])
 

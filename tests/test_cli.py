@@ -368,6 +368,29 @@ def test_exit_code_model_spec(capsys):
                  7, "ModelSpecError")
 
 
+def test_exit_code_model_spec_nonfinite(capsys):
+    expect_error(capsys, ["weyl", "--family", "xi", "--alpha", "nan,0.8",
+                          "--gamma", "0.3,0.5", "--eps", "0.05",
+                          "--cutoff", "6", "--lambdas", "2,3"],
+                 7, "ModelSpecError")
+    expect_error(capsys, ["spectrum", "--family", "qr", "--alpha", "1",
+                          "--gamma1", "1", "--gamma2", "-1", "--eps", "inf",
+                          "--cutoff", "8"],
+                 7, "ModelSpecError")
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    expect_error(capsys, ["laguerre-zeros", "--degree", "2",
+                          "--out", str(missing / "x.json")],
+                 2, "UsageError")
+    expect_error(capsys, ["spectrum", "--family", "qr", "--alpha", "1",
+                          "--gamma1", "1", "--gamma2", "-1", "--eps", "0.1",
+                          "--cutoff", "8",
+                          "--dump-matrix", str(missing / "m.bin")],
+                 2, "UsageError")
+
+
 def test_smges_check_rejects_two_level(capsys):
     expect_error(capsys, ["smges-check", "--family", "qr", "--alpha", "1",
                           "--gamma1", "1", "--gamma2", "-1", "--eps", "0.1",

@@ -16,6 +16,7 @@ from rabispec.fock_ops import (
     export_matrix,
     harmonic_matrix,
     load_matrix,
+    parity_chains,
     parity_matrix,
     position_matrix,
 )
@@ -123,6 +124,17 @@ def test_model_spec_rejects_descending_gammas():
         build(ModelSpec.xi((1.0, 1.0), (0.5, 0.1), 0.0, (5, 5)))
 
 
+@pytest.mark.parametrize("spec", [
+    ModelSpec.xi((math.nan, 0.8), (0.3, 0.5), 0.05, (6, 6)),
+    ModelSpec.qr(1.0, math.inf, -1.0, 0.1, 8),
+    ModelSpec.qr(1.0, 1.0, -1.0, -math.inf, 8),
+    ModelSpec("QRabi", 2, (1.0,), (1.0, -1.0), 0.1, (8,), delta=math.nan),
+], ids=["alpha", "gamma", "eps", "delta"])
+def test_model_spec_rejects_nonfinite_parameters(spec):
+    with pytest.raises(ModelSpecError):
+        spec.validate()
+
+
 def test_model_spec_rejects_shape_mismatch():
     with pytest.raises(ModelSpecError):
         build(ModelSpec.xi((1.0, 1.0), (0.1, 0.2), 0.0, (5,)))
@@ -179,6 +191,32 @@ def test_parity_commutes_with_two_level_builds():
     assert np.array_equal(p @ h, h @ p)
     with pytest.raises(ValueError):
         parity_matrix(BasisDescriptor(2, (3, 3), 2))
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec.qr(1.03, 0.95, -1.07, -0.03, 16),
+    ModelSpec.qr(0.7, 0.0, -0.3, 0.0, 13),
+    ModelSpec.qr(1e-300, 0.5, -0.5, 0.2, 9),
+    ModelSpec.qrabi(1.0, 1.0, 0.02, 17),
+    ModelSpec.qrabi(0.8, 0.9, -0.04, 12),
+])
+def test_parity_chains_equal_dense_sectors(spec):
+    h = build(spec).matrix
+    signs = np.diag(parity_matrix(spec.basis()).matrix)
+    d = spec.cutoffs[0] + 1
+    for (diag, off), sign in zip(parity_chains(spec), (1.0, -1.0)):
+        idx = np.nonzero(signs == sign)[0]
+        idx = idx[np.argsort(idx % d)]  # chain order: by occupation n
+        block = h[np.ix_(idx, idx)]
+        chain = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.array_equal(block, chain)
+
+
+def test_parity_chains_require_qr_type_model():
+    with pytest.raises(ValueError):
+        parity_chains(ModelSpec.xi((1.0, 1.0), (0.1, 0.2), 0.0, (3, 3)))
+    with pytest.raises(ValueError):
+        parity_chains(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 8))
 
 
 # ------------------------------------------------------- N-level builds

@@ -3,6 +3,7 @@ inertia counting, and the unit-interval census."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from rabispec.errors import CoverageError
@@ -12,6 +13,7 @@ from rabispec.fock_ops import (
     TruncatedOperator,
     build,
     harmonic_matrix,
+    parity_matrix,
 )
 from rabispec.spectral_analysis import (
     BOUNDARY_TOL,
@@ -113,11 +115,29 @@ def test_spectrum_to_dict_round_trip_fields():
 
 
 def test_parity_split_matches_full_diagonalization():
-    ps = parity_split(ModelSpec.qrabi(0.8, 0.9, 0.04, 8), 12, 1e-10)
-    cs = converged_spectrum(ModelSpec.qrabi(0.8, 0.9, 0.04, 8), 12, 1e-10)
-    assert np.max(np.abs(ps.eigenvalues[:12] - cs.eigenvalues[:12])) < 1e-10
-    assert set(ps.parity) <= {"+", "-"}
-    assert len(ps.parity) == len(ps.eigenvalues)
+    for spec in (ModelSpec.qrabi(0.8, 0.9, 0.04, 8),
+                 ModelSpec.qr(1.03, 0.95, -1.07, -0.03, 9),
+                 ModelSpec.qr(0.6, 0.4, -0.9, 0.1, 7)):
+        ps = parity_split(spec, 12, 1e-10)
+        cs = converged_spectrum(spec, 12, 1e-10)
+        assert cs.parity is None
+        assert cs.cutoffs_used == ps.cutoffs_used
+        assert cs.converged_count == ps.converged_count == 12
+        # oracle: the dense matrix at the final cutoff, whole and per sector
+        final = spec.with_cutoffs(ps.cutoffs_used)
+        h = build(final).matrix
+        ref = scipy.linalg.eigvalsh(h)
+        bound = 1e-12 * np.maximum(1.0, np.abs(ref))
+        assert np.all(np.abs(ps.eigenvalues - ref) <= bound)
+        assert np.all(np.abs(cs.eigenvalues - ref) <= bound)
+        signs = np.diag(parity_matrix(final.basis()).matrix)
+        vals, labels = [], []
+        for label, sign in (("+", 1.0), ("-", -1.0)):
+            idx = np.nonzero(signs == sign)[0]
+            vals.append(np.sort(scipy.linalg.eigvalsh(h[np.ix_(idx, idx)])))
+            labels.extend([label] * idx.size)
+        order = np.argsort(np.concatenate(vals), kind="stable")
+        assert ps.parity == [labels[i] for i in order]
 
 
 def test_parity_split_degenerate_pairs_carry_both_labels():
