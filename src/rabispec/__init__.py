@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .errors import (CoverageError, DegenerateInput, InsufficientNodes,
                      ModelSpecError, NumericError, PrecisionError,
-                     RabispecError, UsageError)
+                     RabispecError, ResourceError, UsageError)
 from .fock_ops import BasisDescriptor, ModelSpec, TruncatedOperator, build
 from .overlaps import (OverlapResult, diagonal_overlap_ratio,
                        displacement_matrix, overlap_closed,
@@ -29,11 +29,11 @@ from .weyl_asymptotics import (SymbolSample, WeylPrediction,
                                weyl_prediction)
 
 __all__ = [
-    "AvoidanceSequence", "BasisDescriptor", "CoverageError",
-    "DegenerateInput", "FirstOrderSplit", "InsufficientNodes",
-    "IntervalReport", "LaguerreZeroSet", "ModelSpec", "ModelSpecError",
-    "NumericError", "OverlapResult", "PrecisionError", "QuasimodeExpansion",
-    "RabiParameters", "RabispecError", "Spectrum", "SymbolSample",
+    "AvoidanceSequence", "BasisDescriptor", "CoverageError", "DegenerateInput",
+    "FirstOrderSplit", "InsufficientNodes", "IntervalReport",
+    "LaguerreZeroSet", "ModelSpec", "ModelSpecError", "NumericError",
+    "OverlapResult", "PrecisionError", "QuasimodeExpansion", "RabiParameters",
+    "RabispecError", "ResourceError", "Spectrum", "SymbolSample",
     "TruncatedOperator", "UsageError", "WeylPrediction", "braak_intervals",
     "build", "converged_spectrum", "count_below", "diagonal_overlap_ratio",
     "displacement_matrix", "eigen_spectrum", "empirical_counting",

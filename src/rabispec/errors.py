@@ -51,3 +51,9 @@ class NumericError(RabispecError):
     """A numerical routine failed to meet its own accuracy contract."""
 
     exit_code = 8
+
+
+class ResourceError(RabispecError):
+    """Request needs more memory than the stated budget allows."""
+
+    exit_code = 9

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ModelSpecError
+from .errors import ModelSpecError, ResourceError
 from .overlaps import displacement_matrix
 
 QR = "QR"
@@ -35,6 +35,9 @@ LAMBDA = "Lambda"
 VEE = "Vee"
 
 FAMILIES = (QR, QRABI, AB_FRAME, XI, LAMBDA, VEE)
+
+# build refuses a dense matrix larger than this (2 GiB: dimension 16 384)
+DENSE_BUDGET_BYTES = 2 * 1024 ** 3
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,14 @@ class BasisDescriptor:
             flat, n = divmod(flat, d)
             ns.append(n)
         return spin, tuple(reversed(ns))
+
+    def occupation_layers(self):
+        """Basis indices of total occupation N = sum_k n_k, one ascending
+        index array per N = 0 .. sum of the cutoffs, every spin included."""
+        occ = np.indices(self.mode_dims).sum(axis=0).ravel()
+        occ = np.tile(occ, self.spin_dim)
+        order = np.argsort(occ, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(occ))[:-1])
 
 
 @dataclass
@@ -247,9 +258,19 @@ def coupling_pattern(family, spin_dim, k):
 
 
 def build(spec):
-    """Assemble the truncated Hamiltonian for the given ModelSpec."""
+    """Assemble the truncated Hamiltonian for the given ModelSpec.
+
+    Raises ResourceError, before allocating, when the dense matrix would
+    exceed DENSE_BUDGET_BYTES.
+    """
     spec.validate()
     basis = spec.basis()
+    need = 8 * basis.dim ** 2
+    if need > DENSE_BUDGET_BYTES:
+        raise ResourceError(
+            "dense matrix of dimension %d needs %.3g GiB, over the %.3g GiB "
+            "budget" % (basis.dim, need / 2 ** 30,
+                        DENSE_BUDGET_BYTES / 2 ** 30))
     if spec.family == AB_FRAME:
         return _build_ab(spec, basis)
     h = sp.kron(sp.identity(spec.spin_dim, format="csr"),

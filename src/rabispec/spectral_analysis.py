@@ -27,6 +27,11 @@ GROWTH_FACTOR = 1.5
 SINGLE_MODE_CAP = 4096
 MULTI_MODE_CAP = 160
 BOUNDARY_TOL = 1e-10
+SYMMETRY_TILE = 2048
+# growth bound of the layered count in units of max(1, max|A - lam I|): an
+# eigenpair (w, v) of a Schur block is eliminated only if |C v|^2 / |w|,
+# the norm of its update to the next layer, stays within it
+LAYER_GROWTH = 1.0
 
 
 @dataclass
@@ -76,26 +81,32 @@ class IntervalReport:
         }
 
 
-def _dense_symmetric(op):
+def _dense(op):
     m = op.matrix
     if sp.issparse(m):
         m = m.toarray()
-    m = np.asarray(m, dtype=float)
+    return np.asarray(m, dtype=float)
+
+
+def _check_symmetric(m):
+    scale = asym = 0.0
     if m.size:
         scale = max(m.max(), -m.min())
-        d = m - m.T
-        asym = max(d.max(), -d.min())
-        del d
-    else:
-        scale = asym = 0.0
+        # m - m.T is antisymmetric, so the tiles on and above the diagonal
+        # hold its maximum; no temporary larger than one tile is built
+        t = SYMMETRY_TILE
+        for i in range(0, m.shape[0], t):
+            for j in range(i, m.shape[0], t):
+                d = m[i:i + t, j:j + t] - m[j:j + t, i:i + t].T
+                asym = max(asym, d.max(), -d.min())
     if asym > max(1.0, scale) * m.shape[0] * np.finfo(float).eps:
         raise ValueError("matrix is not symmetric: max asymmetry %g" % asym)
-    return m
 
 
 def eigen_spectrum(op):
     """All eigenvalues of a symmetric truncated operator, ascending."""
-    m = _dense_symmetric(op)
+    m = _dense(op)
+    _check_symmetric(m)
     return np.sort(scipy.linalg.eigvalsh(m))
 
 
@@ -198,21 +209,105 @@ def _block_eigenvalues(ldu, ipiv):
     return np.array(out)
 
 
+def _layer_blocks(m, basis):
+    """Diagonal and lower coupling blocks of m over the occupation layers,
+    or None unless m is exactly symmetric and block tridiagonal in them."""
+    layers = basis.occupation_layers()
+    nnz = np.count_nonzero(m)
+    sizes = np.array([a.size for a in layers])
+    if nnz > sizes @ sizes + 2 * sizes[1:] @ sizes[:-1]:
+        return None  # more nonzeros than the band holds
+    diag = [m[np.ix_(a, a)] for a in layers]
+    low = [m[np.ix_(b, a)] for a, b in zip(layers, layers[1:])]
+    for d in diag:
+        if not np.array_equal(d, d.T):
+            return None
+        nnz -= np.count_nonzero(d)
+    for a, b, c in zip(layers, layers[1:], low):
+        if not np.array_equal(m[np.ix_(a, b)], c.T):
+            return None
+        nnz -= 2 * np.count_nonzero(c)
+    if nnz:
+        return None
+    return diag, low
+
+
+def _shifted(block, lam):
+    out = block.copy()
+    out.flat[:: block.shape[0] + 1] -= lam
+    return out
+
+
+def _layered_inertia(diag, low, mu, growth):
+    """(nonpositive count, merges, pivots) over the successive Schur blocks
+    of the block tridiagonal matrix minus mu I."""
+    count = merges = 0
+    pivots = []
+    pending, carried = _shifted(diag[0], mu), 0
+    for b, c in zip(diag[1:], low):
+        w, v = np.linalg.eigh(pending)
+        # the next layer couples only to the layer part of pending
+        cv = c @ v[carried:]
+        keep = (w != 0) & (np.einsum("ij,ij->j", cv, cv)
+                           <= growth * np.abs(w))
+        pivots.append(w[keep])
+        count += int(np.count_nonzero(w[keep] < 0))
+        ck = cv[:, keep]
+        s = _shifted(b, mu) - (ck / w[keep]) @ ck.T
+        carried = keep.size - int(np.count_nonzero(keep))
+        if carried:
+            merges += 1
+            cb = cv[:, ~keep]
+            s = np.block([[np.diag(w[~keep]), cb.T], [cb, s]])
+        pending = s
+    w = np.linalg.eigvalsh(pending)
+    pivots.append(w)
+    count += int(np.count_nonzero(w <= 0))
+    return count, merges, np.concatenate(pivots)
+
+
 def count_below(op, lam):
     """Number of eigenvalues at most lam, by inertia of (matrix - lam I).
 
-    A symmetric-indefinite factorization gives the inertia without computing
-    any eigenvalues, so this costs one factorization per threshold. Pivots
-    within dimension * macheps * ||shifted matrix|| of zero are treated as
-    ties and counted. Factorization breakdown falls back to a full
-    eigensolve with a logged notice.
+    The tie band is tie = dimension * macheps * max(1, max|matrix - lam I|).
+    When the matrix is exactly symmetric and block tridiagonal in the
+    occupation layers of its basis (QR, QRabi, Xi, Lambda and Vee, not
+    the AB frame), the count is the number of nonpositive eigenvalues of
+    the successive Schur blocks S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T
+    at mu = lam + tie (Haynsworth inertia additivity), so eigenvalues
+    within the band above lam are counted. An eigendirection of S_k that
+    is singular, or whose elimination would grow the next block by more
+    than LAYER_GROWTH * max(1, max|matrix - lam I|), is merged into the
+    next layer instead of eliminated. Any other matrix takes one dense
+    symmetric-indefinite factorization, whose pivots within the tie band
+    are counted; its breakdown falls back to a full eigensolve with a
+    logged warning. One debug record per call names the route, the
+    number of layer merges and the pivots inside the tie band.
     """
     if not np.isfinite(lam):
         raise ValueError("threshold must be finite")
-    m = _dense_symmetric(op)
+    m = _dense(op)
     n = m.shape[0]
     if n == 0:
         return 0
+    blocks = _layer_blocks(m, op.basis)
+    if blocks is None:
+        _check_symmetric(m)
+        return _dense_count(m, lam)
+    diag, low = blocks
+    scale = max([1.0] + [np.abs(_shifted(d, lam)).max() for d in diag]
+                + [np.abs(c).max() for c in low if c.size])
+    tie = n * np.finfo(float).eps * scale
+    count, merges, pivots = _layered_inertia(diag, low, lam + tie,
+                                             LAYER_GROWTH * scale)
+    log.debug("count_below route=layered dim=%d merges=%d ties=%d",
+              n, merges, np.count_nonzero(np.abs(pivots) <= tie))
+    return count
+
+
+def _dense_count(m, lam):
+    """count_below on a symmetric dense matrix by one sytrf factorization."""
+    n = m.shape[0]
     # Fortran order so the factorization can work in place; the diagonal
     # shift avoids materializing lam * I at large dimensions
     shifted = np.array(m, dtype=float, order="F")
@@ -224,8 +319,12 @@ def count_below(op, lam):
         log.warning("sytrf failed with info=%d, falling back to eigensolve",
                     info)
         ev = np.sort(scipy.linalg.eigvalsh(m))
+        log.debug("count_below route=eigensolve dim=%d merges=0 ties=%d",
+                  n, np.count_nonzero(np.abs(ev - lam) <= tie))
         return int(np.searchsorted(ev, lam + tie, side="right"))
     block_ev = _block_eigenvalues(ldu, ipiv)
+    log.debug("count_below route=dense dim=%d merges=0 ties=%d",
+              n, np.count_nonzero(np.abs(block_ev) <= tie))
     return int(np.count_nonzero(block_ev <= tie))
 
 

@@ -3,6 +3,7 @@ and exit codes. Everything runs in process through main(argv)."""
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +378,20 @@ def test_exit_code_model_spec_nonfinite(capsys):
                           "--gamma1", "1", "--gamma2", "-1", "--eps", "inf",
                           "--cutoff", "8"],
                  7, "ModelSpecError")
+
+
+def test_exit_code_resource(capsys):
+    # dimension 482 403 would need a 1.7 TiB dense matrix; refused up front
+    tracemalloc.start()
+    try:
+        expect_error(capsys, ["weyl", "--family", "xi", "--alpha", "1,0.8",
+                              "--gamma", "0.3,0.5", "--eps", "0.05",
+                              "--cutoff", "400", "--lambdas", "5,10,20"],
+                     9, "ResourceError")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):

@@ -2,12 +2,14 @@
 and the binary export format."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rabispec.errors import ModelSpecError
+from rabispec import fock_ops
+from rabispec.errors import ModelSpecError, ResourceError
 from rabispec.fock_ops import (
     BasisDescriptor,
     ModelSpec,
@@ -55,6 +57,19 @@ def test_index_state_round_trip(data):
     assert b.index_of(s, ns) == i
     assert 0 <= s < spin
     assert all(0 <= n <= c for n, c in zip(ns, cuts))
+
+
+@pytest.mark.parametrize("basis", [BasisDescriptor(1, (4,), 2),
+                                   BasisDescriptor(2, (2, 3), 3),
+                                   BasisDescriptor(3, (1, 0, 2), 4)])
+def test_occupation_layers_partition_by_total_occupation(basis):
+    layers = basis.occupation_layers()
+    assert len(layers) == sum(basis.per_mode_cutoff) + 1
+    assert np.array_equal(np.sort(np.concatenate(layers)),
+                          np.arange(basis.dim))
+    for total, idx in enumerate(layers):
+        assert np.all(np.diff(idx) > 0)
+        assert all(sum(basis.state_of(int(i))[1]) == total for i in idx)
 
 
 def test_index_of_rejects_out_of_range():
@@ -217,6 +232,42 @@ def test_parity_chains_require_qr_type_model():
         parity_chains(ModelSpec.xi((1.0, 1.0), (0.1, 0.2), 0.0, (3, 3)))
     with pytest.raises(ValueError):
         parity_chains(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 8))
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec.qr(1.03, 0.95, -1.07, -0.03, 16),
+    ModelSpec.qrabi(0.8, 0.9, -0.04, 12),
+    ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (5, 7)),
+    ModelSpec.lam((1.0, 0.9), (0.2, 0.6), 0.05, (6, 4)),
+    ModelSpec.vee((0.6, 0.7, 0.8), (0.1, 0.4, 0.6), 0.05, (3, 2, 4)),
+])
+def test_builds_couple_only_adjacent_occupation_layers(spec):
+    h = build(spec).matrix
+    occ = np.empty(h.shape[0], dtype=int)
+    for total, idx in enumerate(spec.basis().occupation_layers()):
+        occ[idx] = total
+    rows, cols = np.nonzero(h)
+    assert np.all(np.abs(occ[rows] - occ[cols]) <= 1)
+    assert np.any(occ[rows] != occ[cols])
+
+
+def test_build_refuses_dense_matrix_over_budget(monkeypatch):
+    spec = ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (400, 400))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="dimension 482403"):
+            build(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # the budget is inclusive: dimension 42 fits 8 * 42^2 bytes exactly
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", 8 * 42 ** 2)
+    assert build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 20)).matrix.shape == (42, 42)
+    with pytest.raises(ResourceError):
+        build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 21))
+    with pytest.raises(ResourceError):
+        build(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 21))
 
 
 # ------------------------------------------------------- N-level builds

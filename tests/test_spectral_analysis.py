@@ -1,11 +1,15 @@
 """Spectrum extraction, cutoff convergence, parity-resolved merging,
 inertia counting, and the unit-interval census."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from rabispec import spectral_analysis
 from rabispec.errors import CoverageError
 from rabispec.fock_ops import (
     BasisDescriptor,
@@ -18,6 +22,8 @@ from rabispec.fock_ops import (
 from rabispec.spectral_analysis import (
     BOUNDARY_TOL,
     Spectrum,
+    _dense_count,
+    _layer_blocks,
     braak_intervals,
     converged_spectrum,
     count_below,
@@ -65,6 +71,20 @@ def test_eigen_spectrum_rejects_asymmetric():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         eigen_spectrum(TruncatedOperator(BasisDescriptor(1, (0,), 2), m))
+
+
+def test_symmetry_check_tiles_report_the_full_asymmetry(monkeypatch):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((22, 22))
+    a = a + a.T
+    a[19, 2] += 0.25
+    a[1, 6] -= 0.5
+    d = a - a.T
+    want = "max asymmetry %g" % max(d.max(), -d.min())
+    for tile in (2048, 5, 3, 1):
+        monkeypatch.setattr(spectral_analysis, "SYMMETRY_TILE", tile)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            eigen_spectrum(_sym_op(a))
 
 
 # ------------------------------------------------------- convergence
@@ -162,6 +182,11 @@ def test_count_below_diagonal_cases():
     assert count_below(op, 100.0) == 4
     with pytest.raises(ValueError):
         count_below(op, np.inf)
+    # 2 + tie, tie = 4 * macheps * max|diag - 2|, sits exactly on the
+    # shifted threshold: the exactly zero pivot in the first layer must be
+    # merged onward, not divided by, and the value is counted as a tie
+    op = _diag_op([2.0 + 8 * np.finfo(float).eps, 1.0, 3.0, 4.0])
+    assert count_below(op, 2.0) == 2 == _dense_count(op.matrix, 2.0)
 
 
 def test_count_below_matches_eigensolve_on_random_matrices():
@@ -186,6 +211,138 @@ def test_count_below_matches_eigensolve_on_random_matrices():
 def test_count_below_monotone_in_threshold(diag, lam, step):
     op = _diag_op(diag)
     assert count_below(op, lam) <= count_below(op, lam + step)
+
+
+# ------------------------------------------------------- layered counts
+
+LAYERED_SPECS = [
+    ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 150),
+    ModelSpec.qrabi(0.8, 0.9, 0.04, 150),
+    ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (20, 20)),
+    ModelSpec.lam((1.0, 0.9), (0.2, 0.6), 0.05, (16, 16)),
+    ModelSpec.vee((0.7, 1.1), (0.1, 0.4), 0.05, (16, 16)),
+    ModelSpec.xi((1.0, 0.8, 0.7), (0.3, 0.5, 0.9), 0.05, (5, 5, 5)),
+    ModelSpec.lam((0.9, 0.8, 0.6), (0.1, 0.2, 0.7), 0.05, (5, 5, 5)),
+    ModelSpec.vee((0.6, 0.7, 0.8), (0.1, 0.4, 0.6), 0.05, (5, 5, 5)),
+]
+
+
+def _count_records(caplog):
+    return [r for r in caplog.records if r.name == spectral_analysis.__name__]
+
+
+@pytest.mark.parametrize("spec", LAYERED_SPECS,
+                         ids=lambda s: "%s-%d" % (s.family, s.modes))
+def test_layered_count_matches_dense_and_eigvalsh(spec, caplog):
+    caplog.set_level(logging.DEBUG, logger=spectral_analysis.__name__)
+    op = build(spec)
+    ev = scipy.linalg.eigvalsh(op.matrix)
+    # midpoints between low eigenvalues, and integer and half-integer
+    # thresholds: there a state with no lower-layer neighbour (level 0,
+    # n = (0, lam - 1) on two-mode Xi) leaves an exactly singular block
+    lams = list(0.5 * (ev[:60:10] + ev[1:61:10])) + [1.0, 2.5, 4.0, 5.5,
+                                                     7.0, 8.5, 10.0]
+    merged = 0
+    for lam in lams:
+        assert np.min(np.abs(ev - lam)) > 1e-8  # the oracle is unambiguous
+        caplog.clear()
+        got = count_below(op, lam)
+        recs = _count_records(caplog)
+        assert len(recs) == 1 and recs[0].levelno == logging.DEBUG
+        found = re.fullmatch(r"count_below route=layered dim=%d merges=(\d+) "
+                             r"ties=\d+" % ev.size, recs[0].getMessage())
+        assert found
+        merged += int(found.group(1))
+        assert got == _dense_count(op.matrix, lam)
+        assert got == int(np.count_nonzero(ev <= lam))
+    if spec.modes > 1:
+        assert merged > 0
+
+
+def test_layered_count_through_singular_schur_block():
+    spec = ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (20, 20))
+    op = build(spec)
+    basis = spec.basis()
+    # (level 0, n = (0, 9)) sits on the diagonal at 10 and couples only to
+    # layer 10, so the Schur block of layer 9 at lam = 10 is singular
+    i = basis.index_of(0, (0, 9))
+    row = op.matrix[i]
+    assert row[i] == 10.0
+    assert all(sum(basis.state_of(int(j))[1]) == 10
+               for j in np.nonzero(row)[0] if j != i)
+    ev = scipy.linalg.eigvalsh(op.matrix)
+    assert count_below(op, 10.0) == _dense_count(op.matrix, 10.0) \
+        == int(np.count_nonzero(ev <= 10.0))
+
+
+def test_layered_count_includes_exact_ties():
+    # at eps 0 and alpha 1 the QR levels are exactly the integers n, twice
+    # each, so every integer threshold is a double eigenvalue
+    op = build(ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 300))
+    assert _layer_blocks(op.matrix, op.basis) is not None
+    for n in (0, 1, 37, 100):
+        assert count_below(op, float(n)) == _dense_count(op.matrix, float(n)) \
+            == 2 * (n + 1)
+
+
+_BANDED_BASES = [BasisDescriptor(1, (5,), 2), BasisDescriptor(1, (3,), 3),
+                 BasisDescriptor(2, (2, 3), 3), BasisDescriptor(3, (1, 2, 1), 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(_BANDED_BASES),
+       st.booleans(), st.integers(-6, 6))
+def test_layered_count_on_random_banded_matrices(seed, basis, small_ints, lam):
+    rng = np.random.default_rng(seed)
+    n = basis.dim
+    if small_ints:
+        # exact zeros and exactly singular Schur blocks are common here
+        a = rng.integers(-2, 3, (n, n)).astype(float)
+    else:
+        a = rng.standard_normal((n, n))
+    a = a + a.T
+    occ = np.empty(n, dtype=int)
+    for k, idx in enumerate(basis.occupation_layers()):
+        occ[idx] = k
+    a[np.abs(occ[:, None] - occ[None, :]) > 1] = 0.0
+    ev = np.linalg.eigvalsh(a)
+    assume(np.min(np.abs(ev - lam)) > 1e-8)
+    assert _layer_blocks(a, basis) is not None
+    want = int(np.count_nonzero(ev <= lam))
+    assert count_below(TruncatedOperator(basis, a), lam) == want
+    assert _dense_count(a, lam) == want
+
+
+def test_count_below_dense_route_without_layer_structure(caplog):
+    caplog.set_level(logging.DEBUG, logger=spectral_analysis.__name__)
+    rng = np.random.default_rng(2025)
+    a = rng.standard_normal((30, 30))
+    c10 = TruncatedOperator(BasisDescriptor(1, (14,), 2), 0.5 * (a + a.T))
+    ab = build(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 20))
+    # one symmetric pair joining layers 0 and 5, well inside the band's
+    # nonzero capacity
+    spec = ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 20)
+    far = build(spec).matrix.copy()
+    i, j = spec.basis().index_of(0, (0,)), spec.basis().index_of(1, (5,))
+    far[i, j] = far[j, i] = 0.3
+    far = TruncatedOperator(spec.basis(), far)
+    for op in (c10, ab, far):
+        assert _layer_blocks(op.matrix, op.basis) is None
+        caplog.clear()
+        got = count_below(op, 0.5)
+        recs = _count_records(caplog)
+        assert len(recs) == 1
+        assert recs[0].getMessage().startswith("count_below route=dense ")
+        assert got == _dense_count(op.matrix, 0.5)
+
+
+def test_count_below_rejects_asymmetric_banded_matrix():
+    spec = ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (6, 6))
+    h = build(spec).matrix.copy()
+    i, j = np.argwhere(np.triu(h, 1))[0]
+    h[i, j] += 1e-3
+    with pytest.raises(ValueError, match="not symmetric"):
+        count_below(TruncatedOperator(spec.basis(), h), 3.0)
 
 
 # ------------------------------------------------------- interval census
