@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -56,11 +57,21 @@ def _format_json(obj, indent=0):
 
 
 def _emit(text, path):
+    """Write text to stdout, or to path through a temporary file beside it
+    that replaces path only once complete; a failed write leaves path as it
+    was and removes the temporary file."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as f:
+        return
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    f = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with f:
             f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _emit_json(payload, config, path):
@@ -358,8 +369,7 @@ def _cmd_weyl(args, config):
     lambdas = _floats(args.lambdas)
     pred = weyl.weyl_prediction(spec)
     rows = weyl.empirical_counting(spec, lambdas,
-                                   reliable_fraction=float(args.fraction),
-                                   jobs=int(args.jobs))
+                                   reliable_fraction=float(args.fraction))
     if args.format == "csv":
         _emit_csv(["lambda", "count", "prediction", "rel_err", "flagged"],
                   [tuple(r) for r in rows], config, args.out)
@@ -412,12 +422,18 @@ def _add_common(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for any sampling (echoed)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for sweep commands")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose errors raise UsageError, so they reach stderr as
+    the JSON error object; subparsers are made of the same class."""
+
+    def error(self, message):
+        raise UsageError("%s: %s" % (self.prog, message))
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="rabispec",
         description="Spectral toolkit for displaced two-level and multilevel "
                     "oscillator models")

@@ -102,8 +102,14 @@ class BasisDescriptor:
 
 @dataclass
 class TruncatedOperator:
+    """A truncated matrix on its basis. layers, when set, is the pair
+    (diagonal blocks, lower coupling blocks) of the matrix over
+    basis.occupation_layers(), declared by build for the families that
+    couple only adjacent layers; count_below then works on the blocks."""
+
     basis: BasisDescriptor
     matrix: np.ndarray
+    layers: tuple | None = None
 
     def __post_init__(self):
         if self.matrix.shape != (self.basis.dim, self.basis.dim):
@@ -292,7 +298,12 @@ def build(spec):
     mat = h.toarray()
     if spec.family == QRABI:
         mat[np.diag_indices_from(mat)] -= 0.5
-    return TruncatedOperator(basis, mat)
+    # every coupling moves one quantum between a level pair and one mode, so
+    # the matrix is block tridiagonal in the occupation layers
+    layers = basis.occupation_layers()
+    return TruncatedOperator(basis, mat, (
+        [mat[np.ix_(a, a)] for a in layers],
+        [mat[np.ix_(b, a)] for a, b in zip(layers, layers[1:])]))
 
 
 def parity_chains(spec):

@@ -209,29 +209,6 @@ def _block_eigenvalues(ldu, ipiv):
     return np.array(out)
 
 
-def _layer_blocks(m, basis):
-    """Diagonal and lower coupling blocks of m over the occupation layers,
-    or None unless m is exactly symmetric and block tridiagonal in them."""
-    layers = basis.occupation_layers()
-    nnz = np.count_nonzero(m)
-    sizes = np.array([a.size for a in layers])
-    if nnz > sizes @ sizes + 2 * sizes[1:] @ sizes[:-1]:
-        return None  # more nonzeros than the band holds
-    diag = [m[np.ix_(a, a)] for a in layers]
-    low = [m[np.ix_(b, a)] for a, b in zip(layers, layers[1:])]
-    for d in diag:
-        if not np.array_equal(d, d.T):
-            return None
-        nnz -= np.count_nonzero(d)
-    for a, b, c in zip(layers, layers[1:], low):
-        if not np.array_equal(m[np.ix_(a, b)], c.T):
-            return None
-        nnz -= 2 * np.count_nonzero(c)
-    if nnz:
-        return None
-    return diag, low
-
-
 def _shifted(block, lam):
     out = block.copy()
     out.flat[:: block.shape[0] + 1] -= lam
@@ -270,31 +247,29 @@ def count_below(op, lam):
     """Number of eigenvalues at most lam, by inertia of (matrix - lam I).
 
     The tie band is tie = dimension * macheps * max(1, max|matrix - lam I|).
-    When the matrix is exactly symmetric and block tridiagonal in the
-    occupation layers of its basis (QR, QRabi, Xi, Lambda and Vee, not
-    the AB frame), the count is the number of nonpositive eigenvalues of
-    the successive Schur blocks S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T
-    at mu = lam + tie (Haynsworth inertia additivity), so eigenvalues
-    within the band above lam are counted. An eigendirection of S_k that
-    is singular, or whose elimination would grow the next block by more
-    than LAYER_GROWTH * max(1, max|matrix - lam I|), is merged into the
-    next layer instead of eliminated. Any other matrix takes one dense
-    symmetric-indefinite factorization, whose pivots within the tie band
-    are counted; its breakdown falls back to a full eigensolve with a
-    logged warning. One debug record per call names the route, the
-    number of layer merges and the pivots inside the tie band.
+    When the operator declares its occupation-layer blocks (op.layers, set
+    by build for QR, QRabi, Xi, Lambda and Vee, not for the AB frame), the
+    count is the number of nonpositive eigenvalues of the successive Schur
+    blocks S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T at mu = lam + tie
+    (Haynsworth inertia additivity), so eigenvalues within the band above
+    lam are counted. An eigendirection of S_k that is singular, or whose
+    elimination would grow the next block by more than
+    LAYER_GROWTH * max(1, max|matrix - lam I|), is merged into the next
+    layer instead of eliminated. Any other operator's matrix is checked for
+    symmetry and takes one dense symmetric-indefinite factorization, whose
+    pivots within the tie band are counted; its breakdown falls back to a
+    full eigensolve with a logged warning. One debug record per call names
+    the route, the number of layer merges and the pivots inside the tie
+    band.
     """
     if not np.isfinite(lam):
         raise ValueError("threshold must be finite")
-    m = _dense(op)
-    n = m.shape[0]
-    if n == 0:
-        return 0
-    blocks = _layer_blocks(m, op.basis)
-    if blocks is None:
+    if op.layers is None:
+        m = _dense(op)
         _check_symmetric(m)
         return _dense_count(m, lam)
-    diag, low = blocks
+    diag, low = op.layers
+    n = op.basis.dim
     scale = max([1.0] + [np.abs(_shifted(d, lam)).max() for d in diag]
                 + [np.abs(c).max() for c in low if c.size])
     tie = n * np.finfo(float).eps * scale

@@ -22,7 +22,6 @@ on it.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -150,25 +149,20 @@ def empirical_counting(spec, lambdas, cutoffs=None,
     """Counting function versus the two-term prediction on a lambda grid.
 
     Counts come from inertia factorizations of the truncated operator, so
-    the matrix is assembled once and refactored per threshold. Thresholds
+    the operator is assembled once and refactored per threshold. Thresholds
     above reliable_fraction * min(cutoff) land in rows flagged as
-    truncation-suspect; they are reported, never silently dropped. With
-    jobs > 1 the factorizations run on worker threads (each owns its
-    workspace); rows always come back in input order.
+    truncation-suspect; they are reported, never silently dropped. jobs is
+    accepted and ignored: the counts always run in input order on the
+    calling thread.
     """
     if cutoffs is not None:
         spec = spec.with_cutoffs(cutoffs)
     pred = weyl_prediction(spec)
     op = build(spec)
     bound = reliable_fraction * min(spec.cutoffs)
-    lambdas = [float(x) for x in lambdas]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            counts = list(pool.map(lambda t: count_below(op, t), lambdas))
-    else:
-        counts = [count_below(op, t) for t in lambdas]
     rows = []
-    for lam, c in zip(lambdas, counts):
+    for lam in (float(x) for x in lambdas):
+        c = count_below(op, lam)
         p = pred.evaluate(lam)
         rel = (c - p) / p if p != 0 else math.inf
         rows.append(CountRow(lam, c, p, rel, lam > bound))

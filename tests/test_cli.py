@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rabispec
+from rabispec import cli
 from rabispec.cli import main
 from rabispec.fock_ops import load_matrix
 from rabispec.overlaps import overlap_closed
@@ -333,6 +334,25 @@ def test_exit_code_usage(capsys):
                  2, "UsageError")
 
 
+@pytest.mark.parametrize("argv", [
+    ["overlap", "--N", "x", "--k", "1", "--alpha", "1"],
+    ["laguerre-zeros", "--degree", "2", "--no-such-flag"],
+    ["weyl", "--family", "xi", "--alpha", "1,0.8", "--gamma", "0.3,0.5",
+     "--eps", "0.05", "--cutoff", "6", "--lambdas", "2,3", "--jobs", "2"],
+], ids=["bad-N", "unknown-flag", "retired-jobs"])
+def test_argparse_errors_are_usage_errors(capsys, argv):
+    expect_error(capsys, argv, 2, "UsageError")
+
+
+def test_help_stays_plain_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["overlap", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: rabispec overlap")
+    assert captured.err == ""
+
+
 def test_exit_code_degenerate(capsys):
     expect_error(capsys, ["avoid-seq", "--x0", "1.0", "--jmax", "2"],
                  3, "DegenerateInput")
@@ -404,6 +424,28 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
                           "--cutoff", "8",
                           "--dump-matrix", str(missing / "m.bin")],
                  2, "UsageError")
+
+
+def test_failed_write_leaves_no_file_behind(tmp_path, capsys, monkeypatch):
+    argv = ["laguerre-zeros", "--degree", "2", "--out"]
+    # a directory in the way: the rename fails after the temporary file is
+    # complete, and the temporary file is removed
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    expect_error(capsys, argv + [str(blocked)], 2, "UsageError")
+    assert list(tmp_path.iterdir()) == [blocked]
+    assert list(blocked.iterdir()) == []
+    # an earlier output survives a failed write unchanged
+    out = tmp_path / "x.json"
+    out.write_text("earlier\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    expect_error(capsys, argv + [str(out)], 2, "UsageError")
+    assert sorted(tmp_path.iterdir()) == [blocked, out]
+    assert out.read_text() == "earlier\n"
 
 
 def test_smges_check_rejects_two_level(capsys):

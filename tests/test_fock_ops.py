@@ -240,15 +240,45 @@ def test_parity_chains_require_qr_type_model():
     ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (5, 7)),
     ModelSpec.lam((1.0, 0.9), (0.2, 0.6), 0.05, (6, 4)),
     ModelSpec.vee((0.6, 0.7, 0.8), (0.1, 0.4, 0.6), 0.05, (3, 2, 4)),
+    ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 9),
+    ModelSpec.qrabi(1.1, 0.7, 0.3, 20),
 ])
 def test_builds_couple_only_adjacent_occupation_layers(spec):
-    h = build(spec).matrix
+    op = build(spec)
+    h = op.matrix
+    layers = spec.basis().occupation_layers()
     occ = np.empty(h.shape[0], dtype=int)
-    for total, idx in enumerate(spec.basis().occupation_layers()):
+    for total, idx in enumerate(layers):
         occ[idx] = total
     rows, cols = np.nonzero(h)
     assert np.all(np.abs(occ[rows] - occ[cols]) <= 1)
     assert np.any(occ[rows] != occ[cols])
+    # count_below trusts the declared blocks without looking at the matrix:
+    # they are its exact blocks, hold every nonzero, and the matrix is
+    # exactly symmetric
+    assert np.array_equal(h, h.T)
+    diag, low = op.layers
+    assert len(diag) == len(layers) and len(low) == len(layers) - 1
+    nnz = 0
+    for a, d in zip(layers, diag):
+        assert d.dtype == h.dtype and np.array_equal(d, h[np.ix_(a, a)])
+        nnz += np.count_nonzero(d)
+    for a, b, c in zip(layers, layers[1:], low):
+        assert c.dtype == h.dtype and np.array_equal(c, h[np.ix_(b, a)])
+        nnz += 2 * np.count_nonzero(c)
+    assert nnz == np.count_nonzero(h)
+
+
+def test_layers_declared_only_by_layered_builds(tmp_path):
+    ab = build(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 8))
+    assert ab.layers is None
+    path = tmp_path / "xi.bin"
+    export_matrix(build(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (3, 3))),
+                  path)
+    assert load_matrix(path).layers is None
+    basis = BasisDescriptor(1, (4,), 2)
+    assert position_matrix(basis).layers is None
+    assert harmonic_matrix(basis).layers is None
 
 
 def test_build_refuses_dense_matrix_over_budget(monkeypatch):

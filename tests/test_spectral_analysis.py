@@ -16,14 +16,15 @@ from rabispec.fock_ops import (
     ModelSpec,
     TruncatedOperator,
     build,
+    export_matrix,
     harmonic_matrix,
+    load_matrix,
     parity_matrix,
 )
 from rabispec.spectral_analysis import (
     BOUNDARY_TOL,
     Spectrum,
     _dense_count,
-    _layer_blocks,
     braak_intervals,
     converged_spectrum,
     count_below,
@@ -32,11 +33,20 @@ from rabispec.spectral_analysis import (
 )
 
 
+def _layered_op(basis, a):
+    """a on basis with its occupation-layer blocks declared, as build
+    declares them; count_below then takes the layered route."""
+    layers = basis.occupation_layers()
+    return TruncatedOperator(basis, a, (
+        [a[np.ix_(i, i)] for i in layers],
+        [a[np.ix_(j, i)] for i, j in zip(layers, layers[1:])]))
+
+
 def _diag_op(values):
     n = len(values)
     assert n % 2 == 0
     basis = BasisDescriptor(1, (n // 2 - 1,), 2)
-    return TruncatedOperator(basis, np.diag(np.asarray(values, dtype=float)))
+    return _layered_op(basis, np.diag(np.asarray(values, dtype=float)))
 
 
 def _sym_op(mat):
@@ -279,7 +289,7 @@ def test_layered_count_includes_exact_ties():
     # at eps 0 and alpha 1 the QR levels are exactly the integers n, twice
     # each, so every integer threshold is a double eigenvalue
     op = build(ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 300))
-    assert _layer_blocks(op.matrix, op.basis) is not None
+    assert op.layers is not None
     for n in (0, 1, 37, 100):
         assert count_below(op, float(n)) == _dense_count(op.matrix, float(n)) \
             == 2 * (n + 1)
@@ -307,27 +317,23 @@ def test_layered_count_on_random_banded_matrices(seed, basis, small_ints, lam):
     a[np.abs(occ[:, None] - occ[None, :]) > 1] = 0.0
     ev = np.linalg.eigvalsh(a)
     assume(np.min(np.abs(ev - lam)) > 1e-8)
-    assert _layer_blocks(a, basis) is not None
     want = int(np.count_nonzero(ev <= lam))
+    assert count_below(_layered_op(basis, a), lam) == want
     assert count_below(TruncatedOperator(basis, a), lam) == want
     assert _dense_count(a, lam) == want
 
 
-def test_count_below_dense_route_without_layer_structure(caplog):
+def test_count_below_dense_route_without_layer_structure(caplog, tmp_path):
     caplog.set_level(logging.DEBUG, logger=spectral_analysis.__name__)
     rng = np.random.default_rng(2025)
     a = rng.standard_normal((30, 30))
     c10 = TruncatedOperator(BasisDescriptor(1, (14,), 2), 0.5 * (a + a.T))
     ab = build(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 20))
-    # one symmetric pair joining layers 0 and 5, well inside the band's
-    # nonzero capacity
-    spec = ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 20)
-    far = build(spec).matrix.copy()
-    i, j = spec.basis().index_of(0, (0,)), spec.basis().index_of(1, (5,))
-    far[i, j] = far[j, i] = 0.3
-    far = TruncatedOperator(spec.basis(), far)
-    for op in (c10, ab, far):
-        assert _layer_blocks(op.matrix, op.basis) is None
+    # a loaded matrix declares no layers even where build would have
+    path = tmp_path / "qr.bin"
+    export_matrix(build(ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 20)), path)
+    for op in (c10, ab, load_matrix(path)):
+        assert op.layers is None
         caplog.clear()
         got = count_below(op, 0.5)
         recs = _count_records(caplog)
