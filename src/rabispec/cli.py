@@ -15,12 +15,13 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import fock_ops, overlaps, perturbation, specfun, spectral_analysis
 from . import weyl_asymptotics as weyl
-from .errors import RabispecError, UsageError
+from .errors import PrecisionError, RabispecError, UsageError
 
 JSON_FLOAT_FORMAT = "%.17g"
 
@@ -56,22 +57,27 @@ def _format_json(obj, indent=0):
     return json.dumps(obj)
 
 
-def _emit(text, path):
-    """Write text to stdout, or to path through a temporary file beside it
-    that replaces path only once complete; a failed write leaves path as it
-    was and removes the temporary file."""
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _write_atomic(path, write):
+    """Call write(tmp) on a temporary file beside path, then rename it over
+    path; a failed write leaves path as it was and removes the temporary
+    file."""
     tmp = "%s.%d.tmp" % (path, os.getpid())
-    f = open(tmp, "w", encoding="utf-8", newline="")
     try:
-        with f:
-            f.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
-        os.remove(tmp)
+        if os.path.exists(tmp):
+            os.remove(tmp)
         raise
+
+
+def _emit(text, path):
+    """Write text to stdout, or atomically to path."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        _write_atomic(path, lambda tmp: Path(tmp).write_text(
+            text, encoding="utf-8", newline=""))
 
 
 def _emit_json(payload, config, path):
@@ -252,7 +258,9 @@ def _cmd_spectrum(args, config):
     spec = _build_model(args)
     config["model"] = _model_echo(spec)
     if args.dump_matrix:
-        fock_ops.export_matrix(fock_ops.build(spec), args.dump_matrix)
+        op = fock_ops.build(spec)
+        _write_atomic(args.dump_matrix,
+                      lambda tmp: fock_ops.export_matrix(op, tmp))
         config["dump_matrix"] = args.dump_matrix
     m, tol = int(args.levels), float(args.tol)
     cap = int(args.cap) if args.cap is not None else None
@@ -416,10 +424,10 @@ def _add_model_flags(p):
     p.add_argument("--cutoff", help="per-mode cutoff (comma list allowed)")
 
 
-def _add_common(p):
+def _add_common(p, formats=("json", "csv")):
     p.add_argument("--config", help="flat key=value config file; flags win")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for any sampling (echoed)")
 
@@ -491,7 +499,7 @@ def build_parser():
                    help="residual evaluation cutoff")
     p.add_argument("--vectors", action="store_true",
                    help="include coefficient vectors in the output")
-    _add_common(p)
+    _add_common(p, formats=("json",))
 
     p = sub.add_parser("braak", help="interval counts of the shifted spectrum")
     _add_model_flags(p)
@@ -515,7 +523,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--grid", action="store_true",
                    help="deterministic lattice instead of seeded sampling")
-    _add_common(p)
+    _add_common(p, formats=("json",))
     return ap
 
 
@@ -577,14 +585,16 @@ def main(argv=None):
         config = _config_echo(args)
         handler = HANDLERS[args.command]
         return handler(args, config)
-    except RabispecError as e:
+    except (RabispecError, ValueError, KeyError, OSError, OverflowError) as e:
+        # OSError: a config file that cannot be read or an output file
+        # (--out, --dump-matrix) that cannot be written; OverflowError: a
+        # value past the double range, e.g. alpha ** 2 at alpha = 1e200
+        if isinstance(e, OverflowError):
+            e = PrecisionError("result overflows the double range: %s" % e)
+        elif not isinstance(e, RabispecError):
+            e = UsageError(str(e))
         _print_error(type(e).__name__, str(e), e.exit_code)
         return e.exit_code
-    except (ValueError, KeyError, OSError) as e:
-        # OSError: a config file that cannot be read or an output file
-        # (--out, --dump-matrix) that cannot be written
-        _print_error("UsageError", str(e), UsageError.exit_code)
-        return UsageError.exit_code
 
 
 def _print_error(name, message, code):

@@ -12,9 +12,10 @@ Supported families:
 * Vee       N levels, level 1 coupled out to every upper level
 
 Layout convention everywhere: spin index slowest, then the oscillator
-multi-index in row-major order. Assembly goes through sparse Kronecker
-products and densifies once, which keeps every matrix bitwise symmetric and
-makes the large multimode cases affordable.
+multi-index in row-major order. Assembly scatters the ladder entries of each
+coupling, the pairs of mode-space indices one quantum apart, straight into
+the dense matrix and its transpose, which keeps every matrix bitwise
+symmetric.
 """
 
 import json
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ModelSpecError, ResourceError
 from .overlaps import displacement_matrix
@@ -208,43 +208,33 @@ class ModelSpec:
                          self.eps, tuple(int(c) for c in cutoffs), self.delta)
 
 
-def _x_sparse(dim):
-    off = np.sqrt(np.arange(1.0, dim) / 2.0)
-    return sp.diags([off, off], [1, -1], shape=(dim, dim), format="csr")
-
-
-def _mode_factor(basis, mode, opmat):
-    """I x ... x opmat(mode) x ... x I on the mode space as sparse, mode is
-    1-based."""
-    acc = sp.identity(1, format="csr")
-    for j, d in enumerate(basis.mode_dims, start=1):
-        f = opmat if j == mode else sp.identity(d, format="csr")
-        acc = sp.kron(acc, f, format="csr")
-    return acc
-
-
-def _mode_operator(basis, mode, opmat):
-    """I_spin x _mode_factor(basis, mode, opmat) as sparse."""
-    return sp.kron(sp.identity(basis.spin_dim, format="csr"),
-                   _mode_factor(basis, mode, opmat), format="csr")
+def _ladder(basis, mode):
+    """The entries of x_mode (1-based) above the diagonal on the mode space:
+    index arrays lower and upper = lower + stride, where mode's occupation n
+    is one higher, and the values <n+1|x|n> = sqrt((n + 1) / 2)."""
+    dims = basis.mode_dims
+    stride = basis.mode_space_dim // math.prod(dims[:mode])
+    n = np.arange(basis.mode_space_dim) // stride % dims[mode - 1]
+    lower = np.nonzero(n < dims[mode - 1] - 1)[0]
+    return lower, lower + stride, np.sqrt((n[lower] + 1) / 2.0)
 
 
 def position_matrix(basis, mode=1):
     """Multiplication by x_mode, tridiagonal with <n+1|x|n> = sqrt((n+1)/2)."""
     if not 1 <= mode <= basis.modes:
         raise ValueError("mode %d out of range" % mode)
-    m = _mode_operator(basis, mode, _x_sparse(basis.mode_dims[mode - 1]))
-    return TruncatedOperator(basis, m.toarray())
+    msd = basis.mode_space_dim
+    lower, upper, value = _ladder(basis, mode)
+    mat = np.zeros((basis.dim, basis.dim))
+    for s in range(basis.spin_dim):
+        r, c = s * msd + lower, s * msd + upper
+        mat[r, c] = mat[c, r] = value
+    return TruncatedOperator(basis, mat)
 
 
 def _harmonic_diag(basis):
-    occ = np.zeros(basis.mode_space_dim)
-    for j, d in enumerate(basis.mode_dims):
-        ns = np.arange(d) + 0.5
-        shape = [1] * basis.modes
-        shape[j] = d
-        occ = occ + np.broadcast_to(ns.reshape(shape), basis.mode_dims).ravel()
-    return occ
+    # sum_j (n_j + 1/2) on the mode space; half-integers, so exact
+    return np.indices(basis.mode_dims).sum(axis=0).ravel() + 0.5 * basis.modes
 
 
 def harmonic_matrix(basis):
@@ -279,23 +269,24 @@ def build(spec):
                         DENSE_BUDGET_BYTES / 2 ** 30))
     if spec.family == AB_FRAME:
         return _build_ab(spec, basis)
-    h = sp.kron(sp.identity(spec.spin_dim, format="csr"),
-                sp.diags(_harmonic_diag(basis), format="csr"), format="csr")
-    for k in range(1, spec.spin_dim):
-        i, j = coupling_pattern(spec.family, spec.spin_dim, k)
-        c = sp.csr_matrix(([1.0, 1.0], ([i, j], [j, i])),
-                          shape=(spec.spin_dim, spec.spin_dim))
-        x = _mode_factor(basis, k, _x_sparse(basis.mode_dims[k - 1]))
-        h = h + spec.alphas[k - 1] * sp.kron(c, x, format="csr")
     # QR/QRabi scale their levels by eps; the N-level families carry the
     # bare (0, gammas...) and eps only enters the subprincipal analysis
     if spec.family in (QR, QRABI):
         levels = spec.eps * np.asarray(spec.gammas)
     else:
         levels = np.concatenate(([0.0], np.asarray(spec.gammas)))
-    h = h + sp.kron(sp.diags(levels, format="csr"),
-                    sp.identity(basis.mode_space_dim, format="csr"), format="csr")
-    mat = h.toarray()
+    msd = basis.mode_space_dim
+    mat = np.zeros((basis.dim, basis.dim))
+    np.fill_diagonal(mat, np.tile(_harmonic_diag(basis), spec.spin_dim)
+                     + np.repeat(levels, msd))
+    # coupling k is alpha_k x_k on the spin blocks (i, j) and (j, i)
+    for k in range(1, spec.spin_dim):
+        i, j = coupling_pattern(spec.family, spec.spin_dim, k)
+        lower, upper, value = _ladder(basis, k)
+        value = spec.alphas[k - 1] * value
+        for a, b in ((i, j), (j, i)):
+            r, c = a * msd + lower, b * msd + upper
+            mat[r, c] = mat[c, r] = value
     if spec.family == QRABI:
         mat[np.diag_indices_from(mat)] -= 0.5
     # every coupling moves one quantum between a level pair and one mode, so
@@ -314,7 +305,7 @@ def parity_chains(spec):
     if spec.family not in (QR, QRABI):
         raise ValueError("parity splitting requires a QR-type two-level model")
     n = np.arange(spec.cutoffs[0] + 1)
-    off = spec.alphas[0] * _x_sparse(n.size).diagonal(1)
+    off = spec.alphas[0] * np.sqrt(n[1:] / 2.0)
     levels = spec.eps * np.asarray(spec.gammas)
     shift = 0.5 if spec.family == QRABI else 0.0
     return [((n + 0.5) + levels[s] - shift, off) for s in (n % 2, 1 - n % 2)]

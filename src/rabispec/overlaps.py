@@ -36,7 +36,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InsufficientNodes, PrecisionError
-from .specfun import MAX_COMBINED_DEGREE, _alternating_series, _dyadic, laguerre_poly
+from .specfun import (MAX_COMBINED_DEGREE, _alternating_series, _check_degrees,
+                      _dyadic, laguerre_poly)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -69,16 +70,6 @@ class OverlapResult:
     def normalized(self):
         return self.value / math.sqrt(
             weighted_norm_squared(self.N) * weighted_norm_squared(self.k)
-        )
-
-
-def _check_degrees(N, k):
-    if N < 0 or k < 0:
-        raise ValueError("degrees must be nonnegative")
-    if N + k > MAX_COMBINED_DEGREE:
-        raise PrecisionError(
-            "combined degree %d exceeds supported cap %d"
-            % (N + k, MAX_COMBINED_DEGREE)
         )
 
 
@@ -272,6 +263,7 @@ def overlap_quadrature(N, k, alpha, nodes=None):
     integrate the degree-(N+k) integrand exactly.
     """
     _check_degrees(N, k)
+    _dyadic(alpha)  # rejects a non-finite alpha, as overlap_closed does
     need = required_nodes(N, k)
     if nodes is None:
         nodes = need
@@ -291,6 +283,9 @@ def overlap_quadrature(N, k, alpha, nodes=None):
     sh = sl = 0.0
     for i in range(nodes):
         sh, sl = _dd_add(sh, sl, float(th[i]), float(tl[i]))
+    if not math.isfinite(sh + sl):
+        raise PrecisionError(
+            "quadrature sum at alpha=%r overflows the double range" % alpha)
     return (sh + sl) * math.exp(-a * a)
 
 

@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
+from .errors import ModelSpecError
 from .fock_ops import ModelSpec, build
 from .overlaps import diagonal_overlap_ratio, displacement_matrix
 
@@ -54,6 +55,8 @@ class RabiParameters:
     gamma2: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.gamma1, self.gamma2))):
+            raise ModelSpecError("model parameters must be finite")
         if self.gamma1 < self.gamma2:
             raise ValueError("gamma1 must not be below gamma2")
 
@@ -213,6 +216,9 @@ def quasimode_residual(N, params, eps, K=None, cutoff=None):
     K = exp.K
     if cutoff is None:
         cutoff = K + RESIDUAL_CUTOFF_MARGIN
+    if cutoff < K:
+        raise ValueError("residual cutoff %d is below the spectral cutoff "
+                         "K = %d" % (cutoff, K))
     margin_violated = cutoff < K + RESIDUAL_CUTOFF_MARGIN
     spec = ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2,
                               eps, cutoff)

@@ -106,7 +106,6 @@ def laguerre_zeros(N):
     diag = 2.0 * np.arange(N) + 1.0
     off = np.arange(1.0, N)
     z = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
-    z = np.sort(z)
     for _ in range(2):
         L, Lm1, _ = _laguerre_pair_scaled(N, z)
         # x L_N' = N (L_N - L_{N-1}), so the Newton step is scale free
@@ -180,13 +179,7 @@ def _alternating_series(N, k, mant, texp, sign_parity, half_powers):
     return total
 
 
-def p_polynomial(N, k, Z):
-    """The overlap kernel polynomial sum_j (-1)^(k-j) C(N,j) C(k,j) j! Z^(N+k-2j).
-
-    Evaluated exactly over integers and rounded once. On the diagonal,
-    p(N, N, c) equals N! L_N(c^2), so p(N, N, -sqrt(Z)) = N! L_N(Z).
-    Degrees with N + k above MAX_COMBINED_DEGREE are refused.
-    """
+def _check_degrees(N, k):
     if N < 0 or k < 0:
         raise ValueError("degrees must be nonnegative")
     if N + k > MAX_COMBINED_DEGREE:
@@ -194,6 +187,16 @@ def p_polynomial(N, k, Z):
             "combined degree %d exceeds supported cap %d"
             % (N + k, MAX_COMBINED_DEGREE)
         )
+
+
+def p_polynomial(N, k, Z):
+    """The overlap kernel polynomial sum_j (-1)^(k-j) C(N,j) C(k,j) j! Z^(N+k-2j).
+
+    Evaluated exactly over integers and rounded once. On the diagonal,
+    p(N, N, c) equals N! L_N(c^2), so p(N, N, -sqrt(Z)) = N! L_N(Z).
+    Degrees with N + k above MAX_COMBINED_DEGREE are refused.
+    """
+    _check_degrees(N, k)
     mant, texp = _dyadic(Z)
     numer = _alternating_series(N, k, mant, texp, k, half_powers=False)
     return float(Fraction(numer, 1 << (texp * (N + k))))
@@ -279,6 +282,8 @@ def nondegenerate_sequence(x0, jmax, kcap=4000):
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")
+    if not math.isfinite(x0):
+        raise ValueError("x0 must be finite")
     if x0 <= 0:
         # zeros all live on the positive axis, nothing to avoid
         raise ValueError("x0 must be positive")

@@ -15,7 +15,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .errors import CoverageError
@@ -81,13 +80,6 @@ class IntervalReport:
         }
 
 
-def _dense(op):
-    m = op.matrix
-    if sp.issparse(m):
-        m = m.toarray()
-    return np.asarray(m, dtype=float)
-
-
 def _check_symmetric(m):
     scale = asym = 0.0
     if m.size:
@@ -105,13 +97,9 @@ def _check_symmetric(m):
 
 def eigen_spectrum(op):
     """All eigenvalues of a symmetric truncated operator, ascending."""
-    m = _dense(op)
+    m = np.asarray(op.matrix, dtype=float)
     _check_symmetric(m)
     return np.sort(scipy.linalg.eigvalsh(m))
-
-
-def _default_cap(modes):
-    return SINGLE_MODE_CAP if modes == 1 else MULTI_MODE_CAP
 
 
 def _grow(cutoffs, cap):
@@ -129,10 +117,10 @@ def _converge(spec, m, tol, cap, solve):
     """Cutoff-growth driver. solve(cutoffs) -> (values, labels or None)."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if cap is None:
-        cap = _default_cap(spec.modes)
+        cap = SINGLE_MODE_CAP if spec.modes == 1 else MULTI_MODE_CAP
     cur = spec.cutoffs
     prev_vals = None
     stable = 0
@@ -265,7 +253,7 @@ def count_below(op, lam):
     if not np.isfinite(lam):
         raise ValueError("threshold must be finite")
     if op.layers is None:
-        m = _dense(op)
+        m = np.asarray(op.matrix, dtype=float)
         _check_symmetric(m)
         return _dense_count(m, lam)
     diag, low = op.layers
@@ -333,6 +321,8 @@ def braak_intervals(spectrum, shift, Nmax):
     Only converged eigenvalues are examined; if they do not cover every
     interval up to Nmax the whole report is refused.
     """
+    if not math.isfinite(shift):
+        raise ValueError("shift must be finite")
     ev = np.asarray(spectrum.eigenvalues, dtype=float)
     conv = spectrum.converged_count
     shifted = ev + shift

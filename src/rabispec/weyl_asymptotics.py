@@ -42,6 +42,7 @@ class WeylPrediction:
     subleading_coeff: float
 
     def evaluate(self, lam):
+        lam = max(lam, 0.0)  # no phase-space volume below 0
         return (self.leading_coeff * lam ** self.n
                 - self.subleading_coeff * lam ** (self.n - 0.5))
 

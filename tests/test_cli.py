@@ -1,6 +1,9 @@
 """Command-line front end: artifact shapes, determinism, config handling,
 and exit codes. Everything runs in process through main(argv)."""
 
+import contextlib
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -8,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rabispec
 from rabispec import cli
@@ -16,6 +20,7 @@ from rabispec.fock_ops import load_matrix
 from rabispec.overlaps import overlap_closed
 
 SCHEMA_DIR = Path(rabispec.__file__).parent / "schemas"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def load_schema(name):
@@ -427,7 +432,16 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
 
 
 def test_failed_write_leaves_no_file_behind(tmp_path, capsys, monkeypatch):
-    argv = ["laguerre-zeros", "--degree", "2", "--out"]
+    for argv in (["laguerre-zeros", "--degree", "2", "--out"],
+                 ["spectrum", "--family", "qr", "--alpha", "1", "--gamma1",
+                  "1", "--gamma2", "-1", "--eps", "0.1", "--cutoff", "8",
+                  "--dump-matrix"]):
+        with monkeypatch.context() as m:
+            _check_failed_write(tmp_path / argv[0], capsys, m, argv)
+
+
+def _check_failed_write(tmp_path, capsys, monkeypatch, argv):
+    tmp_path.mkdir()
     # a directory in the way: the rename fails after the temporary file is
     # complete, and the temporary file is removed
     blocked = tmp_path / "blocked"
@@ -448,6 +462,57 @@ def test_failed_write_leaves_no_file_behind(tmp_path, capsys, monkeypatch):
     assert out.read_text() == "earlier\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["quasimode", "--N", "1", "--alpha", "1", "--gamma1", "1",
+     "--gamma2", "-1"],
+    ["smges-check", "--family", "xi", "--alpha", "1,0.8", "--gamma",
+     "0.3,0.5", "--eps", "0.5", "--cutoff", "10", "--samples", "20"],
+], ids=["quasimode", "smges-check"])
+def test_json_only_commands_refuse_csv(tmp_path, capsys, argv):
+    expect_error(capsys, argv + ["--format", "csv"], 2, "UsageError")
+    doc = run_json(tmp_path, argv + ["--format", "json"])
+    assert doc["config"]["format"] == "json"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["braak", "--family", "qr", "--alpha", "1", "--gamma1", "1",
+      "--gamma2=-1", "--eps", "0.02", "--cutoff", "6", "--nmax", "1",
+      "--shift", "inf"], 2),
+    (["braak", "--family", "qr", "--alpha", "1e200", "--gamma1", "1",
+      "--gamma2=-1", "--eps", "0.02", "--cutoff", "6", "--nmax", "1"], 5),
+    (["overlap", "--N", "1", "--k", "2", "--method", "quadrature",
+      "--alpha", "nan"], 2),
+    (["overlap", "--N", "1", "--k", "2", "--method", "quadrature",
+      "--alpha", "inf"], 2),
+    (["overlap", "--N", "1", "--k", "2", "--method", "quadrature",
+      "--alpha", "1e200"], 5),
+    # the double-double Gauss-Hermite rule overflows from about 400 nodes
+    (["overlap", "--N", "1", "--k", "1", "--method", "quadrature",
+      "--alpha", "0.5", "--nodes", "400"], 5),
+    (["perturb", "--N", "1", "--alpha", "1", "--gamma1", "inf",
+      "--gamma2=-1"], 7),
+    (["quasimode", "--N", "1", "--alpha", "1", "--gamma1", "1e300",
+      "--gamma2=-1"], 5),
+    (["avoid-seq", "--x0", "nan", "--jmax", "2"], 2),
+    (["spectrum", "--family", "qr", "--alpha", "1", "--gamma1", "1",
+      "--gamma2=-1", "--eps", "0.1", "--cutoff", "4", "--tol", "nan"], 2),
+], ids=["braak-shift-inf", "braak-alpha-overflow", "quadrature-nan",
+        "quadrature-inf", "quadrature-overflow", "quadrature-400-nodes",
+        "perturb-gamma-inf",
+        "quasimode-overflow", "avoid-seq-nan", "spectrum-tol-nan"])
+def test_nonfinite_and_overflowing_inputs_are_classified(capsys, argv, code):
+    names = {2: "UsageError", 5: "PrecisionError", 7: "ModelSpecError"}
+    expect_error(capsys, argv, code, names[code])
+
+
+def test_weyl_prediction_is_zero_below_zero(tmp_path):
+    doc = run_json(tmp_path, ["weyl", "--family", "xi", "--alpha", "1,0.8",
+                              "--gamma", "0.3,0.5", "--eps", "0.05",
+                              "--cutoff", "5", "--lambdas=-1,2"])
+    assert [r["prediction"] for r in doc["rows"]] == [0, 6]
+    assert doc["rows"][0]["count"] == 0
+
+
 def test_smges_check_rejects_two_level(capsys):
     expect_error(capsys, ["smges-check", "--family", "qr", "--alpha", "1",
                           "--gamma1", "1", "--gamma2", "-1", "--eps", "0.1",
@@ -458,3 +523,197 @@ def test_smges_check_rejects_two_level(capsys):
 def test_seed_echoed_in_config(tmp_path):
     doc = run_json(tmp_path, ["laguerre-zeros", "--degree", "3"])
     assert doc["config"]["seed"] == 0
+
+
+# ------------------------------------------------------- README examples
+
+
+def _readme_commands():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [ln.split()[1:] for ln in block.splitlines()
+            if ln.startswith("rabispec ")]
+
+
+def _parse_output(argv, text):
+    """The rows of a CSV artifact, or the JSON document."""
+    if "csv" in argv or "--format=csv" in argv:
+        lines = [ln for ln in text.splitlines() if not ln.startswith("# ")]
+        rows = list(csv.reader(lines))
+        assert rows and all(len(r) == len(rows[0]) for r in rows)
+        return rows
+    return json.loads(text)
+
+
+def test_readme_command_examples_run():
+    commands = _readme_commands()
+    assert {c[0] for c in commands} == set(cli.HANDLERS)
+    for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        _parse_output(argv, out.getvalue())
+
+
+# ------------------------------------------------------- robustness
+
+
+SPECIAL = [math.inf, -math.inf, math.nan, 1e300, -1e300, 0.0]
+
+
+def _float(lo, hi):
+    # about one float in eight is special, so that most runs get past
+    # validation
+    regular = st.floats(min_value=lo, max_value=hi)
+    return st.integers(0, 7).flatmap(
+        lambda i: st.sampled_from(SPECIAL) if i == 7 else regular)
+
+
+FLOAT = _float(-3.0, 3.0)
+POSITIVE = _float(1e-12, 3.0)
+README_CODES = set(range(1, 10))
+
+
+def _num(v):
+    return repr(float(v))
+
+
+def _flags(**kw):
+    """--name=value for every value that is not None; True is a switch."""
+    out = []
+    for k, v in kw.items():
+        flag = "--" + k.replace("_", "-")
+        if v is True:
+            out.append(flag)
+        elif v is not None and v is not False:
+            out.append("%s=%s" % (flag, v))
+    return out
+
+
+@st.composite
+def _model(draw, families=("qr", "qrabi", "abframe", "xi", "lambda", "vee")):
+    fam = draw(st.sampled_from(families))
+    cut = st.integers(min_value=1, max_value=6)
+    if fam == "qrabi":
+        return _flags(family=fam, alpha=_num(draw(FLOAT)),
+                      delta=_num(draw(FLOAT)), eps=_num(draw(FLOAT)),
+                      cutoff=draw(cut))
+    n = 1 if fam in ("qr", "abframe") else draw(st.integers(1, 3))
+    alphas = [_num(draw(FLOAT)) for _ in range(n)]
+    # level parameters in either order: the models want them ordered
+    gammas = [_num(g) for g in draw(st.lists(FLOAT, min_size=n + 1,
+                                             max_size=n + 1).map(sorted))]
+    if draw(st.integers(0, 3)) == 0:
+        gammas.reverse()
+    if fam in ("qr", "abframe"):
+        return _flags(family=fam, alpha=alphas[0], gamma1=gammas[0],
+                      gamma2=gammas[-1], eps=_num(draw(FLOAT)),
+                      cutoff=draw(cut))
+    cuts = ",".join(str(draw(cut))
+                    for _ in range(draw(st.sampled_from((1, n)))))
+    return _flags(family=fam, alpha=",".join(alphas),
+                  gamma=",".join(gammas[1:]), eps=_num(draw(FLOAT)),
+                  cutoff=cuts)
+
+
+def _optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+SMALL = st.integers(min_value=-1, max_value=20)
+FORMAT = st.sampled_from(("json", "csv"))
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(sorted(cli.HANDLERS)))
+
+    def f():
+        return _num(draw(FLOAT))
+
+    if cmd == "overlap":
+        rest = _flags(N=draw(SMALL), k=draw(SMALL), alpha=f(),
+                      method=draw(st.sampled_from(
+                          ("closed", "quadrature", "both"))),
+                      nodes=draw(_optional(st.integers(1, 50))),
+                      format=draw(FORMAT))
+    elif cmd == "laguerre-zeros":
+        rest = _flags(degree=draw(SMALL), format=draw(FORMAT))
+    elif cmd == "avoid-seq":
+        rest = _flags(x0=_num(draw(POSITIVE)), jmax=draw(st.integers(1, 3)),
+                      kcap=draw(st.integers(1, 200)), format=draw(FORMAT))
+    elif cmd == "spectrum":
+        rest = draw(_model()) + _flags(
+            levels=draw(st.integers(1, 6)), tol=_num(draw(POSITIVE)),
+            cap=draw(st.integers(0, 8)),
+            parity=draw(st.booleans()), format=draw(FORMAT))
+    elif cmd in ("perturb", "quasimode"):
+        rest = _flags(N=draw(st.integers(-1, 6)), alpha=f(), gamma1=f(),
+                      gamma2=f())
+        if cmd == "perturb":
+            rest += _flags(fd_check=draw(st.booleans()), format=draw(FORMAT))
+        else:
+            rest += _flags(K=draw(_optional(st.integers(0, 6))),
+                           eps=draw(_optional(FLOAT.map(_num))),
+                           cutoff=draw(_optional(st.integers(0, 6))),
+                           vectors=draw(st.booleans()))
+    elif cmd == "braak":
+        rest = draw(_model(("qr", "qrabi", "xi"))) + _flags(
+            nmax=draw(st.integers(-1, 3)),
+            shift=draw(_optional(FLOAT.map(_num))),
+            levels=draw(_optional(st.integers(0, 12))),
+            tol=_num(draw(POSITIVE)),
+            format=draw(FORMAT))
+    elif cmd == "weyl":
+        lams = ",".join(f() for _ in range(draw(st.integers(1, 3))))
+        rest = draw(_model()) + _flags(lambdas=lams,
+                                       fraction=_num(draw(POSITIVE)),
+                                       format=draw(FORMAT))
+    else:
+        rest = draw(_model(("qr", "xi", "lambda", "vee"))) + _flags(
+            samples=draw(st.integers(1, 20)), grid=draw(st.booleans()),
+            seed=draw(st.integers(0, 3)))
+    return [cmd] + rest
+
+
+def _no_nan(doc):
+    if isinstance(doc, dict):
+        return all(_no_nan(v) for k, v in doc.items() if k != "config")
+    if isinstance(doc, list):
+        return all(_no_nan(v) for v in doc)
+    return doc != "nan"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_argv())
+@example(argv=["braak", "--family=qr", "--alpha=1", "--gamma1=1",
+               "--gamma2=-1", "--eps=0.02", "--cutoff=6", "--nmax=1",
+               "--shift=inf"])
+@example(argv=["braak", "--family=qr", "--alpha=1e200", "--gamma1=1",
+               "--gamma2=-1", "--eps=0.02", "--cutoff=6", "--nmax=1"])
+@example(argv=["overlap", "--N=1", "--k=1", "--method=quadrature",
+               "--alpha=nan"])
+@example(argv=["overlap", "--N=1", "--k=1", "--method=quadrature",
+               "--alpha=inf"])
+@example(argv=["perturb", "--N=1", "--alpha=1", "--gamma1=inf",
+               "--gamma2=-1"])
+@example(argv=["weyl", "--family=vee", "--alpha=1,1,1",
+               "--gamma=0,0.1,0.2", "--eps=0", "--cutoff=2",
+               "--lambdas=-1"])
+@example(argv=["quasimode", "--N=2", "--alpha=1", "--gamma1=1",
+               "--gamma2=0", "--eps=0.01", "--cutoff=1"])
+def test_main_never_raises_and_classifies_every_failure(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        doc = _parse_output(argv, out.getvalue())
+        if isinstance(doc, dict):
+            assert _no_nan(doc), argv
+        else:
+            assert not any("nan" in cell for row in doc for cell in row), argv
+        return
+    assert code in README_CODES, argv
+    doc = json.loads(err.getvalue())
+    assert doc["exit_code"] == code
+    check_schema(doc, load_schema("error"))

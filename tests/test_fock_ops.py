@@ -2,12 +2,17 @@
 and the binary export format."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rabispec
 from rabispec import fock_ops
 from rabispec.errors import ModelSpecError, ResourceError
 from rabispec.fock_ops import (
@@ -80,6 +85,83 @@ def test_index_of_rejects_out_of_range():
         b.index_of(0, (4,))
     with pytest.raises(ValueError):
         b.state_of(b.dim)
+
+
+# ------------------------------------------------------- Kronecker oracle
+
+
+def _x(d):
+    off = np.sqrt(np.arange(1.0, d) / 2.0)
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
+def _mode_kron(dims, mode, op):
+    """I x ... x op (at 1-based mode) x ... x I on the mode space."""
+    out = np.eye(1)
+    for j, d in enumerate(dims, start=1):
+        out = np.kron(out, op if j == mode else np.eye(d))
+    return out
+
+
+def _kron_build(spec):
+    """The Kronecker-sum assembly: I_spin x sum_j (n_j + 1/2), plus
+    sum_k alpha_k (E_ij + E_ji) x x_k, plus the levels x I, with QRabi's
+    -1/2."""
+    dims = spec.basis().mode_dims
+    number = sum(_mode_kron(dims, j, np.diag(np.arange(d) + 0.5))
+                 for j, d in enumerate(dims, start=1))
+    h = np.kron(np.eye(spec.spin_dim), number)
+    for k in range(1, spec.spin_dim):
+        i, j = coupling_pattern(spec.family, spec.spin_dim, k)
+        e = np.zeros((spec.spin_dim, spec.spin_dim))
+        e[i, j] = e[j, i] = 1.0
+        h = h + spec.alphas[k - 1] * np.kron(e, _mode_kron(dims, k,
+                                                           _x(dims[k - 1])))
+    if spec.family in ("QR", "QRabi"):
+        levels = spec.eps * np.asarray(spec.gammas)
+    else:
+        levels = np.concatenate(([0.0], spec.gammas))
+    h = h + np.kron(np.diag(levels), np.eye(number.shape[0]))
+    if spec.family == "QRabi":
+        h = h - 0.5 * np.eye(h.shape[0])
+    return h
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 12),
+    ModelSpec.qr(1.03, 0.95, -1.07, 0.03, 16),
+    ModelSpec.qr(0.7, 0.4, -0.3, -0.2, 9),
+    ModelSpec.qrabi(0.8, 0.9, -0.04, 12),
+    ModelSpec.xi((1.3,), (-0.7,), 0.3, (11,)),
+    ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (5, 7)),
+    ModelSpec.lam((1.0, 0.9, 0.7), (0.2, 0.6, 0.8), 0.05, (3, 4, 2)),
+    ModelSpec.vee((-0.6, 0.7), (0.1, 0.4), 0.05, (6, 5)),
+], ids=["qr-eps0", "qr-eps+", "qr-eps-", "qrabi", "xi-1", "xi-2",
+        "lambda-3", "vee-negative"])
+def test_build_equals_kronecker_sum_exactly(spec):
+    assert np.array_equal(build(spec).matrix, _kron_build(spec))
+
+
+@pytest.mark.parametrize("basis", [BasisDescriptor(1, (7,), 2),
+                                   BasisDescriptor(2, (3, 5), 3),
+                                   BasisDescriptor(3, (2, 3, 4), 4)])
+def test_position_matrix_equals_kronecker_product_exactly(basis):
+    for mode in range(1, basis.modes + 1):
+        x = _mode_kron(basis.mode_dims, mode, _x(basis.mode_dims[mode - 1]))
+        assert np.array_equal(position_matrix(basis, mode).matrix,
+                              np.kron(np.eye(basis.spin_dim), x))
+
+
+def test_cli_import_loads_no_scipy_sparse():
+    src = str(Path(rabispec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, rabispec.cli; print(sorted("
+         "m for m in sys.modules if m.startswith('scipy.sparse')))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------- mode operators
