@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,12 +79,6 @@ def _emit(text, path):
     else:
         _write_atomic(path, lambda tmp: Path(tmp).write_text(
             text, encoding="utf-8", newline=""))
-
-
-def _emit_json(payload, config, path):
-    doc = dict(payload)
-    doc["config"] = config
-    _emit(_format_json(doc) + "\n", path)
 
 
 def _emit_csv(header, rows, config, path):
@@ -193,7 +188,8 @@ def _rabi_params(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns the exit status
+# subcommand handlers; each returns its JSON document, without the config
+# echo, and its CSV table (header, rows), or None for a JSON-only command
 
 def _cmd_overlap(args, config):
     _require(args, ["N", "k", "alpha"])
@@ -215,26 +211,16 @@ def _cmd_overlap(args, config):
                    overlaps.weighted_norm_squared(n)
                    * overlaps.weighted_norm_squared(k))}
     payload.update(results)
-    if args.format == "csv":
-        _emit_csv(["N", "k", "alpha", "value"],
-                  [(n, k, alpha, float(value))], config, args.out)
-    else:
-        _emit_json(payload, config, args.out)
-    return 0
+    return payload, (["N", "k", "alpha", "value"],
+                     [(n, k, alpha, float(value))])
 
 
 def _cmd_laguerre_zeros(args, config):
     _require(args, ["degree"])
     deg = int(args.degree)
-    zs = specfun.laguerre_zeros(deg)
-    if args.format == "csv":
-        _emit_csv(["index", "zero"],
-                  [(i, float(z)) for i, z in enumerate(zs)],
-                  config, args.out)
-    else:
-        _emit_json({"command": "laguerre-zeros", "degree": deg,
-                    "zeros": [float(z) for z in zs]}, config, args.out)
-    return 0
+    zs = [float(z) for z in specfun.laguerre_zeros(deg)]
+    return ({"command": "laguerre-zeros", "degree": deg, "zeros": zs},
+            (["index", "zero"], list(enumerate(zs))))
 
 
 def _cmd_avoid_seq(args, config):
@@ -243,15 +229,11 @@ def _cmd_avoid_seq(args, config):
                                          kcap=int(args.kcap))
     entries = [{"k": e.k, "delta": e.delta, "nearest_zero": e.nearest_zero,
                 "distance": e.distance} for e in seq.entries]
-    if args.format == "csv":
-        _emit_csv(["j", "k", "delta", "nearest_zero", "distance"],
-                  [(j + 1, e.k, e.delta, e.nearest_zero, e.distance)
-                   for j, e in enumerate(seq.entries)], config, args.out)
-    else:
-        _emit_json({"command": "avoid-seq", "x0": seq.x0, "entries": entries,
-                    "exhausted": seq.exhausted, "kcap": seq.kcap},
-                   config, args.out)
-    return 0
+    return ({"command": "avoid-seq", "x0": seq.x0, "entries": entries,
+             "exhausted": seq.exhausted, "kcap": seq.kcap},
+            (["j", "k", "delta", "nearest_zero", "distance"],
+             [(j + 1, e.k, e.delta, e.nearest_zero, e.distance)
+              for j, e in enumerate(seq.entries)]))
 
 
 def _cmd_spectrum(args, config):
@@ -270,19 +252,12 @@ def _cmd_spectrum(args, config):
         result = spectral_analysis.converged_spectrum(spec, m, tol, cap=cap)
     doc = result.to_dict()
     doc["command"] = "spectrum"
-    if args.format == "csv":
-        rows = []
-        for i, v in enumerate(result.eigenvalues):
-            if result.parity is not None:
-                rows.append((i, float(v), result.parity[i]))
-            else:
-                rows.append((i, float(v)))
-        header = (["index", "eigenvalue", "parity"]
-                  if result.parity is not None else ["index", "eigenvalue"])
-        _emit_csv(header, rows, config, args.out)
-    else:
-        _emit_json(doc, config, args.out)
-    return 0
+    columns = [range(len(doc["eigenvalues"])), doc["eigenvalues"]]
+    header = ["index", "eigenvalue"]
+    if result.parity is not None:
+        columns.append(result.parity)
+        header.append("parity")
+    return doc, (header, list(zip(*columns)))
 
 
 def _cmd_perturb(args, config):
@@ -301,14 +276,10 @@ def _cmd_perturb(args, config):
         lo, hi = perturbation.fd_pair_slopes(int(args.N), params)
         payload["fd_slope_minus"] = lo
         payload["fd_slope_plus"] = hi
-    if args.format == "csv":
-        _emit_csv(["N", "mu_minus", "mu_plus", "overlap_ratio", "degenerate"],
-                  [(split.level, split.mu_minus, split.mu_plus,
-                    split.overlap_ratio, split.degenerate)],
-                  config, args.out)
-    else:
-        _emit_json(payload, config, args.out)
-    return 0
+    return payload, (["N", "mu_minus", "mu_plus", "overlap_ratio",
+                      "degenerate"],
+                     [(split.level, split.mu_minus, split.mu_plus,
+                       split.overlap_ratio, split.degenerate)])
 
 
 def _cmd_quasimode(args, config):
@@ -326,8 +297,8 @@ def _cmd_quasimode(args, config):
     }
     if args.eps is not None:
         cutoff = int(args.cutoff) if args.cutoff is not None else None
-        res = perturbation.quasimode_residual(n, params, float(args.eps),
-                                              k, cutoff)
+        res = perturbation.expansion_residual(exp, params, float(args.eps),
+                                              cutoff)
         payload["eps"] = float(args.eps)
         payload["residual"] = res.residual
         payload["margin_violated"] = res.margin_violated
@@ -336,8 +307,7 @@ def _cmd_quasimode(args, config):
         payload["u1_minus"] = list(exp.u1_minus)
         payload["u2_plus"] = list(exp.u2_plus)
         payload["u2_minus"] = list(exp.u2_minus)
-    _emit_json(payload, config, args.out)
-    return 0
+    return payload, None
 
 
 def _cmd_braak(args, config):
@@ -361,13 +331,8 @@ def _cmd_braak(args, config):
     doc = report.to_dict()
     doc["command"] = "braak"
     doc["cutoffs_used"] = list(spectrum.cutoffs_used)
-    if args.format == "csv":
-        _emit_csv(["N", "count_total", "count_plus", "count_minus"],
-                  [(c.N, c.total, c.plus, c.minus)
-                   for c in report.per_interval], config, args.out)
-    else:
-        _emit_json(doc, config, args.out)
-    return 0
+    return doc, (["N", "count_total", "count_plus", "count_minus"],
+                 [tuple(c) for c in report.per_interval])
 
 
 def _cmd_weyl(args, config):
@@ -378,20 +343,14 @@ def _cmd_weyl(args, config):
     pred = weyl.weyl_prediction(spec)
     rows = weyl.empirical_counting(spec, lambdas,
                                    reliable_fraction=float(args.fraction))
-    if args.format == "csv":
-        _emit_csv(["lambda", "count", "prediction", "rel_err", "flagged"],
-                  [tuple(r) for r in rows], config, args.out)
-    else:
-        _emit_json({
-            "command": "weyl",
-            "modes": pred.n, "spin_dim": pred.Nlev,
-            "leading_coeff": pred.leading_coeff,
-            "subleading_coeff": pred.subleading_coeff,
-            "rows": [{"lambda": r.lam, "count": r.count,
-                      "prediction": r.prediction, "rel_err": r.rel_err,
-                      "flagged": r.flagged} for r in rows],
-        }, config, args.out)
-    return 0
+    return ({"command": "weyl",
+             "modes": pred.n, "spin_dim": pred.Nlev,
+             "leading_coeff": pred.leading_coeff,
+             "subleading_coeff": pred.subleading_coeff,
+             "rows": [{"lambda": r.lam, "count": r.count,
+                       "prediction": r.prediction, "rel_err": r.rel_err,
+                       "flagged": r.flagged} for r in rows]},
+            (["lambda", "count", "prediction", "rel_err", "flagged"], rows))
 
 
 def _cmd_smges_check(args, config):
@@ -401,13 +360,9 @@ def _cmd_smges_check(args, config):
     config["model"] = _model_echo(spec)
     res = weyl.smges_gap_check(spec, float(args.eps), int(args.samples),
                                seed=int(args.seed), grid=args.grid)
-    _emit_json({
-        "command": "smges-check",
-        "min_gap": res.min_gap,
-        "X": list(res.X),
-        "eigenvalues": list(res.sample.eigenvalues),
-    }, config, args.out)
-    return 0
+    return {"command": "smges-check", "min_gap": res.min_gap,
+            "X": list(res.X),
+            "eigenvalues": list(res.sample.eigenvalues)}, None
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +538,17 @@ def main(argv=None):
         argv = _inject_config(argv)
         args = parser.parse_args(argv)
         config = _config_echo(args)
-        handler = HANDLERS[args.command]
-        return handler(args, config)
+        # numerical warnings are not part of the contract: stderr carries
+        # only the JSON error object
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            doc, table = HANDLERS[args.command](args, config)
+        if args.format == "csv":
+            _emit_csv(*table, config, args.out)
+        else:
+            doc["config"] = config
+            _emit(_format_json(doc) + "\n", args.out)
+        return 0
     except (RabispecError, ValueError, KeyError, OSError, OverflowError) as e:
         # OSError: a config file that cannot be read or an output file
         # (--out, --dump-matrix) that cannot be written; OverflowError: a

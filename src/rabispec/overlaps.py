@@ -175,6 +175,11 @@ def _dd_const_quartic_root_inv_pi():
 
 _gh_cache = {}
 
+# Largest node count whose dd rule is finite: from 362 nodes the orthonormal
+# scan overflows the double range. Kept as a hard contract boundary, so a
+# request above it is refused before any rule is built or cached.
+MAX_QUADRATURE_NODES = 361
+
 
 def _orthonormal_coeffs_dd(n):
     # a_j = sqrt(j/2) as dd, j = 1..n
@@ -260,7 +265,8 @@ def overlap_quadrature(N, k, alpha, nodes=None):
 
     nodes defaults to the exactness threshold (N+k)//2 + 1; fewer nodes than
     the threshold raise InsufficientNodes since the rule would no longer
-    integrate the degree-(N+k) integrand exactly.
+    integrate the degree-(N+k) integrand exactly, and more than
+    MAX_QUADRATURE_NODES raise PrecisionError.
     """
     _check_degrees(N, k)
     _dyadic(alpha)  # rejects a non-finite alpha, as overlap_closed does
@@ -272,6 +278,10 @@ def overlap_quadrature(N, k, alpha, nodes=None):
             "%d nodes requested, %d required for degrees (%d, %d)"
             % (nodes, need, N, k)
         )
+    if nodes > MAX_QUADRATURE_NODES:
+        raise PrecisionError(
+            "%d quadrature nodes exceed the supported cap %d"
+            % (nodes, MAX_QUADRATURE_NODES))
     xh, xl, wh, wl = _gauss_hermite_dd(nodes)
     a = float(alpha)
     mh, ml = _dd_add(xh, xl, -a, 0.0)

@@ -109,6 +109,14 @@ class QuasimodeForm(NamedTuple):
     tail_estimate: float
 
 
+def _spectral_cutoff(N, K):
+    if K is None:
+        K = N + DEFAULT_SPECTRAL_CUTOFF_MARGIN
+    if K <= N:
+        raise ValueError("spectral cutoff K must exceed the level N")
+    return K
+
+
 def quasimode_form(N, params, K=None):
     """Second-order 2x2 quadratic form at level N from the spectral sum to K.
 
@@ -117,11 +125,13 @@ def quasimode_form(N, params, K=None):
     mu2_plus. The tail estimate is a heuristic bound from the last retained
     term; the summand decays superexponentially in k.
     """
-    if K is None:
-        K = N + DEFAULT_SPECTRAL_CUTOFF_MARGIN
-    if K <= N:
-        raise ValueError("spectral cutoff K must exceed the level N")
-    d = displacement_matrix(K, params.alpha)[N, :]
+    K = _spectral_cutoff(N, K)
+    return _form(N, params, displacement_matrix(K, params.alpha)[N, :])
+
+
+def _form(N, params, d):
+    """quasimode_form from row N of the displacement matrix."""
+    K = d.size - 1
     k = np.arange(K + 1)
     mask = k != N
     terms = 2.0 * params.beta2 ** 2 * d[mask] ** 2 / (k[mask] - N)
@@ -143,11 +153,13 @@ class QuasimodeExpansion:
     w_plus: np.ndarray
     w_minus: np.ndarray
     tail_estimate: float
+    mu1_plus: float
+    mu1_minus: float
 
 
-def _ab_pieces(params, K):
+def _ab_pieces(params, d):
+    K = d.shape[0] - 1
     lam = np.arange(K + 1) + 0.5
-    d = displacement_matrix(K, params.alpha)
     b = np.block([
         [params.beta1 * np.eye(K + 1), params.beta2 * d],
         [params.beta2 * d.T, params.beta1 * np.eye(K + 1)],
@@ -164,11 +176,11 @@ def quasimode_vectors(N, params, K=None):
     and u2 = R0 (mu - B) u1; both have vanishing components on the
     unperturbed eigenspace because the reduced resolvent kills it.
     """
-    form = quasimode_form(N, params, K)
-    if K is None:
-        K = N + DEFAULT_SPECTRAL_CUTOFF_MARGIN
+    K = _spectral_cutoff(N, K)
+    d = displacement_matrix(K, params.alpha)
+    form = _form(N, params, d[N, :])
     split = first_order(N, params)
-    lam2, b = _ab_pieces(params, K)
+    lam2, b = _ab_pieces(params, d)
     lam_n = N + 0.5
     with np.errstate(divide="ignore"):
         weights = 1.0 / (lam2 - lam_n)
@@ -195,6 +207,8 @@ def quasimode_vectors(N, params, K=None):
         w_plus=split.w_plus,
         w_minus=split.w_minus,
         tail_estimate=form.tail_estimate,
+        mu1_plus=split.mu_plus,
+        mu1_minus=split.mu_minus,
     )
 
 
@@ -212,8 +226,14 @@ def quasimode_residual(N, params, eps, K=None, cutoff=None):
     flag reports a cutoff too close to K for the truncation error to stay
     below the eps^3 scale of interest.
     """
-    exp = quasimode_vectors(N, params, K)
-    K = exp.K
+    return expansion_residual(quasimode_vectors(N, params, K), params, eps,
+                              cutoff)
+
+
+def expansion_residual(exp, params, eps, cutoff=None):
+    """quasimode_residual of an expansion quasimode_vectors already made
+    for params."""
+    N, K = exp.level, exp.K
     if cutoff is None:
         cutoff = K + RESIDUAL_CUTOFF_MARGIN
     if cutoff < K:
@@ -224,7 +244,6 @@ def quasimode_residual(N, params, eps, K=None, cutoff=None):
                               eps, cutoff)
     h = build(spec).matrix
     lam_n = N + 0.5
-    split = first_order(N, params)
 
     def embed(vec):
         big = np.zeros(2 * (cutoff + 1))
@@ -233,9 +252,9 @@ def quasimode_residual(N, params, eps, K=None, cutoff=None):
         return big
 
     worst = 0.0
-    branches = ((exp.w_plus, exp.u1_plus, exp.u2_plus, split.mu_plus,
+    branches = ((exp.w_plus, exp.u1_plus, exp.u2_plus, exp.mu1_plus,
                  exp.mu2_plus),
-                (exp.w_minus, exp.u1_minus, exp.u2_minus, split.mu_minus,
+                (exp.w_minus, exp.u1_minus, exp.u2_minus, exp.mu1_minus,
                  exp.mu2_minus))
     for w, u1, u2, mu, mu2 in branches:
         v0 = np.zeros(2 * (cutoff + 1))

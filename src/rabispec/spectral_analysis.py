@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .errors import CoverageError
+from .errors import CoverageError, ResourceError
 from .fock_ops import QR, QRABI, build, parity_chains
 
 log = logging.getLogger(__name__)
@@ -114,7 +114,10 @@ def _stable_prefix(prev, cur, m, tol):
 
 
 def _converge(spec, m, tol, cap, solve):
-    """Cutoff-growth driver. solve(cutoffs) -> (values, labels or None)."""
+    """Cutoff-growth driver. solve(cutoffs) -> (values, labels or None).
+
+    A growth step that the dense budget refuses (ResourceError) ends the
+    growth like the cap does, with the previous step's partial result."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if not tol > 0:
@@ -122,17 +125,22 @@ def _converge(spec, m, tol, cap, solve):
     if cap is None:
         cap = SINGLE_MODE_CAP if spec.modes == 1 else MULTI_MODE_CAP
     cur = spec.cutoffs
-    prev_vals = None
+    prev = None
     stable = 0
     while True:
-        vals, labels = solve(cur)
-        if prev_vals is not None:
-            stable = _stable_prefix(prev_vals, vals, m, tol)
+        try:
+            vals, labels = solve(cur)
+        except ResourceError:
+            if prev is None:
+                raise
+            return Spectrum(*prev, stable, prev_cur, spec, partial=True)
+        if prev is not None:
+            stable = _stable_prefix(prev[0], vals, m, tol)
             if stable >= m:
                 return Spectrum(vals, labels, m, cur, spec, partial=False)
         if all(c >= cap for c in cur):
             return Spectrum(vals, labels, stable, cur, spec, partial=True)
-        prev_vals = vals
+        prev, prev_cur = (vals, labels), cur
         cur = _grow(cur, cap)
 
 
@@ -140,9 +148,10 @@ def converged_spectrum(spec, m, tol, cap=None):
     """Spectrum with the first m eigenvalues certified stable to tol.
 
     Cutoffs grow geometrically (factor 1.5, rounded up) from the ones in the
-    ModelSpec. Hitting the cap yields a partial result: converged_count
-    reports how long a prefix was stable at the last comparison and the
-    partial flag is set. QR and QRabi are parity_split without the labels.
+    ModelSpec. Hitting the cap, or a growth step over the dense budget of
+    fock_ops.build, yields a partial result: converged_count reports how
+    long a prefix was stable at the last comparison and the partial flag is
+    set. QR and QRabi are parity_split without the labels.
     """
     if spec.family in (QR, QRABI):
         result = parity_split(spec, m, tol, cap)

@@ -23,7 +23,7 @@ on it.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -141,7 +141,7 @@ class CountRow(NamedTuple):
     lam: float
     count: int
     prediction: float
-    rel_err: float
+    rel_err: Optional[float]  # None where the prediction is 0
     flagged: bool
 
 
@@ -165,7 +165,7 @@ def empirical_counting(spec, lambdas, cutoffs=None,
     for lam in (float(x) for x in lambdas):
         c = count_below(op, lam)
         p = pred.evaluate(lam)
-        rel = (c - p) / p if p != 0 else math.inf
+        rel = (c - p) / p if p != 0 else None
         rows.append(CountRow(lam, c, p, rel, lam > bound))
     return rows
 

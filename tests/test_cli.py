@@ -6,6 +6,10 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rabispec
-from rabispec import cli
+from rabispec import cli, errors
 from rabispec.cli import main
 from rabispec.fock_ops import load_matrix
 from rabispec.overlaps import overlap_closed
@@ -506,11 +510,64 @@ def test_nonfinite_and_overflowing_inputs_are_classified(capsys, argv, code):
 
 
 def test_weyl_prediction_is_zero_below_zero(tmp_path):
-    doc = run_json(tmp_path, ["weyl", "--family", "xi", "--alpha", "1,0.8",
-                              "--gamma", "0.3,0.5", "--eps", "0.05",
-                              "--cutoff", "5", "--lambdas=-1,2"])
-    assert [r["prediction"] for r in doc["rows"]] == [0, 6]
-    assert doc["rows"][0]["count"] == 0
+    argv = ["weyl", "--family", "xi", "--alpha", "1,0.8", "--gamma",
+            "0.3,0.5", "--eps", "0.05", "--cutoff", "5", "--lambdas=-1,0,2"]
+    doc = run_json(tmp_path, argv)
+    assert [r["prediction"] for r in doc["rows"]] == [0, 0, 6]
+    assert [r["count"] for r in doc["rows"]][:2] == [0, 0]
+    # no relative error against a zero prediction: null, not a string
+    assert [r["rel_err"] for r in doc["rows"]][:2] == [None, None]
+    check_schema(doc, load_schema("weyl"))
+    out = tmp_path / "w.csv"
+    assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+    rows = _parse_output(["--format=csv"], out.read_text(encoding="utf-8"))
+    assert [r[3] for r in rows][:3] == ["rel_err", "", ""]
+    assert float(rows[3][3]) == doc["rows"][2]["rel_err"]
+
+
+def test_overlap_nodes_over_cap_refused_before_building(capsys):
+    # a rule of 10^8 nodes would take gigabytes; refused up front
+    tracemalloc.start()
+    try:
+        expect_error(capsys, ["overlap", "--N", "1", "--k", "1", "--alpha",
+                              "0.5", "--method", "quadrature",
+                              "--nodes", "100000000"],
+                     5, "PrecisionError")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_overlap_at_node_cap_computes(tmp_path):
+    nodes = str(rabispec.overlaps.MAX_QUADRATURE_NODES)
+    doc = run_json(tmp_path, ["overlap", "--N", "1", "--k", "1", "--alpha",
+                              "0.5", "--method", "both", "--nodes", nodes])
+    assert doc["quadrature"] == pytest.approx(doc["closed"], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--family", "abframe", "--alpha", "1e300", "--gamma1", "1",
+      "--gamma2", "-1", "--eps", "0.1", "--cutoff", "4"], 2),
+    (["overlap", "--N", "1", "--k", "1", "--method", "quadrature",
+      "--alpha", "1e200"], 5),
+    (["weyl", "--family", "xi", "--alpha", "1e300,0.8", "--gamma", "0.3,0.5",
+      "--eps", "0.05", "--cutoff", "5", "--lambdas", "2"], 2),
+], ids=["abframe-overflow", "quadrature-overflow", "weyl-overflow"])
+def test_stderr_holds_only_the_error_object(argv, code):
+    # numpy warns on these overflows; a separate interpreter shows what a
+    # shell user sees, without pytest's warning capture
+    pkg_root = str(Path(rabispec.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=pkg_root + (os.pathsep + path
+                                                  if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "rabispec.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    doc = json.loads(proc.stderr)
+    assert doc["exit_code"] == code
+    check_schema(doc, load_schema("error"))
 
 
 def test_smges_check_rejects_two_level(capsys):
@@ -571,7 +628,29 @@ def _float(lo, hi):
 
 FLOAT = _float(-3.0, 3.0)
 POSITIVE = _float(1e-12, 3.0)
-README_CODES = set(range(1, 10))
+
+
+def _readme_exit_codes():
+    """The codes of the README exit-code table."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    return [int(c) for c in re.findall(r"^\| (\d+) \|", table, re.M)]
+
+
+README_CODES = set(_readme_exit_codes()) - {0}
+
+
+def test_exit_codes_have_one_source_of_truth():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.RabispecError)]
+    codes = sorted(c.exit_code for c in classes)
+    assert codes == sorted(README_CODES)
+    assert _readme_exit_codes() == [0] + codes
+    prop = load_schema("error")["properties"]
+    assert sorted(prop["error"]["enum"]) == sorted(c.__name__
+                                                   for c in classes)
+    assert prop["exit_code"]["minimum"] == codes[0]
+    assert prop["exit_code"]["maximum"] == codes[-1]
 
 
 def _num(v):
@@ -710,6 +789,7 @@ def test_main_never_raises_and_classifies_every_failure(argv):
         doc = _parse_output(argv, out.getvalue())
         if isinstance(doc, dict):
             assert _no_nan(doc), argv
+            check_schema(doc, load_schema(argv[0].replace("-", "_")))
         else:
             assert not any("nan" in cell for row in doc for cell in row), argv
         return

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rabispec import overlaps
 from rabispec.errors import InsufficientNodes, PrecisionError
 from rabispec.overlaps import (
+    MAX_QUADRATURE_NODES,
     OverlapResult,
     diagonal_overlap_ratio,
     displacement_matrix,
@@ -74,6 +76,20 @@ def test_quadrature_node_threshold():
     lo = overlap_quadrature(4, 3, 0.8)
     hi = overlap_quadrature(4, 3, 0.8, nodes=required_nodes(4, 3) + 9)
     assert hi == pytest.approx(lo, rel=1e-13)
+
+
+def test_quadrature_node_cap():
+    # the cap is the largest node count whose dd rule is finite
+    assert all(np.all(np.isfinite(part)) for part in
+               overlaps._gauss_hermite_dd(MAX_QUADRATURE_NODES))
+    with np.errstate(all="ignore"):
+        over = overlaps._gauss_hermite_dd(MAX_QUADRATURE_NODES + 1)
+    overlaps._gh_cache.pop(MAX_QUADRATURE_NODES + 1)
+    assert not all(np.all(np.isfinite(part)) for part in over)
+    cached = set(overlaps._gh_cache)
+    with pytest.raises(PrecisionError):
+        overlap_quadrature(1, 1, 0.5, nodes=MAX_QUADRATURE_NODES + 1)
+    assert set(overlaps._gh_cache) == cached
 
 
 def test_coefficient_scale_calibration():

@@ -2,11 +2,13 @@
 second-order quasimodes, and the finite-difference cross-checks."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from rabispec import perturbation
 from rabispec.fock_ops import ModelSpec, build
 from rabispec.perturbation import (
     DEGENERACY_TOL,
@@ -14,6 +16,7 @@ from rabispec.perturbation import (
     RabiParameters,
     ab_sector_spectrum,
     branch_parity,
+    expansion_residual,
     fd_pair_slopes,
     fd_second_differences,
     fd_signed_splitting,
@@ -151,6 +154,34 @@ def test_quasimode_residual_margin_flag():
     assert res.margin_violated
     res2 = quasimode_residual(1, STD, 1e-2, K=30, cutoff=70)
     assert not res2.margin_violated
+
+
+def test_quasimode_computes_each_piece_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(perturbation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(perturbation, name, wrapper)
+
+    counted("displacement_matrix")
+    counted("first_order")
+    exp = quasimode_vectors(1, STD)
+    assert calls == {"displacement_matrix": 1, "first_order": 1}
+    calls.clear()
+    res = expansion_residual(exp, STD, 1e-2)
+    assert calls == {}
+    assert res == quasimode_residual(1, STD, 1e-2)
+    assert calls == {"displacement_matrix": 1, "first_order": 1}
+    # the pieces shared with quasimode_form and first_order are bitwise theirs
+    form = quasimode_form(1, STD)
+    split = first_order(1, STD)
+    assert (exp.mu2_plus, exp.tail_estimate) == (form.mu2_plus,
+                                                 form.tail_estimate)
+    assert (exp.mu1_plus, exp.mu1_minus) == (split.mu_plus, split.mu_minus)
 
 
 def test_second_difference_calibrates_sign():

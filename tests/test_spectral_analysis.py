@@ -9,8 +9,8 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from rabispec import spectral_analysis
-from rabispec.errors import CoverageError
+from rabispec import fock_ops, spectral_analysis
+from rabispec.errors import CoverageError, ResourceError
 from rabispec.fock_ops import (
     BasisDescriptor,
     ModelSpec,
@@ -122,6 +122,22 @@ def test_converged_spectrum_partial_at_cap():
     assert s.partial
     assert s.converged_count < 6
     assert all(c <= 6 for c in s.cutoffs_used)
+
+
+def test_converged_spectrum_partial_when_growth_exceeds_budget(monkeypatch):
+    # Xi at per-mode cutoff c has dimension 3 (c + 1)^2: the growth steps
+    # 4, 6, 9 fit a budget of dimension 300 and step 14 (675) does not
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", 8 * 300 ** 2)
+    spec = ModelSpec.xi([1.0, 0.8], [0.3, 0.5], 0.05, [4, 4])
+    s = converged_spectrum(spec, 60, 1e-14)
+    assert s.partial
+    assert s.cutoffs_used == (9, 9)
+    assert s.converged_count < 60
+    ref = eigen_spectrum(build(spec.with_cutoffs((9, 9))))
+    assert np.array_equal(s.eigenvalues, ref)
+    # an over-budget first step has nothing to fall back on
+    with pytest.raises(ResourceError):
+        converged_spectrum(spec.with_cutoffs((14, 14)), 60, 1e-14)
 
 
 def test_converged_spectrum_argument_validation():
