@@ -12,12 +12,16 @@ Supported families:
 * Vee       N levels, level 1 coupled out to every upper level
 
 Layout convention everywhere: spin index slowest, then the oscillator
-multi-index in row-major order. Assembly scatters the ladder entries of each
-coupling, the pairs of mode-space indices one quantum apart, straight into
-the dense matrix and its transpose, which keeps every matrix bitwise
-symmetric.
+multi-index in row-major order. Every coupling moves exactly one quantum, so
+all families but the AB frame are block tridiagonal in the occupation
+layers. Assembly writes the harmonic and level diagonal into the diagonal
+layer blocks and scatters the ladder entries of each coupling, the pairs of
+mode-space indices one quantum apart, into the coupling blocks; the dense
+matrix is formed from the blocks and their transposes only when it is read,
+which keeps every matrix bitwise symmetric.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -36,8 +40,25 @@ VEE = "Vee"
 
 FAMILIES = (QR, QRABI, AB_FRAME, XI, LAMBDA, VEE)
 
-# build refuses a dense matrix larger than this (2 GiB: dimension 16 384)
+# build refuses a dense matrix, or occupation-layer blocks, larger than this
+# (2 GiB: a dense matrix of dimension 16 384)
 DENSE_BUDGET_BYTES = 2 * 1024 ** 3
+
+
+def _check_budget(what, need):
+    """Raise ResourceError when need bytes exceed DENSE_BUDGET_BYTES; what
+    names the object and its verb, as in "dense matrix ... needs"."""
+    if need > DENSE_BUDGET_BYTES:
+        raise ResourceError("%s %.3g GiB, over the %.3g GiB budget"
+                            % (what, need / 2 ** 30,
+                               DENSE_BUDGET_BYTES / 2 ** 30))
+
+
+def check_dense_budget(basis):
+    """Raise ResourceError when a dense matrix on basis would exceed
+    DENSE_BUDGET_BYTES."""
+    _check_budget("dense matrix of dimension %d needs" % basis.dim,
+                  8 * basis.dim ** 2)
 
 
 @dataclass(frozen=True)
@@ -91,29 +112,54 @@ class BasisDescriptor:
             ns.append(n)
         return spin, tuple(reversed(ns))
 
+    def mode_occupation(self):
+        """Total occupation sum_k n_k of each mode-space index."""
+        return np.indices(self.mode_dims).sum(axis=0).ravel()
+
     def occupation_layers(self):
         """Basis indices of total occupation N = sum_k n_k, one ascending
         index array per N = 0 .. sum of the cutoffs, every spin included."""
-        occ = np.indices(self.mode_dims).sum(axis=0).ravel()
-        occ = np.tile(occ, self.spin_dim)
+        occ = np.tile(self.mode_occupation(), self.spin_dim)
         order = np.argsort(occ, kind="stable")
         return np.split(order, np.cumsum(np.bincount(occ))[:-1])
 
 
-@dataclass
 class TruncatedOperator:
     """A truncated matrix on its basis. layers, when set, is the pair
     (diagonal blocks, lower coupling blocks) of the matrix over
-    basis.occupation_layers(), declared by build for the families that
-    couple only adjacent layers; count_below then works on the blocks."""
+    basis.occupation_layers(); count_below then works on the blocks.
 
-    basis: BasisDescriptor
-    matrix: np.ndarray
-    layers: tuple | None = None
+    build declares the layers, and stores no matrix, for the families that
+    couple only adjacent layers. Reading matrix then assembles the dense
+    matrix from the blocks and their transposes, anew on every read, and
+    raises ResourceError, before allocating, when it would exceed
+    DENSE_BUDGET_BYTES. A stored matrix is returned as it is.
+    """
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.basis.dim, self.basis.dim):
+    def __init__(self, basis, matrix, layers=None):
+        if matrix is None and layers is None:
+            raise ValueError("an operator needs a matrix or its layers")
+        if matrix is not None and matrix.shape != (basis.dim, basis.dim):
             raise ValueError("matrix shape does not match basis dimension")
+        self.basis = basis
+        self._matrix = matrix
+        self.layers = layers
+
+    @property
+    def matrix(self):
+        if self._matrix is not None:
+            return self._matrix
+        check_dense_budget(self.basis)
+        n = self.basis.dim
+        mat = np.zeros((n, n))
+        idx = self.basis.occupation_layers()
+        diag, low = self.layers
+        for a, d in zip(idx, diag):
+            mat[np.ix_(a, a)] = d
+        for a, b, c in zip(idx, idx[1:], low):
+            mat[np.ix_(b, a)] = c
+            mat[np.ix_(a, b)] = c.T
+        return mat
 
 
 @dataclass(frozen=True)
@@ -234,7 +280,7 @@ def position_matrix(basis, mode=1):
 
 def _harmonic_diag(basis):
     # sum_j (n_j + 1/2) on the mode space; half-integers, so exact
-    return np.indices(basis.mode_dims).sum(axis=0).ravel() + 0.5 * basis.modes
+    return basis.mode_occupation() + 0.5 * basis.modes
 
 
 def harmonic_matrix(basis):
@@ -256,19 +302,29 @@ def coupling_pattern(family, spin_dim, k):
 def build(spec):
     """Assemble the truncated Hamiltonian for the given ModelSpec.
 
-    Raises ResourceError, before allocating, when the dense matrix would
-    exceed DENSE_BUDGET_BYTES.
+    The AB frame is stored dense. Every other family is stored as its
+    occupation-layer blocks, and the dense matrix is assembled only when
+    op.matrix is read (TruncatedOperator). Two budgets apply, each checked
+    before allocating: build raises ResourceError when the AB frame's dense
+    matrix, or the bytes of all layer blocks, would exceed
+    DENSE_BUDGET_BYTES; reading op.matrix checks the dense matrix itself.
     """
     spec.validate()
     basis = spec.basis()
-    need = 8 * basis.dim ** 2
-    if need > DENSE_BUDGET_BYTES:
-        raise ResourceError(
-            "dense matrix of dimension %d needs %.3g GiB, over the %.3g GiB "
-            "budget" % (basis.dim, need / 2 ** 30,
-                        DENSE_BUDGET_BYTES / 2 ** 30))
     if spec.family == AB_FRAME:
+        check_dense_budget(basis)
         return _build_ab(spec, basis)
+    what = "occupation-layer blocks of dimension %d need" % basis.dim
+    # each of the sum(cutoffs) + 1 layers holds at least spin_dim states, a
+    # bound that refuses huge cutoffs before the layer sizes are formed
+    n_layers = sum(spec.cutoffs) + 1
+    _check_budget(what, 8 * spec.spin_dim ** 2 * (2 * n_layers - 1))
+    # layer N holds spin_dim times the number of mode states of total
+    # occupation N: the coefficients of prod_k (1 + x + ... + x^c_k)
+    sizes = spec.spin_dim * functools.reduce(
+        np.convolve, [np.ones(c + 1) for c in spec.cutoffs])
+    _check_budget(what, 8 * (sizes @ sizes + sizes[1:] @ sizes[:-1]))
+    sizes = sizes.astype(np.intp)
     # QR/QRabi scale their levels by eps; the N-level families carry the
     # bare (0, gammas...) and eps only enters the subprincipal analysis
     if spec.family in (QR, QRABI):
@@ -276,25 +332,41 @@ def build(spec):
     else:
         levels = np.concatenate(([0.0], np.asarray(spec.gammas)))
     msd = basis.mode_space_dim
-    mat = np.zeros((basis.dim, basis.dim))
-    np.fill_diagonal(mat, np.tile(_harmonic_diag(basis), spec.spin_dim)
-                     + np.repeat(levels, msd))
-    # coupling k is alpha_k x_k on the spin blocks (i, j) and (j, i)
+    diag_values = (np.tile(_harmonic_diag(basis), spec.spin_dim)
+                   + np.repeat(levels, msd))
+    if spec.family == QRABI:
+        diag_values -= 0.5
+    # layer and position within the layer of every basis index
+    occ = basis.mode_occupation()
+    layer = np.tile(occ, spec.spin_dim)
+    pos = np.empty(basis.dim, dtype=np.intp)
+    pos[np.concatenate(basis.occupation_layers())] = (
+        np.arange(basis.dim) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    # all diagonal blocks, then all coupling blocks (layer N + 1 by N), are
+    # row-major slices of one buffer each; the diagonal blocks are diagonal
+    diag_sizes = sizes * sizes
+    low_sizes = sizes[1:] * sizes[:-1]
+    diag_start = np.cumsum(diag_sizes) - diag_sizes
+    low_start = np.cumsum(low_sizes) - low_sizes
+    diag_buf = np.zeros(diag_sizes.sum())
+    diag_buf[diag_start[layer] + pos * (sizes[layer] + 1)] = diag_values
+    low_buf = np.zeros(low_sizes.sum())
+    # coupling k is alpha_k x_k on the spin blocks (i, j) and (j, i): entry
+    # (row in layer N, col in layer N + 1) lands at [pos[col], pos[row]]
     for k in range(1, spec.spin_dim):
         i, j = coupling_pattern(spec.family, spec.spin_dim, k)
         lower, upper, value = _ladder(basis, k)
         value = spec.alphas[k - 1] * value
+        row_layer = occ[lower]
         for a, b in ((i, j), (j, i)):
             r, c = a * msd + lower, b * msd + upper
-            mat[r, c] = mat[c, r] = value
-    if spec.family == QRABI:
-        mat[np.diag_indices_from(mat)] -= 0.5
-    # every coupling moves one quantum between a level pair and one mode, so
-    # the matrix is block tridiagonal in the occupation layers
-    layers = basis.occupation_layers()
-    return TruncatedOperator(basis, mat, (
-        [mat[np.ix_(a, a)] for a in layers],
-        [mat[np.ix_(b, a)] for a, b in zip(layers, layers[1:])]))
+            low_buf[low_start[row_layer] + pos[c] * sizes[row_layer]
+                    + pos[r]] = value
+    return TruncatedOperator(basis, None, (
+        [diag_buf[o:o + m * m].reshape(m, m)
+         for o, m in zip(diag_start, sizes)],
+        [low_buf[o:o + m1 * m].reshape(m1, m)
+         for o, m, m1 in zip(low_start, sizes, sizes[1:])]))
 
 
 def parity_chains(spec):
@@ -338,9 +410,10 @@ def parity_matrix(basis):
 
 def export_matrix(op, path):
     """Binary dump: one JSON header line, then row-major little-endian doubles."""
+    mat = op.matrix
     header = {
-        "rows": op.matrix.shape[0],
-        "cols": op.matrix.shape[1],
+        "rows": mat.shape[0],
+        "cols": mat.shape[1],
         "dtype": "<f8",
         "order": "C",
         "basis": {
@@ -352,7 +425,7 @@ def export_matrix(op, path):
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         f.write(b"\n")
-        f.write(np.ascontiguousarray(op.matrix, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
 
 
 def load_matrix(path):

@@ -18,7 +18,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import CoverageError, ResourceError
-from .fock_ops import QR, QRABI, build, parity_chains
+from .fock_ops import QR, QRABI, build, check_dense_budget, parity_chains
 
 log = logging.getLogger(__name__)
 
@@ -148,10 +148,11 @@ def converged_spectrum(spec, m, tol, cap=None):
     """Spectrum with the first m eigenvalues certified stable to tol.
 
     Cutoffs grow geometrically (factor 1.5, rounded up) from the ones in the
-    ModelSpec. Hitting the cap, or a growth step over the dense budget of
-    fock_ops.build, yields a partial result: converged_count reports how
-    long a prefix was stable at the last comparison and the partial flag is
-    set. QR and QRabi are parity_split without the labels.
+    ModelSpec. Hitting the cap, or a growth step whose dense matrix is over
+    fock_ops.DENSE_BUDGET_BYTES (checked before the step is built), yields
+    a partial result: converged_count reports how long a prefix was stable
+    at the last comparison and the partial flag is set. QR and QRabi are
+    parity_split without the labels.
     """
     if spec.family in (QR, QRABI):
         result = parity_split(spec, m, tol, cap)
@@ -159,8 +160,11 @@ def converged_spectrum(spec, m, tol, cap=None):
         return result
 
     def solve(cutoffs):
-        ev = eigen_spectrum(build(spec.with_cutoffs(cutoffs)))
-        return ev, None
+        step = spec.with_cutoffs(cutoffs)
+        # the eigensolve reads the dense matrix: refuse it before build
+        # forms the layer blocks it would be assembled from
+        check_dense_budget(step.basis())
+        return eigen_spectrum(build(step)), None
 
     return _converge(spec, m, tol, cap, solve)
 
@@ -213,11 +217,12 @@ def _shifted(block, lam):
 
 
 def _layered_inertia(diag, low, mu, growth):
-    """(nonpositive count, merges, pivots) over the successive Schur blocks
-    of the block tridiagonal matrix minus mu I."""
+    """(nonpositive count, merges, pivots, largest pending block order) over
+    the successive Schur blocks of the block tridiagonal matrix minus mu I."""
     count = merges = 0
     pivots = []
     pending, carried = _shifted(diag[0], mu), 0
+    max_block = pending.shape[0]
     for b, c in zip(diag[1:], low):
         w, v = np.linalg.eigh(pending)
         # the next layer couples only to the layer part of pending
@@ -234,10 +239,11 @@ def _layered_inertia(diag, low, mu, growth):
             cb = cv[:, ~keep]
             s = np.block([[np.diag(w[~keep]), cb.T], [cb, s]])
         pending = s
+        max_block = max(max_block, pending.shape[0])
     w = np.linalg.eigvalsh(pending)
     pivots.append(w)
     count += int(np.count_nonzero(w <= 0))
-    return count, merges, np.concatenate(pivots)
+    return count, merges, np.concatenate(pivots), max_block
 
 
 def count_below(op, lam):
@@ -252,12 +258,13 @@ def count_below(op, lam):
     lam are counted. An eigendirection of S_k that is singular, or whose
     elimination would grow the next block by more than
     LAYER_GROWTH * max(1, max|matrix - lam I|), is merged into the next
-    layer instead of eliminated. Any other operator's matrix is checked for
-    symmetry and takes one dense symmetric-indefinite factorization, whose
-    pivots within the tie band are counted; its breakdown falls back to a
-    full eigensolve with a logged warning. One debug record per call names
-    the route, the number of layer merges and the pivots inside the tie
-    band.
+    layer instead of eliminated, so a pending block can outgrow its layer.
+    Any other operator's matrix is checked for symmetry and takes one dense
+    symmetric-indefinite factorization, whose pivots within the tie band
+    are counted; its breakdown falls back to a full eigensolve with a
+    logged warning. One debug record per call names the route, the number
+    of layer merges and the pivots inside the tie band; the layered route
+    adds the largest pending block order.
     """
     if not np.isfinite(lam):
         raise ValueError("threshold must be finite")
@@ -270,10 +277,11 @@ def count_below(op, lam):
     scale = max([1.0] + [np.abs(_shifted(d, lam)).max() for d in diag]
                 + [np.abs(c).max() for c in low if c.size])
     tie = n * np.finfo(float).eps * scale
-    count, merges, pivots = _layered_inertia(diag, low, lam + tie,
-                                             LAYER_GROWTH * scale)
-    log.debug("count_below route=layered dim=%d merges=%d ties=%d",
-              n, merges, np.count_nonzero(np.abs(pivots) <= tie))
+    count, merges, pivots, max_block = _layered_inertia(
+        diag, low, lam + tie, LAYER_GROWTH * scale)
+    log.debug("count_below route=layered dim=%d merges=%d ties=%d "
+              "max_block=%d", n, merges,
+              np.count_nonzero(np.abs(pivots) <= tie), max_block)
     return count
 
 

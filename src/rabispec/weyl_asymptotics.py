@@ -149,8 +149,11 @@ def empirical_counting(spec, lambdas, cutoffs=None,
                        reliable_fraction=DEFAULT_RELIABLE_FRACTION, jobs=1):
     """Counting function versus the two-term prediction on a lambda grid.
 
-    Counts come from inertia factorizations of the truncated operator, so
-    the operator is assembled once and refactored per threshold. Thresholds
+    Counts come from the inertia of the truncated operator, built once.
+    For every family but the AB frame (stored dense) build forms only the
+    occupation-layer blocks, and each threshold takes one sweep of Schur
+    complements over them (count_below): no dense matrix is assembled, so
+    only the budget on the blocks caps the cutoff. Thresholds
     above reliable_fraction * min(cutoff) land in rows flagged as
     truncation-suspect; they are reported, never silently dropped. jobs is
     accepted and ignored: the counts always run in input order on the

@@ -326,8 +326,9 @@ def test_parity_chains_require_qr_type_model():
     ModelSpec.qrabi(1.1, 0.7, 0.3, 20),
 ])
 def test_builds_couple_only_adjacent_occupation_layers(spec):
-    op = build(spec)
-    h = op.matrix
+    # build(spec).matrix is assembled from the declared blocks, so the
+    # blocks are checked against the independent Kronecker oracle instead
+    h = _kron_build(spec)
     layers = spec.basis().occupation_layers()
     occ = np.empty(h.shape[0], dtype=int)
     for total, idx in enumerate(layers):
@@ -335,11 +336,11 @@ def test_builds_couple_only_adjacent_occupation_layers(spec):
     rows, cols = np.nonzero(h)
     assert np.all(np.abs(occ[rows] - occ[cols]) <= 1)
     assert np.any(occ[rows] != occ[cols])
-    # count_below trusts the declared blocks without looking at the matrix:
-    # they are its exact blocks, hold every nonzero, and the matrix is
-    # exactly symmetric
+    # count_below trusts the declared blocks without looking at a matrix:
+    # they are the oracle's exact blocks, hold every nonzero, and the
+    # oracle is exactly symmetric
     assert np.array_equal(h, h.T)
-    diag, low = op.layers
+    diag, low = build(spec).layers
     assert len(diag) == len(layers) and len(low) == len(layers) - 1
     nnz = 0
     for a, d in zip(layers, diag):
@@ -364,22 +365,45 @@ def test_layers_declared_only_by_layered_builds(tmp_path):
 
 
 def test_build_refuses_dense_matrix_over_budget(monkeypatch):
-    spec = ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (400, 400))
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceError, match="dimension 482403"):
-            build(spec)
+        # dimension 482 403: its occupation-layer blocks alone need 5.8 GiB
+        with pytest.raises(ResourceError, match="blocks of dimension 482403"):
+            build(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (400, 400)))
+        # refused before the layer sizes of a billion layers are formed
+        with pytest.raises(ResourceError, match="blocks of dimension"):
+            build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 10 ** 9))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-    # the budget is inclusive: dimension 42 fits 8 * 42^2 bytes exactly
+    # the budget is inclusive: dimension 42 fits 8 * 42^2 bytes exactly; a
+    # layered build assembles its dense matrix, and refuses it, on reading
     monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", 8 * 42 ** 2)
     assert build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 20)).matrix.shape == (42, 42)
-    with pytest.raises(ResourceError):
-        build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 21))
+    op = build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 21))
+    with pytest.raises(ResourceError, match="dense matrix of dimension 44"):
+        op.matrix
     with pytest.raises(ResourceError):
         build(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 21))
+    # the block budget is inclusive too, and build itself applies it
+    spec = ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (5, 7))
+    sizes = [a.size for a in spec.basis().occupation_layers()]
+    need = 8 * (sum(m * m for m in sizes)
+                + sum(m * m1 for m, m1 in zip(sizes, sizes[1:])))
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", need)
+    assert build(spec).layers is not None
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", need - 1)
+    with pytest.raises(ResourceError, match="blocks of dimension 144"):
+        build(spec)
+
+
+def test_layered_matrix_is_assembled_on_every_read():
+    op = build(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (3, 3)))
+    first = op.matrix
+    assert op.matrix is not first and np.array_equal(op.matrix, first)
+    with pytest.raises(ValueError):
+        fock_ops.TruncatedOperator(op.basis, None)
 
 
 # ------------------------------------------------------- N-level builds

@@ -3,6 +3,7 @@ inertia counting, and the unit-interval census."""
 
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,19 @@ def test_converged_spectrum_partial_when_growth_exceeds_budget(monkeypatch):
         converged_spectrum(spec.with_cutoffs((14, 14)), 60, 1e-14)
 
 
+def test_converged_spectrum_refuses_dense_step_before_building():
+    # dimension 121 203: 109 GiB dense, its layer blocks alone 0.7 GiB
+    spec = ModelSpec.xi([1.0, 0.8], [0.3, 0.5], 0.05, [200, 200])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="dense matrix"):
+            converged_spectrum(spec, 4, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_converged_spectrum_argument_validation():
     spec = ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 8)
     with pytest.raises(ValueError):
@@ -268,7 +282,8 @@ def test_layered_count_matches_dense_and_eigvalsh(spec, caplog):
     # n = (0, lam - 1) on two-mode Xi) leaves an exactly singular block
     lams = list(0.5 * (ev[:60:10] + ev[1:61:10])) + [1.0, 2.5, 4.0, 5.5,
                                                      7.0, 8.5, 10.0]
-    merged = 0
+    largest_layer = max(d.shape[0] for d in op.layers[0])
+    merged = outgrown = 0
     for lam in lams:
         assert np.min(np.abs(ev - lam)) > 1e-8  # the oracle is unambiguous
         caplog.clear()
@@ -276,13 +291,23 @@ def test_layered_count_matches_dense_and_eigvalsh(spec, caplog):
         recs = _count_records(caplog)
         assert len(recs) == 1 and recs[0].levelno == logging.DEBUG
         found = re.fullmatch(r"count_below route=layered dim=%d merges=(\d+) "
-                             r"ties=\d+" % ev.size, recs[0].getMessage())
+                             r"ties=\d+ max_block=(\d+)" % ev.size,
+                             recs[0].getMessage())
         assert found
-        merged += int(found.group(1))
+        merges, max_block = int(found.group(1)), int(found.group(2))
+        merged += merges
+        # without merges every pending block is one layer's Schur block
+        assert max_block >= largest_layer
+        if merges == 0:
+            assert max_block == largest_layer
+        outgrown += max_block > largest_layer
         assert got == _dense_count(op.matrix, lam)
         assert got == int(np.count_nonzero(ev <= lam))
     if spec.modes > 1:
         assert merged > 0
+    if (spec.family, spec.modes) == ("Xi", 3):
+        # merged eigendirections grow a block past the largest layer
+        assert outgrown > 0
 
 
 def test_layered_count_through_singular_schur_block():

@@ -2,12 +2,16 @@
 and the empirical counting comparison."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from rabispec import fock_ops
+from rabispec.errors import ResourceError
 from rabispec.fock_ops import ModelSpec, build
+from rabispec.spectral_analysis import count_below
 from rabispec.weyl_asymptotics import (
     WeylPrediction,
     _grid_points,
@@ -183,6 +187,30 @@ def test_empirical_counting_threaded_matches_serial():
     a = empirical_counting(spec, lambdas, jobs=1)
     b = empirical_counting(spec, lambdas, jobs=3)
     assert a == b
+
+
+def test_empirical_counting_past_the_dense_budget(monkeypatch):
+    lambdas = [5.0, 10.0, 15.0, 20.0]
+    want = empirical_counting(XI3, lambdas)
+    # one byte short of the dense matrix of dimension 1323: the counts work
+    # on the occupation-layer blocks and never assemble it
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES",
+                        8 * XI3.basis().dim ** 2 - 1)
+    assert empirical_counting(XI3, lambdas) == want
+    with pytest.raises(ResourceError):
+        build(XI3).matrix
+
+
+def test_layered_count_peaks_below_a_quarter_of_the_dense_matrix():
+    spec = XI3.with_cutoffs((40, 40))
+    dense_bytes = 8 * spec.basis().dim ** 2  # dimension 5043: 203 MB
+    tracemalloc.start()
+    try:
+        count_below(build(spec), 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4
 
 
 def test_empirical_counting_prediction_column():
