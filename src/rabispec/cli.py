@@ -124,54 +124,46 @@ def _ints(text):
                          % text)
 
 
-MODEL_FAMILIES = {
-    "qr": fock_ops.QR,
-    "qrabi": fock_ops.QRABI,
-    "abframe": fock_ops.AB_FRAME,
-    "xi": fock_ops.XI,
-    "lambda": fock_ops.LAMBDA,
-    "vee": fock_ops.VEE,
-}
-
-
 def _require(args, names):
     for n in names:
-        if getattr(args, n.replace("-", "_"), None) is None:
-            where = getattr(args, "family", None)
-            suffix = " for family %s" % where if where else ""
-            raise UsageError("--%s is required%s" % (n, suffix))
+        if getattr(args, n) is None:
+            raise UsageError("--%s is required for family %s"
+                             % (n, args.family))
 
 
-def _build_model(args):
+def _one_cutoff(args):
+    cut = _ints(args.cutoff)
+    if len(cut) != 1:
+        raise UsageError("--cutoff takes one value for family %s, got %r"
+                         % (args.family, args.cutoff))
+    return cut[0]
+
+
+def _build_model(args, config):
+    """The model the flags describe; its echo goes into config["model"]."""
     fam = args.family
-    if fam not in MODEL_FAMILIES:
-        raise UsageError("unknown model family %r" % fam)
     if fam in ("qr", "abframe"):
         _require(args, ["alpha", "gamma1", "gamma2", "eps", "cutoff"])
         ctor = (fock_ops.ModelSpec.qr if fam == "qr"
                 else fock_ops.ModelSpec.ab_frame)
-        cut = _ints(args.cutoff)
-        return ctor(float(args.alpha), float(args.gamma1),
-                    float(args.gamma2), float(args.eps), cut[0])
-    if fam == "qrabi":
+        spec = ctor(float(args.alpha), float(args.gamma1),
+                    float(args.gamma2), float(args.eps), _one_cutoff(args))
+    elif fam == "qrabi":
         _require(args, ["alpha", "delta", "eps", "cutoff"])
-        cut = _ints(args.cutoff)
-        return fock_ops.ModelSpec.qrabi(float(args.alpha), float(args.delta),
-                                        float(args.eps), cut[0])
-    _require(args, ["alpha", "gamma", "eps", "cutoff"])
-    alphas = _floats(args.alpha)
-    gammas = _floats(args.gamma)
-    cuts = _ints(args.cutoff)
-    if len(cuts) == 1:
-        cuts = cuts * len(alphas)
-    ctor = {"xi": fock_ops.ModelSpec.xi,
-            "lambda": fock_ops.ModelSpec.lam,
-            "vee": fock_ops.ModelSpec.vee}[fam]
-    return ctor(alphas, gammas, float(args.eps), cuts)
-
-
-def _model_echo(spec):
-    return {
+        spec = fock_ops.ModelSpec.qrabi(float(args.alpha), float(args.delta),
+                                        float(args.eps), _one_cutoff(args))
+    else:
+        _require(args, ["alpha", "gamma", "eps", "cutoff"])
+        alphas = _floats(args.alpha)
+        gammas = _floats(args.gamma)
+        cuts = _ints(args.cutoff)
+        if len(cuts) == 1:
+            cuts = cuts * len(alphas)
+        ctor = {"xi": fock_ops.ModelSpec.xi,
+                "lambda": fock_ops.ModelSpec.lam,
+                "vee": fock_ops.ModelSpec.vee}[fam]
+        spec = ctor(alphas, gammas, float(args.eps), cuts)
+    config["model"] = {
         "family": spec.family,
         "spin_dim": spec.spin_dim,
         "alphas": list(spec.alphas),
@@ -179,10 +171,10 @@ def _model_echo(spec):
         "eps": spec.eps,
         "cutoffs": list(spec.cutoffs),
     }
+    return spec
 
 
 def _rabi_params(args):
-    _require(args, ["alpha", "gamma1", "gamma2"])
     return perturbation.RabiParameters(float(args.alpha), float(args.gamma1),
                                        float(args.gamma2))
 
@@ -192,7 +184,6 @@ def _rabi_params(args):
 # echo, and its CSV table (header, rows), or None for a JSON-only command
 
 def _cmd_overlap(args, config):
-    _require(args, ["N", "k", "alpha"])
     n, k = int(args.N), int(args.k)
     alpha = float(args.alpha)
     method = args.method
@@ -216,7 +207,6 @@ def _cmd_overlap(args, config):
 
 
 def _cmd_laguerre_zeros(args, config):
-    _require(args, ["degree"])
     deg = int(args.degree)
     zs = [float(z) for z in specfun.laguerre_zeros(deg)]
     return ({"command": "laguerre-zeros", "degree": deg, "zeros": zs},
@@ -224,7 +214,6 @@ def _cmd_laguerre_zeros(args, config):
 
 
 def _cmd_avoid_seq(args, config):
-    _require(args, ["x0", "jmax"])
     seq = specfun.nondegenerate_sequence(float(args.x0), int(args.jmax),
                                          kcap=int(args.kcap))
     entries = [{"k": e.k, "delta": e.delta, "nearest_zero": e.nearest_zero,
@@ -237,8 +226,7 @@ def _cmd_avoid_seq(args, config):
 
 
 def _cmd_spectrum(args, config):
-    spec = _build_model(args)
-    config["model"] = _model_echo(spec)
+    spec = _build_model(args, config)
     if args.dump_matrix:
         op = fock_ops.build(spec)
         _write_atomic(args.dump_matrix,
@@ -261,7 +249,6 @@ def _cmd_spectrum(args, config):
 
 
 def _cmd_perturb(args, config):
-    _require(args, ["N"])
     params = _rabi_params(args)
     split = perturbation.first_order(int(args.N), params)
     payload = {
@@ -283,7 +270,6 @@ def _cmd_perturb(args, config):
 
 
 def _cmd_quasimode(args, config):
-    _require(args, ["N"])
     params = _rabi_params(args)
     n = int(args.N)
     k = int(args.K) if args.K is not None else None
@@ -311,11 +297,7 @@ def _cmd_quasimode(args, config):
 
 
 def _cmd_braak(args, config):
-    spec = _build_model(args)
-    if spec.family not in (fock_ops.QR, fock_ops.QRABI):
-        raise UsageError("braak intervals are defined for qr or qrabi models")
-    config["model"] = _model_echo(spec)
-    _require(args, ["nmax"])
+    spec = _build_model(args, config)
     nmax = int(args.nmax)
     if args.shift is None:
         shift = 0.5 * spec.alphas[0] ** 2
@@ -336,9 +318,7 @@ def _cmd_braak(args, config):
 
 
 def _cmd_weyl(args, config):
-    _require(args, ["lambdas"])
-    spec = _build_model(args)
-    config["model"] = _model_echo(spec)
+    spec = _build_model(args, config)
     lambdas = _floats(args.lambdas)
     pred = weyl.weyl_prediction(spec)
     rows = weyl.empirical_counting(spec, lambdas,
@@ -354,10 +334,7 @@ def _cmd_weyl(args, config):
 
 
 def _cmd_smges_check(args, config):
-    spec = _build_model(args)
-    if spec.family not in (fock_ops.XI, fock_ops.LAMBDA, fock_ops.VEE):
-        raise UsageError("smges-check applies to xi, lambda, or vee models")
-    config["model"] = _model_echo(spec)
+    spec = _build_model(args, config)
     res = weyl.smges_gap_check(spec, float(args.eps), int(args.samples),
                                seed=int(args.seed), grid=args.grid)
     return {"command": "smges-check", "min_gap": res.min_gap,
@@ -367,9 +344,10 @@ def _cmd_smges_check(args, config):
 
 # ---------------------------------------------------------------------------
 
-def _add_model_flags(p):
-    p.add_argument("--family", default="qr",
-                   help="qr, qrabi, abframe, xi, lambda, or vee")
+def _add_model_flags(p, families=("qr", "qrabi", "abframe", "xi", "lambda",
+                                  "vee"), default="qr"):
+    p.add_argument("--family", choices=families, default=default,
+                   required=default is None)
     p.add_argument("--alpha", help="coupling (comma list for N-level models)")
     p.add_argument("--gamma1", type=float, help="upper level parameter")
     p.add_argument("--gamma2", type=float, help="lower level parameter")
@@ -377,6 +355,13 @@ def _add_model_flags(p):
     p.add_argument("--delta", type=float, help="level splitting (qrabi)")
     p.add_argument("--eps", type=float, help="perturbation strength")
     p.add_argument("--cutoff", help="per-mode cutoff (comma list allowed)")
+
+
+def _add_rabi_flags(p):
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--alpha", required=True)
+    p.add_argument("--gamma1", type=float, required=True)
+    p.add_argument("--gamma2", type=float, required=True)
 
 
 def _add_common(p, formats=("json", "csv")):
@@ -403,22 +388,22 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("overlap", help="displaced eigenfunction overlap")
-    p.add_argument("--N", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--alpha")
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--alpha", required=True)
     p.add_argument("--method", choices=("closed", "quadrature", "both"),
                    default="closed")
     p.add_argument("--nodes", type=int, default=None)
     _add_common(p)
 
     p = sub.add_parser("laguerre-zeros", help="zeros of a Laguerre polynomial")
-    p.add_argument("--degree", type=int)
+    p.add_argument("--degree", type=int, required=True)
     _add_common(p)
 
     p = sub.add_parser("avoid-seq",
                        help="zero-avoiding degree/window sequence")
-    p.add_argument("--x0", type=float)
-    p.add_argument("--jmax", type=int)
+    p.add_argument("--x0", type=float, required=True)
+    p.add_argument("--jmax", type=int, required=True)
     p.add_argument("--kcap", type=int, default=4000)
     _add_common(p)
 
@@ -434,19 +419,13 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("perturb", help="first-order splitting data")
-    p.add_argument("--N", type=int)
-    p.add_argument("--alpha")
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--gamma2", type=float)
+    _add_rabi_flags(p)
     p.add_argument("--fd-check", action="store_true",
                    help="include finite-difference slope cross-check")
     _add_common(p)
 
     p = sub.add_parser("quasimode", help="second-order quasimode data")
-    p.add_argument("--N", type=int)
-    p.add_argument("--alpha")
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--gamma2", type=float)
+    _add_rabi_flags(p)
     p.add_argument("--K", type=int, default=None, help="spectral sum cutoff")
     p.add_argument("--eps", type=float, default=None,
                    help="also evaluate the residual at this strength")
@@ -457,8 +436,8 @@ def build_parser():
     _add_common(p, formats=("json",))
 
     p = sub.add_parser("braak", help="interval counts of the shifted spectrum")
-    _add_model_flags(p)
-    p.add_argument("--nmax", type=int)
+    _add_model_flags(p, families=("qr", "qrabi"))
+    p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--shift", default=None,
                    help="shift (default: alpha^2/2, plus 1/2 for qrabi)")
     p.add_argument("--levels", type=int, default=None)
@@ -467,14 +446,15 @@ def build_parser():
 
     p = sub.add_parser("weyl", help="counting function vs two-term law")
     _add_model_flags(p)
-    p.add_argument("--lambdas", help="comma-separated thresholds")
+    p.add_argument("--lambdas", required=True,
+                   help="comma-separated thresholds")
     p.add_argument("--fraction", type=float,
                    default=weyl.DEFAULT_RELIABLE_FRACTION,
                    help="reliability bound as a fraction of the cutoff")
     _add_common(p)
 
     p = sub.add_parser("smges-check", help="symbol eigenvalue gap sampling")
-    _add_model_flags(p)
+    _add_model_flags(p, families=("xi", "lambda", "vee"), default=None)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--grid", action="store_true",
                    help="deterministic lattice instead of seeded sampling")
@@ -496,6 +476,8 @@ HANDLERS = {
 
 
 _SWITCH_KEYS = {"parity", "grid", "fd-check", "fd_check", "vectors"}
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True,
+                  "0": False, "false": False, "no": False}
 
 
 def _inject_config(argv):
@@ -513,7 +495,12 @@ def _inject_config(argv):
     for key in sorted(values):
         flag = "--" + key.replace("_", "-")
         if key in _SWITCH_KEYS:
-            if values[key].lower() in ("1", "true", "yes"):
+            on = _SWITCH_VALUES.get(values[key].lower())
+            if on is None:
+                raise UsageError(
+                    "config key %s is a switch: expected 1, true, yes, 0, "
+                    "false or no, got %r" % (key, values[key]))
+            if on:
                 inject.append(flag)
         else:
             inject.extend([flag, values[key]])

@@ -282,6 +282,8 @@ def nondegenerate_sequence(x0, jmax, kcap=4000):
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")
+    if kcap < 1:
+        raise ValueError("kcap must be at least 1")
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
     if x0 <= 0:

@@ -78,7 +78,7 @@ def a1_matrix(spec, X):
     return m
 
 
-def b1_matrix(spec, X, eps=1.0):
+def b1_matrix(spec, X):
     """Perturbing symbol with entries following the a1 coupling graph.
 
     Built so that a1 + eps*b1 has entry sqrt(2) alpha_k psi_k at each
@@ -145,7 +145,7 @@ class CountRow(NamedTuple):
     flagged: bool
 
 
-def empirical_counting(spec, lambdas, cutoffs=None,
+def empirical_counting(spec, lambdas,
                        reliable_fraction=DEFAULT_RELIABLE_FRACTION, jobs=1):
     """Counting function versus the two-term prediction on a lambda grid.
 
@@ -155,14 +155,17 @@ def empirical_counting(spec, lambdas, cutoffs=None,
     complements over them (count_below): no dense matrix is assembled, so
     only the budget on the blocks caps the cutoff. Thresholds
     above reliable_fraction * min(cutoff) land in rows flagged as
-    truncation-suspect; they are reported, never silently dropped. jobs is
-    accepted and ignored: the counts always run in input order on the
-    calling thread.
+    truncation-suspect; they are reported, never silently dropped, so
+    reliable_fraction must be finite and positive (ValueError otherwise;
+    checked after the model and the build, whose own errors come first).
+    jobs is accepted and ignored: the counts always run in input order on
+    the calling thread.
     """
-    if cutoffs is not None:
-        spec = spec.with_cutoffs(cutoffs)
     pred = weyl_prediction(spec)
     op = build(spec)
+    if not 0.0 < reliable_fraction < math.inf:
+        raise ValueError("reliable fraction must be finite and positive, "
+                         "got %r" % (reliable_fraction,))
     bound = reliable_fraction * min(spec.cutoffs)
     rows = []
     for lam in (float(x) for x in lambdas):
@@ -173,15 +176,13 @@ def empirical_counting(spec, lambdas, cutoffs=None,
     return rows
 
 
-def nonpositive_count(spec, cutoffs=None):
+def nonpositive_count(spec):
     """Number of nonpositive eigenvalues of the truncated operator.
 
     The two-term law is stated for positive operators; diagonal level
     shifts can push low eigenvalues to zero or below, so this reports the
     offending count instead of assuming positivity.
     """
-    if cutoffs is not None:
-        spec = spec.with_cutoffs(cutoffs)
     return count_below(build(spec), 0.0)
 
 

@@ -306,12 +306,21 @@ def test_explicit_flags_beat_config(tmp_path):
     assert doc["value"] == overlap_closed(1, 1, 1.0)
 
 
-def test_config_switch_keys(tmp_path):
+def test_config_switch_keys(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("family=qrabi\nalpha=0.8\ndelta=0.9\neps=0.04\n"
-                   "cutoff=8\nlevels=4\nparity=true\n", encoding="utf-8")
+    model = ("family=qrabi\nalpha=0.8\ndelta=0.9\neps=0.04\n"
+             "cutoff=8\nlevels=4\n")
+    cfg.write_text(model + "parity=true\n", encoding="utf-8")
     doc = run_json(tmp_path, ["spectrum", "--config", str(cfg)])
     assert "parity" in doc
+    cfg.write_text(model + "parity=no\n", encoding="utf-8")
+    doc = run_json(tmp_path, ["spectrum", "--config", str(cfg)])
+    assert "parity" not in doc
+    # a switch value that is neither on nor off is refused, not read as off
+    cfg.write_text(model + "parity=maybe\n", encoding="utf-8")
+    doc = expect_error(capsys, ["spectrum", "--config", str(cfg)],
+                       2, "UsageError")
+    assert "parity" in doc["message"]
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -336,6 +345,7 @@ def expect_error(capsys, argv, code, name):
     assert doc["error"] == name
     assert doc["exit_code"] == code
     check_schema(doc, load_schema("error"))
+    return doc
 
 
 def test_exit_code_usage(capsys):
@@ -343,14 +353,35 @@ def test_exit_code_usage(capsys):
                  2, "UsageError")
 
 
-@pytest.mark.parametrize("argv", [
-    ["overlap", "--N", "x", "--k", "1", "--alpha", "1"],
-    ["laguerre-zeros", "--degree", "2", "--no-such-flag"],
-    ["weyl", "--family", "xi", "--alpha", "1,0.8", "--gamma", "0.3,0.5",
-     "--eps", "0.05", "--cutoff", "6", "--lambdas", "2,3", "--jobs", "2"],
-], ids=["bad-N", "unknown-flag", "retired-jobs"])
-def test_argparse_errors_are_usage_errors(capsys, argv):
-    expect_error(capsys, argv, 2, "UsageError")
+QR_FLAGS = ["--alpha", "1", "--gamma1", "1", "--gamma2=-1", "--eps", "0.1"]
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["overlap", "--N", "x", "--k", "1", "--alpha", "1"], "--N"),
+    (["laguerre-zeros", "--degree", "2", "--no-such-flag"], "--no-such-flag"),
+    (["weyl", "--family", "xi", "--alpha", "1,0.8", "--gamma", "0.3,0.5",
+      "--eps", "0.05", "--cutoff", "6", "--lambdas", "2,3", "--jobs", "2"],
+     "--jobs"),
+    (["braak", "--family", "xi", "--alpha", "1,0.8", "--gamma", "0.3,0.5",
+      "--eps", "0.05", "--cutoff", "6", "--nmax", "2"],
+     "invalid choice: 'xi'"),
+    (["smges-check", "--alpha", "1,0.8", "--gamma", "0.3,0.5", "--eps", "0.1",
+      "--cutoff", "10"], "--family"),
+    # a single-mode family takes exactly one cutoff, not none or two
+    (["spectrum", "--family", "qr"] + QR_FLAGS + ["--cutoff", ","],
+     "--cutoff takes one value for family qr"),
+    (["braak", "--family", "qrabi", "--alpha", "1", "--delta", "1",
+      "--eps", "0.02", "--cutoff", ",", "--nmax", "2"],
+     "--cutoff takes one value for family qrabi"),
+    (["weyl", "--family", "abframe"] + QR_FLAGS + ["--cutoff", "20,30",
+                                                   "--lambdas", "3"],
+     "--cutoff takes one value for family abframe"),
+], ids=["bad-N", "unknown-flag", "retired-jobs", "braak-xi",
+        "smges-check-no-family", "qr-empty-cutoff", "qrabi-empty-cutoff",
+        "abframe-two-cutoffs"])
+def test_argparse_errors_are_usage_errors(capsys, argv, says):
+    doc = expect_error(capsys, argv, 2, "UsageError")
+    assert says in doc["message"]
 
 
 def test_help_stays_plain_text(capsys):
@@ -500,10 +531,18 @@ def test_json_only_commands_refuse_csv(tmp_path, capsys, argv):
     (["avoid-seq", "--x0", "nan", "--jmax", "2"], 2),
     (["spectrum", "--family", "qr", "--alpha", "1", "--gamma1", "1",
       "--gamma2=-1", "--eps", "0.1", "--cutoff", "4", "--tol", "nan"], 2),
+    # a nan fraction would flag no row, and 0 every row
+    (["weyl", "--family", "xi", "--alpha", "1,0.8", "--gamma", "0.3,0.5",
+      "--eps", "0.05", "--cutoff", "10", "--lambdas", "4,9",
+      "--fraction", "nan"], 2),
+    (["weyl", "--family", "xi", "--alpha", "1,0.8", "--gamma", "0.3,0.5",
+      "--eps", "0.05", "--cutoff", "10", "--lambdas", "4,9",
+      "--fraction", "0"], 2),
 ], ids=["braak-shift-inf", "braak-alpha-overflow", "quadrature-nan",
         "quadrature-inf", "quadrature-overflow", "quadrature-400-nodes",
         "perturb-gamma-inf",
-        "quasimode-overflow", "avoid-seq-nan", "spectrum-tol-nan"])
+        "quasimode-overflow", "avoid-seq-nan", "spectrum-tol-nan",
+        "weyl-fraction-nan", "weyl-fraction-0"])
 def test_nonfinite_and_overflowing_inputs_are_classified(capsys, argv, code):
     names = {2: "UsageError", 5: "PrecisionError", 7: "ModelSpecError"}
     expect_error(capsys, argv, code, names[code])
@@ -673,10 +712,14 @@ def _flags(**kw):
 def _model(draw, families=("qr", "qrabi", "abframe", "xi", "lambda", "vee")):
     fam = draw(st.sampled_from(families))
     cut = st.integers(min_value=1, max_value=6)
+    # a single-mode family takes one cutoff; one draw in four gives it none
+    # or two, which it refuses
+    one_cut = ",".join(str(draw(cut)) for _ in range(
+        draw(st.sampled_from((1, 1, 1, 1, 1, 1, 0, 2))))) or ","
     if fam == "qrabi":
         return _flags(family=fam, alpha=_num(draw(FLOAT)),
                       delta=_num(draw(FLOAT)), eps=_num(draw(FLOAT)),
-                      cutoff=draw(cut))
+                      cutoff=one_cut)
     n = 1 if fam in ("qr", "abframe") else draw(st.integers(1, 3))
     alphas = [_num(draw(FLOAT)) for _ in range(n)]
     # level parameters in either order: the models want them ordered
@@ -687,7 +730,7 @@ def _model(draw, families=("qr", "qrabi", "abframe", "xi", "lambda", "vee")):
     if fam in ("qr", "abframe"):
         return _flags(family=fam, alpha=alphas[0], gamma1=gammas[0],
                       gamma2=gammas[-1], eps=_num(draw(FLOAT)),
-                      cutoff=draw(cut))
+                      cutoff=one_cut)
     cuts = ",".join(str(draw(cut))
                     for _ in range(draw(st.sampled_from((1, n)))))
     return _flags(family=fam, alpha=",".join(alphas),
@@ -781,6 +824,8 @@ def _no_nan(doc):
                "--lambdas=-1"])
 @example(argv=["quasimode", "--N=2", "--alpha=1", "--gamma1=1",
                "--gamma2=0", "--eps=0.01", "--cutoff=1"])
+@example(argv=["spectrum", "--family=qr", "--alpha=1", "--gamma1=1",
+               "--gamma2=-1", "--eps=0.1", "--cutoff=,"])
 def test_main_never_raises_and_classifies_every_failure(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -275,6 +275,9 @@ def test_avoidance_sequence_bad_arguments():
         nondegenerate_sequence(0.5, 0)
     with pytest.raises(ValueError):
         nondegenerate_sequence(-2.0, 3)
+    for kcap in (0, -5):
+        with pytest.raises(ValueError, match="kcap must be at least 1"):
+            nondegenerate_sequence(0.5, 3, kcap=kcap)
 
 
 def test_avoidance_sequence_exhaustion_flag():

@@ -214,12 +214,18 @@ def test_layered_count_peaks_below_a_quarter_of_the_dense_matrix():
 
 
 def test_empirical_counting_prediction_column():
-    rows = empirical_counting(QR_SPEC, [25.0], cutoffs=(150,))
+    rows = empirical_counting(QR_SPEC.with_cutoffs((150,)), [25.0])
     p = weyl_prediction(QR_SPEC)
     assert rows[0].prediction == pytest.approx(p.evaluate(25.0), rel=1e-15)
     assert rows[0].rel_err == pytest.approx(
         (rows[0].count - rows[0].prediction) / rows[0].prediction, rel=1e-15
     )
+
+
+def test_empirical_counting_needs_a_finite_positive_fraction():
+    for fraction in (math.nan, 0.0, -0.5, math.inf):
+        with pytest.raises(ValueError, match="reliable fraction"):
+            empirical_counting(QR_SPEC, [25.0], reliable_fraction=fraction)
 
 
 def test_nonpositive_count_reports_low_modes():
