@@ -109,8 +109,9 @@ def _parse_config_file(path):
 
 
 def _floats(text):
+    # an empty item, as in "4,,9", "10," or an empty list, is refused too
     try:
-        return [float(p) for p in str(text).split(",") if p != ""]
+        return [float(p) for p in str(text).split(",")]
     except ValueError:
         raise UsageError("expected a comma-separated list of numbers, got %r"
                          % text)
@@ -118,7 +119,7 @@ def _floats(text):
 
 def _ints(text):
     try:
-        return [int(p) for p in str(text).split(",") if p != ""]
+        return [int(p) for p in str(text).split(",")]
     except ValueError:
         raise UsageError("expected a comma-separated list of integers, got %r"
                          % text)
@@ -132,11 +133,10 @@ def _require(args, names):
 
 
 def _one_cutoff(args):
-    cut = _ints(args.cutoff)
-    if len(cut) != 1:
+    if "," in str(args.cutoff):
         raise UsageError("--cutoff takes one value for family %s, got %r"
                          % (args.family, args.cutoff))
-    return cut[0]
+    return _ints(args.cutoff)[0]
 
 
 def _build_model(args, config):

@@ -14,17 +14,20 @@ Supported families:
 Layout convention everywhere: spin index slowest, then the oscillator
 multi-index in row-major order. Every coupling moves exactly one quantum, so
 all families but the AB frame are block tridiagonal in the occupation
-layers. Assembly writes the harmonic and level diagonal into the diagonal
-layer blocks and scatters the ladder entries of each coupling, the pairs of
-mode-space indices one quantum apart, into the coupling blocks; the dense
-matrix is formed from the blocks and their transposes only when it is read,
-which keeps every matrix bitwise symmetric.
+layers. The N-level families also keep one Z2 parity per mode
+(sector_labels), which splits them into 2^modes sectors that no entry
+joins. Assembly writes the harmonic and level diagonal into the diagonal
+blocks of each (sector, layer) group and scatters the ladder entries of
+each coupling, the pairs of mode-space indices one quantum apart, into the
+coupling blocks; the dense matrix is formed from the blocks and their
+transposes only when it is read, which keeps every matrix bitwise
+symmetric.
 """
 
-import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,41 +127,69 @@ class BasisDescriptor:
         return np.split(order, np.cumsum(np.bincount(occ))[:-1])
 
 
-class TruncatedOperator:
-    """A truncated matrix on its basis. layers, when set, is the pair
-    (diagonal blocks, lower coupling blocks) of the matrix over
-    basis.occupation_layers(); count_below then works on the blocks.
+class Sector(NamedTuple):
+    """One parity sector of a layered operator: its basis indices in block
+    order, layer by layer, and the blocks of its block tridiagonal matrix,
+    diag[k] on its k-th nonempty occupation layer and low[k] coupling layer
+    k to layer k + 1 (rows in layer k + 1)."""
 
-    build declares the layers, and stores no matrix, for the families that
+    index: np.ndarray
+    diag: list
+    low: list
+
+    def bands(self):
+        """(rows, cols, band) per layer: the slices of the sector matrix
+        holding the layer's rows over the columns of the layer and its
+        neighbours, and the values there."""
+        edges = np.cumsum([0] + [d.shape[0] for d in self.diag])
+        last = len(self.diag) - 1
+        for k, d in enumerate(self.diag):
+            band = np.hstack(self.low[k - 1:k] + [d]
+                             + [c.T for c in self.low[k:k + 1]])
+            yield (slice(edges[k], edges[k + 1]),
+                   slice(edges[max(k - 1, 0)], edges[min(k + 1, last) + 1]),
+                   band)
+
+    def matrix(self):
+        """The dense sector matrix, over index."""
+        mat = np.zeros((self.index.size, self.index.size))
+        for rows, cols, band in self.bands():
+            mat[rows, cols] = band
+        return mat
+
+
+class TruncatedOperator:
+    """A truncated matrix on its basis. sectors, when set, lists the
+    Sector blocks of the matrix: no entry couples two sectors, and each
+    sector's matrix is block tridiagonal over its occupation layers, so
+    count_below and eigen_spectrum work sector by sector.
+
+    build declares the sectors, and stores no matrix, for the families that
     couple only adjacent layers. Reading matrix then assembles the dense
-    matrix from the blocks and their transposes, anew on every read, and
-    raises ResourceError, before allocating, when it would exceed
-    DENSE_BUDGET_BYTES. A stored matrix is returned as it is.
+    matrix, anew on every read, by scattering each sector's layer bands
+    onto the sector's basis indices, and raises ResourceError, before
+    allocating, when it would exceed DENSE_BUDGET_BYTES. A stored matrix is
+    returned as it is.
     """
 
-    def __init__(self, basis, matrix, layers=None):
-        if matrix is None and layers is None:
-            raise ValueError("an operator needs a matrix or its layers")
+    def __init__(self, basis, matrix, sectors=None):
+        if matrix is None and sectors is None:
+            raise ValueError("an operator needs a matrix or its sectors")
         if matrix is not None and matrix.shape != (basis.dim, basis.dim):
             raise ValueError("matrix shape does not match basis dimension")
         self.basis = basis
         self._matrix = matrix
-        self.layers = layers
+        self.sectors = sectors
 
     @property
     def matrix(self):
         if self._matrix is not None:
             return self._matrix
         check_dense_budget(self.basis)
-        n = self.basis.dim
-        mat = np.zeros((n, n))
-        idx = self.basis.occupation_layers()
-        diag, low = self.layers
-        for a, d in zip(idx, diag):
-            mat[np.ix_(a, a)] = d
-        for a, b, c in zip(idx, idx[1:], low):
-            mat[np.ix_(b, a)] = c
-            mat[np.ix_(a, b)] = c.T
+        mat = np.zeros((self.basis.dim, self.basis.dim))
+        for s in self.sectors:
+            for rows, cols, band in s.bands():
+                mat[np.ix_(s.index[rows], s.index[cols])] = band
         return mat
 
 
@@ -299,14 +330,58 @@ def coupling_pattern(family, spin_dim, k):
     return 0, k
 
 
+def _far_sides(family, spin_dim):
+    """sigma[k - 1, level]: 1 where level lies beyond coupling k as seen
+    from level 0. The couplings join the levels into a tree, a chain for
+    Xi and a star for Lambda and Vee, so removing coupling k leaves two
+    sides; sigma is 1 on the side without level 0."""
+    n = spin_dim - 1
+    adj = np.zeros((n, spin_dim, spin_dim))
+    for k in range(1, spin_dim):
+        i, j = coupling_pattern(family, spin_dim, k)
+        adj[:, i, j] = adj[:, j, i] = 1.0
+        adj[k - 1, i, j] = adj[k - 1, j, i] = 0.0
+    # walks of at most n steps from level 0 in the tree without coupling k
+    reach = np.linalg.matrix_power(adj + np.eye(spin_dim), n)[:, 0]
+    return (reach == 0).astype(np.intp)
+
+
+def sector_labels(spec):
+    """Parity sector of every basis index of a QR, QRabi, Xi, Lambda or Vee
+    model: an integer whose bit k - 1 is (n_k + sigma_k(level)) mod 2.
+
+    sigma_k (_far_sides) is 1 on the levels beyond coupling k as seen from
+    level 0. Coupling k changes n_k by one and crosses to the other side of
+    itself; every other coupling leaves n_k and sigma_k alone. So each
+    Pi_k = (-1)^(n_k + sigma_k) commutes with H, and no matrix entry joins
+    two labels. Xi has sigma_k = [level >= k], Vee [level = k], Lambda
+    [level != 0] for k = 1 and [level = k - 1] after. Every state of level
+    0 and even occupations is in sector 0, and for QR and QRabi sector 0 is
+    the "+" chain of parity_chains.
+    """
+    spec.validate()
+    if spec.family == AB_FRAME:
+        raise ValueError("the AB frame basis carries no per-mode parity")
+    basis = spec.basis()
+    weights = 1 << np.arange(spec.modes)
+    mode_bits = weights @ (np.indices(basis.mode_dims)
+                           .reshape(spec.modes, -1) % 2)
+    level_bits = weights @ _far_sides(spec.family, spec.spin_dim)
+    return np.bitwise_xor.outer(level_bits, mode_bits).ravel()
+
+
 def build(spec):
     """Assemble the truncated Hamiltonian for the given ModelSpec.
 
     The AB frame is stored dense. Every other family is stored as its
-    occupation-layer blocks, and the dense matrix is assembled only when
-    op.matrix is read (TruncatedOperator). Two budgets apply, each checked
+    Sector blocks, and the dense matrix is assembled only when op.matrix is
+    read (TruncatedOperator). Xi, Lambda and Vee have one sector per
+    sector_labels value, 2^modes in all; QR and QRabi keep one sector with
+    their two-by-two layers. Each sector's blocks are formed for its
+    (sector, layer) groups straight from the ladder arrays, and its empty
+    layers at either end are dropped. Two budgets apply, each checked
     before allocating: build raises ResourceError when the AB frame's dense
-    matrix, or the bytes of all layer blocks, would exceed
+    matrix, or the bytes of all sector blocks, would exceed
     DENSE_BUDGET_BYTES; reading op.matrix checks the dense matrix itself.
     """
     spec.validate()
@@ -315,16 +390,12 @@ def build(spec):
         check_dense_budget(basis)
         return _build_ab(spec, basis)
     what = "occupation-layer blocks of dimension %d need" % basis.dim
-    # each of the sum(cutoffs) + 1 layers holds at least spin_dim states, a
-    # bound that refuses huge cutoffs before the layer sizes are formed
     n_layers = sum(spec.cutoffs) + 1
-    _check_budget(what, 8 * spec.spin_dim ** 2 * (2 * n_layers - 1))
-    # layer N holds spin_dim times the number of mode states of total
-    # occupation N: the coefficients of prod_k (1 + x + ... + x^c_k)
-    sizes = spec.spin_dim * functools.reduce(
-        np.convolve, [np.ones(c + 1) for c in spec.cutoffs])
-    _check_budget(what, 8 * (sizes @ sizes + sizes[1:] @ sizes[:-1]))
-    sizes = sizes.astype(np.intp)
+    n_sectors = 1 if spec.family in (QR, QRABI) else 2 ** spec.modes
+    # the dim states fill n_sectors * n_layers diagonal blocks, whose
+    # squared sizes sum to at least dim^2 / (n_sectors * n_layers): a bound
+    # that refuses huge cutoffs before any array is formed
+    _check_budget(what, 8 * basis.dim ** 2 // (n_sectors * n_layers))
     # QR/QRabi scale their levels by eps; the N-level families carry the
     # bare (0, gammas...) and eps only enters the subprincipal analysis
     if spec.family in (QR, QRABI):
@@ -336,37 +407,50 @@ def build(spec):
                    + np.repeat(levels, msd))
     if spec.family == QRABI:
         diag_values -= 0.5
-    # layer and position within the layer of every basis index
+    # (sector, layer) group of every basis index, the group sizes, and the
+    # position of every index within its group, in ascending index order
     occ = basis.mode_occupation()
-    layer = np.tile(occ, spec.spin_dim)
-    pos = np.empty(basis.dim, dtype=np.intp)
-    pos[np.concatenate(basis.occupation_layers())] = (
-        np.arange(basis.dim) - np.repeat(np.cumsum(sizes) - sizes, sizes))
-    # all diagonal blocks, then all coupling blocks (layer N + 1 by N), are
-    # row-major slices of one buffer each; the diagonal blocks are diagonal
+    sector = sector_labels(spec) % n_sectors
+    group = sector * n_layers + np.tile(occ, spec.spin_dim)
+    sizes = np.bincount(group, minlength=n_sectors * n_layers)
+    grid = sizes.reshape(n_sectors, n_layers)
+    # all diagonal blocks, then all coupling blocks (layer N + 1 by N of one
+    # sector), are row-major slices of one buffer each
     diag_sizes = sizes * sizes
-    low_sizes = sizes[1:] * sizes[:-1]
+    low_sizes = (grid[:, 1:] * grid[:, :-1]).ravel()
+    _check_budget(what, 8 * (diag_sizes.sum() + low_sizes.sum()))
+    order = np.argsort(group, kind="stable")
+    pos = np.empty(basis.dim, dtype=np.intp)
+    pos[order] = (np.arange(basis.dim)
+                  - np.repeat(np.cumsum(sizes) - sizes, sizes))
     diag_start = np.cumsum(diag_sizes) - diag_sizes
     low_start = np.cumsum(low_sizes) - low_sizes
     diag_buf = np.zeros(diag_sizes.sum())
-    diag_buf[diag_start[layer] + pos * (sizes[layer] + 1)] = diag_values
+    diag_buf[diag_start[group] + pos * (sizes[group] + 1)] = diag_values
     low_buf = np.zeros(low_sizes.sum())
     # coupling k is alpha_k x_k on the spin blocks (i, j) and (j, i): entry
-    # (row in layer N, col in layer N + 1) lands at [pos[col], pos[row]]
+    # (row in group (s, N), col in group (s, N + 1)) lands at
+    # [pos[col], pos[row]] of the block below group (s, N), numbered N + s
+    # (n_layers - 1)
     for k in range(1, spec.spin_dim):
         i, j = coupling_pattern(spec.family, spec.spin_dim, k)
         lower, upper, value = _ladder(basis, k)
         value = spec.alphas[k - 1] * value
-        row_layer = occ[lower]
         for a, b in ((i, j), (j, i)):
             r, c = a * msd + lower, b * msd + upper
-            low_buf[low_start[row_layer] + pos[c] * sizes[row_layer]
+            g = group[r]
+            low_buf[low_start[g - sector[r]] + pos[c] * sizes[g]
                     + pos[r]] = value
-    return TruncatedOperator(basis, None, (
-        [diag_buf[o:o + m * m].reshape(m, m)
-         for o, m in zip(diag_start, sizes)],
-        [low_buf[o:o + m1 * m].reshape(m1, m)
-         for o, m, m1 in zip(low_start, sizes, sizes[1:])]))
+    sectors = []
+    for s, index in enumerate(np.split(order, np.cumsum(grid.sum(1))[:-1])):
+        lo, hi = np.flatnonzero(grid[s])[[0, -1]]
+        ms = grid[s, lo:hi + 1]
+        diag = [diag_buf[o:o + m * m].reshape(m, m) for o, m in
+                zip(diag_start[s * n_layers + lo:], ms)]
+        low = [low_buf[o:o + m1 * m].reshape(m1, m) for o, m, m1 in
+               zip(low_start[s * (n_layers - 1) + lo:], ms, ms[1:])]
+        sectors.append(Sector(index, diag, low))
+    return TruncatedOperator(basis, None, sectors)
 
 
 def parity_chains(spec):

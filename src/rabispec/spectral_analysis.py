@@ -96,7 +96,18 @@ def _check_symmetric(m):
 
 
 def eigen_spectrum(op):
-    """All eigenvalues of a symmetric truncated operator, ascending."""
+    """All eigenvalues of a symmetric truncated operator, ascending.
+
+    An operator with more than one sector (build's Xi, Lambda and Vee) is
+    solved sector by sector: one dense eigvalsh per sector matrix, the
+    values merged by a stable sort, and no matrix of the full dimension is
+    formed. Any other operator's matrix is checked for symmetry and solved
+    whole.
+    """
+    if op.sectors is not None and len(op.sectors) > 1:
+        return np.sort(np.concatenate(
+            [scipy.linalg.eigvalsh(s.matrix()) for s in op.sectors]),
+            kind="stable")
     m = np.asarray(op.matrix, dtype=float)
     _check_symmetric(m)
     return np.sort(scipy.linalg.eigvalsh(m))
@@ -250,13 +261,15 @@ def count_below(op, lam):
     """Number of eigenvalues at most lam, by inertia of (matrix - lam I).
 
     The tie band is tie = dimension * macheps * max(1, max|matrix - lam I|).
-    When the operator declares its occupation-layer blocks (op.layers, set
-    by build for QR, QRabi, Xi, Lambda and Vee, not for the AB frame), the
-    count is the number of nonpositive eigenvalues of the successive Schur
-    blocks S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T at mu = lam + tie
-    (Haynsworth inertia additivity), so eigenvalues within the band above
-    lam are counted. An eigendirection of S_k that is singular, or whose
-    elimination would grow the next block by more than
+    When the operator declares its sectors (op.sectors, set by build for
+    QR, QRabi, Xi, Lambda and Vee, not for the AB frame), the count is the
+    sum over sectors of one sweep each: the number of nonpositive
+    eigenvalues of the successive Schur blocks
+    S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T over the sector's layers at
+    mu = lam + tie (Haynsworth inertia additivity), so eigenvalues within
+    the band above lam are counted. The band and the growth bound are those
+    of the whole matrix. An eigendirection of S_k that is singular, or
+    whose elimination would grow the next block by more than
     LAYER_GROWTH * max(1, max|matrix - lam I|), is merged into the next
     layer instead of eliminated, so a pending block can outgrow its layer.
     Any other operator's matrix is checked for symmetry and takes one dense
@@ -264,25 +277,27 @@ def count_below(op, lam):
     are counted; its breakdown falls back to a full eigensolve with a
     logged warning. One debug record per call names the route, the number
     of layer merges and the pivots inside the tie band; the layered route
-    adds the largest pending block order.
+    adds the number of sectors and the largest pending block order.
     """
     if not np.isfinite(lam):
         raise ValueError("threshold must be finite")
-    if op.layers is None:
+    if op.sectors is None:
         m = np.asarray(op.matrix, dtype=float)
         _check_symmetric(m)
         return _dense_count(m, lam)
-    diag, low = op.layers
     n = op.basis.dim
-    scale = max([1.0] + [np.abs(_shifted(d, lam)).max() for d in diag]
-                + [np.abs(c).max() for c in low if c.size])
+    scale = max([1.0] + [np.abs(_shifted(d, lam)).max()
+                         for s in op.sectors for d in s.diag]
+                + [np.abs(c).max() for s in op.sectors for c in s.low
+                   if c.size])
     tie = n * np.finfo(float).eps * scale
-    count, merges, pivots, max_block = _layered_inertia(
-        diag, low, lam + tie, LAYER_GROWTH * scale)
-    log.debug("count_below route=layered dim=%d merges=%d ties=%d "
-              "max_block=%d", n, merges,
-              np.count_nonzero(np.abs(pivots) <= tie), max_block)
-    return count
+    sweeps = [_layered_inertia(s.diag, s.low, lam + tie, LAYER_GROWTH * scale)
+              for s in op.sectors]
+    log.debug("count_below route=layered dim=%d sectors=%d merges=%d ties=%d "
+              "max_block=%d", n, len(sweeps), sum(w[1] for w in sweeps),
+              sum(np.count_nonzero(np.abs(w[2]) <= tie) for w in sweeps),
+              max(w[3] for w in sweeps))
+    return sum(w[0] for w in sweeps)
 
 
 def _dense_count(m, lam):

@@ -384,6 +384,23 @@ def test_argparse_errors_are_usage_errors(capsys, argv, says):
     assert says in doc["message"]
 
 
+XI_WEYL = ["weyl", "--family", "xi", "--gamma", "0.3,0.5", "--eps", "0.05"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "1,0.8", "--cutoff", "10", "--lambdas", ","],
+    ["--alpha", "1,0.8", "--cutoff", "10", "--lambdas="],
+    ["--alpha", "1,0.8", "--cutoff", "10", "--lambdas", "4,,9"],
+    ["--alpha", "1,,0.8", "--cutoff", "10", "--lambdas", "4,9"],
+    ["--alpha", "1,0.8", "--cutoff", "10,", "--lambdas", "4,9"],
+], ids=["lambdas-comma", "lambdas-empty", "lambdas-inner", "alpha-inner",
+        "cutoff-trailing"])
+def test_empty_list_items_are_usage_errors(capsys, flags):
+    doc = expect_error(capsys, XI_WEYL + flags, 2, "UsageError")
+    assert "comma-separated list" in doc["message"]
+    assert capsys.readouterr().out == ""
+
+
 def test_help_stays_plain_text(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["overlap", "--help"])
@@ -441,12 +458,13 @@ def test_exit_code_model_spec_nonfinite(capsys):
 
 
 def test_exit_code_resource(capsys):
-    # dimension 482 403 would need a 1.7 TiB dense matrix; refused up front
+    # dimension 1 924 803: its sector blocks need at least 4.3 GiB, over
+    # the 2 GiB block budget; refused up front
     tracemalloc.start()
     try:
         expect_error(capsys, ["weyl", "--family", "xi", "--alpha", "1,0.8",
                               "--gamma", "0.3,0.5", "--eps", "0.05",
-                              "--cutoff", "400", "--lambdas", "5,10,20"],
+                              "--cutoff", "800", "--lambdas", "5,10,20"],
                      9, "ResourceError")
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -340,36 +340,98 @@ def test_builds_couple_only_adjacent_occupation_layers(spec):
     # they are the oracle's exact blocks, hold every nonzero, and the
     # oracle is exactly symmetric
     assert np.array_equal(h, h.T)
-    diag, low = build(spec).layers
-    assert len(diag) == len(layers) and len(low) == len(layers) - 1
+    sectors = build(spec).sectors
+    assert len(sectors) == (1 if spec.family in ("QR", "QRabi")
+                            else 2 ** spec.modes)
+    assert np.array_equal(np.sort(np.concatenate([s.index for s in sectors])),
+                          np.arange(h.shape[0]))
     nnz = 0
-    for a, d in zip(layers, diag):
-        assert d.dtype == h.dtype and np.array_equal(d, h[np.ix_(a, a)])
-        nnz += np.count_nonzero(d)
-    for a, b, c in zip(layers, layers[1:], low):
-        assert c.dtype == h.dtype and np.array_equal(c, h[np.ix_(b, a)])
-        nnz += 2 * np.count_nonzero(c)
+    for s in sectors:
+        sizes = [d.shape[0] for d in s.diag]
+        blocks = np.split(s.index, np.cumsum(sizes)[:-1])
+        assert len(s.low) == len(s.diag) - 1
+        # consecutive occupation layers, none empty, ascending within each
+        assert min(sizes) > 0
+        assert np.all(np.diff([occ[a[0]] for a in blocks]) == 1)
+        for a, d in zip(blocks, s.diag):
+            assert np.all(occ[a] == occ[a[0]]) and np.all(np.diff(a) > 0)
+            assert d.dtype == h.dtype and np.array_equal(d, h[np.ix_(a, a)])
+            nnz += np.count_nonzero(d)
+        for a, b, c in zip(blocks, blocks[1:], s.low):
+            assert c.dtype == h.dtype and np.array_equal(c, h[np.ix_(b, a)])
+            nnz += 2 * np.count_nonzero(c)
     assert nnz == np.count_nonzero(h)
+    if spec.family in ("QR", "QRabi"):
+        assert np.array_equal(sectors[0].index, np.concatenate(layers))
+
+
+SECTOR_SPECS = [
+    ModelSpec.xi((1.3,), (-0.7,), 0.3, (11,)),
+    ModelSpec.lam((0.9,), (0.4,), 0.1, (1,)),
+    ModelSpec.vee((-0.6,), (0.2,), 0.0, (6,)),
+    ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (1, 5)),
+    ModelSpec.lam((1.0, 0.9), (0.2, 0.6), 0.05, (6, 4)),
+    ModelSpec.vee((0.7, 1.1), (0.1, 0.4), 0.05, (1, 1)),
+    ModelSpec.xi((1.0, 0.8, 0.7), (0.3, 0.5, 0.9), 0.05, (2, 3, 1)),
+    ModelSpec.lam((1.0, 0.9, 0.7), (0.2, 0.6, 0.8), 0.05, (3, 2, 4)),
+    ModelSpec.vee((0.6, 0.7, 0.8), (0.1, 0.4, 0.6), 0.05, (3, 2, 4)),
+]
+
+
+@pytest.mark.parametrize("spec", SECTOR_SPECS, ids=lambda s: "%s-%s" % (
+    s.family, "x".join(map(str, s.cutoffs))))
+def test_sector_labels_split_the_kronecker_oracle(spec):
+    h = _kron_build(spec)
+    labels = fock_ops.sector_labels(spec)
+    assert labels.shape == (h.shape[0],)
+    assert set(labels.tolist()) == set(range(2 ** spec.modes))
+    # no entry joins two sectors
+    assert np.all(h[labels[:, None] != labels[None, :]] == 0.0)
+    # the sectors are those of build, whose matrix is the oracle's
+    op = build(spec)
+    for s in op.sectors:
+        assert np.all(labels[s.index] == labels[s.index[0]])
+    assert np.array_equal(op.matrix, h)
+
+
+def test_sector_labels_follow_the_coupling_tree():
+    levels = np.arange(4)
+    xi = fock_ops._far_sides("Xi", 4)
+    lam = fock_ops._far_sides("Lambda", 4)
+    vee = fock_ops._far_sides("Vee", 4)
+    for k in (1, 2, 3):
+        assert np.array_equal(xi[k - 1], levels >= k)
+        assert np.array_equal(vee[k - 1], levels == k)
+        assert np.array_equal(lam[k - 1],
+                              levels != 0 if k == 1 else levels == k - 1)
+    # sector 0 of QR/QRabi is the "+" parity chain
+    for spec in (ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 9),
+                 ModelSpec.qrabi(0.8, 0.9, 0.04, 6)):
+        signs = np.diag(parity_matrix(spec.basis()).matrix)
+        assert np.array_equal(fock_ops.sector_labels(spec) == 0, signs > 0)
+    with pytest.raises(ValueError):
+        fock_ops.sector_labels(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 8))
 
 
 def test_layers_declared_only_by_layered_builds(tmp_path):
     ab = build(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 8))
-    assert ab.layers is None
+    assert ab.sectors is None
     path = tmp_path / "xi.bin"
     export_matrix(build(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (3, 3))),
                   path)
-    assert load_matrix(path).layers is None
+    assert load_matrix(path).sectors is None
     basis = BasisDescriptor(1, (4,), 2)
-    assert position_matrix(basis).layers is None
-    assert harmonic_matrix(basis).layers is None
+    assert position_matrix(basis).sectors is None
+    assert harmonic_matrix(basis).sectors is None
 
 
 def test_build_refuses_dense_matrix_over_budget(monkeypatch):
     tracemalloc.start()
     try:
-        # dimension 482 403: its occupation-layer blocks alone need 5.8 GiB
-        with pytest.raises(ResourceError, match="blocks of dimension 482403"):
-            build(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (400, 400)))
+        # dimension 1 924 803: by the bound dim^2 / (sectors * layers) on
+        # their squared sizes, its 4 x 1601 sector blocks need 4.3 GiB
+        with pytest.raises(ResourceError, match="blocks of dimension 1924803"):
+            build(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (800, 800)))
         # refused before the layer sizes of a billion layers are formed
         with pytest.raises(ResourceError, match="blocks of dimension"):
             build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 10 ** 9))
@@ -388,11 +450,13 @@ def test_build_refuses_dense_matrix_over_budget(monkeypatch):
         build(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 21))
     # the block budget is inclusive too, and build itself applies it
     spec = ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (5, 7))
-    sizes = [a.size for a in spec.basis().occupation_layers()]
-    need = 8 * (sum(m * m for m in sizes)
-                + sum(m * m1 for m, m1 in zip(sizes, sizes[1:])))
+    need = 0
+    for s in build(spec).sectors:
+        sizes = [d.shape[0] for d in s.diag]
+        need += 8 * (sum(m * m for m in sizes)
+                     + sum(m * m1 for m, m1 in zip(sizes, sizes[1:])))
     monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", need)
-    assert build(spec).layers is not None
+    assert build(spec).sectors is not None
     monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", need - 1)
     with pytest.raises(ResourceError, match="blocks of dimension 144"):
         build(spec)

@@ -35,12 +35,14 @@ from rabispec.spectral_analysis import (
 
 
 def _layered_op(basis, a):
-    """a on basis with its occupation-layer blocks declared, as build
-    declares them; count_below then takes the layered route."""
+    """a on basis with its occupation-layer blocks declared as one sector,
+    as build declares them for QR; count_below then takes the layered route
+    in one sweep over the unsplit layers."""
     layers = basis.occupation_layers()
-    return TruncatedOperator(basis, a, (
+    return TruncatedOperator(basis, a, [fock_ops.Sector(
+        np.concatenate(layers),
         [a[np.ix_(i, i)] for i in layers],
-        [a[np.ix_(j, i)] for i, j in zip(layers, layers[1:])]))
+        [a[np.ix_(j, i)] for i, j in zip(layers, layers[1:])])])
 
 
 def _diag_op(values):
@@ -76,6 +78,58 @@ def test_eigen_spectrum_accepts_sparse_build():
     assert ev[0] == pytest.approx(0.0, abs=1e-8)
     assert ev[1] == pytest.approx(0.0, abs=1e-8)
     assert ev[2] == pytest.approx(1.0, abs=1e-6)
+
+
+SECTOR_SPECS = [
+    ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (9, 12)),
+    ModelSpec.lam((1.0, 0.9), (0.2, 0.6), 0.05, (10, 10)),
+    ModelSpec.vee((-0.7, 1.1), (0.1, 0.4), 0.05, (1, 14)),
+    ModelSpec.xi((1.0, 0.8, 0.7), (0.3, 0.5, 0.9), 0.05, (4, 3, 5)),
+    ModelSpec.lam((0.9, 0.8, 0.6), (0.1, 0.2, 0.7), 0.05, (4, 4, 4)),
+    ModelSpec.vee((0.6, 0.7, 0.8), (0.1, 0.4, 0.6), 0.05, (5, 2, 4)),
+]
+
+
+def _close_to(got, want):
+    return np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("spec", SECTOR_SPECS,
+                         ids=lambda s: "%s-%d" % (s.family, s.modes))
+def test_eigen_spectrum_solves_each_sector(spec, monkeypatch):
+    op = build(spec)
+    want = scipy.linalg.eigvalsh(op.matrix)
+    # one byte short of the dense matrix: the sectors never form it
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES",
+                        8 * spec.basis().dim ** 2 - 1)
+    got = eigen_spectrum(op)
+    assert got.shape == want.shape and np.all(np.diff(got) >= 0)
+    assert _close_to(got, want)
+
+
+@pytest.mark.parametrize("spec,m,tol,cap", [
+    (ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (4, 6)), 8, 1e-9, 20),
+    (ModelSpec.lam((1.0, 0.9), (0.2, 0.6), 0.05, (5, 5)), 8, 1e-9, 20),
+    (ModelSpec.vee((-0.7, 1.1), (0.1, 0.4), 0.05, (1, 6)), 8, 1e-9, 20),
+    (ModelSpec.xi((1.0, 0.8, 0.7), (0.3, 0.5, 0.9), 0.05, (2, 3, 2)),
+     6, 1e-6, 5),
+    (ModelSpec.lam((0.9, 0.8, 0.6), (0.1, 0.2, 0.7), 0.05, (3, 3, 3)),
+     6, 1e-6, 5),
+    (ModelSpec.vee((0.6, 0.7, 0.8), (0.1, 0.4, 0.6), 0.05, (3, 2, 4)),
+     6, 1e-6, 5),
+], ids=["xi-2", "lambda-2", "vee-2", "xi-3", "lambda-3", "vee-3"])
+def test_multimode_converged_spectrum_matches_dense_growth(spec, m, tol, cap):
+    got = converged_spectrum(spec, m, tol, cap=cap)
+
+    def dense(cutoffs):
+        op = build(spec.with_cutoffs(cutoffs))
+        return np.sort(scipy.linalg.eigvalsh(op.matrix)), None
+
+    want = spectral_analysis._converge(spec, m, tol, cap, dense)
+    assert got.cutoffs_used == want.cutoffs_used
+    assert got.converged_count == want.converged_count
+    assert got.partial == want.partial and got.parity is None
+    assert _close_to(got.eigenvalues, want.eigenvalues)
 
 
 def test_eigen_spectrum_rejects_asymmetric():
@@ -142,7 +196,7 @@ def test_converged_spectrum_partial_when_growth_exceeds_budget(monkeypatch):
 
 
 def test_converged_spectrum_refuses_dense_step_before_building():
-    # dimension 121 203: 109 GiB dense, its layer blocks alone 0.7 GiB
+    # dimension 121 203: 109 GiB dense, its sector blocks alone 0.18 GiB
     spec = ModelSpec.xi([1.0, 0.8], [0.3, 0.5], 0.05, [200, 200])
     tracemalloc.start()
     try:
@@ -282,7 +336,8 @@ def test_layered_count_matches_dense_and_eigvalsh(spec, caplog):
     # n = (0, lam - 1) on two-mode Xi) leaves an exactly singular block
     lams = list(0.5 * (ev[:60:10] + ev[1:61:10])) + [1.0, 2.5, 4.0, 5.5,
                                                      7.0, 8.5, 10.0]
-    largest_layer = max(d.shape[0] for d in op.layers[0])
+    unsplit = _layered_op(spec.basis(), op.matrix)
+    largest_layer = max(d.shape[0] for s in op.sectors for d in s.diag)
     merged = outgrown = 0
     for lam in lams:
         assert np.min(np.abs(ev - lam)) > 1e-8  # the oracle is unambiguous
@@ -290,8 +345,9 @@ def test_layered_count_matches_dense_and_eigvalsh(spec, caplog):
         got = count_below(op, lam)
         recs = _count_records(caplog)
         assert len(recs) == 1 and recs[0].levelno == logging.DEBUG
-        found = re.fullmatch(r"count_below route=layered dim=%d merges=(\d+) "
-                             r"ties=\d+ max_block=(\d+)" % ev.size,
+        found = re.fullmatch(r"count_below route=layered dim=%d sectors=%d "
+                             r"merges=(\d+) ties=\d+ max_block=(\d+)"
+                             % (ev.size, len(op.sectors)),
                              recs[0].getMessage())
         assert found
         merges, max_block = int(found.group(1)), int(found.group(2))
@@ -301,6 +357,8 @@ def test_layered_count_matches_dense_and_eigvalsh(spec, caplog):
         if merges == 0:
             assert max_block == largest_layer
         outgrown += max_block > largest_layer
+        # oracle: one sweep over the unsplit layers of the dense matrix
+        assert got == count_below(unsplit, lam)
         assert got == _dense_count(op.matrix, lam)
         assert got == int(np.count_nonzero(ev <= lam))
     if spec.modes > 1:
@@ -330,7 +388,7 @@ def test_layered_count_includes_exact_ties():
     # at eps 0 and alpha 1 the QR levels are exactly the integers n, twice
     # each, so every integer threshold is a double eigenvalue
     op = build(ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 300))
-    assert op.layers is not None
+    assert op.sectors is not None
     for n in (0, 1, 37, 100):
         assert count_below(op, float(n)) == _dense_count(op.matrix, float(n)) \
             == 2 * (n + 1)
@@ -374,7 +432,7 @@ def test_count_below_dense_route_without_layer_structure(caplog, tmp_path):
     path = tmp_path / "qr.bin"
     export_matrix(build(ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 20)), path)
     for op in (c10, ab, load_matrix(path)):
-        assert op.layers is None
+        assert op.sectors is None
         caplog.clear()
         got = count_below(op, 0.5)
         recs = _count_records(caplog)
