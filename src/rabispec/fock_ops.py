@@ -14,14 +14,14 @@ Supported families:
 Layout convention everywhere: spin index slowest, then the oscillator
 multi-index in row-major order. Every coupling moves exactly one quantum, so
 all families but the AB frame are block tridiagonal in the occupation
-layers. The N-level families also keep one Z2 parity per mode
-(sector_labels), which splits them into 2^modes sectors that no entry
-joins. Assembly writes the harmonic and level diagonal into the diagonal
-blocks of each (sector, layer) group and scatters the ladder entries of
-each coupling, the pairs of mode-space indices one quantum apart, into the
-coupling blocks; the dense matrix is formed from the blocks and their
-transposes only when it is read, which keeps every matrix bitwise
-symmetric.
+layers. They also keep one Z2 parity per mode (sector_labels), which
+splits them into 2^modes sectors that no entry joins; the two sectors of
+QR and QRabi are tridiagonal chains. Assembly writes the harmonic and
+level diagonal into the diagonal blocks of each (sector, layer) group and
+scatters the ladder entries of each coupling, the pairs of mode-space
+indices one quantum apart, into the coupling blocks; the dense matrix is
+formed from the blocks and their transposes only when it is read, which
+keeps every matrix bitwise symmetric.
 """
 
 import json
@@ -131,11 +131,21 @@ class Sector(NamedTuple):
     """One parity sector of a layered operator: its basis indices in block
     order, layer by layer, and the blocks of its block tridiagonal matrix,
     diag[k] on its k-th nonempty occupation layer and low[k] coupling layer
-    k to layer k + 1 (rows in layer k + 1)."""
+    k to layer k + 1 (rows in layer k + 1). A sector whose layers are all
+    one-by-one, as both sectors of QR and QRabi are, is a symmetric
+    tridiagonal chain (chain)."""
 
     index: np.ndarray
     diag: list
     low: list
+
+    def chain(self):
+        """(diag, off) of the sector's tridiagonal matrix when every layer
+        holds one state, else None."""
+        if len(self.diag) != self.index.size:
+            return None
+        return (np.array([d.item() for d in self.diag]),
+                np.array([c.item() for c in self.low], dtype=float))
 
     def bands(self):
         """(rows, cols, band) per layer: the slices of the sector matrix
@@ -356,8 +366,8 @@ def sector_labels(spec):
     Pi_k = (-1)^(n_k + sigma_k) commutes with H, and no matrix entry joins
     two labels. Xi has sigma_k = [level >= k], Vee [level = k], Lambda
     [level != 0] for k = 1 and [level = k - 1] after. Every state of level
-    0 and even occupations is in sector 0, and for QR and QRabi sector 0 is
-    the "+" chain of parity_chains.
+    0 and even occupations is in sector 0. QR and QRabi have two sectors,
+    sector 0 the "+" chain of parity_chains and sector 1 the "-" chain.
     """
     spec.validate()
     if spec.family == AB_FRAME:
@@ -370,19 +380,44 @@ def sector_labels(spec):
     return np.bitwise_xor.outer(level_bits, mode_bits).ravel()
 
 
+def _group_sizes(spec):
+    """grid[s, N]: the number of basis states in parity sector s and
+    occupation layer N of a QR, QRabi, Xi, Lambda or Vee model.
+
+    Bit k - 1 of s is (n_k + sigma_k(level)) mod 2 (sector_labels), so the
+    states of one level in sector s have n_k of a fixed parity in every
+    mode, and their layer sizes are the convolution over the modes of the
+    indicators of the even or the odd occupations 0..cutoff_k. No
+    basis-length array is formed.
+    """
+    sigma = _far_sides(spec.family, spec.spin_dim)
+    ones = [[np.arange(c + 1) % 2 == p for p in (0, 1)] for c in spec.cutoffs]
+    grid = np.zeros((2 ** spec.modes, sum(spec.cutoffs) + 1), dtype=np.intp)
+    for s in range(2 ** spec.modes):
+        for level in range(spec.spin_dim):
+            counts = np.ones(1, dtype=np.intp)
+            for k, parity in enumerate(ones):
+                counts = np.convolve(counts,
+                                     parity[(s >> k & 1) ^ sigma[k, level]])
+            grid[s] += counts
+    return grid
+
+
 def build(spec):
     """Assemble the truncated Hamiltonian for the given ModelSpec.
 
     The AB frame is stored dense. Every other family is stored as its
     Sector blocks, and the dense matrix is assembled only when op.matrix is
-    read (TruncatedOperator). Xi, Lambda and Vee have one sector per
-    sector_labels value, 2^modes in all; QR and QRabi keep one sector with
-    their two-by-two layers. Each sector's blocks are formed for its
-    (sector, layer) groups straight from the ladder arrays, and its empty
-    layers at either end are dropped. Two budgets apply, each checked
-    before allocating: build raises ResourceError when the AB frame's dense
-    matrix, or the bytes of all sector blocks, would exceed
-    DENSE_BUDGET_BYTES; reading op.matrix checks the dense matrix itself.
+    read (TruncatedOperator). Every layered family has one sector per
+    sector_labels value, 2^modes in all: QR and QRabi have two, each a
+    tridiagonal chain of one-by-one layers equal to its parity_chains
+    chain. Each sector's blocks are formed for its (sector, layer) groups
+    straight from the ladder arrays, and its empty layers at either end are
+    dropped. Two budgets apply, each checked before allocating: build
+    raises ResourceError when the AB frame's dense matrix, or the bytes of
+    all sector blocks, would exceed DENSE_BUDGET_BYTES, the latter from
+    the (sector, layer) sizes of _group_sizes before any basis-length array
+    is formed; reading op.matrix checks the dense matrix itself.
     """
     spec.validate()
     basis = spec.basis()
@@ -391,11 +426,18 @@ def build(spec):
         return _build_ab(spec, basis)
     what = "occupation-layer blocks of dimension %d need" % basis.dim
     n_layers = sum(spec.cutoffs) + 1
-    n_sectors = 1 if spec.family in (QR, QRABI) else 2 ** spec.modes
+    n_sectors = 2 ** spec.modes
     # the dim states fill n_sectors * n_layers diagonal blocks, whose
     # squared sizes sum to at least dim^2 / (n_sectors * n_layers): a bound
     # that refuses huge cutoffs before any array is formed
     _check_budget(what, 8 * basis.dim ** 2 // (n_sectors * n_layers))
+    # all diagonal blocks, then all coupling blocks (layer N + 1 by N of one
+    # sector), are row-major slices of one buffer each
+    grid = _group_sizes(spec)
+    sizes = grid.ravel()
+    diag_sizes = sizes * sizes
+    low_sizes = (grid[:, 1:] * grid[:, :-1]).ravel()
+    _check_budget(what, 8 * (diag_sizes.sum() + low_sizes.sum()))
     # QR/QRabi scale their levels by eps; the N-level families carry the
     # bare (0, gammas...) and eps only enters the subprincipal analysis
     if spec.family in (QR, QRABI):
@@ -407,18 +449,11 @@ def build(spec):
                    + np.repeat(levels, msd))
     if spec.family == QRABI:
         diag_values -= 0.5
-    # (sector, layer) group of every basis index, the group sizes, and the
-    # position of every index within its group, in ascending index order
-    occ = basis.mode_occupation()
-    sector = sector_labels(spec) % n_sectors
-    group = sector * n_layers + np.tile(occ, spec.spin_dim)
-    sizes = np.bincount(group, minlength=n_sectors * n_layers)
-    grid = sizes.reshape(n_sectors, n_layers)
-    # all diagonal blocks, then all coupling blocks (layer N + 1 by N of one
-    # sector), are row-major slices of one buffer each
-    diag_sizes = sizes * sizes
-    low_sizes = (grid[:, 1:] * grid[:, :-1]).ravel()
-    _check_budget(what, 8 * (diag_sizes.sum() + low_sizes.sum()))
+    # (sector, layer) group of every basis index, and the position of every
+    # index within its group, in ascending index order
+    sector = sector_labels(spec)
+    group = sector * n_layers + np.tile(basis.mode_occupation(),
+                                        spec.spin_dim)
     order = np.argsort(group, kind="stable")
     pos = np.empty(basis.dim, dtype=np.intp)
     pos[order] = (np.arange(basis.dim)
@@ -456,7 +491,9 @@ def build(spec):
 def parity_chains(spec):
     """[(diag, off) for parity sector +, sector -] of a QR/QRabi model: the
     tridiagonal chains |n, spin n mod 2> and |n, spin 1 - n mod 2> for
-    n = 0..cutoff, formed as in build so each equals its sector exactly."""
+    n = 0..cutoff, formed by the same floating operations as build, so they
+    equal build's sectors 0 and 1 (Sector.chain) bitwise. The growth steps
+    of parity_split form these two arrays instead of a whole build."""
     spec.validate()
     if spec.family not in (QR, QRABI):
         raise ValueError("parity splitting requires a QR-type two-level model")

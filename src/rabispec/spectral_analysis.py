@@ -98,19 +98,26 @@ def _check_symmetric(m):
 def eigen_spectrum(op):
     """All eigenvalues of a symmetric truncated operator, ascending.
 
-    An operator with more than one sector (build's Xi, Lambda and Vee) is
-    solved sector by sector: one dense eigvalsh per sector matrix, the
-    values merged by a stable sort, and no matrix of the full dimension is
-    formed. Any other operator's matrix is checked for symmetry and solved
-    whole.
+    An operator with more than one sector (every build but the AB frame's)
+    is solved sector by sector, the values merged by a stable sort, and no
+    matrix of the full dimension is formed: a chain sector (Sector.chain,
+    both sectors of QR and QRabi) by eigvalsh_tridiagonal as in
+    parity_split, any other by one dense eigvalsh of its matrix. Any other
+    operator's matrix is checked for symmetry and solved whole.
     """
     if op.sectors is not None and len(op.sectors) > 1:
-        return np.sort(np.concatenate(
-            [scipy.linalg.eigvalsh(s.matrix()) for s in op.sectors]),
-            kind="stable")
+        return np.sort(np.concatenate([_sector_eigenvalues(s)
+                                       for s in op.sectors]), kind="stable")
     m = np.asarray(op.matrix, dtype=float)
     _check_symmetric(m)
     return np.sort(scipy.linalg.eigvalsh(m))
+
+
+def _sector_eigenvalues(sector):
+    chain = sector.chain()
+    if chain is None:
+        return scipy.linalg.eigvalsh(sector.matrix())
+    return scipy.linalg.eigvalsh_tridiagonal(*chain)
 
 
 def _grow(cutoffs, cap):
@@ -257,19 +264,41 @@ def _layered_inertia(diag, low, mu, growth):
     return count, merges, np.concatenate(pivots), max_block
 
 
+def _chain_inertia(diag, off, mu):
+    """_layered_inertia for a symmetric tridiagonal chain with diagonal diag
+    and off-diagonal off: the Sturm count of the nonpositive LDL^T pivots
+    q_i = (d_i - mu) - e_(i-1) (e_(i-1) / q_(i-1)), with no merges and
+    largest block 1. e (e / q) neither underflows for a tiny e nor
+    overflows for a huge one where e^2 / q would. An exactly zero pivot is
+    counted, then replaced by minus the smallest normal number, so the next
+    pivot is large and positive: the singular direction counts once."""
+    count = 0
+    q = 1.0
+    pivots = []
+    for a, e in zip((diag - mu).tolist(), [0.0] + off.tolist()):
+        q = a - e * (e / q)
+        pivots.append(q)
+        count += q <= 0.0
+        if q == 0.0:
+            q = -float(np.finfo(float).tiny)
+    return count, 0, np.array(pivots), 1
+
+
 def count_below(op, lam):
     """Number of eigenvalues at most lam, by inertia of (matrix - lam I).
 
     The tie band is tie = dimension * macheps * max(1, max|matrix - lam I|).
     When the operator declares its sectors (op.sectors, set by build for
     QR, QRabi, Xi, Lambda and Vee, not for the AB frame), the count is the
-    sum over sectors of one sweep each: the number of nonpositive
+    sum over sectors of one sweep each at mu = lam + tie, so eigenvalues
+    within the band above lam are counted. A chain sector (Sector.chain,
+    both sectors of QR and QRabi) is swept by the scalar Sturm recurrence
+    of _chain_inertia. Any other sector sweeps the number of nonpositive
     eigenvalues of the successive Schur blocks
-    S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T over the sector's layers at
-    mu = lam + tie (Haynsworth inertia additivity), so eigenvalues within
-    the band above lam are counted. The band and the growth bound are those
-    of the whole matrix. An eigendirection of S_k that is singular, or
-    whose elimination would grow the next block by more than
+    S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T over its layers (Haynsworth
+    inertia additivity). The band and the growth bound are those of the
+    whole matrix. An eigendirection of S_k that is singular, or whose
+    elimination would grow the next block by more than
     LAYER_GROWTH * max(1, max|matrix - lam I|), is merged into the next
     layer instead of eliminated, so a pending block can outgrow its layer.
     Any other operator's matrix is checked for symmetry and takes one dense
@@ -286,13 +315,18 @@ def count_below(op, lam):
         _check_symmetric(m)
         return _dense_count(m, lam)
     n = op.basis.dim
+    chains = [s.chain() for s in op.sectors]
+    layered = [s for s, chain in zip(op.sectors, chains) if chain is None]
+    chains = [chain for chain in chains if chain is not None]
     scale = max([1.0] + [np.abs(_shifted(d, lam)).max()
-                         for s in op.sectors for d in s.diag]
-                + [np.abs(c).max() for s in op.sectors for c in s.low
-                   if c.size])
+                         for s in layered for d in s.diag]
+                + [np.abs(c).max() for s in layered for c in s.low if c.size]
+                + [np.abs(d - lam).max() for d, _ in chains]
+                + [np.abs(e).max() for _, e in chains if e.size])
     tie = n * np.finfo(float).eps * scale
-    sweeps = [_layered_inertia(s.diag, s.low, lam + tie, LAYER_GROWTH * scale)
-              for s in op.sectors]
+    sweeps = ([_layered_inertia(s.diag, s.low, lam + tie, LAYER_GROWTH * scale)
+               for s in layered]
+              + [_chain_inertia(d, e, lam + tie) for d, e in chains])
     log.debug("count_below route=layered dim=%d sectors=%d merges=%d ties=%d "
               "max_block=%d", n, len(sweeps), sum(w[1] for w in sweeps),
               sum(np.count_nonzero(np.abs(w[2]) <= tie) for w in sweeps),

@@ -152,9 +152,10 @@ def empirical_counting(spec, lambdas,
     Counts come from the inertia of the truncated operator, built once.
     For every family but the AB frame (stored dense) build forms only the
     occupation-layer blocks of each parity sector, and each threshold takes
-    one sweep of Schur complements per sector (count_below): no dense
-    matrix is assembled, so only the budget on the blocks caps the cutoff. Thresholds
-    above reliable_fraction * min(cutoff) land in rows flagged as
+    one sweep per sector, a Sturm recurrence on a chain and Schur
+    complements otherwise (count_below): no dense matrix is assembled, so
+    only the budget on the blocks caps the cutoff. Thresholds above
+    reliable_fraction * min(cutoff) land in rows flagged as
     truncation-suspect; they are reported, never silently dropped, so
     reliable_fraction must be finite and positive (ValueError otherwise;
     checked after the model and the build, whose own errors come first).

@@ -298,15 +298,22 @@ def test_parity_commutes_with_two_level_builds():
     ModelSpec.qrabi(0.8, 0.9, -0.04, 12),
 ])
 def test_parity_chains_equal_dense_sectors(spec):
-    h = build(spec).matrix
+    op = build(spec)
+    h = op.matrix
     signs = np.diag(parity_matrix(spec.basis()).matrix)
     d = spec.cutoffs[0] + 1
-    for (diag, off), sign in zip(parity_chains(spec), (1.0, -1.0)):
+    for (diag, off), sign, sector in zip(parity_chains(spec), (1.0, -1.0),
+                                         op.sectors):
         idx = np.nonzero(signs == sign)[0]
         idx = idx[np.argsort(idx % d)]  # chain order: by occupation n
         block = h[np.ix_(idx, idx)]
         chain = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert np.array_equal(block, chain)
+        # build's sectors 0 and 1 are these chains, bit for bit
+        got_diag, got_off = sector.chain()
+        assert np.array_equal(sector.index, idx)
+        assert got_diag.tobytes() == diag.tobytes()
+        assert got_off.tobytes() == off.tobytes()
 
 
 def test_parity_chains_require_qr_type_model():
@@ -316,7 +323,7 @@ def test_parity_chains_require_qr_type_model():
         parity_chains(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 8))
 
 
-@pytest.mark.parametrize("spec", [
+LAYERED_SPECS = [
     ModelSpec.qr(1.03, 0.95, -1.07, -0.03, 16),
     ModelSpec.qrabi(0.8, 0.9, -0.04, 12),
     ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (5, 7)),
@@ -324,7 +331,10 @@ def test_parity_chains_require_qr_type_model():
     ModelSpec.vee((0.6, 0.7, 0.8), (0.1, 0.4, 0.6), 0.05, (3, 2, 4)),
     ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 9),
     ModelSpec.qrabi(1.1, 0.7, 0.3, 20),
-])
+]
+
+
+@pytest.mark.parametrize("spec", LAYERED_SPECS)
 def test_builds_couple_only_adjacent_occupation_layers(spec):
     # build(spec).matrix is assembled from the declared blocks, so the
     # blocks are checked against the independent Kronecker oracle instead
@@ -341,8 +351,7 @@ def test_builds_couple_only_adjacent_occupation_layers(spec):
     # oracle is exactly symmetric
     assert np.array_equal(h, h.T)
     sectors = build(spec).sectors
-    assert len(sectors) == (1 if spec.family in ("QR", "QRabi")
-                            else 2 ** spec.modes)
+    assert len(sectors) == 2 ** spec.modes
     assert np.array_equal(np.sort(np.concatenate([s.index for s in sectors])),
                           np.arange(h.shape[0]))
     nnz = 0
@@ -362,7 +371,12 @@ def test_builds_couple_only_adjacent_occupation_layers(spec):
             nnz += 2 * np.count_nonzero(c)
     assert nnz == np.count_nonzero(h)
     if spec.family in ("QR", "QRabi"):
-        assert np.array_equal(sectors[0].index, np.concatenate(layers))
+        # the two sectors are the + and - parity chains in occupation order
+        signs = np.diag(parity_matrix(spec.basis()).matrix)
+        d = spec.cutoffs[0] + 1
+        for s, sign in zip(sectors, (1.0, -1.0)):
+            idx = np.nonzero(signs == sign)[0]
+            assert np.array_equal(s.index, idx[np.argsort(idx % d)])
 
 
 SECTOR_SPECS = [
@@ -392,6 +406,21 @@ def test_sector_labels_split_the_kronecker_oracle(spec):
     for s in op.sectors:
         assert np.all(labels[s.index] == labels[s.index[0]])
     assert np.array_equal(op.matrix, h)
+
+
+@pytest.mark.parametrize("spec", SECTOR_SPECS + LAYERED_SPECS,
+                         ids=lambda s: "%s-%s" % (
+                             s.family, "x".join(map(str, s.cutoffs))))
+def test_group_sizes_count_the_labelled_basis(spec):
+    # the (sector, layer) sizes build checks its budget with, formed without
+    # basis-length arrays, against a count over every labelled basis state
+    n_layers = sum(spec.cutoffs) + 1
+    occ = np.tile(spec.basis().mode_occupation(), spec.spin_dim)
+    want = np.bincount(fock_ops.sector_labels(spec) * n_layers + occ,
+                       minlength=2 ** spec.modes * n_layers)
+    got = fock_ops._group_sizes(spec)
+    assert got.shape == (2 ** spec.modes, n_layers)
+    assert np.array_equal(got.ravel(), want)
 
 
 def test_sector_labels_follow_the_coupling_tree():
@@ -432,6 +461,11 @@ def test_build_refuses_dense_matrix_over_budget(monkeypatch):
         # their squared sizes, its 4 x 1601 sector blocks need 4.3 GiB
         with pytest.raises(ResourceError, match="blocks of dimension 1924803"):
             build(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (800, 800)))
+        # dimension 1 083 603 passes that bound but not the exact need of
+        # its (sector, layer) blocks, found before any basis-length array
+        with pytest.raises(ResourceError, match="blocks of dimension 1083603 "
+                                                "need 4.85 GiB"):
+            build(ModelSpec.xi((1, 0.8), (0.3, 0.5), 0.05, (600, 600)))
         # refused before the layer sizes of a billion layers are formed
         with pytest.raises(ResourceError, match="blocks of dimension"):
             build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 10 ** 9))

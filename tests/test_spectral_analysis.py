@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rabispec import fock_ops, spectral_analysis
 from rabispec.errors import CoverageError, ResourceError
@@ -78,6 +78,18 @@ def test_eigen_spectrum_accepts_sparse_build():
     assert ev[0] == pytest.approx(0.0, abs=1e-8)
     assert ev[1] == pytest.approx(0.0, abs=1e-8)
     assert ev[2] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("spec", [ModelSpec.qr(1.03, 0.95, -1.07, -0.03, 60),
+                                  ModelSpec.qr(1e-300, 0.5, -0.5, 0.2, 9),
+                                  ModelSpec.qrabi(0.8, 0.9, 0.04, 75)],
+                         ids=["qr", "qr-decoupled", "qrabi"])
+def test_eigen_spectrum_solves_chain_sectors_as_parity_split(spec):
+    # at the cap parity_split solves its chains once, at the spec's cutoff
+    split = parity_split(spec, 1, 1e-8, cap=spec.cutoffs[0])
+    assert split.cutoffs_used == spec.cutoffs
+    assert eigen_spectrum(build(spec)).tobytes() \
+        == np.sort(split.eigenvalues).tobytes()
 
 
 SECTOR_SPECS = [
@@ -392,6 +404,50 @@ def test_layered_count_includes_exact_ties():
     for n in (0, 1, 37, 100):
         assert count_below(op, float(n)) == _dense_count(op.matrix, float(n)) \
             == 2 * (n + 1)
+
+
+@pytest.mark.parametrize("spec", [ModelSpec.qr(1.03, 0.95, -1.07, -0.03, 40),
+                                  ModelSpec.qrabi(0.8, 0.9, 0.04, 40)],
+                         ids=["qr", "qrabi"])
+def test_chain_counts_match_parity_labelled_spectrum(spec):
+    # inertia against eigensolve, parity by parity: the Sturm count of each
+    # chain of build at the converged cutoff against the parity_split
+    # eigenvalues with its label
+    split = parity_split(spec, 30, 1e-10)
+    assert not split.partial
+    op = build(spec.with_cutoffs(split.cutoffs_used))
+    ev = np.asarray(split.eigenvalues)
+    labels = np.asarray(split.parity)
+    for lam in 0.5 * (ev[:29] + ev[1:30]):
+        for sector, label in zip(op.sectors, ("+", "-")):
+            count = spectral_analysis._chain_inertia(*sector.chain(), lam)[0]
+            assert count == np.count_nonzero((ev <= lam) & (labels == label))
+
+
+@st.composite
+def _chains(draw):
+    # small integers give exact zeros on both diagonals, and exactly zero
+    # pivots at integer thresholds
+    n = draw(st.integers(1, 12))
+    entry = draw(st.sampled_from([st.integers(-2, 2).map(float),
+                                  st.floats(-3, 3)]))
+    return (draw(st.lists(entry, min_size=n, max_size=n)),
+            draw(st.lists(entry, min_size=n - 1, max_size=n - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chains(), st.integers(-4, 4), st.sampled_from([0.0, 0.5, 1e-7]))
+@example(([0.0, 0.0], [1.0]), 0, 0.0)  # the first pivot is exactly zero
+def test_chain_inertia_counts_random_tridiagonals(chain, lam, frac):
+    diag, off = np.array(chain[0]), np.array(chain[1])
+    mu = lam + frac
+    ev = scipy.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                               + np.diag(off, -1))
+    assume(np.min(np.abs(ev - mu)) > 1e-8)
+    count, merges, pivots, max_block = spectral_analysis._chain_inertia(
+        diag, off, mu)
+    assert count == int(np.count_nonzero(ev <= mu))
+    assert (merges, pivots.size, max_block) == (0, diag.size, 1)
 
 
 _BANDED_BASES = [BasisDescriptor(1, (5,), 2), BasisDescriptor(1, (3,), 3),
