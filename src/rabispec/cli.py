@@ -306,7 +306,7 @@ def _cmd_braak(args, config):
     else:
         shift = float(args.shift)
     config["shift"] = shift
-    m = int(args.levels) if args.levels else 2 * (nmax + 2)
+    m = int(args.levels) if args.levels is not None else 2 * (nmax + 2)
     config["levels"] = m
     spectrum = spectral_analysis.parity_split(spec, m, float(args.tol))
     report = spectral_analysis.braak_intervals(spectrum, shift, nmax)

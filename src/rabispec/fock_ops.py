@@ -129,33 +129,41 @@ class BasisDescriptor:
 
 class Sector(NamedTuple):
     """One parity sector of a layered operator: its basis indices in block
-    order, layer by layer, and the blocks of its block tridiagonal matrix,
-    diag[k] on its k-th nonempty occupation layer and low[k] coupling layer
-    k to layer k + 1 (rows in layer k + 1). A sector whose layers are all
-    one-by-one, as both sectors of QR and QRabi are, is a symmetric
-    tridiagonal chain (chain)."""
+    order, the sizes of its nonempty occupation layers, and its block
+    tridiagonal matrix in two flat buffers of row-major blocks (blocks):
+    diag, those on each layer, and low, those coupling layer k to k + 1
+    (rows in layer k + 1). A sector whose layers all hold one state, as
+    both sectors of QR and QRabi do, is the tridiagonal chain (diag, low)."""
 
     index: np.ndarray
-    diag: list
-    low: list
+    sizes: np.ndarray
+    diag: np.ndarray
+    low: np.ndarray
+
+    def blocks(self):
+        """([block on layer k], [block from layer k to k + 1]), as views."""
+        m = self.sizes.tolist()
+        d = np.cumsum([0] + [k * k for k in m]).tolist()
+        c = np.cumsum([0] + [k * k1 for k, k1 in zip(m, m[1:])]).tolist()
+        return ([self.diag[a:b].reshape(k, k) for a, b, k in zip(d, d[1:], m)],
+                [self.low[a:b].reshape(k1, k)
+                 for a, b, k, k1 in zip(c, c[1:], m, m[1:])])
 
     def chain(self):
-        """(diag, off) of the sector's tridiagonal matrix when every layer
-        holds one state, else None."""
-        if len(self.diag) != self.index.size:
+        """(diag, low) when every layer holds one state, else None."""
+        if self.sizes.size != self.index.size:
             return None
-        return (np.array([d.item() for d in self.diag]),
-                np.array([c.item() for c in self.low], dtype=float))
+        return self.diag, self.low
 
     def bands(self):
         """(rows, cols, band) per layer: the slices of the sector matrix
         holding the layer's rows over the columns of the layer and its
         neighbours, and the values there."""
-        edges = np.cumsum([0] + [d.shape[0] for d in self.diag])
-        last = len(self.diag) - 1
-        for k, d in enumerate(self.diag):
-            band = np.hstack(self.low[k - 1:k] + [d]
-                             + [c.T for c in self.low[k:k + 1]])
+        diag, low = self.blocks()
+        edges = np.concatenate(([0], np.cumsum(self.sizes)))
+        last = len(diag) - 1
+        for k, d in enumerate(diag):
+            band = np.hstack(low[k - 1:k] + [d] + [c.T for c in low[k:k + 1]])
             yield (slice(edges[k], edges[k + 1]),
                    slice(edges[max(k - 1, 0)], edges[min(k + 1, last) + 1]),
                    band)
@@ -319,14 +327,9 @@ def position_matrix(basis, mode=1):
     return TruncatedOperator(basis, mat)
 
 
-def _harmonic_diag(basis):
-    # sum_j (n_j + 1/2) on the mode space; half-integers, so exact
-    return basis.mode_occupation() + 0.5 * basis.modes
-
-
 def harmonic_matrix(basis):
     """Sum over modes of (n_j + 1/2), diagonal, tensored with spin identity."""
-    occ = _harmonic_diag(basis)
+    occ = basis.mode_occupation() + 0.5 * basis.modes
     return TruncatedOperator(basis, np.diag(np.tile(occ, basis.spin_dim)))
 
 
@@ -367,22 +370,29 @@ def sector_labels(spec):
     two labels. Xi has sigma_k = [level >= k], Vee [level = k], Lambda
     [level != 0] for k = 1 and [level = k - 1] after. Every state of level
     0 and even occupations is in sector 0. QR and QRabi have two sectors,
-    sector 0 the "+" chain of parity_chains and sector 1 the "-" chain.
+    0 the "+" parity chain |n, spin n mod 2> and 1 the "-" chain
+    |n, spin 1 - n mod 2>.
     """
     spec.validate()
     if spec.family == AB_FRAME:
         raise ValueError("the AB frame basis carries no per-mode parity")
     basis = spec.basis()
-    weights = 1 << np.arange(spec.modes)
-    mode_bits = weights @ (np.indices(basis.mode_dims)
-                           .reshape(spec.modes, -1) % 2)
-    level_bits = weights @ _far_sides(spec.family, spec.spin_dim)
-    return np.bitwise_xor.outer(level_bits, mode_bits).ravel()
+    return _labels(np.indices(basis.mode_dims).reshape(spec.modes, -1),
+                   _far_sides(spec.family, spec.spin_dim))
 
 
-def _group_sizes(spec):
+def _labels(occupations, sigma):
+    """sector_labels from the occupations n[k - 1, mode-space index] and
+    the _far_sides table sigma."""
+    weights = 1 << np.arange(sigma.shape[0])
+    return np.bitwise_xor.outer(weights @ sigma,
+                                weights @ (occupations % 2)).ravel()
+
+
+def _group_sizes(spec, sigma):
     """grid[s, N]: the number of basis states in parity sector s and
-    occupation layer N of a QR, QRabi, Xi, Lambda or Vee model.
+    occupation layer N of a QR, QRabi, Xi, Lambda or Vee model, whose
+    _far_sides table is sigma.
 
     Bit k - 1 of s is (n_k + sigma_k(level)) mod 2 (sector_labels), so the
     states of one level in sector s have n_k of a fixed parity in every
@@ -390,7 +400,6 @@ def _group_sizes(spec):
     indicators of the even or the odd occupations 0..cutoff_k. No
     basis-length array is formed.
     """
-    sigma = _far_sides(spec.family, spec.spin_dim)
     ones = [[np.arange(c + 1) % 2 == p for p in (0, 1)] for c in spec.cutoffs]
     grid = np.zeros((2 ** spec.modes, sum(spec.cutoffs) + 1), dtype=np.intp)
     for s in range(2 ** spec.modes):
@@ -409,15 +418,16 @@ def build(spec):
     The AB frame is stored dense. Every other family is stored as its
     Sector blocks, and the dense matrix is assembled only when op.matrix is
     read (TruncatedOperator). Every layered family has one sector per
-    sector_labels value, 2^modes in all: QR and QRabi have two, each a
-    tridiagonal chain of one-by-one layers equal to its parity_chains
-    chain. Each sector's blocks are formed for its (sector, layer) groups
-    straight from the ladder arrays, and its empty layers at either end are
-    dropped. Two budgets apply, each checked before allocating: build
-    raises ResourceError when the AB frame's dense matrix, or the bytes of
-    all sector blocks, would exceed DENSE_BUDGET_BYTES, the latter from
-    the (sector, layer) sizes of _group_sizes before any basis-length array
-    is formed; reading op.matrix checks the dense matrix itself.
+    sector_labels value, 2^modes in all: QR and QRabi have two, the "+"
+    and the "-" parity chain (Sector.chain). The blocks of all sectors are
+    formed straight from the ladder arrays in one buffer of diagonal and
+    one of coupling blocks, each sector a slice of both with its empty
+    layers at either end dropped. Two budgets apply, each checked before
+    allocating: build raises ResourceError when the AB frame's dense
+    matrix, or the bytes of all sector blocks, would exceed
+    DENSE_BUDGET_BYTES, the latter from the (sector, layer) sizes of
+    _group_sizes before any basis-length array is formed; reading
+    op.matrix checks the dense matrix itself.
     """
     spec.validate()
     basis = spec.basis()
@@ -433,7 +443,8 @@ def build(spec):
     _check_budget(what, 8 * basis.dim ** 2 // (n_sectors * n_layers))
     # all diagonal blocks, then all coupling blocks (layer N + 1 by N of one
     # sector), are row-major slices of one buffer each
-    grid = _group_sizes(spec)
+    sigma = _far_sides(spec.family, spec.spin_dim)
+    grid = _group_sizes(spec, sigma)
     sizes = grid.ravel()
     diag_sizes = sizes * sizes
     low_sizes = (grid[:, 1:] * grid[:, :-1]).ravel()
@@ -445,15 +456,17 @@ def build(spec):
     else:
         levels = np.concatenate(([0.0], np.asarray(spec.gammas)))
     msd = basis.mode_space_dim
-    diag_values = (np.tile(_harmonic_diag(basis), spec.spin_dim)
+    occupations = np.indices(basis.mode_dims).reshape(spec.modes, -1)
+    occ = occupations.sum(axis=0)
+    # the harmonic diagonal sum_j (n_j + 1/2): half-integers, so exact
+    diag_values = (np.tile(occ + 0.5 * spec.modes, spec.spin_dim)
                    + np.repeat(levels, msd))
     if spec.family == QRABI:
         diag_values -= 0.5
     # (sector, layer) group of every basis index, and the position of every
     # index within its group, in ascending index order
-    sector = sector_labels(spec)
-    group = sector * n_layers + np.tile(basis.mode_occupation(),
-                                        spec.spin_dim)
+    sector = _labels(occupations, sigma)
+    group = sector * n_layers + np.tile(occ, spec.spin_dim)
     order = np.argsort(group, kind="stable")
     pos = np.empty(basis.dim, dtype=np.intp)
     pos[order] = (np.arange(basis.dim)
@@ -476,32 +489,14 @@ def build(spec):
             g = group[r]
             low_buf[low_start[g - sector[r]] + pos[c] * sizes[g]
                     + pos[r]] = value
-    sectors = []
-    for s, index in enumerate(np.split(order, np.cumsum(grid.sum(1))[:-1])):
-        lo, hi = np.flatnonzero(grid[s])[[0, -1]]
-        ms = grid[s, lo:hi + 1]
-        diag = [diag_buf[o:o + m * m].reshape(m, m) for o, m in
-                zip(diag_start[s * n_layers + lo:], ms)]
-        low = [low_buf[o:o + m1 * m].reshape(m1, m) for o, m, m1 in
-               zip(low_start[s * (n_layers - 1) + lo:], ms, ms[1:])]
-        sectors.append(Sector(index, diag, low))
-    return TruncatedOperator(basis, None, sectors)
-
-
-def parity_chains(spec):
-    """[(diag, off) for parity sector +, sector -] of a QR/QRabi model: the
-    tridiagonal chains |n, spin n mod 2> and |n, spin 1 - n mod 2> for
-    n = 0..cutoff, formed by the same floating operations as build, so they
-    equal build's sectors 0 and 1 (Sector.chain) bitwise. The growth steps
-    of parity_split form these two arrays instead of a whole build."""
-    spec.validate()
-    if spec.family not in (QR, QRABI):
-        raise ValueError("parity splitting requires a QR-type two-level model")
-    n = np.arange(spec.cutoffs[0] + 1)
-    off = spec.alphas[0] * np.sqrt(n[1:] / 2.0)
-    levels = spec.eps * np.asarray(spec.gammas)
-    shift = 0.5 if spec.family == QRABI else 0.0
-    return [((n + 0.5) + levels[s] - shift, off) for s in (n % 2, 1 - n % 2)]
+    # each sector's states and blocks are consecutive, and so are its
+    # nonempty layers
+    parts = [np.split(a, np.cumsum(n.reshape(n_sectors, -1).sum(axis=1))[:-1])
+             for a, n in ((order, sizes), (diag_buf, diag_sizes),
+                          (low_buf, low_sizes))]
+    return TruncatedOperator(basis, None, [
+        Sector(index, row[row > 0], diag, low)
+        for row, index, diag, low in zip(grid, *parts)])
 
 
 def _build_ab(spec, basis):

@@ -18,7 +18,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import CoverageError, ResourceError
-from .fock_ops import QR, QRABI, build, check_dense_budget, parity_chains
+from .fock_ops import QR, QRABI, build, check_dense_budget
 
 log = logging.getLogger(__name__)
 
@@ -99,25 +99,29 @@ def eigen_spectrum(op):
     """All eigenvalues of a symmetric truncated operator, ascending.
 
     An operator with more than one sector (every build but the AB frame's)
-    is solved sector by sector, the values merged by a stable sort, and no
-    matrix of the full dimension is formed: a chain sector (Sector.chain,
-    both sectors of QR and QRabi) by eigvalsh_tridiagonal as in
-    parity_split, any other by one dense eigvalsh of its matrix. Any other
-    operator's matrix is checked for symmetry and solved whole.
+    is solved sector by sector and no matrix of the full dimension is
+    formed (_solve_sectors, as in parity_split). Any other operator's
+    matrix is checked for symmetry and solved whole.
     """
     if op.sectors is not None and len(op.sectors) > 1:
-        return np.sort(np.concatenate([_sector_eigenvalues(s)
-                                       for s in op.sectors]), kind="stable")
+        return _solve_sectors(op.sectors)[0]
     m = np.asarray(op.matrix, dtype=float)
     _check_symmetric(m)
     return np.sort(scipy.linalg.eigvalsh(m))
 
 
-def _sector_eigenvalues(sector):
-    chain = sector.chain()
-    if chain is None:
-        return scipy.linalg.eigvalsh(sector.matrix())
-    return scipy.linalg.eigvalsh_tridiagonal(*chain)
+def _solve_sectors(sectors):
+    """(eigenvalues, sector number of each) of all sectors merged by a
+    stable sort, the lower sector first on exact ties: a chain sector
+    (Sector.chain) solved by eigvalsh_tridiagonal on its own buffers, any
+    other by one dense eigvalsh of its matrix."""
+    vals = [scipy.linalg.eigvalsh(s.matrix()) if s.chain() is None
+            else scipy.linalg.eigvalsh_tridiagonal(s.diag, s.low)
+            for s in sectors]
+    which = np.repeat(np.arange(len(vals)), [v.size for v in vals])
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], which[order]
 
 
 def _grow(cutoffs, cap):
@@ -169,8 +173,9 @@ def converged_spectrum(spec, m, tol, cap=None):
     ModelSpec. Hitting the cap, or a growth step whose dense matrix is over
     fock_ops.DENSE_BUDGET_BYTES (checked before the step is built), yields
     a partial result: converged_count reports how long a prefix was stable
-    at the last comparison and the partial flag is set. QR and QRabi are
-    parity_split without the labels.
+    at the last comparison and the partial flag is set. Every growth step
+    builds the model and solves it sector by sector (eigen_spectrum); QR
+    and QRabi are parity_split without the labels.
     """
     if spec.family in (QR, QRABI):
         result = parity_split(spec, m, tol, cap)
@@ -191,19 +196,20 @@ def parity_split(spec, m, tol, cap=None):
     """Converged spectrum with a parity label on every eigenvalue.
 
     The conserved parity splits a QR/QRabi Hamiltonian into two symmetric
-    tridiagonal chains (fock_ops.parity_chains); all eigenvalues of each
-    chain are computed and the two sets merged sorted, "+" before "-" on
-    exact ties. Other families raise ValueError.
+    tridiagonal chains, the two sectors of build: every growth step builds
+    the model, solves each chain and merges the values sorted
+    (_solve_sectors), "+" (sector 0) before "-" (sector 1) on exact ties.
+    Other families raise ValueError, a malformed spec ModelSpecError first.
     """
 
     def solve(cutoffs):
-        chains = parity_chains(spec.with_cutoffs(cutoffs))
-        vals = np.concatenate([scipy.linalg.eigvalsh_tridiagonal(d, e)
-                               for d, e in chains])
-        labels = np.repeat(np.array(["+", "-"], dtype=object),
-                           [d.size for d, _ in chains])
-        order = np.argsort(vals, kind="stable")
-        return vals[order], list(labels[order])
+        if spec.family not in (QR, QRABI):
+            spec.validate()
+            raise ValueError("parity splitting requires a QR-type two-level "
+                             "model")
+        op = build(spec.with_cutoffs(cutoffs))
+        vals, sector = _solve_sectors(op.sectors)
+        return vals, list(np.array(["+", "-"], dtype=object)[sector])
 
     return _converge(spec, m, tol, cap, solve)
 
@@ -293,12 +299,12 @@ def count_below(op, lam):
     sum over sectors of one sweep each at mu = lam + tie, so eigenvalues
     within the band above lam are counted. A chain sector (Sector.chain,
     both sectors of QR and QRabi) is swept by the scalar Sturm recurrence
-    of _chain_inertia. Any other sector sweeps the number of nonpositive
-    eigenvalues of the successive Schur blocks
-    S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T over its layers (Haynsworth
-    inertia additivity). The band and the growth bound are those of the
-    whole matrix. An eigendirection of S_k that is singular, or whose
-    elimination would grow the next block by more than
+    of _chain_inertia. Any other sector sweeps its layer blocks
+    (Sector.blocks) for the number of nonpositive eigenvalues of the
+    successive Schur blocks S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T
+    (Haynsworth inertia additivity). The band and the growth bound are
+    those of the whole matrix. An eigendirection of S_k that is singular,
+    or whose elimination would grow the next block by more than
     LAYER_GROWTH * max(1, max|matrix - lam I|), is merged into the next
     layer instead of eliminated, so a pending block can outgrow its layer.
     Any other operator's matrix is checked for symmetry and takes one dense
@@ -315,18 +321,16 @@ def count_below(op, lam):
         _check_symmetric(m)
         return _dense_count(m, lam)
     n = op.basis.dim
-    chains = [s.chain() for s in op.sectors]
-    layered = [s for s, chain in zip(op.sectors, chains) if chain is None]
-    chains = [chain for chain in chains if chain is not None]
+    blocks = [s.blocks() if s.chain() is None else None for s in op.sectors]
     scale = max([1.0] + [np.abs(_shifted(d, lam)).max()
-                         for s in layered for d in s.diag]
-                + [np.abs(c).max() for s in layered for c in s.low if c.size]
-                + [np.abs(d - lam).max() for d, _ in chains]
-                + [np.abs(e).max() for _, e in chains if e.size])
+                         for b in blocks if b is not None for d in b[0]]
+                + [np.abs(s.diag - lam).max()
+                   for s, b in zip(op.sectors, blocks) if b is None]
+                + [np.abs(s.low).max() for s in op.sectors if s.low.size])
     tie = n * np.finfo(float).eps * scale
-    sweeps = ([_layered_inertia(s.diag, s.low, lam + tie, LAYER_GROWTH * scale)
-               for s in layered]
-              + [_chain_inertia(d, e, lam + tie) for d, e in chains])
+    sweeps = [_chain_inertia(s.diag, s.low, lam + tie) if b is None
+              else _layered_inertia(*b, lam + tie, LAYER_GROWTH * scale)
+              for s, b in zip(op.sectors, blocks)]
     log.debug("count_below route=layered dim=%d sectors=%d merges=%d ties=%d "
               "max_block=%d", n, len(sweeps), sum(w[1] for w in sweeps),
               sum(np.count_nonzero(np.abs(w[2]) <= tie) for w in sweeps),

@@ -376,9 +376,13 @@ QR_FLAGS = ["--alpha", "1", "--gamma1", "1", "--gamma2=-1", "--eps", "0.1"]
     (["weyl", "--family", "abframe"] + QR_FLAGS + ["--cutoff", "20,30",
                                                    "--lambdas", "3"],
      "--cutoff takes one value for family abframe"),
+    # an explicit --levels 0 is refused, not replaced by the default
+    (["braak", "--family", "qr"] + QR_FLAGS + ["--cutoff", "8", "--nmax", "2",
+                                               "--levels", "0"],
+     "m must be at least 1"),
 ], ids=["bad-N", "unknown-flag", "retired-jobs", "braak-xi",
         "smges-check-no-family", "qr-empty-cutoff", "qrabi-empty-cutoff",
-        "abframe-two-cutoffs"])
+        "abframe-two-cutoffs", "braak-levels-0"])
 def test_argparse_errors_are_usage_errors(capsys, argv, says):
     doc = expect_error(capsys, argv, 2, "UsageError")
     assert says in doc["message"]
@@ -443,6 +447,11 @@ def test_exit_code_model_spec(capsys):
     expect_error(capsys, ["spectrum", "--family", "qr", "--alpha", "1",
                           "--gamma1", "-1", "--gamma2", "1", "--eps", "0.1",
                           "--cutoff", "8"],
+                 7, "ModelSpecError")
+    # a malformed model is a model error before --parity refuses its family
+    expect_error(capsys, ["spectrum", "--family", "xi", "--alpha", "1,0",
+                          "--gamma", "0.3,0.5", "--eps", "0.05",
+                          "--cutoff", "4", "--levels", "3", "--parity"],
                  7, "ModelSpecError")
 
 

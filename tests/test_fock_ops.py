@@ -23,7 +23,6 @@ from rabispec.fock_ops import (
     export_matrix,
     harmonic_matrix,
     load_matrix,
-    parity_chains,
     parity_matrix,
     position_matrix,
 )
@@ -290,6 +289,18 @@ def test_parity_commutes_with_two_level_builds():
         parity_matrix(BasisDescriptor(2, (3, 3), 2))
 
 
+def _parity_chains(spec):
+    """[(diag, off) of the "+" chain, of the "-" chain] of a QR/QRabi
+    model: |n, spin n mod 2> and |n, spin 1 - n mod 2> for n = 0..cutoff,
+    off-diagonal alpha sqrt(n / 2), formed by the floating operations of
+    build."""
+    n = np.arange(spec.cutoffs[0] + 1)
+    off = spec.alphas[0] * np.sqrt(n[1:] / 2.0)
+    levels = spec.eps * np.asarray(spec.gammas)
+    shift = 0.5 if spec.family == "QRabi" else 0.0
+    return [((n + 0.5) + levels[s] - shift, off) for s in (n % 2, 1 - n % 2)]
+
+
 @pytest.mark.parametrize("spec", [
     ModelSpec.qr(1.03, 0.95, -1.07, -0.03, 16),
     ModelSpec.qr(0.7, 0.0, -0.3, 0.0, 13),
@@ -302,25 +313,20 @@ def test_parity_chains_equal_dense_sectors(spec):
     h = op.matrix
     signs = np.diag(parity_matrix(spec.basis()).matrix)
     d = spec.cutoffs[0] + 1
-    for (diag, off), sign, sector in zip(parity_chains(spec), (1.0, -1.0),
+    for (diag, off), sign, sector in zip(_parity_chains(spec), (1.0, -1.0),
                                          op.sectors):
         idx = np.nonzero(signs == sign)[0]
         idx = idx[np.argsort(idx % d)]  # chain order: by occupation n
         block = h[np.ix_(idx, idx)]
         chain = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert np.array_equal(block, chain)
-        # build's sectors 0 and 1 are these chains, bit for bit
+        # build's sectors 0 and 1 are these chains, bit for bit, and a
+        # chain is the sector's own pair of buffers
         got_diag, got_off = sector.chain()
+        assert got_diag is sector.diag and got_off is sector.low
         assert np.array_equal(sector.index, idx)
         assert got_diag.tobytes() == diag.tobytes()
         assert got_off.tobytes() == off.tobytes()
-
-
-def test_parity_chains_require_qr_type_model():
-    with pytest.raises(ValueError):
-        parity_chains(ModelSpec.xi((1.0, 1.0), (0.1, 0.2), 0.0, (3, 3)))
-    with pytest.raises(ValueError):
-        parity_chains(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 8))
 
 
 LAYERED_SPECS = [
@@ -356,17 +362,21 @@ def test_builds_couple_only_adjacent_occupation_layers(spec):
                           np.arange(h.shape[0]))
     nnz = 0
     for s in sectors:
-        sizes = [d.shape[0] for d in s.diag]
-        blocks = np.split(s.index, np.cumsum(sizes)[:-1])
-        assert len(s.low) == len(s.diag) - 1
+        diag, low = s.blocks()
+        assert [d.shape[0] for d in diag] == list(s.sizes)
+        blocks = np.split(s.index, np.cumsum(s.sizes)[:-1])
+        assert len(low) == len(diag) - 1
+        # the views cover both buffers
+        assert sum(d.size for d in diag) == s.diag.size
+        assert sum(c.size for c in low) == s.low.size
         # consecutive occupation layers, none empty, ascending within each
-        assert min(sizes) > 0
+        assert min(s.sizes) > 0
         assert np.all(np.diff([occ[a[0]] for a in blocks]) == 1)
-        for a, d in zip(blocks, s.diag):
+        for a, d in zip(blocks, diag):
             assert np.all(occ[a] == occ[a[0]]) and np.all(np.diff(a) > 0)
             assert d.dtype == h.dtype and np.array_equal(d, h[np.ix_(a, a)])
             nnz += np.count_nonzero(d)
-        for a, b, c in zip(blocks, blocks[1:], s.low):
+        for a, b, c in zip(blocks, blocks[1:], low):
             assert c.dtype == h.dtype and np.array_equal(c, h[np.ix_(b, a)])
             nnz += 2 * np.count_nonzero(c)
     assert nnz == np.count_nonzero(h)
@@ -418,7 +428,8 @@ def test_group_sizes_count_the_labelled_basis(spec):
     occ = np.tile(spec.basis().mode_occupation(), spec.spin_dim)
     want = np.bincount(fock_ops.sector_labels(spec) * n_layers + occ,
                        minlength=2 ** spec.modes * n_layers)
-    got = fock_ops._group_sizes(spec)
+    got = fock_ops._group_sizes(
+        spec, fock_ops._far_sides(spec.family, spec.spin_dim))
     assert got.shape == (2 ** spec.modes, n_layers)
     assert np.array_equal(got.ravel(), want)
 
@@ -486,7 +497,7 @@ def test_build_refuses_dense_matrix_over_budget(monkeypatch):
     spec = ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (5, 7))
     need = 0
     for s in build(spec).sectors:
-        sizes = [d.shape[0] for d in s.diag]
+        sizes = s.sizes.tolist()
         need += 8 * (sum(m * m for m in sizes)
                      + sum(m * m1 for m, m1 in zip(sizes, sizes[1:])))
     monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", need)

@@ -36,13 +36,14 @@ from rabispec.spectral_analysis import (
 
 def _layered_op(basis, a):
     """a on basis with its occupation-layer blocks declared as one sector,
-    as build declares them for QR; count_below then takes the layered route
-    in one sweep over the unsplit layers."""
+    in build's flat form; count_below then takes the layered route in one
+    sweep over the unsplit layers."""
     layers = basis.occupation_layers()
     return TruncatedOperator(basis, a, [fock_ops.Sector(
-        np.concatenate(layers),
-        [a[np.ix_(i, i)] for i in layers],
-        [a[np.ix_(j, i)] for i, j in zip(layers, layers[1:])])])
+        np.concatenate(layers), np.array([i.size for i in layers]),
+        np.concatenate([a[np.ix_(i, i)].ravel() for i in layers]),
+        np.concatenate([a[np.ix_(j, i)].ravel()
+                        for i, j in zip(layers, layers[1:])]))])
 
 
 def _diag_op(values):
@@ -276,6 +277,11 @@ def test_parity_split_degenerate_pairs_carry_both_labels():
 def test_parity_split_requires_two_level_family():
     with pytest.raises(ValueError):
         parity_split(ModelSpec.xi((1.0,), (0.5,), 0.0, (8,)), 4, 1e-8)
+    # refused before anything is built: an AB frame over the dense budget
+    # is still a ValueError, not a ResourceError
+    with pytest.raises(ValueError, match="QR-type"):
+        parity_split(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 10 ** 6), 4,
+                     1e-8)
 
 
 # ------------------------------------------------------- inertia counts
@@ -349,7 +355,7 @@ def test_layered_count_matches_dense_and_eigvalsh(spec, caplog):
     lams = list(0.5 * (ev[:60:10] + ev[1:61:10])) + [1.0, 2.5, 4.0, 5.5,
                                                      7.0, 8.5, 10.0]
     unsplit = _layered_op(spec.basis(), op.matrix)
-    largest_layer = max(d.shape[0] for s in op.sectors for d in s.diag)
+    largest_layer = max(s.sizes.max() for s in op.sectors)
     merged = outgrown = 0
     for lam in lams:
         assert np.min(np.abs(ev - lam)) > 1e-8  # the oracle is unambiguous
