@@ -6,7 +6,8 @@ Supported families:
 * QRabi     the QR operator at gamma1 = -gamma2 = delta, shifted by -1/2
 * ABFrame   harmonic x I2 + eps [[beta1, beta2 D], [beta2 D^T, beta1]]
             with D the normalized displacement matrix; spectrally equal to
-            QR + alpha^2/2 at matched truncation
+            QR + alpha^2/2 at matched truncation, and split by its parity
+            into two dense sectors (ab_sectors)
 * Xi        N levels chained k <-> k+1 through n = N-1 oscillator modes
 * Lambda    N levels, every lower level coupled into level N
 * Vee       N levels, level 1 coupled out to every upper level
@@ -490,26 +491,54 @@ def build(spec):
             low_buf[low_start[g - sector[r]] + pos[c] * sizes[g]
                     + pos[r]] = value
     # each sector's states and blocks are consecutive, and so are its
-    # nonempty layers
-    parts = [np.split(a, np.cumsum(n.reshape(n_sectors, -1).sum(axis=1))[:-1])
-             for a, n in ((order, sizes), (diag_buf, diag_sizes),
-                          (low_buf, low_sizes))]
+    # nonempty layers: sector s is [e[s], e[s + 1]) of order, diag_buf and
+    # low_buf, with e the row of edges for each
+    edges = np.cumsum([[0] + n.reshape(n_sectors, -1).sum(axis=1).tolist()
+                       for n in (sizes, diag_sizes, low_sizes)],
+                      axis=1).tolist()
     return TruncatedOperator(basis, None, [
-        Sector(index, row[row > 0], diag, low)
-        for row, index, diag, low in zip(grid, *parts)])
+        Sector(order[a:x], row[row > 0], diag_buf[b:y], low_buf[c:z])
+        for row, (a, x), (b, y), (c, z)
+        in zip(grid, *(zip(e, e[1:]) for e in edges))])
 
 
 def _build_ab(spec, basis):
+    diag, c = _ab_parts(spec)
+    p0 = np.diag(diag)
+    return TruncatedOperator(basis, np.block([[p0, c], [c.T, p0]]))
+
+
+def _ab_parts(spec):
+    """(diagonal, coupling) of an AB frame model at cutoff K: the diagonal
+    n + 1/2 + eps beta1 of each spin block and the block eps beta2 D that
+    joins them, with beta1, beta2 = (gamma1 +- gamma2) / 2."""
     cut = spec.cutoffs[0]
-    alpha = spec.alphas[0]
     g1, g2 = spec.gammas
     beta1 = 0.5 * (g1 + g2)
     beta2 = 0.5 * (g1 - g2)
-    d = displacement_matrix(cut, alpha)
-    p0 = np.diag(np.arange(cut + 1) + 0.5 + spec.eps * beta1)
-    c = (spec.eps * beta2) * d
-    mat = np.block([[p0, c], [c.T, p0]])
-    return TruncatedOperator(basis, mat)
+    diag = np.arange(cut + 1) + 0.5 + spec.eps * beta1
+    return diag, (spec.eps * beta2) * displacement_matrix(cut, spec.alphas[0])
+
+
+def ab_sectors(spec):
+    """The two parity sectors of an AB frame model, s = +1 then s = -1:
+    the dense (K + 1)^2 matrices H_s = P + eps beta1 I + s eps beta2 D
+    diag((-1)^k) on the oscillator, with P = diag(k + 1/2).
+
+    The parity is spin flip times (-1)^k; sector +1 holds the symmetric
+    spin combination on even k. Both sectors come from one displacement
+    matrix D, and each is bitwise symmetric because D[k, N] = (-1)^(N + k)
+    D[N, k] holds bitwise. A malformed spec raises ModelSpecError, another
+    family ValueError, and a cutoff whose dense AB matrix build would
+    refuse raises ResourceError before anything is allocated.
+    """
+    spec.validate()
+    if spec.family != AB_FRAME:
+        raise ValueError("ab_sectors needs an AB frame model")
+    check_dense_budget(spec.basis())
+    diag, c = _ab_parts(spec)
+    signed = c * (-1.0) ** np.arange(diag.size)
+    return [np.diag(diag) + signed, np.diag(diag) - signed]
 
 
 def parity_matrix(basis):

@@ -35,8 +35,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ModelSpecError
-from .fock_ops import ModelSpec, build
+from .fock_ops import ModelSpec, ab_sectors, build
 from .overlaps import diagonal_overlap_ratio, displacement_matrix
+from .spectral_analysis import ab_spectrum
 
 # calibrated once against fd_second_differences; do not edit without
 # re-running that comparison
@@ -277,18 +278,14 @@ def ab_sector_spectrum(params, eps, cutoff, sector):
 
     The parity here is spin-flip times mode-number parity; sector +1 carries
     the states whose spin part is the symmetric combination on even modes.
-    Reduction: H_s = P + s e beta2 D diag((-1)^k), which is symmetric by the
-    overlap antisymmetry.
+    Reduction: H_s = P + e beta1 + s e beta2 D diag((-1)^k), formed by
+    fock_ops.ab_sectors, bitwise symmetric by the overlap antisymmetry.
     """
     if sector not in (+1, -1):
         raise ValueError("sector must be +1 or -1")
-    lam = np.arange(cutoff + 1) + 0.5
-    d = displacement_matrix(cutoff, params.alpha)
-    signs = (-1.0) ** np.arange(cutoff + 1)
-    hs = np.diag(lam + eps * params.beta1) \
-        + sector * eps * params.beta2 * (d * signs[None, :])
-    hs = 0.5 * (hs + hs.T)
-    return np.sort(scipy.linalg.eigvalsh(hs))
+    spec = ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2,
+                              eps, cutoff)
+    return np.sort(scipy.linalg.eigvalsh(ab_sectors(spec)[(1 - sector) // 2]))
 
 
 def branch_parity(N, params):
@@ -302,12 +299,12 @@ def branch_parity(N, params):
 
 def fd_pair_slopes(N, params, eps_fd=1e-3, cutoff=240):
     """Richardson-extrapolated eps-slopes (slope_minus, slope_plus) of the
-    sorted eigenvalue pair at level N of the displaced-frame operator."""
+    sorted eigenvalue pair at level N of the displaced-frame operator,
+    solved on its two parity sectors (ab_spectrum)."""
 
     def sorted_pair(eps):
-        spec = ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2,
-                                  eps, cutoff)
-        ev = np.sort(scipy.linalg.eigvalsh(build(spec).matrix))
+        ev = ab_spectrum(ModelSpec.ab_frame(params.alpha, params.gamma1,
+                                            params.gamma2, eps, cutoff))
         return ev[2 * N], ev[2 * N + 1]
 
     def central(eps):

@@ -18,7 +18,8 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import CoverageError, ResourceError
-from .fock_ops import QR, QRABI, build, check_dense_budget
+from .fock_ops import (AB_FRAME, QR, QRABI, ab_sectors, build,
+                       check_dense_budget)
 
 log = logging.getLogger(__name__)
 
@@ -111,13 +112,26 @@ def eigen_spectrum(op):
 
 
 def _solve_sectors(sectors):
-    """(eigenvalues, sector number of each) of all sectors merged by a
-    stable sort, the lower sector first on exact ties: a chain sector
-    (Sector.chain) solved by eigvalsh_tridiagonal on its own buffers, any
-    other by one dense eigvalsh of its matrix."""
-    vals = [scipy.linalg.eigvalsh(s.matrix()) if s.chain() is None
-            else scipy.linalg.eigvalsh_tridiagonal(s.diag, s.low)
-            for s in sectors]
+    """(eigenvalues, sector number of each) of all sectors (_merge): a
+    chain sector (Sector.chain) solved by eigvalsh_tridiagonal on its own
+    buffers, any other by one dense eigvalsh of its matrix."""
+    return _merge([scipy.linalg.eigvalsh(s.matrix()) if s.chain() is None
+                   else scipy.linalg.eigvalsh_tridiagonal(s.diag, s.low)
+                   for s in sectors])
+
+
+def ab_spectrum(spec):
+    """All eigenvalues of an AB frame model, ascending: one dense eigvalsh
+    on each of its two parity sectors (fock_ops.ab_sectors), merged by
+    _merge. The eigvalsh of the whole dense matrix (eigen_spectrum of its
+    build) agrees to rounding."""
+    return _merge([scipy.linalg.eigvalsh(h) for h in ab_sectors(spec)])[0]
+
+
+def _merge(vals):
+    """(eigenvalues, sector number of each) of the per-sector eigenvalue
+    arrays vals merged by a stable sort, the lower sector first on exact
+    ties."""
     which = np.repeat(np.arange(len(vals)), [v.size for v in vals])
     vals = np.concatenate(vals)
     order = np.argsort(vals, kind="stable")
@@ -174,8 +188,9 @@ def converged_spectrum(spec, m, tol, cap=None):
     fock_ops.DENSE_BUDGET_BYTES (checked before the step is built), yields
     a partial result: converged_count reports how long a prefix was stable
     at the last comparison and the partial flag is set. Every growth step
-    builds the model and solves it sector by sector (eigen_spectrum); QR
-    and QRabi are parity_split without the labels.
+    solves the model sector by sector: the AB frame on its two parity
+    sectors (ab_spectrum), the other families on the sectors of their build
+    (eigen_spectrum); QR and QRabi are parity_split without the labels.
     """
     if spec.family in (QR, QRABI):
         result = parity_split(spec, m, tol, cap)
@@ -184,9 +199,11 @@ def converged_spectrum(spec, m, tol, cap=None):
 
     def solve(cutoffs):
         step = spec.with_cutoffs(cutoffs)
-        # the eigensolve reads the dense matrix: refuse it before build
-        # forms the layer blocks it would be assembled from
+        # refuse a step whose dense matrix is over budget before its
+        # sectors or layer blocks are formed
         check_dense_budget(step.basis())
+        if spec.family == AB_FRAME:
+            return ab_spectrum(step), None
         return eigen_spectrum(build(step)), None
 
     return _converge(spec, m, tol, cap, solve)

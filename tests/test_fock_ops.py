@@ -280,6 +280,42 @@ def test_displaced_frame_block_structure():
     assert np.array_equal(m[d:, :d], eps * beta2 * dm.T)
 
 
+@pytest.mark.parametrize("a, g1, g2, eps, cut", [
+    (1.0, 1.0, -1.0, 0.07, 120), (-0.8, 0.4, -0.2, -0.1, 40),
+    (2.5, 1.2, 0.3, 0.3, 300), (0.0, 1.0, -1.0, 0.1, 5),
+])
+def test_ab_sectors_are_the_symmetric_parity_halves_of_the_frame(
+        a, g1, g2, eps, cut):
+    spec = ModelSpec.ab_frame(a, g1, g2, eps, cut)
+    plus, minus = fock_ops.ab_sectors(spec)
+    m = build(spec).matrix
+    d = cut + 1
+    # sector s is P + eps beta1 + s C diag((-1)^k), with C = eps beta2 D
+    # the frame's coupling block, entry for entry
+    signed = m[:d, d:] * (-1.0) ** np.arange(d)
+    assert np.array_equal(plus, m[:d, :d] + signed)
+    assert np.array_equal(minus, m[:d, :d] - signed)
+    # bitwise symmetric, sign bits of zeros included
+    for h in (plus, minus):
+        assert np.array_equal(h.view(np.int64), h.T.view(np.int64))
+    merged = np.sort(np.concatenate([np.linalg.eigvalsh(h)
+                                     for h in (plus, minus)]))
+    assert np.allclose(merged, np.linalg.eigvalsh(m), rtol=0, atol=1e-11)
+
+
+def test_ab_sectors_refuse_like_build(monkeypatch):
+    with pytest.raises(ValueError, match="AB frame"):
+        fock_ops.ab_sectors(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 8))
+    with pytest.raises(ModelSpecError):
+        fock_ops.ab_sectors(ModelSpec.ab_frame(1.0, -1.0, 1.0, 0.1, 8))
+    # the dense frame's budget: dimension 42 fits, 44 does not
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", 8 * 42 ** 2)
+    assert len(fock_ops.ab_sectors(
+        ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 20))) == 2
+    with pytest.raises(ResourceError, match="dense matrix of dimension 44"):
+        fock_ops.ab_sectors(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 21))
+
+
 def test_parity_commutes_with_two_level_builds():
     spec = ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 40)
     h = build(spec).matrix

@@ -216,3 +216,105 @@ def test_displacement_matrix_high_degree_entries():
 def test_displacement_matrix_rejects_negative_cutoff():
     with pytest.raises(ValueError):
         displacement_matrix(-1, 0.5)
+
+
+# ------------------------------------------- bitwise oracles of the routes
+
+
+def _ladder_scan_dd(N, xh, xl):
+    """One dd ladder scan per degree, H_N at the dd points xh + xl: the
+    scan that overlap_quadrature ran once per factor before both factors
+    shared one scan."""
+    sq_h = math.sqrt(2.0)
+    p, e = overlaps._two_prod(sq_h, sq_h)
+    sq_l = ((2.0 - p) - e) / (2.0 * sq_h)
+    sxh, sxl = overlaps._dd_mul_f(xh, xl, sq_h)
+    sxh, sxl = overlaps._dd_add(sxh, sxl, xh * sq_l, xl * sq_l)
+    zero = np.zeros_like(xh)
+    ph, pl = zero, zero.copy()
+    ch, cl = np.ones_like(xh), zero.copy()
+    for n in range(N):
+        th, tl = overlaps._dd_mul(sxh, sxl, ch, cl)
+        if n > 0:
+            uh, ul = overlaps._dd_mul_f(ph, pl, float(n))
+            th, tl = overlaps._dd_sub(th, tl, uh, ul)
+        ph, pl, ch, cl = ch, cl, th, tl
+    return ch, cl
+
+
+def _two_scan_quadrature(N, k, alpha, nodes):
+    """overlap_quadrature with one ladder scan per Hermite factor."""
+    xh, xl, wh, wl = overlaps._gauss_hermite_dd(nodes)
+    a = float(alpha)
+    hn = _ladder_scan_dd(N, *overlaps._dd_add(xh, xl, -a, 0.0))
+    hk = _ladder_scan_dd(k, *overlaps._dd_add(xh, xl, a, 0.0))
+    th, tl = overlaps._dd_mul(*hn, *hk)
+    th, tl = overlaps._dd_mul(th, tl, wh, wl)
+    sh = sl = 0.0
+    for i in range(nodes):
+        sh, sl = overlaps._dd_add(sh, sl, float(th[i]), float(tl[i]))
+    return (sh + sl) * math.exp(-a * a)
+
+
+def _row_loop_displacement(cutoff, alpha):
+    """displacement_matrix with every recurrence step on all cutoff + 1
+    lanes and the rows and columns written by index arrays."""
+    d = cutoff + 1
+    a = float(alpha)
+    if a == 0.0:
+        return np.eye(d)
+    beta = math.sqrt(2.0) * abs(a)
+    x = beta * beta
+    m = np.arange(d, dtype=float)
+    lgam = np.array([math.lgamma(i + 1) for i in range(2 * d + 1)])
+    Lm1, L0, sc = np.zeros(d), np.ones(d), np.zeros(d)
+    D = np.zeros((d, d))
+    logb = math.log(beta)
+    for n in range(d):
+        mm = np.arange(d - n)
+        lpre = -0.5 * x + mm * logb + 0.5 * (lgam[n] - lgam[n + mm])
+        vals = L0[: d - n] * np.exp(lpre + sc[: d - n])
+        D[n, n + mm] = vals
+        D[n + mm, n] = (-1.0) ** mm * vals
+        if n == d - 1:
+            break
+        L1 = ((2 * n + 1 + m - x) * L0 - (n + m) * Lm1) / (n + 1)
+        Lm1, L0 = L0, L1
+        big = np.abs(L0) > 1e250
+        if np.any(big):
+            f = np.where(big, np.abs(L0), 1.0)
+            L0, Lm1, sc = L0 / f, Lm1 / f, sc + np.log(f)
+    if a < 0.0:
+        idx = np.arange(d)
+        D = D * np.where(((idx[:, None] + idx[None, :]) & 1).astype(bool),
+                         -1.0, 1.0)
+    return D
+
+
+def _bits(values):
+    """The IEEE bit patterns, sign bits included, of a float or array."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_quadrature_single_scan_is_bitwise_the_two_scan_route():
+    cases = [(N, k, 3.0, None) for N in range(41) for k in range(41)]
+    # the degree cap N + k = 120, nodes above the threshold, alpha < 0, 0
+    cases += [(0, 120, 1.3, None), (60, 60, 0.4, None), (120, 0, 2.2, None),
+              (5, 7, 1.1, 40), (9, 4, -0.7, None), (6, 6, 0.0, None),
+              (0, 0, -1.0, None)]
+    for N, k, a, nodes in cases:
+        want = _two_scan_quadrature(N, k, a, nodes or required_nodes(N, k))
+        assert _bits(overlap_quadrature(N, k, a, nodes)) == _bits(want), \
+            (N, k, a, nodes)
+
+
+@pytest.mark.parametrize("cutoff, alpha", [
+    (0, 1.0), (1, 1.0), (30, 1.0), (240, 1.0), (400, -0.7), (50, 0.0),
+    # rescaled lanes: only lanes no later row reads (600 from n = 306, and
+    # 800 at alpha 3), and live lanes too (1000 from n = 266)
+    (600, 1.0), (800, 3.0), (1000, 1.0),
+])
+def test_displacement_matrix_is_bitwise_the_row_loop(cutoff, alpha):
+    got = displacement_matrix(cutoff, alpha)
+    assert np.array_equal(_bits(got), _bits(_row_loop_displacement(cutoff,
+                                                                   alpha)))

@@ -10,6 +10,7 @@ import scipy.linalg
 
 from rabispec import perturbation
 from rabispec.fock_ops import ModelSpec, build
+from rabispec.overlaps import displacement_matrix
 from rabispec.perturbation import (
     DEGENERACY_TOL,
     SECOND_ORDER_SIGN,
@@ -209,6 +210,58 @@ def test_sector_union_recovers_full_spectrum():
     assert np.max(np.abs(full - merged)) < 1e-10
     with pytest.raises(ValueError):
         ab_sector_spectrum(STD, eps, cutoff, 0)
+
+
+def _symmetrized_sector(params, eps, cutoff, sector):
+    """The sector matrix as ab_sector_spectrum formed it itself, before
+    fock_ops.ab_sectors: symmetrized by 0.5 (h + h^T)."""
+    lam = np.arange(cutoff + 1) + 0.5
+    d = displacement_matrix(cutoff, params.alpha)
+    signs = (-1.0) ** np.arange(cutoff + 1)
+    hs = np.diag(lam + eps * params.beta1) \
+        + sector * eps * params.beta2 * (d * signs[None, :])
+    return 0.5 * (hs + hs.T)
+
+
+def test_ab_sector_spectrum_is_bitwise_the_symmetrized_formula():
+    for params in (STD, RabiParameters(DEGEN_ALPHA, 1.0, -1.0),
+                   RabiParameters(-0.8, 0.5, -0.2)):
+        for eps in (0.07, -0.03):
+            for sector in (+1, -1):
+                want = np.sort(scipy.linalg.eigvalsh(
+                    _symmetrized_sector(params, eps, 120, sector)))
+                got = ab_sector_spectrum(params, eps, 120, sector)
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+
+
+def _dense_fd_pair_slopes(N, params, eps_fd=1e-3, cutoff=240):
+    """fd_pair_slopes on the eigvalsh of the whole dense AB matrix."""
+
+    def sorted_pair(eps):
+        spec = ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2,
+                                  eps, cutoff)
+        ev = np.sort(scipy.linalg.eigvalsh(build(spec).matrix))
+        return ev[2 * N], ev[2 * N + 1]
+
+    def central(eps):
+        lo_p, hi_p = sorted_pair(eps)
+        lo_m, hi_m = sorted_pair(-eps)
+        return (lo_p - hi_m) / (2 * eps), (hi_p - lo_m) / (2 * eps)
+
+    s1 = central(eps_fd)
+    s2 = central(eps_fd / 2)
+    return ((4 * s2[0] - s1[0]) / 3.0, (4 * s2[1] - s1[1]) / 3.0)
+
+
+def test_fd_pair_slopes_match_the_dense_route():
+    # the routes round the pair differently by a few ulp of N + 1/2; the
+    # Richardson quotient divides that by about 1e-3
+    for params in (STD, RabiParameters(1.2, 0.9, -1.1)):
+        for N in (0, 3, 10):
+            got = fd_pair_slopes(N, params)
+            want = _dense_fd_pair_slopes(N, params)
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-10
 
 
 def test_branch_parity_labels_track_slopes():

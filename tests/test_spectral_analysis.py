@@ -145,6 +145,42 @@ def test_multimode_converged_spectrum_matches_dense_growth(spec, m, tol, cap):
     assert _close_to(got.eigenvalues, want.eigenvalues)
 
 
+# the AB frame's sector route vs its dense eigvalsh: both round the same
+# spectrum, a few ulp apart at eigenvalues up to ~500
+AB_ROUTE_TOL = 1e-11
+
+
+@pytest.mark.parametrize("spec,m", [
+    (ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 30), 20),
+    (ModelSpec.ab_frame(-0.8, 0.5, -0.2, -0.07, 10), 40),
+    (ModelSpec.ab_frame(1.1, 1.05, -0.9, 0.1, 30), 480),
+], ids=["c03", "negative-alpha", "levels-480"])
+def test_ab_converged_spectrum_matches_dense_growth(spec, m):
+    got = converged_spectrum(spec, m, 1e-10)
+
+    def dense(cutoffs):
+        return eigen_spectrum(build(spec.with_cutoffs(cutoffs))), None
+
+    want = spectral_analysis._converge(spec, m, 1e-10, None, dense)
+    assert got.cutoffs_used == want.cutoffs_used
+    assert got.converged_count == want.converged_count
+    assert got.partial == want.partial and got.parity is None
+    assert got.eigenvalues.shape == want.eigenvalues.shape
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= AB_ROUTE_TOL
+
+
+def test_ab_growth_steps_keep_the_dense_refusal_point(monkeypatch):
+    # AB at cutoff c has dimension 2 (c + 1): steps 20, 30 fit a dense
+    # budget of dimension 62, step 45 (92) does not, though its two
+    # sectors (46^2 each) would
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", 8 * 62 ** 2)
+    spec = ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 20)
+    s = converged_spectrum(spec, 60, 1e-14)
+    assert s.partial and s.cutoffs_used == (30,)
+    with pytest.raises(ResourceError, match="dense matrix of dimension 92"):
+        converged_spectrum(spec.with_cutoffs((45,)), 60, 1e-14)
+
+
 def test_eigen_spectrum_rejects_asymmetric():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
