@@ -134,12 +134,21 @@ class Sector(NamedTuple):
     tridiagonal matrix in two flat buffers of row-major blocks (blocks):
     diag, those on each layer, and low, those coupling layer k to k + 1
     (rows in layer k + 1). A sector whose layers all hold one state, as
-    both sectors of QR and QRabi do, is the tridiagonal chain (diag, low)."""
+    both sectors of QR and QRabi do, is the tridiagonal chain (diag, low).
+
+    first is the total occupation of layer 0. floor and coupling, when
+    set (build sets them, _layer_bounds), bound the sector per layer k:
+    its matrix on the layers above k is at least floor[k], and the block
+    from layer k to k + 1 has squared norm at most coupling[k]. A sector
+    without them is counted over every layer (count_below)."""
 
     index: np.ndarray
     sizes: np.ndarray
     diag: np.ndarray
     low: np.ndarray
+    first: int = 0
+    floor: np.ndarray | None = None
+    coupling: np.ndarray | None = None
 
     def blocks(self):
         """([block on layer k], [block from layer k to k + 1]), as views."""
@@ -413,6 +422,35 @@ def _group_sizes(spec, sigma):
     return grid
 
 
+def _layer_bounds(spec, levels, n_layers):
+    """The Sector bounds (floor, coupling) of every occupation layer
+    L = 0 .. n_layers - 1 of a layered model whose levels sit at levels.
+
+    With s = sum_k alpha_k^2, a = L + 1 + modes/2 and l the lowest level
+    (QRabi takes its 1/2 off):
+    on the states above layer L the harmonic part T = sum_k (n_k + 1/2) is
+    at least a, x_k^2 <= 2 (n_k + 1/2), each coupler E_ij + E_ji has norm
+    1, and Cauchy-Schwarz gives sum_k |alpha_k| |<x_k E>| <= sqrt(2 s T);
+    T - sqrt(2 s T) rises in T from T = s/2 on, so where a >= s/2 the
+    matrix there is at least floor = a - sqrt(2 a s) + l (-inf elsewhere).
+    The block from layer L to L + 1 is sum_k alpha_k (E_ij + E_ji)
+    a_k^dagger / sqrt(2), and a_k^dagger / sqrt(2) has squared norm at
+    most (L + 1) / 2 on layer L. Cauchy-Schwarz on each target level's
+    part, summed, weighs each source level's part by the alpha_k^2 of the
+    couplings at its neighbours; the couplings join the levels into a tree
+    (_far_sides), which has no triangle, so no coupling is weighed twice
+    and coupling = s (L + 1) / 2, attained at L = 0 when one level meets
+    every coupling.
+    """
+    s = sum(a * a for a in spec.alphas)
+    layer = np.arange(n_layers, dtype=float)
+    a = layer + 1.0 + 0.5 * spec.modes
+    lowest = levels.min() - (0.5 if spec.family == QRABI else 0.0)
+    floor = np.where(a >= 0.5 * s, a - np.sqrt(2.0 * a * s) + lowest,
+                     -np.inf)
+    return floor, 0.5 * s * (layer + 1.0)
+
+
 def build(spec):
     """Assemble the truncated Hamiltonian for the given ModelSpec.
 
@@ -423,9 +461,10 @@ def build(spec):
     and the "-" parity chain (Sector.chain). The blocks of all sectors are
     formed straight from the ladder arrays in one buffer of diagonal and
     one of coupling blocks, each sector a slice of both with its empty
-    layers at either end dropped. Two budgets apply, each checked before
-    allocating: build raises ResourceError when the AB frame's dense
-    matrix, or the bytes of all sector blocks, would exceed
+    layers at either end dropped, and each carries its first occupation
+    and its per-layer bounds (_layer_bounds). Two budgets apply, each
+    checked before allocating: build raises ResourceError when the AB
+    frame's dense matrix, or the bytes of all sector blocks, would exceed
     DENSE_BUDGET_BYTES, the latter from the (sector, layer) sizes of
     _group_sizes before any basis-length array is formed; reading
     op.matrix checks the dense matrix itself.
@@ -496,10 +535,14 @@ def build(spec):
     edges = np.cumsum([[0] + n.reshape(n_sectors, -1).sum(axis=1).tolist()
                        for n in (sizes, diag_sizes, low_sizes)],
                       axis=1).tolist()
+    floor, coupling = _layer_bounds(spec, levels, n_layers)
+    first = np.argmax(grid > 0, axis=1).tolist()
     return TruncatedOperator(basis, None, [
-        Sector(order[a:x], row[row > 0], diag_buf[b:y], low_buf[c:z])
-        for row, (a, x), (b, y), (c, z)
-        in zip(grid, *(zip(e, e[1:]) for e in edges))])
+        Sector(order[a:x], row[row > 0], diag_buf[b:y], low_buf[c:z], f,
+               floor[f:f + n], coupling[f:f + n])
+        for row, f, n, (a, x), (b, y), (c, z)
+        in zip(grid, first, np.count_nonzero(grid, axis=1).tolist(),
+               *(zip(e, e[1:]) for e in edges))])
 
 
 def _build_ab(spec, basis):

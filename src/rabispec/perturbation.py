@@ -283,9 +283,16 @@ def ab_sector_spectrum(params, eps, cutoff, sector):
     """
     if sector not in (+1, -1):
         raise ValueError("sector must be +1 or -1")
-    spec = ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2,
-                              eps, cutoff)
-    return np.sort(scipy.linalg.eigvalsh(ab_sectors(spec)[(1 - sector) // 2]))
+    return _sector_spectra(params, eps, cutoff, (sector,))[0]
+
+
+def _sector_spectra(params, eps, cutoff, sectors):
+    """ab_sector_spectrum(params, eps, cutoff, s) for each s in sectors,
+    all from one fock_ops.ab_sectors call and so one displacement
+    matrix."""
+    h = ab_sectors(ModelSpec.ab_frame(params.alpha, params.gamma1,
+                                      params.gamma2, eps, cutoff))
+    return [np.sort(scipy.linalg.eigvalsh(h[(1 - s) // 2])) for s in sectors]
 
 
 def branch_parity(N, params):
@@ -325,19 +332,15 @@ def fd_second_differences(N, params, eps_fd=1e-2, cutoff=240):
     This is the calibration oracle for SECOND_ORDER_SIGN: each value should
     equal SECOND_ORDER_SIGN * mu2 for its branch.
     """
-    p_plus, p_minus = branch_parity(N, params)
-    out = []
-    for s in (p_plus, p_minus):
-        lp = ab_sector_spectrum(params, eps_fd, cutoff, s)[N]
-        l0 = N + 0.5
-        lm = ab_sector_spectrum(params, -eps_fd, cutoff, s)[N]
-        out.append((lp - 2 * l0 + lm) / eps_fd ** 2)
-    return tuple(out)
+    branches = branch_parity(N, params)
+    lp, lm = ([v[N] for v in _sector_spectra(params, e, cutoff, branches)]
+              for e in (eps_fd, -eps_fd))
+    l0 = N + 0.5
+    return tuple((p - 2 * l0 + m) / eps_fd ** 2 for p, m in zip(lp, lm))
 
 
 def fd_signed_splitting(N, params, eps, cutoff=240):
     """Parity-tracked signed gap lambda_plusbranch - lambda_minusbranch."""
-    p_plus, p_minus = branch_parity(N, params)
-    lp = ab_sector_spectrum(params, eps, cutoff, p_plus)[N]
-    lm = ab_sector_spectrum(params, eps, cutoff, p_minus)[N]
+    lp, lm = (v[N] for v in _sector_spectra(params, eps, cutoff,
+                                             branch_parity(N, params)))
     return lp - lm

@@ -257,23 +257,50 @@ def _shifted(block, lam):
     return out
 
 
-def _layered_inertia(diag, low, mu, growth):
-    """(nonpositive count, merges, pivots, largest pending block order) over
-    the successive Schur blocks of the block tridiagonal matrix minus mu I."""
+def _layered_inertia(sector, mu, growth):
+    """(nonpositive count, merges, pivots, largest pending block order,
+    layers swept) over the successive Schur blocks of a Sector's block
+    tridiagonal matrix minus mu I, its blocks read from the flat buffers by
+    offsets.
+
+    A sector with bounds (Sector.floor, Sector.coupling) stops after layer
+    k where floor[k] > mu and no eigenvalue w of the pending block lies in
+    (0, coupling[k] / (floor[k] - mu)]: with A the layers up to k, D those
+    above and B the block between, the part D - mu is positive definite,
+    so by Haynsworth the count is that of A - mu - B (D - mu)^-1 B^T, which
+    lies between A - mu - (coupling[k] / (floor[k] - mu)) I on layer k and
+    A - mu, and by Weyl both give the count so far plus #(w <= 0).
+    """
+    m = sector.sizes.tolist()
+    d = np.cumsum([0] + [k * k for k in m]).tolist()
+    c = np.cumsum([0] + [k * k1 for k, k1 in zip(m, m[1:])]).tolist()
+    # without bounds no layer closes
+    floor = ([-math.inf] * len(m) if sector.floor is None
+             else sector.floor.tolist())
+
+    def shifted_layer(k):
+        return _shifted(sector.diag[d[k]:d[k + 1]].reshape(m[k], m[k]), mu)
+
     count = merges = 0
     pivots = []
-    pending, carried = _shifted(diag[0], mu), 0
-    max_block = pending.shape[0]
-    for b, c in zip(diag[1:], low):
+    pending, carried = shifted_layer(0), 0
+    max_block = m[0]
+    for k in range(len(m) - 1):
         w, v = np.linalg.eigh(pending)
+        if floor[k] > mu:
+            i = int(np.searchsorted(w, 0.0, side="right"))
+            if i == w.size or w[i] > sector.coupling[k] / (floor[k] - mu):
+                pivots.append(w)
+                return (count + i, merges, np.concatenate(pivots), max_block,
+                        k + 1)
         # the next layer couples only to the layer part of pending
-        cv = c @ v[carried:]
+        cv = sector.low[c[k]:c[k + 1]].reshape(m[k + 1], m[k]) @ v[carried:]
         keep = (w != 0) & (np.einsum("ij,ij->j", cv, cv)
                            <= growth * np.abs(w))
         pivots.append(w[keep])
         count += int(np.count_nonzero(w[keep] < 0))
         ck = cv[:, keep]
-        s = _shifted(b, mu) - (ck / w[keep]) @ ck.T
+        s = shifted_layer(k + 1) - (ck / w[keep]) @ ck.T
         carried = keep.size - int(np.count_nonzero(keep))
         if carried:
             merges += 1
@@ -284,7 +311,7 @@ def _layered_inertia(diag, low, mu, growth):
     w = np.linalg.eigvalsh(pending)
     pivots.append(w)
     count += int(np.count_nonzero(w <= 0))
-    return count, merges, np.concatenate(pivots), max_block
+    return count, merges, np.concatenate(pivots), max_block, len(m)
 
 
 def _chain_inertia(diag, off, mu):
@@ -316,20 +343,30 @@ def count_below(op, lam):
     sum over sectors of one sweep each at mu = lam + tie, so eigenvalues
     within the band above lam are counted. A chain sector (Sector.chain,
     both sectors of QR and QRabi) is swept by the scalar Sturm recurrence
-    of _chain_inertia. Any other sector sweeps its layer blocks
-    (Sector.blocks) for the number of nonpositive eigenvalues of the
-    successive Schur blocks S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T
-    (Haynsworth inertia additivity). The band and the growth bound are
-    those of the whole matrix. An eigendirection of S_k that is singular,
-    or whose elimination would grow the next block by more than
+    of _chain_inertia. Any other sector sweeps its layer blocks, read from
+    its flat buffers by offsets (_layered_inertia), for the number of
+    nonpositive eigenvalues of the successive Schur blocks
+    S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T (Haynsworth inertia
+    additivity). The band and the growth bound are those of the whole
+    matrix. An eigendirection of S_k that is singular, or whose elimination
+    would grow the next block by more than
     LAYER_GROWTH * max(1, max|matrix - lam I|), is merged into the next
     layer instead of eliminated, so a pending block can outgrow its layer.
+    A sector built with bounds (Sector.floor, Sector.coupling; build sets
+    them, fock_ops._layer_bounds) stops at the first layer k where its
+    matrix above layer k is at least floor[k] > mu and no eigenvalue w of
+    the pending block, which the sweep solves anyway, lies in
+    (0, coupling[k] / (floor[k] - mu)]: the count is then provably final,
+    the count so far plus #(w <= 0). It is still the count of the box, the
+    number the full sweep gives; only the layers above go unswept.
     Any other operator's matrix is checked for symmetry and takes one dense
     symmetric-indefinite factorization, whose pivots within the tie band
     are counted; its breakdown falls back to a full eigensolve with a
     logged warning. One debug record per call names the route, the number
     of layer merges and the pivots inside the tie band; the layered route
-    adds the number of sectors and the largest pending block order.
+    adds the number of sectors, the largest pending block order, the
+    deepest occupation layer any sector swept (depth) and the number of
+    sectors that closed before their last layer (closed).
     """
     if not np.isfinite(lam):
         raise ValueError("threshold must be finite")
@@ -338,21 +375,38 @@ def count_below(op, lam):
         _check_symmetric(m)
         return _dense_count(m, lam)
     n = op.basis.dim
-    blocks = [s.blocks() if s.chain() is None else None for s in op.sectors]
-    scale = max([1.0] + [np.abs(_shifted(d, lam)).max()
-                         for b in blocks if b is not None for d in b[0]]
-                + [np.abs(s.diag - lam).max()
-                   for s, b in zip(op.sectors, blocks) if b is None]
+    scale = max([1.0] + [_shifted_max(s, lam) for s in op.sectors]
                 + [np.abs(s.low).max() for s in op.sectors if s.low.size])
     tie = n * np.finfo(float).eps * scale
-    sweeps = [_chain_inertia(s.diag, s.low, lam + tie) if b is None
-              else _layered_inertia(*b, lam + tie, LAYER_GROWTH * scale)
-              for s, b in zip(op.sectors, blocks)]
+    sweeps = [_chain_inertia(s.diag, s.low, lam + tie) + (s.sizes.size,)
+              if s.chain() is not None
+              else _layered_inertia(s, lam + tie, LAYER_GROWTH * scale)
+              for s in op.sectors]
     log.debug("count_below route=layered dim=%d sectors=%d merges=%d ties=%d "
-              "max_block=%d", n, len(sweeps), sum(w[1] for w in sweeps),
+              "max_block=%d depth=%d closed=%d", n, len(sweeps),
+              sum(w[1] for w in sweeps),
               sum(np.count_nonzero(np.abs(w[2]) <= tie) for w in sweeps),
-              max(w[3] for w in sweeps))
+              max(w[3] for w in sweeps),
+              max(s.first + w[4] - 1 for s, w in zip(op.sectors, sweeps)),
+              sum(w[4] < s.sizes.size for s, w in zip(op.sectors, sweeps)))
     return sum(w[0] for w in sweeps)
+
+
+def _shifted_max(sector, lam):
+    """The largest |entry| of the sector's layer blocks minus lam I, that
+    of their _shifted copies, from two vectorized maxima over its diag
+    buffer: lam comes off the diagonal entries and nothing else."""
+    if sector.chain() is not None:
+        return np.abs(sector.diag - lam).max()
+    sizes = sector.sizes
+    each = np.repeat(sizes, sizes)
+    # flat positions of the diagonal entries, block by block
+    on = (np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, sizes)
+          + (np.arange(each.size) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+          * (each + 1))
+    off = np.abs(sector.diag)
+    off[on] = 0.0
+    return max(off.max(), np.abs(sector.diag[on] - lam).max())
 
 
 def _dense_count(m, lam):

@@ -154,7 +154,11 @@ def empirical_counting(spec, lambdas,
     occupation-layer blocks of each parity sector, and each threshold takes
     one sweep per sector, a Sturm recurrence on a chain and Schur
     complements otherwise (count_below): no dense matrix is assembled, so
-    only the budget on the blocks caps the cutoff. Thresholds above
+    only the budget on the blocks caps the cutoff. A Schur sweep stops at
+    the first layer above which a lower bound of the operator
+    (fock_ops._layer_bounds) proves that no layer can change its count, so
+    a low threshold sweeps only the low layers; the count is still the
+    box's, the one the full sweep gives. Thresholds above
     reliable_fraction * min(cutoff) land in rows flagged as
     truncation-suspect; they are reported, never silently dropped, so
     reliable_fraction must be finite and positive (ValueError otherwise;

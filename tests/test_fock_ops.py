@@ -405,9 +405,12 @@ def test_builds_couple_only_adjacent_occupation_layers(spec):
         # the views cover both buffers
         assert sum(d.size for d in diag) == s.diag.size
         assert sum(c.size for c in low) == s.low.size
-        # consecutive occupation layers, none empty, ascending within each
+        # consecutive occupation layers from first on, none empty,
+        # ascending within each, with one floor and coupling bound each
         assert min(s.sizes) > 0
+        assert occ[blocks[0][0]] == s.first
         assert np.all(np.diff([occ[a[0]] for a in blocks]) == 1)
+        assert s.floor.shape == s.coupling.shape == s.sizes.shape
         for a, d in zip(blocks, diag):
             assert np.all(occ[a] == occ[a[0]]) and np.all(np.diff(a) > 0)
             assert d.dtype == h.dtype and np.array_equal(d, h[np.ix_(a, a)])

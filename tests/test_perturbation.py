@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rabispec import perturbation
+from rabispec import fock_ops, perturbation
 from rabispec.fock_ops import ModelSpec, build
 from rabispec.overlaps import displacement_matrix
 from rabispec.perturbation import (
@@ -282,6 +282,36 @@ def test_signed_splitting_first_order_dominates():
     eps = 1e-3
     gap = fd_signed_splitting(N, STD, eps)
     assert gap == pytest.approx((split.mu_plus - split.mu_minus) * eps, rel=1e-3)
+
+
+def test_fd_oracles_form_one_displacement_matrix_per_eps(monkeypatch):
+    # both sectors at one eps come from one fock_ops.ab_sectors, and the
+    # values are bitwise those of ab_sector_spectrum sector by sector
+    calls = Counter()
+
+    def counted(*args):
+        calls["d"] += 1
+        return displacement_matrix(*args)
+
+    p = RabiParameters(0.9, 1.0, -0.6)
+    for N in (1, 4):
+        plus, minus = branch_parity(N, p)
+
+        def level(eps, sector):
+            return ab_sector_spectrum(p, eps, 120, sector)[N]
+
+        monkeypatch.setattr(fock_ops, "displacement_matrix", counted)
+        calls.clear()
+        gap = fd_signed_splitting(N, p, 0.03, cutoff=120)
+        assert calls["d"] == 1
+        calls.clear()
+        second = fd_second_differences(N, p, cutoff=120)
+        assert calls["d"] == 2
+        monkeypatch.undo()
+        assert gap == level(0.03, plus) - level(0.03, minus)
+        assert second == tuple(
+            (level(1e-2, s) - 2 * (N + 0.5) + level(-1e-2, s)) / 1e-2 ** 2
+            for s in (plus, minus))
 
 
 def test_signed_splitting_cubic_at_degenerate_point():

@@ -379,10 +379,29 @@ def _count_records(caplog):
     return [r for r in caplog.records if r.name == spectral_analysis.__name__]
 
 
+def _spy_sweeps(monkeypatch):
+    """The (sector, layers swept) of every layered sweep from now on."""
+    swept = []
+    sweep = spectral_analysis._layered_inertia
+
+    def spy(sector, mu, growth):
+        out = sweep(sector, mu, growth)
+        swept.append((sector, out[4]))
+        return out
+
+    monkeypatch.setattr(spectral_analysis, "_layered_inertia", spy)
+    return swept
+
+
+_RECORD = (r"count_below route=layered dim=%d sectors=%d merges=(\d+) "
+           r"ties=\d+ max_block=(\d+) depth=(\d+) closed=(\d+)")
+
+
 @pytest.mark.parametrize("spec", LAYERED_SPECS,
                          ids=lambda s: "%s-%d" % (s.family, s.modes))
-def test_layered_count_matches_dense_and_eigvalsh(spec, caplog):
+def test_layered_count_matches_dense_and_eigvalsh(spec, caplog, monkeypatch):
     caplog.set_level(logging.DEBUG, logger=spectral_analysis.__name__)
+    swept = _spy_sweeps(monkeypatch)
     op = build(spec)
     ev = scipy.linalg.eigvalsh(op.matrix)
     # midpoints between low eigenvalues, and integer and half-integer
@@ -391,26 +410,32 @@ def test_layered_count_matches_dense_and_eigvalsh(spec, caplog):
     lams = list(0.5 * (ev[:60:10] + ev[1:61:10])) + [1.0, 2.5, 4.0, 5.5,
                                                      7.0, 8.5, 10.0]
     unsplit = _layered_op(spec.basis(), op.matrix)
-    largest_layer = max(s.sizes.max() for s in op.sectors)
     merged = outgrown = 0
     for lam in lams:
         assert np.min(np.abs(ev - lam)) > 1e-8  # the oracle is unambiguous
         caplog.clear()
+        swept.clear()
         got = count_below(op, lam)
         recs = _count_records(caplog)
         assert len(recs) == 1 and recs[0].levelno == logging.DEBUG
-        found = re.fullmatch(r"count_below route=layered dim=%d sectors=%d "
-                             r"merges=(\d+) ties=\d+ max_block=(\d+)"
-                             % (ev.size, len(op.sectors)),
+        found = re.fullmatch(_RECORD % (ev.size, len(op.sectors)),
                              recs[0].getMessage())
         assert found
-        merges, max_block = int(found.group(1)), int(found.group(2))
+        merges, max_block, depth, closed = map(int, found.groups())
         merged += merges
-        # without merges every pending block is one layer's Schur block
-        assert max_block >= largest_layer
+        # a chain sector sweeps all its layers, of one state each
+        reach = swept + [(s, s.sizes.size) for s in op.sectors
+                         if s.chain() is not None]
+        assert len(reach) == len(op.sectors)
+        assert depth == max(s.first + n - 1 for s, n in reach)
+        assert closed == sum(n < s.sizes.size for s, n in reach)
+        # without merges every pending block is one swept layer's Schur
+        # block
+        largest_swept = max(s.sizes[:n].max() for s, n in reach)
+        assert max_block >= largest_swept
         if merges == 0:
-            assert max_block == largest_layer
-        outgrown += max_block > largest_layer
+            assert max_block == largest_swept
+        outgrown += max_block > largest_swept
         # oracle: one sweep over the unsplit layers of the dense matrix
         assert got == count_below(unsplit, lam)
         assert got == _dense_count(op.matrix, lam)
@@ -420,6 +445,80 @@ def test_layered_count_matches_dense_and_eigvalsh(spec, caplog):
     if (spec.family, spec.modes) == ("Xi", 3):
         # merged eigendirections grow a block past the largest layer
         assert outgrown > 0
+
+
+BOUND_SPECS = [
+    ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (24, 24)),
+    ModelSpec.lam((1.0, 0.9), (0.2, 0.6), 0.05, (24, 24)),
+    ModelSpec.vee((0.7, 1.1), (-0.1, 0.4), 0.05, (24, 24)),
+    ModelSpec.xi((1.0, 0.8, 0.7), (0.3, 0.5, 0.9), 0.05, (8, 8, 8)),
+    ModelSpec.lam((0.9, 0.8, 0.6), (0.1, 0.2, 0.7), 0.05, (8, 8, 8)),
+    ModelSpec.vee((0.6, 0.7, 0.8), (-0.2, 0.4, 0.6), 0.05, (8, 8, 8)),
+]
+
+
+@pytest.mark.parametrize("spec", BOUND_SPECS,
+                         ids=lambda s: "%s-%d" % (s.family, s.modes))
+def test_layer_bounds_hold_on_the_box(spec):
+    # each sector's floor[L] is a lower bound of the dense matrix on the
+    # box states above layer L (its smallest eigenvalue there, sector by
+    # sector), and coupling[L] bounds the squared norm of the whole box's
+    # block from layer L to L + 1
+    op = build(spec)
+    h = op.matrix
+    layers = spec.basis().occupation_layers()
+    for L in (0, 4, 8, 12):
+        for s in op.sectors:
+            if L < s.first:
+                continue
+            above = s.index[s.sizes[:L - s.first + 1].sum():]
+            low = scipy.linalg.eigvalsh(h[np.ix_(above, above)],
+                                        subset_by_index=[0, 0])[0]
+            assert np.isfinite(s.floor[L - s.first])
+            assert low >= s.floor[L - s.first] - 1e-9  # rounding
+        coupling = op.sectors[0].coupling[L]
+        assert coupling == 0.5 * sum(a * a for a in spec.alphas) * (L + 1)
+        norm = np.linalg.norm(h[np.ix_(layers[L + 1], layers[L])], 2)
+        assert norm <= np.sqrt(coupling) * (1 + 1e-12)
+        if L == 0 and (spec.modes == 2 or spec.family != "Xi"):
+            # one level meets every coupling: the bound is attained
+            assert norm == pytest.approx(np.sqrt(coupling), rel=1e-12)
+
+
+def _thresholds(ev, cutoffs):
+    """The midpoint of every third pair of consecutive eigenvalues below
+    12, and thresholds past min(cutoffs) / 2, where the count is flagged
+    and the top ones reach the last layers of the box, those more than
+    1e-8 from every eigenvalue."""
+    below = ev[ev < 12.0]
+    lams = np.concatenate((
+        0.5 * (below[:-1:3] + below[1::3]),
+        np.linspace(0.5 * min(cutoffs), 0.9 * sum(cutoffs), 7)[1:]))
+    return [lam for lam in lams if np.min(np.abs(ev - lam)) > 1e-8]
+
+
+@pytest.mark.parametrize("spec", LAYERED_SPECS[2:5],
+                         ids=lambda s: "%s-%d" % (s.family, s.modes))
+def test_early_exit_counts_match_the_full_sweep(spec, caplog):
+    caplog.set_level(logging.DEBUG, logger=spectral_analysis.__name__)
+    op = build(spec)
+    # the same sectors without bound data sweep every layer
+    full = TruncatedOperator(op.basis, None, [
+        s._replace(floor=None, coupling=None) for s in op.sectors])
+    ev = scipy.linalg.eigvalsh(op.matrix)
+    last = sum(spec.cutoffs)
+    depths = []
+    for lam in _thresholds(ev, spec.cutoffs):
+        caplog.clear()
+        got = count_below(op, lam)
+        depths.append(int(re.fullmatch(_RECORD % (ev.size, len(op.sectors)),
+                                       _count_records(caplog)[0].getMessage())
+                          .group(3)))
+        assert got == count_below(full, lam)
+        assert got == int(np.count_nonzero(ev <= lam))
+    # low thresholds close well before the last layer, the top ones do not
+    assert min(depths) <= last // 2
+    assert max(depths) == last
 
 
 def test_layered_count_through_singular_schur_block():
