@@ -546,21 +546,23 @@ def build(spec):
 
 
 def _build_ab(spec, basis):
-    diag, c = _ab_parts(spec)
+    diag, c = _ab_parts(spec, displacement_matrix(spec.cutoffs[0],
+                                                  spec.alphas[0]))
     p0 = np.diag(diag)
     return TruncatedOperator(basis, np.block([[p0, c], [c.T, p0]]))
 
 
-def _ab_parts(spec):
-    """(diagonal, coupling) of an AB frame model at cutoff K: the diagonal
-    n + 1/2 + eps beta1 of each spin block and the block eps beta2 D that
-    joins them, with beta1, beta2 = (gamma1 +- gamma2) / 2."""
+def _ab_parts(spec, d):
+    """(diagonal, coupling) of an AB frame model at cutoff K from its
+    displacement matrix d: the diagonal n + 1/2 + eps beta1 of each spin
+    block and the block eps beta2 D that joins them, with beta1, beta2 =
+    (gamma1 +- gamma2) / 2."""
     cut = spec.cutoffs[0]
     g1, g2 = spec.gammas
     beta1 = 0.5 * (g1 + g2)
     beta2 = 0.5 * (g1 - g2)
     diag = np.arange(cut + 1) + 0.5 + spec.eps * beta1
-    return diag, (spec.eps * beta2) * displacement_matrix(cut, spec.alphas[0])
+    return diag, (spec.eps * beta2) * d
 
 
 def ab_sectors(spec):
@@ -575,13 +577,32 @@ def ab_sectors(spec):
     family ValueError, and a cutoff whose dense AB matrix build would
     refuse raises ResourceError before anything is allocated.
     """
-    spec.validate()
-    if spec.family != AB_FRAME:
-        raise ValueError("ab_sectors needs an AB frame model")
-    check_dense_budget(spec.basis())
-    diag, c = _ab_parts(spec)
-    signed = c * (-1.0) ** np.arange(diag.size)
-    return [np.diag(diag) + signed, np.diag(diag) - signed]
+    return next(ab_sector_pairs([spec]))
+
+
+def ab_sector_pairs(specs):
+    """ab_sectors(spec) for each spec in specs, in order, one pair at a
+    time: AB frame models that may differ in eps and the gammas but not
+    in the cutoff or alpha (ValueError), so that every pair comes from
+    one displacement matrix D, which depends on those two alone. Each
+    pair is bitwise what ab_sectors gives for its spec, and the checks
+    of ab_sectors run on every spec before D is formed.
+    """
+    for spec in specs:
+        spec.validate()
+        if spec.family != AB_FRAME:
+            raise ValueError("ab_sectors needs an AB frame model")
+    key = {(spec.cutoffs, spec.alphas) for spec in specs}
+    if len(key) != 1:
+        raise ValueError("ab_sector_pairs needs one cutoff and one alpha")
+    (cutoffs, alphas), = key
+    check_dense_budget(specs[0].basis())
+    d = displacement_matrix(cutoffs[0], alphas[0])
+    signs = (-1.0) ** np.arange(cutoffs[0] + 1)
+    for spec in specs:
+        diag, c = _ab_parts(spec, d)
+        signed = c * signs
+        yield [np.diag(diag) + signed, np.diag(diag) - signed]
 
 
 def parity_matrix(basis):

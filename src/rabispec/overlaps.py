@@ -23,7 +23,7 @@ on purpose, since they cross-validate each other in the tests:
   the agreement budget at a = 3. Both Hermite factors come from one ladder
   scan: the nodes shifted to x - a and to x + a are stacked into one array
   of points, the scan runs max(N, k) steps, and each factor is read off its
-  half when the scan reaches its degree.
+  half of the scan's row for its degree.
 
 The normalized overlaps O(N,k)/(norm_N norm_k) form the displacement matrix;
 for that whole-matrix object the entrywise closed form is useless at large
@@ -252,10 +252,20 @@ def _hermite_pair_scan_dd(N, k, xh, xl):
     dd points xh + xl and H_k at the second half, from one scan of
     max(N, k) steps over all the points.
 
-    Each step is _dd_mul(sqrt(2) x, H_n) - _dd_mul_f(H_(n-1), n) written
-    out with the Dekker splits held: the split of sqrt(2) x is fixed, and
-    the split of H_n made for this step's product is the split of H_(n-1)
-    in the next. The values are bitwise those of one scan per degree.
+    Each step is _dd_mul(sqrt(2) x, H_n) - _dd_mul_f(H_(n-1), n), with
+    both products formed in one stacked pass: every operation of _dd_mul
+    runs once on two rows, row 0 the factor n times H_(n-1) and row 1
+    sqrt(2) x times H_n. For an integer n < 2^26 the Dekker split of n is
+    (n, 0), so row 0, whose low parts are zero, gives the _dd_mul_f bits.
+    _dd_sub(a, b) is _dd_add(a, -b); here its sums with -b are written
+    as differences with b, which IEEE defines alike, and its two-sum error
+    term (-b) - bb as the difference with b + bb, equal to it up to the
+    sign of an exact zero (the tests compare the bits at signed-zero
+    points too). H_n, its low part and its split sit in a history of
+    max(N, k) + 2 rows, row n + 1 holding H_n and row 0 H_(-1) = 0, so a
+    step reads the operands of both rows as one slice of each, writes
+    H_(n+1) in place, and H_N, H_k are read off their rows at the end.
+    The values are bitwise those of one scan per degree.
     """
     half = xh.size // 2
     sq_h = math.sqrt(2.0)
@@ -264,30 +274,52 @@ def _hermite_pair_scan_dd(N, k, xh, xl):
     sq_l = ((2.0 - p) - e) / (2.0 * sq_h)
     sxh, sxl = _dd_mul_f(xh, xl, sq_h)
     sxh, sxl = _dd_add(sxh, sxl, xh * sq_l, xl * sq_l)
-    sh, sl = _split(sxh)
-    ch, cl = np.ones_like(xh), np.zeros_like(xh)
     steps = max(N, k)
-    for n in range(steps + 1):
-        if n == N:
-            hn = ch[:half], cl[:half]
-        if n == k:
-            hk = ch[half:], cl[half:]
-        if n == steps:
-            return hn + hk
-        c_hi, c_lo = _split(ch)
-        # sqrt(2) x H_n, as _dd_mul
-        t = sxh * ch
-        e = ((sh * c_hi - t) + sh * c_lo + sl * c_hi) + sl * c_lo
-        th, tl = _fast_two_sum(t, e + (sxh * cl + sxl * ch))
-        if n > 0:
-            # n H_(n-1), as _dd_mul_f
-            f = float(n)
-            f_hi, f_lo = _split(f)
-            u = ph * f
-            e = ((p_hi * f_hi - u) + p_hi * f_lo + p_lo * f_hi) + p_lo * f_lo
-            th, tl = _dd_sub(th, tl, *_fast_two_sum(u, e + pl * f))
-        ph, pl, p_hi, p_lo = ch, cl, c_hi, c_lo
-        ch, cl = th, tl
+    lanes = xh.size
+    # h_hi[j], h_lo[j], s_hi[j], s_lo[j]: hi, lo, split hi and split lo of
+    # H_(j - 1)
+    h_hi, h_lo, s_hi, s_lo = np.zeros((4, steps + 2, lanes))
+    h_hi[1] = s_hi[1] = 1.0
+    # the same four parts of the factors: row 0 n, row 1 sqrt(2) x
+    fh, fl, fsh, fsl = fac = np.zeros((4, 2, lanes))
+    fh[1], fl[1] = sxh, sxl
+    fsh[1], fsl[1] = _split(sxh)
+    n_parts = fac[::2, 0]
+    # the dd products (ph, pl), row 0 y = n H_(n-1) and row 1
+    # z = sqrt(2) x H_n; t and w are scratch, and their rows s, d, u, v
+    # in the subtraction
+    ph, pl, t, w = work = np.empty((4, 2, lanes))
+    (yh, zh), (yl, zl) = ph, pl
+    s, d, u, v = work[2:].reshape(4, lanes)
+    mul, add, sub = np.multiply, np.add, np.subtract
+    for n in range(steps):
+        n_parts.fill(n)
+        m = n + 2
+        bh, bl, bsh, bsl = h_hi[n:m], h_lo[n:m], s_hi[n:m], s_lo[n:m]
+        # (y, z), as _dd_mul
+        mul(fh, bh, t)
+        sub(mul(fsh, bsh, pl), t, pl)
+        add(pl, mul(fsh, bsl, w), pl)
+        add(pl, mul(fsl, bsh, w), pl)
+        add(pl, mul(fsl, bsl, w), pl)
+        add(mul(fh, bl, w), mul(fl, bh, ph), w)
+        add(pl, w, pl)
+        add(t, pl, ph)
+        sub(pl, sub(ph, t, w), pl)
+        # H_(n+1) = z - y, as _dd_sub, into row n + 2 of the history
+        sub(zh, yh, s)
+        sub(s, zh, u)
+        sub(zh, sub(s, u, v), v)
+        sub(v, add(u, yh, u), v)
+        add(v, sub(zl, yl, d), v)
+        ch = add(s, v, h_hi[m])
+        sub(v, sub(ch, s, u), h_lo[m])
+        # its split, as _split
+        mul(ch, _SPLITTER, u)
+        c_hi = sub(u, sub(u, ch, v), s_hi[m])
+        sub(ch, c_hi, s_lo[m])
+    return h_hi[N + 1, :half], h_lo[N + 1, :half], \
+        h_hi[k + 1, half:], h_lo[k + 1, half:]
 
 
 def overlap_quadrature(N, k, alpha, nodes=None):
@@ -317,12 +349,18 @@ def overlap_quadrature(N, k, alpha, nodes=None):
     # the lanes x - a, then x + a
     shift = np.repeat((-a, a), nodes)
     hn_h, hn_l, hk_h, hk_l = _hermite_pair_scan_dd(
-        N, k, *_dd_add(np.tile(xh, 2), np.tile(xl, 2), shift, 0.0))
+        N, k, *_dd_add(np.concatenate((xh, xh)), np.concatenate((xl, xl)),
+                       shift, 0.0))
     th, tl = _dd_mul(hn_h, hn_l, hk_h, hk_l)
     th, tl = _dd_mul(th, tl, wh, wl)
     sh = sl = 0.0
     for h, l in zip(th.tolist(), tl.tolist()):
-        sh, sl = _dd_add(sh, sl, h, l)
+        # sh, sl = _dd_add(sh, sl, h, l), written out
+        s = sh + h
+        bb = s - sh
+        e = ((sh - (s - bb)) + (h - bb)) + (sl + l)
+        sh = s + e
+        sl = e - (sh - s)
     if not math.isfinite(sh + sl):
         raise PrecisionError(
             "quadrature sum at alpha=%r overflows the double range" % alpha)

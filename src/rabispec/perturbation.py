@@ -35,9 +35,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ModelSpecError
-from .fock_ops import ModelSpec, ab_sectors, build
+from .fock_ops import ModelSpec, ab_sector_pairs, build
 from .overlaps import diagonal_overlap_ratio, displacement_matrix
-from .spectral_analysis import ab_spectrum
+from .spectral_analysis import _merge
 
 # calibrated once against fd_second_differences; do not edit without
 # re-running that comparison
@@ -283,16 +283,17 @@ def ab_sector_spectrum(params, eps, cutoff, sector):
     """
     if sector not in (+1, -1):
         raise ValueError("sector must be +1 or -1")
-    return _sector_spectra(params, eps, cutoff, (sector,))[0]
+    return _sector_spectra(params, (eps,), cutoff, (sector,))[0][0]
 
 
-def _sector_spectra(params, eps, cutoff, sectors):
+def _sector_spectra(params, eps_values, cutoff, sectors):
     """ab_sector_spectrum(params, eps, cutoff, s) for each s in sectors,
-    all from one fock_ops.ab_sectors call and so one displacement
-    matrix."""
-    h = ab_sectors(ModelSpec.ab_frame(params.alpha, params.gamma1,
-                                      params.gamma2, eps, cutoff))
-    return [np.sort(scipy.linalg.eigvalsh(h[(1 - s) // 2])) for s in sectors]
+    one list per eps in eps_values, all from one displacement matrix
+    (fock_ops.ab_sector_pairs)."""
+    specs = [ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2,
+                                eps, cutoff) for eps in eps_values]
+    return [[np.sort(scipy.linalg.eigvalsh(h[(1 - s) // 2])) for s in sectors]
+            for h in ab_sector_pairs(specs)]
 
 
 def branch_parity(N, params):
@@ -307,21 +308,19 @@ def branch_parity(N, params):
 def fd_pair_slopes(N, params, eps_fd=1e-3, cutoff=240):
     """Richardson-extrapolated eps-slopes (slope_minus, slope_plus) of the
     sorted eigenvalue pair at level N of the displaced-frame operator,
-    solved on its two parity sectors (ab_spectrum)."""
+    solved on its two parity sectors and merged as ab_spectrum does, at
+    the four eps from one displacement matrix."""
+    spectra = [_merge(v)[0] for v in _sector_spectra(
+        params, (eps_fd, -eps_fd, eps_fd / 2, -eps_fd / 2), cutoff, (1, -1))]
 
-    def sorted_pair(eps):
-        ev = ab_spectrum(ModelSpec.ab_frame(params.alpha, params.gamma1,
-                                            params.gamma2, eps, cutoff))
-        return ev[2 * N], ev[2 * N + 1]
-
-    def central(eps):
-        lo_p, hi_p = sorted_pair(eps)
-        lo_m, hi_m = sorted_pair(-eps)
+    def central(eps, plus, minus):
+        lo_p, hi_p = plus[2 * N], plus[2 * N + 1]
+        lo_m, hi_m = minus[2 * N], minus[2 * N + 1]
         # the branch that rises fastest at +eps is the lowest at -eps
         return (lo_p - hi_m) / (2 * eps), (hi_p - lo_m) / (2 * eps)
 
-    s1 = central(eps_fd)
-    s2 = central(eps_fd / 2)
+    s1 = central(eps_fd, *spectra[:2])
+    s2 = central(eps_fd / 2, *spectra[2:])
     return ((4 * s2[0] - s1[0]) / 3.0, (4 * s2[1] - s1[1]) / 3.0)
 
 
@@ -332,15 +331,14 @@ def fd_second_differences(N, params, eps_fd=1e-2, cutoff=240):
     This is the calibration oracle for SECOND_ORDER_SIGN: each value should
     equal SECOND_ORDER_SIGN * mu2 for its branch.
     """
-    branches = branch_parity(N, params)
-    lp, lm = ([v[N] for v in _sector_spectra(params, e, cutoff, branches)]
-              for e in (eps_fd, -eps_fd))
+    lp, lm = ([v[N] for v in sectors] for sectors in _sector_spectra(
+        params, (eps_fd, -eps_fd), cutoff, branch_parity(N, params)))
     l0 = N + 0.5
     return tuple((p - 2 * l0 + m) / eps_fd ** 2 for p, m in zip(lp, lm))
 
 
 def fd_signed_splitting(N, params, eps, cutoff=240):
     """Parity-tracked signed gap lambda_plusbranch - lambda_minusbranch."""
-    lp, lm = (v[N] for v in _sector_spectra(params, eps, cutoff,
-                                             branch_parity(N, params)))
+    lp, lm = (v[N] for v in _sector_spectra(params, (eps,), cutoff,
+                                             branch_parity(N, params))[0])
     return lp - lm

@@ -35,6 +35,22 @@ MAX_COMBINED_DEGREE = 120
 
 ZERO_PROXIMITY_TOL = 1e-10
 
+# Work bytes per degree, counted from the code: laguerre_zeros holds at most
+# 12 float arrays and 4 boolean arrays of length N at once (diag, off, z and
+# the scan's five buffers, or L, L_(N-1), logscale, deriv and the residual
+# test's temporaries); a Sturm sweep to kcap holds the two int64 count rows,
+# their difference, its boolean test and the int64 hit indices.
+_ZEROS_BYTES_PER_DEGREE = 12 * 8 + 4
+_STURM_BYTES_PER_DEGREE = 4 * 8 + 1
+
+
+def _check_work_bytes(what, need):
+    """Raise ResourceError when need bytes exceed the package's memory
+    budget, fock_ops.DENSE_BUDGET_BYTES. fock_ops imports this module
+    (through overlaps), so it is imported here, when a check runs."""
+    from . import fock_ops
+    fock_ops._check_budget(what, need)
+
 
 def hermite_poly(N, x, convention=LADDER):
     """Hermite polynomial of degree N at x (scalar or array).
@@ -78,19 +94,31 @@ def _laguerre_pair_scaled(N, x):
     degree is in the hundreds, so the recurrence renormalizes per lane and
     tracks the discarded magnitude in log space. Ratios of the returned pair
     are unaffected.
+
+    The scan runs in place: each step makes the five operations of
+    ((2n + 1 - x) L_n - n L_(n-1)) / (n + 1), in that order, into three
+    rotating buffers, so its values are bitwise those of the expression.
     """
     x = np.asarray(x, dtype=float)
     prev = np.zeros_like(x)
     cur = np.ones_like(x)
+    nxt = np.empty_like(x)
     logscale = np.zeros_like(x)
+    mag = np.empty_like(x)
+    big = np.empty(x.shape, dtype=bool)
     for n in range(N):
-        prev, cur = cur, ((2 * n + 1 - x) * cur - n * prev) / (n + 1)
-        big = np.abs(cur) > 1e250
-        if np.any(big):
-            f = np.where(big, np.abs(cur), 1.0)
-            cur = cur / f
-            prev = prev / f
-            logscale = logscale + np.log(f)
+        np.subtract(2 * n + 1, x, out=nxt)
+        nxt *= cur
+        prev *= n
+        nxt -= prev
+        nxt /= n + 1
+        prev, cur, nxt = cur, nxt, prev
+        np.greater(np.abs(cur, out=mag), 1e250, out=big)
+        if big.any():
+            f = np.where(big, mag, 1.0)
+            cur /= f
+            prev /= f
+            logscale += np.log(f)
     return cur, prev, logscale
 
 
@@ -100,9 +128,13 @@ def laguerre_zeros(N):
     Golub-Welsch on the Jacobi matrix (diagonal 2i+1, off-diagonal i), then
     Newton polish. Each zero is certified by a residual check
     |L_N(x)| <= 1e-12 * max(1, |L_N'(x)|); failure raises NumericError.
+    A degree whose work arrays would exceed fock_ops.DENSE_BUDGET_BYTES
+    raises ResourceError before anything is allocated.
     """
     if N < 1:
         raise ValueError("degree must be at least 1")
+    _check_work_bytes("Laguerre zeros of degree %d need" % N,
+                      _ZEROS_BYTES_PER_DEGREE * N)
     diag = 2.0 * np.arange(N) + 1.0
     off = np.arange(1.0, N)
     z = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
@@ -278,7 +310,8 @@ def nondegenerate_sequence(x0, jmax, kcap=4000):
     no degree up to kcap enters the current window.
 
     Raises DegenerateInput if x0 sits within 1e-10 of a zero of any L_k with
-    k <= kcap.
+    k <= kcap, and ResourceError, before anything is allocated, if the
+    Sturm count rows to kcap would exceed fock_ops.DENSE_BUDGET_BYTES.
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")
@@ -289,6 +322,8 @@ def nondegenerate_sequence(x0, jmax, kcap=4000):
     if x0 <= 0:
         # zeros all live on the positive axis, nothing to avoid
         raise ValueError("x0 must be positive")
+    _check_work_bytes("Sturm counts to kcap = %d need" % kcap,
+                      _STURM_BYTES_PER_DEGREE * kcap)
     if _first_degree_with_zero_in(x0, ZERO_PROXIMITY_TOL, kcap) is not None:
         raise DegenerateInput(
             "x0 = %.17g is within %g of a Laguerre zero" % (x0, ZERO_PROXIMITY_TOL)

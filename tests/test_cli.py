@@ -481,6 +481,27 @@ def test_exit_code_resource(capsys):
     assert peak < 1e6
 
 
+def test_exit_code_resource_laguerre_degrees(tmp_path, capsys):
+    # Sturm count rows to kcap 1e12 need 30 TiB and the zeros of degree 1e8
+    # 9 GiB: both refused before their work arrays are allocated
+    tracemalloc.start()
+    try:
+        for argv in (["avoid-seq", "--x0", "0.5", "--jmax", "1",
+                      "--kcap", "1000000000000"],
+                     ["laguerre-zeros", "--degree", "100000000"]):
+            doc = expect_error(capsys, argv, 9, "ResourceError")
+            assert "over the 2 GiB budget" in doc["message"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # the default kcap and the benchmark's degree stay within it
+    doc = run_json(tmp_path, ["avoid-seq", "--x0", "0.5", "--jmax", "1"])
+    assert doc["kcap"] == 4000 and len(doc["entries"]) == 1
+    doc = run_json(tmp_path, ["laguerre-zeros", "--degree", "2000"])
+    assert len(doc["zeros"]) == 2000
+
+
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing"
     expect_error(capsys, ["laguerre-zeros", "--degree", "2",

@@ -316,6 +316,37 @@ def test_ab_sectors_refuse_like_build(monkeypatch):
         fock_ops.ab_sectors(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 21))
 
 
+def test_ab_sector_pairs_share_one_displacement_matrix(monkeypatch):
+    specs = [ModelSpec.ab_frame(-0.8, g1, g2, eps, 60)
+             for g1, g2, eps in ((1.0, -1.0, 0.07), (1.0, -1.0, -0.07),
+                                 (0.4, -0.2, 0.3), (1.2, 1.1, 0.0))]
+    formed = []
+
+    def counted(*args):
+        formed.append(args)
+        return displacement_matrix(*args)
+
+    monkeypatch.setattr(fock_ops, "displacement_matrix", counted)
+    pairs = list(fock_ops.ab_sector_pairs(specs))
+    assert formed == [(60, -0.8)]
+    monkeypatch.undo()
+    for spec, pair in zip(specs, pairs):
+        for got, want in zip(pair, fock_ops.ab_sectors(spec)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # every spec is checked before D is formed
+    monkeypatch.setattr(fock_ops, "displacement_matrix", counted)
+    formed.clear()
+    for bad, err in ((ModelSpec.ab_frame(-0.8, 1.0, -1.0, 0.1, 61),
+                      ValueError),
+                     (ModelSpec.ab_frame(0.8, 1.0, -1.0, 0.1, 60),
+                      ValueError),
+                     (ModelSpec.ab_frame(-0.8, -1.0, 1.0, 0.1, 60),
+                      ModelSpecError)):
+        with pytest.raises(err):
+            next(fock_ops.ab_sector_pairs(specs + [bad]))
+    assert formed == []
+
+
 def test_parity_commutes_with_two_level_builds():
     spec = ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 40)
     h = build(spec).matrix

@@ -302,10 +302,38 @@ def test_quadrature_single_scan_is_bitwise_the_two_scan_route():
     cases += [(0, 120, 1.3, None), (60, 60, 0.4, None), (120, 0, 2.2, None),
               (5, 7, 1.1, 40), (9, 4, -0.7, None), (6, 6, 0.0, None),
               (0, 0, -1.0, None)]
+    # N != k at small, negative and zero alpha; at alpha 0 an odd node
+    # count puts a node on x = 0, where every odd H_n is a signed zero
+    cases += [(N, k, a, None) for a in (0.5, -0.7, 0.0)
+              for N, k in ((0, 1), (1, 0), (3, 8), (17, 4), (2, 33),
+                           (29, 40), (40, 13), (25, 26))]
+    cases += [(0, 1, 0.0, 5), (3, 4, 0.0, 41), (7, 2, 0.0, 9)]
     for N, k, a, nodes in cases:
         want = _two_scan_quadrature(N, k, a, nodes or required_nodes(N, k))
         assert _bits(overlap_quadrature(N, k, a, nodes)) == _bits(want), \
             (N, k, a, nodes)
+
+
+def test_pair_scan_is_bitwise_the_per_degree_scan_at_signed_zeros():
+    # points where the ladder's products are exact, so that low parts and
+    # errors are zeros whose signs the stacked step must keep: x = +-0,
+    # where every odd H_n vanishes, and sqrt(2) x = +-1, +-2, with random
+    # points and signed zero low parts
+    rng = np.random.default_rng(3)
+    r = math.sqrt(0.5)
+    xh = np.concatenate(([0.0, -0.0, r, -r, 2 * r, 0.5, 1.0],
+                         rng.normal(size=5)))
+    xl = np.concatenate(([0.0, -0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+                         rng.normal(size=5) * 1e-17))
+    xh, xl = np.concatenate((xh, xh)), np.concatenate((xl, -xl))
+    half = xh.size // 2
+    for N in range(overlaps.MAX_COMBINED_DEGREE // 2 + 1):
+        k = overlaps.MAX_COMBINED_DEGREE - N if N % 4 == 0 else N
+        got = overlaps._hermite_pair_scan_dd(N, k, xh, xl)
+        want = (_ladder_scan_dd(N, xh[:half], xl[:half])
+                + _ladder_scan_dd(k, xh[half:], xl[half:]))
+        for g, w in zip(got, want):
+            assert np.array_equal(_bits(g), _bits(w)), (N, k)
 
 
 @pytest.mark.parametrize("cutoff, alpha", [

@@ -26,6 +26,7 @@ from rabispec.perturbation import (
     quasimode_residual,
     quasimode_vectors,
 )
+from rabispec.spectral_analysis import ab_spectrum
 
 STD = RabiParameters(1.0, 1.0, -1.0)
 # 2 a^2 = 1 puts the level-1 diagonal overlap on the first Laguerre zero
@@ -285,8 +286,9 @@ def test_signed_splitting_first_order_dominates():
 
 
 def test_fd_oracles_form_one_displacement_matrix_per_eps(monkeypatch):
-    # both sectors at one eps come from one fock_ops.ab_sectors, and the
-    # values are bitwise those of ab_sector_spectrum sector by sector
+    # every eps of one call comes from one fock_ops.ab_sector_pairs, so one
+    # displacement matrix per call, and the values are bitwise those of
+    # ab_sector_spectrum sector by sector
     calls = Counter()
 
     def counted(*args):
@@ -306,12 +308,55 @@ def test_fd_oracles_form_one_displacement_matrix_per_eps(monkeypatch):
         assert calls["d"] == 1
         calls.clear()
         second = fd_second_differences(N, p, cutoff=120)
-        assert calls["d"] == 2
+        assert calls["d"] == 1
         monkeypatch.undo()
         assert gap == level(0.03, plus) - level(0.03, minus)
         assert second == tuple(
             (level(1e-2, s) - 2 * (N + 0.5) + level(-1e-2, s)) / 1e-2 ** 2
             for s in (plus, minus))
+
+
+def _bits(values):
+    """The IEEE bit patterns, sign bits included, of floats."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _per_eps_fd_pair_slopes(N, params, eps_fd=1e-3, cutoff=240):
+    """fd_pair_slopes with one ab_spectrum, and so one displacement matrix,
+    per eps."""
+
+    def sorted_pair(eps):
+        ev = ab_spectrum(ModelSpec.ab_frame(params.alpha, params.gamma1,
+                                            params.gamma2, eps, cutoff))
+        return ev[2 * N], ev[2 * N + 1]
+
+    def central(eps):
+        lo_p, hi_p = sorted_pair(eps)
+        lo_m, hi_m = sorted_pair(-eps)
+        return (lo_p - hi_m) / (2 * eps), (hi_p - lo_m) / (2 * eps)
+
+    s1 = central(eps_fd)
+    s2 = central(eps_fd / 2)
+    return ((4 * s2[0] - s1[0]) / 3.0, (4 * s2[1] - s1[1]) / 3.0)
+
+
+def test_fd_pair_slopes_form_one_displacement_matrix(monkeypatch):
+    calls = Counter()
+
+    def counted(*args):
+        calls["d"] += 1
+        return displacement_matrix(*args)
+
+    for params, N, cutoff in ((RabiParameters(0.9, 1.0, -0.6), 0, 120),
+                              (RabiParameters(-0.7, 1.2, 0.3), 3, 120),
+                              (STD, 2, 240)):
+        monkeypatch.setattr(fock_ops, "displacement_matrix", counted)
+        calls.clear()
+        got = fd_pair_slopes(N, params, cutoff=cutoff)
+        assert calls["d"] == 1
+        monkeypatch.undo()
+        want = _per_eps_fd_pair_slopes(N, params, cutoff=cutoff)
+        assert _bits(got).tolist() == _bits(want).tolist()
 
 
 def test_signed_splitting_cubic_at_degenerate_point():

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from rabispec.errors import DegenerateInput, PrecisionError
+from rabispec import fock_ops, specfun
+from rabispec.errors import DegenerateInput, PrecisionError, ResourceError
 from rabispec.specfun import (
     LADDER,
     MAX_COMBINED_DEGREE,
@@ -130,6 +132,56 @@ def test_laguerre_zeros_are_certified_roots():
 def test_laguerre_zeros_rejects_degree_zero():
     with pytest.raises(ValueError):
         laguerre_zeros(0)
+
+
+def _expression_laguerre_pair_scaled(N, x):
+    """_laguerre_pair_scaled with each step one array expression."""
+    x = np.asarray(x, dtype=float)
+    prev = np.zeros_like(x)
+    cur = np.ones_like(x)
+    logscale = np.zeros_like(x)
+    for n in range(N):
+        prev, cur = cur, ((2 * n + 1 - x) * cur - n * prev) / (n + 1)
+        big = np.abs(cur) > 1e250
+        if np.any(big):
+            f = np.where(big, np.abs(cur), 1.0)
+            cur = cur / f
+            prev = prev / f
+            logscale = logscale + np.log(f)
+    return cur, prev, logscale
+
+
+@pytest.mark.parametrize("N", [1, 2, 150, 345, 681, 2000])
+def test_laguerre_scan_in_place_is_bitwise_the_expression(N):
+    # at the Golub-Welsch nodes laguerre_zeros starts its Newton steps from,
+    # at their negatives and at signed zeros; the rescale path fires from
+    # degree 345 on
+    if N == 1:
+        nodes = np.array([1.0])
+    else:
+        nodes = scipy.linalg.eigh_tridiagonal(
+            2.0 * np.arange(N) + 1.0, np.arange(1.0, N), eigvals_only=True)
+    x = np.concatenate((nodes, -nodes[:5], [0.0, -0.0]))
+    got = specfun._laguerre_pair_scaled(N, x)
+    want = _expression_laguerre_pair_scaled(N, x)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    assert np.any(got[2] != 0) == (N >= 345)
+
+
+def test_laguerre_zeros_and_sturm_counts_refuse_over_the_budget(
+        monkeypatch):
+    # refused from the counted work bytes, before anything is allocated
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES",
+                        specfun._ZEROS_BYTES_PER_DEGREE * 40)
+    assert laguerre_zeros(40).size == 40
+    with pytest.raises(ResourceError, match="degree 41"):
+        laguerre_zeros(41)
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES",
+                        specfun._STURM_BYTES_PER_DEGREE * 1000)
+    assert len(nondegenerate_sequence(0.5, 2, kcap=1000).entries) == 2
+    with pytest.raises(ResourceError, match="kcap = 1001"):
+        nondegenerate_sequence(0.5, 2, kcap=1001)
 
 
 def test_laguerre_zero_set_collects_all_degrees():
