@@ -23,8 +23,9 @@ expansions as
 
 SECOND_ORDER_SIGN = -1 was calibrated once against central second
 differences of eigensolver output (the two candidate weight conventions
-differ by overall sign); the finite-difference oracles in this module are
-the authority for it and a test re-derives it.
+differ by overall sign); those differences, formed from the sector
+eigensolves of this module in the tests, are the authority for it and a
+test re-derives it.
 """
 
 import math
@@ -34,12 +35,13 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import ModelSpecError
+from .errors import ModelSpecError, UsageError
 from .fock_ops import ModelSpec, ab_sector_pairs, build
 from .overlaps import diagonal_overlap_ratio, displacement_matrix
 from .spectral_analysis import _merge
 
-# calibrated once against fd_second_differences; do not edit without
+# calibrated once against central second differences of ab_sector_spectrum
+# (fd_second_differences in tests/test_perturbation.py); do not edit without
 # re-running that comparison
 SECOND_ORDER_SIGN = -1.0
 
@@ -305,11 +307,21 @@ def branch_parity(N, params):
     return -base, base
 
 
+def _check_level(N, cutoff):
+    """Raise UsageError unless level N is one of the cutoff + 1 levels of
+    a parity sector at cutoff."""
+    if not 0 <= N <= cutoff:
+        raise UsageError("level N = %d is outside the finite-difference "
+                         "oracles' cutoff %d" % (N, cutoff))
+
+
 def fd_pair_slopes(N, params, eps_fd=1e-3, cutoff=240):
     """Richardson-extrapolated eps-slopes (slope_minus, slope_plus) of the
     sorted eigenvalue pair at level N of the displaced-frame operator,
     solved on its two parity sectors and merged as ab_spectrum does, at
-    the four eps from one displacement matrix."""
+    the four eps from one displacement matrix. A level outside
+    0..cutoff raises UsageError."""
+    _check_level(N, cutoff)
     spectra = [_merge(v)[0] for v in _sector_spectra(
         params, (eps_fd, -eps_fd, eps_fd / 2, -eps_fd / 2), cutoff, (1, -1))]
 
@@ -324,21 +336,10 @@ def fd_pair_slopes(N, params, eps_fd=1e-3, cutoff=240):
     return ((4 * s2[0] - s1[0]) / 3.0, (4 * s2[1] - s1[1]) / 3.0)
 
 
-def fd_second_differences(N, params, eps_fd=1e-2, cutoff=240):
-    """Central second differences (lambda(e) - 2 lambda(0) + lambda(-e))/e^2
-    per parity branch, returned as (value_plus_branch, value_minus_branch).
-
-    This is the calibration oracle for SECOND_ORDER_SIGN: each value should
-    equal SECOND_ORDER_SIGN * mu2 for its branch.
-    """
-    lp, lm = ([v[N] for v in sectors] for sectors in _sector_spectra(
-        params, (eps_fd, -eps_fd), cutoff, branch_parity(N, params)))
-    l0 = N + 0.5
-    return tuple((p - 2 * l0 + m) / eps_fd ** 2 for p, m in zip(lp, lm))
-
-
 def fd_signed_splitting(N, params, eps, cutoff=240):
-    """Parity-tracked signed gap lambda_plusbranch - lambda_minusbranch."""
+    """Parity-tracked signed gap lambda_plusbranch - lambda_minusbranch. A
+    level outside 0..cutoff raises UsageError."""
+    _check_level(N, cutoff)
     lp, lm = (v[N] for v in _sector_spectra(params, (eps,), cutoff,
                                              branch_parity(N, params))[0])
     return lp - lm

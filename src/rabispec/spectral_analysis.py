@@ -150,34 +150,103 @@ def _stable_prefix(prev, cur, m, tol):
 
 
 def _converge(spec, m, tol, cap, solve):
-    """Cutoff-growth driver. solve(cutoffs) -> (values, labels or None).
+    """Cutoff-growth driver. solve(cutoffs) -> (values, labels or None),
+    one value per basis state.
 
-    A growth step that the dense budget refuses (ResourceError) ends the
-    growth like the cap does, with the previous step's partial result."""
+    The cutoffs grow from spec.cutoffs (_grow) until the first m values of
+    two consecutive steps agree to tol (stop "stable"), or up to the cap
+    (stop "cap", a partial result). A step with a cutoff below 1, which no
+    model admits, is the last one too. A growth step is solved only when
+    its values are compared or returned: the comparison at step i can find
+    m stable values only if step i - 1 has at least m, so step i is
+    compared only then, and the steps below the first of dimension m or
+    more are skipped, build and eigensolve included. A partial result
+    reports the stable prefix of its step against the step before, which
+    is then solved if it was skipped.
+
+    A step that the budget refuses (ResourceError) ends the growth like the
+    cap does, with the partial result of the latest admitted step (stop
+    "budget"); a refused first step raises. The budget checks grow with
+    the cutoffs, and no step lowers a cutoff but the second, when the first
+    has one above the cap; the second step is then compared whatever the
+    dimensions, so a refusal of the first is met there. Every step after a
+    refused one is thus refused too, and a refusal met at a solved step is
+    traced back through the skipped steps below it, solving them in
+    descending order, to the latest admitted one. Every exit returns what
+    solving every step in turn returns.
+
+    One debug record per call that returns or meets a refusal names the
+    stop reason, the cutoffs tried, those solved, and the stable prefix at
+    each comparison.
+    """
     if m < 1:
         raise ValueError("m must be at least 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if cap is None:
         cap = SINGLE_MODE_CAP if spec.modes == 1 else MULTI_MODE_CAP
-    cur = spec.cutoffs
-    prev = None
-    stable = 0
-    while True:
+    cuts = [spec.cutoffs]
+    solved = {}
+    stables = []
+
+    def values(i):
+        if i not in solved:
+            solved[i] = solve(cuts[i])
+        return solved[i]
+
+    def stable_at(i):
+        if i == 0:
+            return 0
+        stable = _stable_prefix(values(i - 1)[0], values(i)[0], m, tol)
+        stables.append("%s:%d" % (_cutoff_text(cuts[i]), stable))
+        return stable
+
+    def record(stop):
+        log.debug("converge stop=%s m=%d tried=%s solved=%s stable=%s", stop,
+                  m, ",".join(map(_cutoff_text, cuts)),
+                  ",".join(_cutoff_text(cuts[i]) for i in sorted(solved)),
+                  ",".join(stables))
+
+    i = 0
+    try:
+        while True:
+            last = (all(c >= cap for c in cuts[i])
+                    or any(c < 1 for c in cuts[i]))
+            compared = i > 0 and (
+                spec.with_cutoffs(cuts[i - 1]).basis().dim >= m
+                or i == 1 and max(cuts[0]) > cap)
+            if last or compared:
+                stable = stable_at(i)
+                if stable >= m or last:
+                    vals, labels = values(i)
+                    stop = "stable" if stable >= m else "cap"
+                    record(stop)
+                    return Spectrum(vals, labels, stable, cuts[i], spec,
+                                    partial=stop == "cap")
+            cuts.append(_grow(cuts[i], cap))
+            i += 1
+    except ResourceError as exc:
+        refused = exc
+    # stable_at solves step i - 1 before step i, so the refused step is the
+    # first of them not solved
+    first = i - 1 if i and i - 1 not in solved else i
+    for a in range(first - 1, -1, -1):
         try:
-            vals, labels = solve(cur)
-        except ResourceError:
-            if prev is None:
-                raise
-            return Spectrum(*prev, stable, prev_cur, spec, partial=True)
-        if prev is not None:
-            stable = _stable_prefix(prev[0], vals, m, tol)
-            if stable >= m:
-                return Spectrum(vals, labels, m, cur, spec, partial=False)
-        if all(c >= cap for c in cur):
-            return Spectrum(vals, labels, stable, cur, spec, partial=True)
-        prev, prev_cur = (vals, labels), cur
-        cur = _grow(cur, cap)
+            values(a)
+        except ResourceError as exc:
+            refused = exc
+            continue
+        stable = stable_at(a)
+        record("budget")
+        return Spectrum(*values(a), stable, cuts[a], spec, partial=True)
+    record("budget")
+    raise refused
+
+
+def _cutoff_text(cutoffs):
+    """The cutoffs of a growth step as the debug record gives them: 16, or
+    10x12 with more than one mode."""
+    return "x".join(map(str, cutoffs))
 
 
 def converged_spectrum(spec, m, tol, cap=None):
@@ -187,10 +256,13 @@ def converged_spectrum(spec, m, tol, cap=None):
     ModelSpec. Hitting the cap, or a growth step whose dense matrix is over
     fock_ops.DENSE_BUDGET_BYTES (checked before the step is built), yields
     a partial result: converged_count reports how long a prefix was stable
-    at the last comparison and the partial flag is set. Every growth step
-    solves the model sector by sector: the AB frame on its two parity
-    sectors (ab_spectrum), the other families on the sectors of their build
-    (eigen_spectrum); QR and QRabi are parity_split without the labels.
+    at the last comparison and the partial flag is set. A growth step is
+    solved only when it is compared or returned (_converge): the steps with
+    fewer than m eigenvalues are skipped until a partial result needs the
+    one before its own. Every solved step solves the model sector by
+    sector: the AB frame on its two parity sectors (ab_spectrum), the other
+    families on the sectors of their build (eigen_spectrum); QR and QRabi
+    are parity_split without the labels.
     """
     if spec.family in (QR, QRABI):
         result = parity_split(spec, m, tol, cap)
@@ -213,10 +285,12 @@ def parity_split(spec, m, tol, cap=None):
     """Converged spectrum with a parity label on every eigenvalue.
 
     The conserved parity splits a QR/QRabi Hamiltonian into two symmetric
-    tridiagonal chains, the two sectors of build: every growth step builds
-    the model, solves each chain and merges the values sorted
-    (_solve_sectors), "+" (sector 0) before "-" (sector 1) on exact ties.
-    Other families raise ValueError, a malformed spec ModelSpecError first.
+    tridiagonal chains, the two sectors of build: every growth step that
+    the driver compares or returns (_converge; the steps with fewer than m
+    values are skipped) builds the model, solves each chain and merges the
+    values sorted (_solve_sectors), "+" (sector 0) before "-" (sector 1) on
+    exact ties. Other families raise ValueError, a malformed spec
+    ModelSpecError first.
     """
 
     def solve(cutoffs):

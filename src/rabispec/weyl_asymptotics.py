@@ -107,21 +107,6 @@ def symbol_sample(spec, X, eps):
     return SymbolSample(X, a1, b1, ev, min_gap)
 
 
-def _sphere_area(d, r):
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0) * r ** (d - 1)
-
-
-def ball_volume_numeric(n, nodes=200):
-    """vol{p2 <= 1} in 2n dimensions by a radial quadrature.
-
-    Reduces to the radial integral of the sphere-area function out to
-    radius sqrt(2); used as a cross-check of the closed form (2 pi)^n / n!.
-    """
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    r = 0.5 * SPHERE_RADIUS * (t + 1.0)
-    return float(np.sum(w * _sphere_area(2 * n, r)) * 0.5 * SPHERE_RADIUS)
-
-
 def weyl_prediction(spec):
     """Two-term counting coefficients for the model.
 

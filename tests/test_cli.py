@@ -171,6 +171,15 @@ def test_perturb_command_with_fd(tmp_path):
     check_schema(doc, load_schema("perturb"))
 
 
+def test_perturb_fd_check_refuses_a_level_above_its_cutoff(capsys):
+    # the fd oracles solve each parity sector to cutoff 240, 241 levels:
+    # level 241 is refused as a usage error, not an IndexError traceback
+    doc = expect_error(capsys, ["perturb", "--N", "241", "--alpha", "1",
+                                "--gamma1", "1", "--gamma2", "-1",
+                                "--fd-check"], 2, "UsageError")
+    assert "level N = 241" in doc["message"] and "cutoff 240" in doc["message"]
+
+
 def test_quasimode_command(tmp_path):
     doc = run_json(tmp_path, ["quasimode", "--N", "1", "--alpha", "1",
                               "--gamma1", "1", "--gamma2", "-1",

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from rabispec import fock_ops, perturbation
+from rabispec.errors import UsageError
 from rabispec.fock_ops import ModelSpec, build
 from rabispec.overlaps import displacement_matrix
 from rabispec.perturbation import (
@@ -18,8 +19,8 @@ from rabispec.perturbation import (
     ab_sector_spectrum,
     branch_parity,
     expansion_residual,
+    _sector_spectra,
     fd_pair_slopes,
-    fd_second_differences,
     fd_signed_splitting,
     first_order,
     quasimode_form,
@@ -184,6 +185,32 @@ def test_quasimode_computes_each_piece_once(monkeypatch):
     assert (exp.mu2_plus, exp.tail_estimate) == (form.mu2_plus,
                                                  form.tail_estimate)
     assert (exp.mu1_plus, exp.mu1_minus) == (split.mu_plus, split.mu_minus)
+
+
+def fd_second_differences(N, params, eps_fd=1e-2, cutoff=240):
+    """Central second differences (lambda(e) - 2 lambda(0) + lambda(-e))/e^2
+    per parity branch, returned as (value_plus_branch, value_minus_branch).
+
+    This is the calibration oracle for SECOND_ORDER_SIGN: each value should
+    equal SECOND_ORDER_SIGN * mu2 for its branch.
+    """
+    perturbation._check_level(N, cutoff)
+    lp, lm = ([v[N] for v in sectors] for sectors in _sector_spectra(
+        params, (eps_fd, -eps_fd), cutoff, branch_parity(N, params)))
+    l0 = N + 0.5
+    return tuple((p - 2 * l0 + m) / eps_fd ** 2 for p, m in zip(lp, lm))
+
+
+def test_fd_oracles_refuse_a_level_outside_their_cutoff():
+    # each parity sector at cutoff 20 holds levels 0..20
+    p = RabiParameters(0.9, 1.0, -0.6)
+    for fd in (lambda N: fd_pair_slopes(N, p, cutoff=20),
+               lambda N: fd_signed_splitting(N, p, 0.03, cutoff=20),
+               lambda N: fd_second_differences(N, p, cutoff=20)):
+        assert np.all(np.isfinite(fd(20)))
+        for N in (21, -1):
+            with pytest.raises(UsageError, match="cutoff 20"):
+                fd(N)
 
 
 def test_second_difference_calibrates_sign():

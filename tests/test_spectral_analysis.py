@@ -274,6 +274,167 @@ def test_spectrum_to_dict_round_trip_fields():
     assert "parity" not in d
 
 
+# ------------------------------------------------------- growth driver
+
+
+def _eager_converge(spec, m, tol, cap, solve):
+    """The cutoff-growth driver that solves every step in turn, kept as
+    the oracle of _converge, which solves only the steps it compares or
+    returns."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if cap is None:
+        cap = (spectral_analysis.SINGLE_MODE_CAP if spec.modes == 1
+               else spectral_analysis.MULTI_MODE_CAP)
+    cur = spec.cutoffs
+    prev = None
+    stable = 0
+    while True:
+        try:
+            vals, labels = solve(cur)
+        except ResourceError:
+            if prev is None:
+                raise
+            return Spectrum(*prev, stable, prev_cur, spec, partial=True)
+        if prev is not None:
+            stable = spectral_analysis._stable_prefix(prev[0], vals, m, tol)
+            if stable >= m:
+                return Spectrum(vals, labels, m, cur, spec, partial=False)
+        if all(c >= cap for c in cur):
+            return Spectrum(vals, labels, stable, cur, spec, partial=True)
+        prev, prev_cur = (vals, labels), cur
+        cur = spectral_analysis._grow(cur, cap)
+
+
+def _against_eager(monkeypatch, call, spec, m, tol, cap=None):
+    """(call(spec, m, tol, cap), _eager_converge on the solve that call
+    hands the driver, the cutoffs each of them asked solve for)."""
+    asked = {"driver": [], "eager": []}
+    real = spectral_analysis._converge
+    handed = []
+
+    def spy(spec_, m_, tol_, cap_, solve):
+        handed.append(solve)
+        return real(spec_, m_, tol_, cap_,
+                    lambda c: asked["driver"].append(c) or solve(c))
+
+    monkeypatch.setattr(spectral_analysis, "_converge", spy)
+    got = call(spec, m, tol, cap)
+    monkeypatch.setattr(spectral_analysis, "_converge", real)
+    want = _eager_converge(
+        spec, m, tol, cap,
+        lambda c: asked["eager"].append(c) or handed[0](c))
+    return got, want, asked
+
+
+def _assert_same_spectrum(got, want):
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert got.parity == want.parity
+    assert got.converged_count == want.converged_count
+    assert got.cutoffs_used == want.cutoffs_used
+    assert got.partial == want.partial
+
+
+def _records(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("converge ")]
+
+
+def test_driver_solves_only_the_compared_steps(monkeypatch, caplog):
+    # braak's shape, nmax 200: m = 2 (nmax + 2) = 404 levels from cutoff
+    # 16; the steps 16 .. 183 (dimension 34 .. 368) have fewer than m
+    # values, and 275 (552) against 413 (828) is already stable
+    spec = ModelSpec.qr(1.03, 0.95, -1.07, -0.03, 16)
+    with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
+        got, want, asked = _against_eager(monkeypatch, parity_split, spec,
+                                          404, 1e-9)
+    _assert_same_spectrum(got, want)
+    assert not got.partial and got.cutoffs_used == (413,)
+    assert asked["driver"] == [(275,), (413,)]
+    assert len(asked["eager"]) == 9
+    assert _records(caplog) == [
+        "converge stop=stable m=404 tried=16,24,36,54,81,122,183,275,413 "
+        "solved=275,413 stable=413:404"]
+
+
+def test_driver_cap_exit_solves_the_skipped_step_before(monkeypatch,
+                                                        caplog):
+    # every step 4 .. 20 (dimension 10 .. 42) has fewer than m = 60 values:
+    # the cap exit at 20 reports its stable prefix against 14, which is
+    # solved only then
+    spec = ModelSpec.qr(1.0, 1.0, -1.0, 0.3, 4)
+    with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
+        got, want, asked = _against_eager(monkeypatch, parity_split, spec,
+                                          60, 1e-3, cap=20)
+    _assert_same_spectrum(got, want)
+    assert got.partial and got.cutoffs_used == (20,)
+    assert 0 < got.converged_count < 60
+    assert asked["driver"] == [(14,), (20,)]
+    assert _records(caplog) == [
+        "converge stop=cap m=60 tried=4,6,9,14,20 solved=14,20 stable=20:%d"
+        % got.converged_count]
+
+
+def test_driver_budget_exit_solves_the_latest_admitted_step(monkeypatch,
+                                                            caplog):
+    # AB steps 10, 15, 23, 35, 53, 80 have dimension 22, 32, 48, 72, 108,
+    # 162; a dense budget of dimension 100 refuses 53. Step 80 is the
+    # first compared (53 has m = 80 values or more), so the refusal is met
+    # at 53, and 35, which has fewer than m and was skipped, is solved
+    # with 23 for its stable prefix
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", 8 * 100 ** 2)
+    spec = ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 10)
+    with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
+        got, want, asked = _against_eager(monkeypatch, converged_spectrum,
+                                          spec, 80, 1e-3)
+    _assert_same_spectrum(got, want)
+    assert got.partial and got.cutoffs_used == (35,)
+    assert 0 < got.converged_count < 80
+    assert asked["driver"] == [(53,), (35,), (23,)]
+    assert asked["eager"] == [(10,), (15,), (23,), (35,), (53,)]
+    assert _records(caplog) == [
+        "converge stop=budget m=80 tried=10,15,23,35,53,80 solved=23,35 "
+        "stable=35:%d" % got.converged_count]
+
+
+def test_driver_refused_first_step_still_raises(monkeypatch, caplog):
+    # every step from 60 (dimension 122) on is over a budget of dimension
+    # 100; the first solved step, 305, is refused, and so is every skipped
+    # step below it
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", 8 * 100 ** 2)
+    spec = ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 60)
+    with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
+        with pytest.raises(ResourceError,
+                           match="dense matrix of dimension 122 ") as got:
+            converged_spectrum(spec, 500, 1e-8)
+    with pytest.raises(ResourceError) as want:
+        _eager_converge(spec, 500, 1e-8, None,
+                        lambda c: (spectral_analysis.ab_spectrum(
+                            spec.with_cutoffs(c)), None))
+    assert str(got.value) == str(want.value)
+    assert _records(caplog) == [
+        "converge stop=budget m=500 tried=60,90,135,203,305,458 solved= "
+        "stable="]
+
+
+def test_driver_matches_the_eager_loop_on_multimode_steps(monkeypatch):
+    # a start above the cap in one mode: the second step lowers it, so
+    # both first steps are solved whatever their dimension
+    spec = ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (30, 1))
+    got, want, asked = _against_eager(monkeypatch, converged_spectrum, spec,
+                                      400, 1e-6, cap=12)
+    _assert_same_spectrum(got, want)
+    assert asked["driver"][:2] == [(30, 1), (12, 2)]
+    # m = 10 values: every step is compared, as in multimode_weyl
+    spec = ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (4, 4))
+    got, want, asked = _against_eager(monkeypatch, converged_spectrum, spec,
+                                      10, 1e-9, cap=20)
+    _assert_same_spectrum(got, want)
+    assert asked["driver"] == asked["eager"]
+
+
 # ------------------------------------------------------- parity split
 
 

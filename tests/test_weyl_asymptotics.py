@@ -13,11 +13,11 @@ from rabispec.errors import ResourceError
 from rabispec.fock_ops import ModelSpec, build
 from rabispec.spectral_analysis import count_below
 from rabispec.weyl_asymptotics import (
+    SPHERE_RADIUS,
     WeylPrediction,
     _grid_points,
     a1_matrix,
     b1_matrix,
-    ball_volume_numeric,
     empirical_counting,
     nonpositive_count,
     smges_gap_check,
@@ -28,6 +28,22 @@ from rabispec.weyl_asymptotics import (
 QR_SPEC = ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 100)
 XI3 = ModelSpec.xi([1.0, 0.8], [0.3, 0.5], 0.05, [20, 20])
 LAM4 = ModelSpec.lam([1.0, 0.8, 0.6], [0.1, 0.2, 0.3], 0.05, [8, 8, 8])
+
+
+def _sphere_area(d, r):
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0) * r ** (d - 1)
+
+
+def ball_volume_numeric(n, nodes=200):
+    """vol{p2 <= 1} in 2n dimensions by a radial quadrature.
+
+    Reduces to the radial integral of the sphere-area function out to
+    radius sqrt(2); the oracle for the closed form (2 pi)^n / n! behind
+    the leading coefficient of weyl_prediction.
+    """
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    r = 0.5 * SPHERE_RADIUS * (t + 1.0)
+    return float(np.sum(w * _sphere_area(2 * n, r)) * 0.5 * SPHERE_RADIUS)
 
 
 def test_ball_volume_matches_closed_form():
