@@ -380,14 +380,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError("%s: %s" % (self.prog, message))
 
 
-def build_parser():
-    ap = _Parser(
-        prog="rabispec",
-        description="Spectral toolkit for displaced two-level and multilevel "
-                    "oscillator models")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("overlap", help="displaced eigenfunction overlap")
+def _overlap_args(p):
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", required=True)
@@ -396,18 +389,20 @@ def build_parser():
     p.add_argument("--nodes", type=int, default=None)
     _add_common(p)
 
-    p = sub.add_parser("laguerre-zeros", help="zeros of a Laguerre polynomial")
+
+def _laguerre_zeros_args(p):
     p.add_argument("--degree", type=int, required=True)
     _add_common(p)
 
-    p = sub.add_parser("avoid-seq",
-                       help="zero-avoiding degree/window sequence")
+
+def _avoid_seq_args(p):
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--jmax", type=int, required=True)
     p.add_argument("--kcap", type=int, default=4000)
     _add_common(p)
 
-    p = sub.add_parser("spectrum", help="converged truncated spectrum")
+
+def _spectrum_args(p):
     _add_model_flags(p)
     p.add_argument("--levels", type=int, default=10,
                    help="eigenvalues to converge")
@@ -418,13 +413,15 @@ def build_parser():
     p.add_argument("--dump-matrix", help="also write the assembled matrix")
     _add_common(p)
 
-    p = sub.add_parser("perturb", help="first-order splitting data")
+
+def _perturb_args(p):
     _add_rabi_flags(p)
     p.add_argument("--fd-check", action="store_true",
                    help="include finite-difference slope cross-check")
     _add_common(p)
 
-    p = sub.add_parser("quasimode", help="second-order quasimode data")
+
+def _quasimode_args(p):
     _add_rabi_flags(p)
     p.add_argument("--K", type=int, default=None, help="spectral sum cutoff")
     p.add_argument("--eps", type=float, default=None,
@@ -435,7 +432,8 @@ def build_parser():
                    help="include coefficient vectors in the output")
     _add_common(p, formats=("json",))
 
-    p = sub.add_parser("braak", help="interval counts of the shifted spectrum")
+
+def _braak_args(p):
     _add_model_flags(p, families=("qr", "qrabi"))
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--shift", default=None,
@@ -444,7 +442,8 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-9)
     _add_common(p)
 
-    p = sub.add_parser("weyl", help="counting function vs two-term law")
+
+def _weyl_args(p):
     _add_model_flags(p)
     p.add_argument("--lambdas", required=True,
                    help="comma-separated thresholds")
@@ -453,26 +452,56 @@ def build_parser():
                    help="reliability bound as a fraction of the cutoff")
     _add_common(p)
 
-    p = sub.add_parser("smges-check", help="symbol eigenvalue gap sampling")
+
+def _smges_check_args(p):
     _add_model_flags(p, families=("xi", "lambda", "vee"), default=None)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--grid", action="store_true",
                    help="deterministic lattice instead of seeded sampling")
     _add_common(p, formats=("json",))
+
+
+# every command: (name, help, adds its arguments, handler), in help order
+COMMANDS = (
+    ("overlap", "displaced eigenfunction overlap", _overlap_args,
+     _cmd_overlap),
+    ("laguerre-zeros", "zeros of a Laguerre polynomial",
+     _laguerre_zeros_args, _cmd_laguerre_zeros),
+    ("avoid-seq", "zero-avoiding degree/window sequence", _avoid_seq_args,
+     _cmd_avoid_seq),
+    ("spectrum", "converged truncated spectrum", _spectrum_args,
+     _cmd_spectrum),
+    ("perturb", "first-order splitting data", _perturb_args, _cmd_perturb),
+    ("quasimode", "second-order quasimode data", _quasimode_args,
+     _cmd_quasimode),
+    ("braak", "interval counts of the shifted spectrum", _braak_args,
+     _cmd_braak),
+    ("weyl", "counting function vs two-term law", _weyl_args, _cmd_weyl),
+    ("smges-check", "symbol eigenvalue gap sampling", _smges_check_args,
+     _cmd_smges_check),
+)
+
+HANDLERS = {name: handler for name, _, _, handler in COMMANDS}
+
+
+def build_parser(command=None):
+    """The rabispec parser. Every command is registered with its help; the
+    arguments are added for command alone, or for every command when
+    command is None or names none of them. Parsing an argv whose first
+    word is command gives what the full parser gives, help and errors
+    included, since no other subparser is consulted; each add_argument
+    makes a help formatter, so the others are left empty."""
+    ap = _Parser(
+        prog="rabispec",
+        description="Spectral toolkit for displaced two-level and multilevel "
+                    "oscillator models")
+    sub = ap.add_subparsers(dest="command", required=True)
+    full = command not in HANDLERS
+    for name, help_text, add_args, _ in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if full or name == command:
+            add_args(p)
     return ap
-
-
-HANDLERS = {
-    "overlap": _cmd_overlap,
-    "laguerre-zeros": _cmd_laguerre_zeros,
-    "avoid-seq": _cmd_avoid_seq,
-    "spectrum": _cmd_spectrum,
-    "perturb": _cmd_perturb,
-    "quasimode": _cmd_quasimode,
-    "braak": _cmd_braak,
-    "weyl": _cmd_weyl,
-    "smges-check": _cmd_smges_check,
-}
 
 
 _SWITCH_KEYS = {"parity", "grid", "fd-check", "fd_check", "vectors"}
@@ -519,11 +548,10 @@ def _config_echo(args):
 
 
 def main(argv=None):
-    parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         argv = _inject_config(argv)
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         config = _config_echo(args)
         # numerical warnings are not part of the contract: stderr carries
         # only the JSON error object

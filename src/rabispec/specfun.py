@@ -38,8 +38,10 @@ ZERO_PROXIMITY_TOL = 1e-10
 # Work bytes per degree, counted from the code: laguerre_zeros holds at most
 # 12 float arrays and 4 boolean arrays of length N at once (diag, off, z and
 # the scan's five buffers, or L, L_(N-1), logscale, deriv and the residual
-# test's temporaries); a Sturm sweep to kcap holds the two int64 count rows,
-# their difference, its boolean test and the int64 hit indices.
+# test's temporaries). The Sturm sweeps of avoid-seq hold no per-degree
+# arrays; _STURM_BYTES_PER_DEGREE keeps the exit-9 limit on kcap (near 65
+# million at 2 GiB) scaled with DENSE_BUDGET_BYTES, until a bound on the
+# sweep time replaces it.
 _ZEROS_BYTES_PER_DEGREE = 12 * 8 + 4
 _STURM_BYTES_PER_DEGREE = 4 * 8 + 1
 
@@ -254,36 +256,36 @@ def zero_set_distance(x0, kmax):
     return best
 
 
-def _cumulative_sturm_counts(t, kmax):
-    """counts[k-1] = number of zeros of L_k strictly below t, for k = 1..kmax.
+def _first_degree_with_zero_in(x0, delta, kmax):
+    """The least k <= kmax for which L_k has more zeros below x0 + delta
+    than below x0 - delta, or None.
 
-    One Sturm-sequence sweep of the order-kmax Jacobi matrix serves every
-    degree at once, because J_k is the leading principal submatrix of J_kmax.
+    The number of zeros of L_k below t is the number of negative pivots
+    among the first k of the Sturm sequence of the order-kmax Jacobi
+    matrix at t, because J_k is its leading principal submatrix. One loop
+    runs the sequences at both ends and stops at the first degree whose
+    count at the upper end exceeds the one at the lower end.
     """
-    counts = np.empty(kmax, dtype=np.int64)
-    d = 1.0
-    neg = 0
+    lo_t, hi_t = x0 - delta, x0 + delta
+    lo = hi = 1.0
+    lo_neg = hi_neg = 0
     tiny = 1e-300
     for i in range(kmax):
         a = 2.0 * i + 1.0
         b2 = float(i * i)
-        d = (a - t) - b2 / d
-        if d == 0.0:
-            d = tiny
-        if d < 0.0:
-            neg += 1
-        counts[i] = neg
-    return counts
-
-
-def _first_degree_with_zero_in(x0, delta, kmax):
-    lo = _cumulative_sturm_counts(x0 - delta, kmax)
-    hi = _cumulative_sturm_counts(x0 + delta, kmax)
-    inside = hi - lo
-    hits = np.nonzero(inside > 0)[0]
-    if hits.size == 0:
-        return None
-    return int(hits[0]) + 1
+        lo = (a - lo_t) - b2 / lo
+        if lo == 0.0:
+            lo = tiny
+        if lo < 0.0:
+            lo_neg += 1
+        hi = (a - hi_t) - b2 / hi
+        if hi == 0.0:
+            hi = tiny
+        if hi < 0.0:
+            hi_neg += 1
+        if hi_neg > lo_neg:
+            return i + 1
+    return None
 
 
 class AvoidanceEntry(NamedTuple):
@@ -310,8 +312,9 @@ def nondegenerate_sequence(x0, jmax, kcap=4000):
     no degree up to kcap enters the current window.
 
     Raises DegenerateInput if x0 sits within 1e-10 of a zero of any L_k with
-    k <= kcap, and ResourceError, before anything is allocated, if the
-    Sturm count rows to kcap would exceed fock_ops.DENSE_BUDGET_BYTES.
+    k <= kcap, and ResourceError, before any sweep, if kcap is over the
+    cap that fock_ops.DENSE_BUDGET_BYTES sets at _STURM_BYTES_PER_DEGREE
+    bytes per degree.
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")

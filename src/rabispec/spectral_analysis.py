@@ -114,10 +114,52 @@ def eigen_spectrum(op):
 def _solve_sectors(sectors):
     """(eigenvalues, sector number of each) of all sectors (_merge): a
     chain sector (Sector.chain) solved by eigvalsh_tridiagonal on its own
-    buffers, any other by one dense eigvalsh of its matrix."""
-    return _merge([scipy.linalg.eigvalsh(s.matrix()) if s.chain() is None
-                   else scipy.linalg.eigvalsh_tridiagonal(s.diag, s.low)
-                   for s in sectors])
+    buffers, any other by one dense eigvalsh of its matrix. A sector
+    bitwise equal to an earlier one (_once_per_matrix) reuses its
+    eigenvalue array: at eps = 0 the spin flip commutes with H, so the
+    two QR/QRabi parity chains are one chain, and LAPACK gives identical
+    inputs identical outputs, so the merged values and labels are bitwise
+    those of solving every sector."""
+    return _merge(_once_per_matrix(
+        sectors,
+        lambda s: scipy.linalg.eigvalsh(s.matrix()) if s.chain() is None
+        else scipy.linalg.eigvalsh_tridiagonal(s.diag, s.low)))
+
+
+def _sector_parts(sector):
+    """The arrays of a Sector that its solve and its count read."""
+    return (sector.sizes, sector.diag, sector.low, sector.floor,
+            sector.coupling)
+
+
+def _once_per_matrix(sectors, solve):
+    """[solve(s) for s in sectors] with solve called once per distinct
+    matrix: a sector whose arrays (_sector_parts) are bitwise those of an
+    earlier sector (_same_bits) gets that sector's result, the same object.
+    solve must be deterministic, as LAPACK is on identical inputs; no
+    result is kept past the call."""
+    seen = []
+    out = []
+    for s in sectors:
+        key = _sector_parts(s)
+        got = next((r for k, r in seen if all(map(_same_bits, k, key))),
+                   None)
+        if got is None:
+            got = solve(s)
+            seen.append((key, got))
+        out.append(got)
+    return out
+
+
+def _same_bits(a, b):
+    """Whether arrays a and b have the same dtype, shape and bytes (None
+    only matches None: -0.0 is not 0.0, and a NaN matches its own bits)."""
+    if a is None or b is None:
+        return a is b
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    u = "u%d" % a.itemsize
+    return np.array_equal(a.reshape(-1).view(u), b.reshape(-1).view(u))
 
 
 def ab_spectrum(spec):
@@ -289,8 +331,10 @@ def parity_split(spec, m, tol, cap=None):
     the driver compares or returns (_converge; the steps with fewer than m
     values are skipped) builds the model, solves each chain and merges the
     values sorted (_solve_sectors), "+" (sector 0) before "-" (sector 1) on
-    exact ties. Other families raise ValueError, a malformed spec
-    ModelSpecError first.
+    exact ties. At eps = 0 the spin flip commutes with H and the two chains
+    are bitwise one chain, which is then solved once and labelled both
+    ways; every value and label is what solving both gives. Other families
+    raise ValueError, a malformed spec ModelSpecError first.
     """
 
     def solve(cutoffs):
@@ -421,9 +465,13 @@ def count_below(op, lam):
     its flat buffers by offsets (_layered_inertia), for the number of
     nonpositive eigenvalues of the successive Schur blocks
     S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T (Haynsworth inertia
-    additivity). The band and the growth bound are those of the whole
-    matrix. An eigendirection of S_k that is singular, or whose elimination
-    would grow the next block by more than
+    additivity). A sector bitwise equal to an earlier one, in its matrix
+    buffers and bounds (_once_per_matrix), reuses that sector's sweep for
+    the sum and the record: the two QR/QRabi chains at eps = 0, where the
+    spin flip commutes with H, so the count and the record are those of
+    sweeping every sector. The band and the growth bound are those of the
+    whole matrix. An eigendirection of S_k that is singular, or whose
+    elimination would grow the next block by more than
     LAYER_GROWTH * max(1, max|matrix - lam I|), is merged into the next
     layer instead of eliminated, so a pending block can outgrow its layer.
     A sector built with bounds (Sector.floor, Sector.coupling; build sets
@@ -452,10 +500,11 @@ def count_below(op, lam):
     scale = max([1.0] + [_shifted_max(s, lam) for s in op.sectors]
                 + [np.abs(s.low).max() for s in op.sectors if s.low.size])
     tie = n * np.finfo(float).eps * scale
-    sweeps = [_chain_inertia(s.diag, s.low, lam + tie) + (s.sizes.size,)
-              if s.chain() is not None
-              else _layered_inertia(s, lam + tie, LAYER_GROWTH * scale)
-              for s in op.sectors]
+    sweeps = _once_per_matrix(
+        op.sectors,
+        lambda s: _chain_inertia(s.diag, s.low, lam + tie) + (s.sizes.size,)
+        if s.chain() is not None
+        else _layered_inertia(s, lam + tie, LAYER_GROWTH * scale))
     log.debug("count_below route=layered dim=%d sectors=%d merges=%d ties=%d "
               "max_block=%d depth=%d closed=%d", n, len(sweeps),
               sum(w[1] for w in sweeps),
@@ -517,18 +566,6 @@ def _verdict(counts):
             "no_adjacent_double": no_adjacent_double}
 
 
-def _assign_interval(v):
-    """Interval index for a shifted eigenvalue, with the boundary rule.
-
-    Values within BOUNDARY_TOL of an integer boundary go to the lower
-    interval and are reported back as flagged.
-    """
-    b = round(v)
-    if abs(v - b) <= BOUNDARY_TOL:
-        return int(b) - 1, True
-    return int(math.floor(v)), False
-
-
 def braak_intervals(spectrum, shift, Nmax):
     """Counts of shifted eigenvalues per unit interval, with the three
     interval regularity verdicts evaluated per parity class.
@@ -557,25 +594,25 @@ def braak_intervals(spectrum, shift, Nmax):
             "converged eigenvalues cover shifted values only up to %.6g; "
             "interval I_%d is not certified" % (bound, first_bad))
 
-    totals = [0] * (Nmax + 1)
-    plus = [0] * (Nmax + 1)
-    minus = [0] * (Nmax + 1)
-    boundary = []
+    # interval of each converged value: within BOUNDARY_TOL of an integer
+    # boundary b (np.rint rounds half to even, as round does) it goes to
+    # b - 1 and is flagged, otherwise to its floor
+    v = shifted[:conv]
+    b = np.rint(v)
+    flagged = np.abs(v - b) <= BOUNDARY_TOL
+    idx = np.where(flagged, b - 1.0, np.floor(v))
+    inside = (idx >= 0) & (idx <= Nmax)
+    idx = idx[inside].astype(np.intp)
     labeled = spectrum.parity is not None
-    for i in range(conv):
-        v = shifted[i]
-        idx, flagged = _assign_interval(v)
-        if flagged:
-            boundary.append(v)
-        if not 0 <= idx <= Nmax:
-            continue
-        totals[idx] += 1
-        if labeled:
-            if spectrum.parity[i] == "+":
-                plus[idx] += 1
-            else:
-                minus[idx] += 1
 
+    def counts(i):
+        return np.bincount(i, minlength=Nmax + 1).tolist()
+
+    totals = counts(idx)
+    if labeled:
+        is_plus = (np.asarray(spectrum.parity[:conv], dtype=object)
+                   == "+")[inside]
+        plus, minus = counts(idx[is_plus]), counts(idx[~is_plus])
     per_interval = [
         IntervalCount(N, totals[N],
                       plus[N] if labeled else None,
@@ -586,4 +623,4 @@ def braak_intervals(spectrum, shift, Nmax):
         verdicts = {"+": _verdict(plus), "-": _verdict(minus)}
     else:
         verdicts = {"total": _verdict(totals)}
-    return IntervalReport(per_interval, verdicts, shift, boundary)
+    return IntervalReport(per_interval, verdicts, shift, list(v[flagged]))

@@ -708,6 +708,57 @@ def test_readme_command_examples_run():
         _parse_output(argv, out.getvalue())
 
 
+def _parse(parser, argv):
+    """("ok", Namespace), ("exit", stdout) for --help, or ("usage", the
+    UsageError message) from parser.parse_args(argv)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "ok", vars(parser.parse_args(argv))
+    except SystemExit as e:
+        return "exit", (e.code, out.getvalue())
+    except errors.UsageError as e:
+        return "usage", str(e)
+
+
+def _usage_argvs():
+    """Every argv of this file's argparse usage-error cases."""
+    marks = test_argparse_errors_are_usage_errors.pytestmark
+    cases, = [m.args[1] for m in marks if m.name == "parametrize"]
+    return [argv for argv, _ in cases] + [
+        ["overlap", "--k", "1", "--alpha", "0"],
+        XI_WEYL + ["--alpha", "1,0.8", "--cutoff", "10", "--lambdas="],
+        ["smges-check", "--family", "qr"], ["spectrum", "--levels", "x"],
+        ["quasimode", "--N", "1", "--alpha", "1", "--gamma1", "1",
+         "--gamma2=-1", "--format", "csv"]]
+
+
+@pytest.mark.parametrize("command", list(cli.HANDLERS))
+def test_one_command_parser_parses_as_the_full_parser(command):
+    # the parser main builds for an argv adds only its command's arguments
+    full, one = cli.build_parser(), cli.build_parser(command)
+    argvs = [[command, "--help"], [command, "-h"], [command],
+             [command, "--no-such-flag", "1"]]
+    argvs += [a for a in _readme_commands() + _usage_argvs()
+              if a[0] == command]
+    assert len(argvs) > 4
+    for argv in argvs:
+        assert _parse(one, argv) == _parse(full, argv), argv
+    assert _parse(one, [command, "--help"])[1][1].startswith(
+        "usage: rabispec %s" % command)
+
+
+def test_parser_without_a_command_is_the_full_parser():
+    for argv in ([], ["--help"], ["-h", "spectrum"], ["spectrun"],
+                 ["--config", "x", "spectrum"]):
+        first = argv[0] if argv else None
+        assert _parse(cli.build_parser(first), argv) \
+            == _parse(cli.build_parser(), argv)
+    assert _parse(cli.build_parser(), ["--help"])[1][1] \
+        == _parse(cli.build_parser("weyl"), ["--help"])[1][1]
+    assert [name for name, *_ in cli.COMMANDS] == list(cli.HANDLERS)
+
+
 # ------------------------------------------------------- robustness
 
 

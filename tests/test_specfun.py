@@ -338,3 +338,41 @@ def test_avoidance_sequence_exhaustion_flag():
     assert seq.exhausted
     assert seq.entries == []
     assert seq.kcap == 1
+
+
+def _cumulative_sturm_counts(t, kmax):
+    """counts[k-1] = number of zeros of L_k strictly below t, k = 1..kmax,
+    from one full Sturm sweep of the order-kmax Jacobi matrix."""
+    counts = np.empty(kmax, dtype=np.int64)
+    d = 1.0
+    neg = 0
+    for i in range(kmax):
+        d = (2.0 * i + 1.0 - t) - float(i * i) / d
+        if d == 0.0:
+            d = 1e-300
+        if d < 0.0:
+            neg += 1
+        counts[i] = neg
+    return counts
+
+
+def _two_sweep_first_degree(x0, delta, kmax):
+    """The two full sweeps to kmax, kept as the oracle of the one-loop
+    _first_degree_with_zero_in."""
+    inside = (_cumulative_sturm_counts(x0 + delta, kmax)
+              - _cumulative_sturm_counts(x0 - delta, kmax))
+    hits = np.nonzero(inside > 0)[0]
+    return None if hits.size == 0 else int(hits[0]) + 1
+
+
+def test_first_degree_with_zero_in_matches_two_sweeps():
+    rng = np.random.default_rng(5)
+    cases = [(0.5, 0.1, 1), (0.5, 1e-10, 4000), (1.0, 1e-10, 50),
+             (3.0, 0.0, 30), (0.5, 0.1, 4000), (1e-3, 1e-4, 300)]
+    for _ in range(300):
+        x0 = float(np.exp(rng.uniform(-6.0, 4.0)))
+        delta = float(np.exp(rng.uniform(-25.0, 0.0)))
+        cases.append((x0, delta, int(rng.integers(1, 400))))
+    found = [specfun._first_degree_with_zero_in(*c) for c in cases]
+    assert found == [_two_sweep_first_degree(*c) for c in cases]
+    assert None in found and sum(k is not None for k in found) > 50

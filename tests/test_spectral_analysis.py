@@ -2,6 +2,7 @@
 inertia counting, and the unit-interval census."""
 
 import logging
+import math
 import re
 import tracemalloc
 
@@ -481,6 +482,147 @@ def test_parity_split_requires_two_level_family():
                      1e-8)
 
 
+# ------------------------------------------------------- equal sectors
+
+
+def _per_sector(sectors, solve):
+    """The route that solves and sweeps every sector, kept as the oracle of
+    _once_per_matrix, which solves each distinct matrix once."""
+    return [solve(s) for s in sectors]
+
+
+def _count_tridiagonal(monkeypatch):
+    """The number of eigvalsh_tridiagonal calls from now on."""
+    calls = []
+    real = scipy.linalg.eigvalsh_tridiagonal
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+    return calls
+
+
+def _solved_steps(caplog):
+    record, = _records(caplog)
+    return record.split(" solved=")[1].split()[0].split(",")
+
+
+EQUAL_CHAIN_SPECS = [ModelSpec.qr(1.03, 0.95, -1.07, 0.0, 16),
+                     ModelSpec.qrabi(0.8, 0.9, 0.0, 20)]
+
+
+@pytest.mark.parametrize("spec", EQUAL_CHAIN_SPECS, ids=["qr", "qrabi"])
+@pytest.mark.parametrize("call", [parity_split, converged_spectrum],
+                         ids=["parity_split", "converged_spectrum"])
+def test_equal_chains_are_solved_once_per_step(spec, call, monkeypatch,
+                                               caplog):
+    # at eps = 0 the two parity chains are one chain: bitwise what solving
+    # both gives, with one tridiagonal solve per solved growth step
+    calls = _count_tridiagonal(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
+        got = call(spec, 120, 1e-9)
+    steps = _solved_steps(caplog)
+    assert len(steps) >= 2 and len(calls) == len(steps)
+    monkeypatch.setattr(spectral_analysis, "_once_per_matrix", _per_sector)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
+        want = call(spec, 120, 1e-9)
+    assert _solved_steps(caplog) == steps
+    assert len(calls) == 3 * len(steps)
+    _assert_same_spectrum(got, want)
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("spec", [ModelSpec.qr(1.03, 0.95, -1.07, 0.03, 16),
+                                  ModelSpec.qrabi(0.8, 0.9, 0.04, 20)],
+                         ids=["qr", "qrabi"])
+def test_unequal_chains_are_both_solved(spec, monkeypatch, caplog):
+    calls = _count_tridiagonal(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
+        got = parity_split(spec, 120, 1e-9)
+    assert len(calls) == 2 * len(_solved_steps(caplog))
+    monkeypatch.setattr(spectral_analysis, "_once_per_matrix", _per_sector)
+    _assert_same_spectrum(got, parity_split(spec, 120, 1e-9))
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec.qr(1.03, 0.95, -1.07, 0.0, 400),
+    ModelSpec.qrabi(0.8, 0.9, 0.0, 300),
+    ModelSpec.qr(1.03, 0.95, -1.07, 0.03, 400),
+    ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.0, (9, 12)),
+], ids=["qr", "qrabi", "qr-eps", "xi-eps0"])
+def test_equal_sectors_count_once_with_the_same_record(spec, monkeypatch,
+                                                       caplog):
+    op = build(spec)
+    ev = eigen_spectrum(op)
+    lams = [-5.0, float(ev[7]), 0.5 * float(ev[40] + ev[41]), 50.0]
+    sweeps = []
+    for oracle in (False, True):
+        if oracle:
+            monkeypatch.setattr(spectral_analysis, "_once_per_matrix",
+                                _per_sector)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger=spectral_analysis.__name__):
+            counts = [count_below(op, lam) for lam in lams]
+        sweeps.append((counts, [r.getMessage()
+                                for r in _count_records(caplog)]))
+    assert sweeps[0] == sweeps[1]
+    assert sweeps[0][0] == [int(np.searchsorted(ev, lam, side="right"))
+                            for lam in lams]
+
+
+def _chain_op(diag, lows):
+    """An operator of one chain sector per low buffer, all on diag."""
+    n = diag.size
+    basis = BasisDescriptor(1, (n * len(lows) // 2 - 1,), 2)
+    return TruncatedOperator(basis, None, [
+        fock_ops.Sector(np.arange(k * n, (k + 1) * n), np.ones(n, int),
+                        diag, low)
+        for k, low in enumerate(lows)])
+
+
+@pytest.mark.parametrize("where", [0, 17, 39])
+def test_sectors_differing_in_one_entry_are_both_solved(where, monkeypatch):
+    # sizes and diag equal, low apart in one entry: not one matrix
+    rng = np.random.default_rng(where)
+    diag = rng.normal(size=40)
+    low = rng.normal(size=39)
+    other = low.copy()
+    other[min(where, 38)] += 1.5
+    for lows in ([low, other], [low, low.copy(), other]):
+        op = _chain_op(diag, lows)
+        got = eigen_spectrum(op)
+        counts = [count_below(op, lam) for lam in (-1.0, 0.0, 0.7)]
+        monkeypatch.setattr(spectral_analysis, "_once_per_matrix",
+                            _per_sector)
+        assert got.tobytes() == eigen_spectrum(op).tobytes()
+        assert counts == [count_below(op, lam) for lam in (-1.0, 0.0, 0.7)]
+        monkeypatch.undo()
+    # a diag apart in one entry, or a sector of other sizes, neither
+    diag2 = diag.copy()
+    diag2[where] = np.nextafter(diag2[where], np.inf)
+    a = _chain_op(diag, [low]).sectors[0]
+    b = _chain_op(diag2, [low]).sectors[0]
+    parts = spectral_analysis._sector_parts
+    assert not all(map(spectral_analysis._same_bits, parts(a), parts(b)))
+    c = a._replace(sizes=np.r_[a.sizes[:-2], 2])
+    assert not all(map(spectral_analysis._same_bits, parts(a), parts(c)))
+
+
+def test_same_bits_is_exact():
+    same = spectral_analysis._same_bits
+    assert same(np.zeros(3), np.zeros(3)) and same(None, None)
+    assert not same(np.zeros(1), np.array([-0.0]))
+    assert not same(np.zeros(1), None) and not same(None, np.zeros(1))
+    assert not same(np.zeros(4), np.zeros((2, 2)))
+    assert not same(np.zeros(4), np.zeros(4, dtype=np.int64))
+    nan = np.array([np.nan])
+    assert same(nan, nan.copy())
+    assert same(np.empty(0), np.empty(0))
+
+
 # ------------------------------------------------------- inertia counts
 
 
@@ -809,6 +951,67 @@ def test_count_below_rejects_asymmetric_banded_matrix():
 
 
 # ------------------------------------------------------- interval census
+
+
+def _assign_interval(v):
+    """The interval of one shifted value by the boundary rule, and whether
+    it is flagged: the per-value loop kept as the oracle of the array
+    assignment in braak_intervals."""
+    b = round(v)
+    if abs(v - b) <= BOUNDARY_TOL:
+        return int(b) - 1, True
+    return int(math.floor(v)), False
+
+
+def _census_loop(spectrum, shift, Nmax):
+    """(totals, plus, minus, boundary values) of braak_intervals by the
+    per-value loop."""
+    shifted = np.asarray(spectrum.eigenvalues, dtype=float) + shift
+    totals, plus, minus = ([0] * (Nmax + 1) for _ in range(3))
+    boundary = []
+    for i in range(spectrum.converged_count):
+        idx, flagged = _assign_interval(shifted[i])
+        if flagged:
+            boundary.append(shifted[i])
+        if not 0 <= idx <= Nmax:
+            continue
+        totals[idx] += 1
+        if spectrum.parity is not None:
+            (plus if spectrum.parity[i] == "+" else minus)[idx] += 1
+    return totals, plus, minus, boundary
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_braak_census_matches_the_per_value_loop(seed):
+    rng = np.random.default_rng(seed)
+    nmax = 12
+    # values near and at every boundary from -2 to nmax + 2, half-integers
+    # (round half to even), values within BOUNDARY_TOL on either side, and
+    # plain ones, below interval 0 and above nmax included
+    edges = np.arange(-2.0, nmax + 3)
+    ev = np.concatenate([
+        edges, edges + 0.5, edges - 0.4 * BOUNDARY_TOL,
+        edges + 0.9 * BOUNDARY_TOL, edges + 1.1 * BOUNDARY_TOL,
+        edges - 2 * BOUNDARY_TOL, rng.uniform(-3.0, nmax + 3.0, 60)])
+    ev = np.sort(ev)
+    shift = float(rng.choice([0.0, 0.5, -1.25]))
+    ev -= shift
+    conv = int(np.searchsorted(ev + shift, nmax + 2.0)) + int(rng.integers(3))
+    labels = list(rng.choice(["+", "-"], ev.size))
+    for parity in (labels, None):
+        spectrum = Spectrum(ev, parity, conv, (8,), None)
+        rep = braak_intervals(spectrum, shift, nmax)
+        totals, plus, minus, boundary = _census_loop(spectrum, shift, nmax)
+        assert [c.total for c in rep.per_interval] == totals
+        if parity is None:
+            assert all(c.plus is None and c.minus is None
+                       for c in rep.per_interval)
+        else:
+            assert [c.plus for c in rep.per_interval] == plus
+            assert [c.minus for c in rep.per_interval] == minus
+        assert np.array(rep.boundary_values).tobytes() \
+            == np.array(boundary).tobytes()
+        assert len(boundary) > 2 * (nmax + 5)
 
 
 def test_braak_census_two_per_interval():
