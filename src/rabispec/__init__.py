@@ -21,9 +21,9 @@ from .specfun import (AvoidanceSequence, LaguerreZeroSet, hermite_poly,
                       laguerre_poly, laguerre_zero_set, laguerre_zeros,
                       nondegenerate_sequence, p_polynomial,
                       zero_set_distance)
-from .spectral_analysis import (IntervalReport, Spectrum, braak_intervals,
-                                converged_spectrum, count_below,
-                                eigen_spectrum, parity_split)
+from .spectral_analysis import (IntervalReport, Spectrum, braak_census,
+                                braak_intervals, converged_spectrum,
+                                count_below, eigen_spectrum, parity_split)
 from .weyl_asymptotics import (SymbolSample, WeylPrediction,
                                empirical_counting, smges_gap_check,
                                weyl_prediction)
@@ -34,8 +34,9 @@ __all__ = [
     "LaguerreZeroSet", "ModelSpec", "ModelSpecError", "NumericError",
     "OverlapResult", "PrecisionError", "QuasimodeExpansion", "RabiParameters",
     "RabispecError", "ResourceError", "Spectrum", "SymbolSample",
-    "TruncatedOperator", "UsageError", "WeylPrediction", "braak_intervals",
-    "build", "converged_spectrum", "count_below", "diagonal_overlap_ratio",
+    "TruncatedOperator", "UsageError", "WeylPrediction", "braak_census",
+    "braak_intervals", "build", "converged_spectrum", "count_below",
+    "diagonal_overlap_ratio",
     "displacement_matrix", "eigen_spectrum", "empirical_counting",
     "first_order", "hermite_poly", "laguerre_poly", "laguerre_zero_set",
     "laguerre_zeros", "nondegenerate_sequence", "overlap_closed",

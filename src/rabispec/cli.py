@@ -306,13 +306,10 @@ def _cmd_braak(args, config):
     else:
         shift = float(args.shift)
     config["shift"] = shift
-    m = int(args.levels) if args.levels is not None else 2 * (nmax + 2)
-    config["levels"] = m
-    spectrum = spectral_analysis.parity_split(spec, m, float(args.tol))
-    report = spectral_analysis.braak_intervals(spectrum, shift, nmax)
+    report, depth = spectral_analysis.braak_census(spec, shift, nmax)
     doc = report.to_dict()
     doc["command"] = "braak"
-    doc["cutoffs_used"] = list(spectrum.cutoffs_used)
+    doc["cutoffs_used"] = [depth]
     return doc, (["N", "count_total", "count_plus", "count_minus"],
                  [tuple(c) for c in report.per_interval])
 
@@ -438,8 +435,6 @@ def _braak_args(p):
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--shift", default=None,
                    help="shift (default: alpha^2/2, plus 1/2 for qrabi)")
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
     _add_common(p)
 
 

@@ -96,37 +96,6 @@ class BasisDescriptor:
     def dim(self):
         return self.spin_dim * self.mode_space_dim
 
-    def index_of(self, spin, ns):
-        if not 0 <= spin < self.spin_dim:
-            raise ValueError("spin index out of range")
-        flat = 0
-        for n, d in zip(ns, self.mode_dims):
-            if not 0 <= n < d:
-                raise ValueError("mode occupation out of range")
-            flat = flat * d + n
-        return spin * self.mode_space_dim + flat
-
-    def state_of(self, i):
-        if not 0 <= i < self.dim:
-            raise ValueError("index out of range")
-        spin, flat = divmod(i, self.mode_space_dim)
-        ns = []
-        for d in reversed(self.mode_dims):
-            flat, n = divmod(flat, d)
-            ns.append(n)
-        return spin, tuple(reversed(ns))
-
-    def mode_occupation(self):
-        """Total occupation sum_k n_k of each mode-space index."""
-        return np.indices(self.mode_dims).sum(axis=0).ravel()
-
-    def occupation_layers(self):
-        """Basis indices of total occupation N = sum_k n_k, one ascending
-        index array per N = 0 .. sum of the cutoffs, every spin included."""
-        occ = np.tile(self.mode_occupation(), self.spin_dim)
-        order = np.argsort(occ, kind="stable")
-        return np.split(order, np.cumsum(np.bincount(occ))[:-1])
-
 
 class Sector(NamedTuple):
     """One parity sector of a layered operator: its basis indices in block
@@ -324,25 +293,6 @@ def _ladder(basis, mode):
     return lower, lower + stride, np.sqrt((n[lower] + 1) / 2.0)
 
 
-def position_matrix(basis, mode=1):
-    """Multiplication by x_mode, tridiagonal with <n+1|x|n> = sqrt((n+1)/2)."""
-    if not 1 <= mode <= basis.modes:
-        raise ValueError("mode %d out of range" % mode)
-    msd = basis.mode_space_dim
-    lower, upper, value = _ladder(basis, mode)
-    mat = np.zeros((basis.dim, basis.dim))
-    for s in range(basis.spin_dim):
-        r, c = s * msd + lower, s * msd + upper
-        mat[r, c] = mat[c, r] = value
-    return TruncatedOperator(basis, mat)
-
-
-def harmonic_matrix(basis):
-    """Sum over modes of (n_j + 1/2), diagonal, tensored with spin identity."""
-    occ = basis.mode_occupation() + 0.5 * basis.modes
-    return TruncatedOperator(basis, np.diag(np.tile(occ, basis.spin_dim)))
-
-
 def coupling_pattern(family, spin_dim, k):
     """The (row, col) level pair coupled by coupling k (1-based), 0-based
     and row < col. Every family couples (0, 1) at two levels."""
@@ -440,7 +390,10 @@ def _layer_bounds(spec, levels, n_layers):
     couplings at its neighbours; the couplings join the levels into a tree
     (_far_sides), which has no triangle, so no coupling is weighed twice
     and coupling = s (L + 1) / 2, attained at L = 0 when one level meets
-    every coupling.
+    every coupling. It is rounded up by 4 (modes + 1) units of roundoff,
+    more than the rounding of s, of the product and of the entries it
+    bounds can lose, so coupling[L] >= low[L]^2 holds for the rounded
+    entries of a chain too.
     """
     s = sum(a * a for a in spec.alphas)
     layer = np.arange(n_layers, dtype=float)
@@ -448,7 +401,8 @@ def _layer_bounds(spec, levels, n_layers):
     lowest = levels.min() - (0.5 if spec.family == QRABI else 0.0)
     floor = np.where(a >= 0.5 * s, a - np.sqrt(2.0 * a * s) + lowest,
                      -np.inf)
-    return floor, 0.5 * s * (layer + 1.0)
+    slack = 1.0 + 4.0 * (spec.modes + 1) * np.finfo(float).eps
+    return floor, 0.5 * s * (layer + 1.0) * slack
 
 
 def build(spec):

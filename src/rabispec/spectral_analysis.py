@@ -5,7 +5,9 @@ spectrum.
 Truncated matrices only approximate the operator, so every consumer-facing
 routine here either runs the cutoff-growth protocol until the requested
 prefix of the spectrum is stable, or refuses to draw conclusions (the
-interval checker raises instead of reporting on an unconverged tail).
+interval checker raises instead of reporting on an unconverged tail). The
+Braak census of QR and QRabi (braak_census) is certified for the operator
+itself: its counts come from Sturm sweeps whose brackets close.
 """
 
 import logging
@@ -18,8 +20,8 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import CoverageError, ResourceError
-from .fock_ops import (AB_FRAME, QR, QRABI, ab_sectors, build,
-                       check_dense_budget)
+from .fock_ops import (AB_FRAME, QR, QRABI, _check_budget, ab_sectors,
+                       build, check_dense_budget)
 
 log = logging.getLogger(__name__)
 
@@ -432,24 +434,41 @@ def _layered_inertia(sector, mu, growth):
     return count, merges, np.concatenate(pivots), max_block, len(m)
 
 
-def _chain_inertia(diag, off, mu):
+def _chain_inertia(diag, off, mu, floor=None, coupling=None):
     """_layered_inertia for a symmetric tridiagonal chain with diagonal diag
     and off-diagonal off: the Sturm count of the nonpositive LDL^T pivots
     q_i = (d_i - mu) - e_(i-1) (e_(i-1) / q_(i-1)), with no merges and
-    largest block 1. e (e / q) neither underflows for a tiny e nor
-    overflows for a huge one where e^2 / q would. An exactly zero pivot is
-    counted, then replaced by minus the smallest normal number, so the next
-    pivot is large and positive: the singular direction counts once."""
-    count = 0
+    largest block 1, and the rows swept. e (e / q) neither underflows for a
+    tiny e nor overflows for a huge one where e^2 / q would. An exactly
+    zero pivot is counted, then replaced by minus the smallest normal
+    number, so the next pivot is large and positive: the singular
+    direction counts once.
+
+    With the chain's bounds (Sector.floor, Sector.coupling) the sweep
+    stops after the first row k where floor[k] > mu and q_k <= 0 or
+    q_k > coupling[k] / (floor[k] - mu), _layered_inertia's closing test
+    on a pending block of one row: the count is then final, that of
+    sweeping every row."""
+    # no row before the first with floor[k] > mu can close
+    first = diag.size
+    if floor is not None:
+        shut = floor > mu
+        if shut.any():
+            first = int(np.argmax(shut))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = coupling / (floor - mu)
     q = 1.0
     pivots = []
-    for a, e in zip((diag - mu).tolist(), [0.0] + off.tolist()):
+    for k, (a, e) in enumerate(zip((diag - mu).tolist(),
+                                   [0.0] + off.tolist())):
         q = a - e * (e / q)
         pivots.append(q)
-        count += q <= 0.0
+        if k >= first and shut[k] and (q <= 0.0 or q > bound[k]):
+            break
         if q == 0.0:
             q = -float(np.finfo(float).tiny)
-    return count, 0, np.array(pivots), 1
+    pivots = np.array(pivots)
+    return int(np.count_nonzero(pivots <= 0.0)), 0, pivots, 1, pivots.size
 
 
 def count_below(op, lam):
@@ -479,8 +498,11 @@ def count_below(op, lam):
     matrix above layer k is at least floor[k] > mu and no eigenvalue w of
     the pending block, which the sweep solves anyway, lies in
     (0, coupling[k] / (floor[k] - mu)]: the count is then provably final,
-    the count so far plus #(w <= 0). It is still the count of the box, the
-    number the full sweep gives; only the layers above go unswept.
+    the count so far plus #(w <= 0). A chain's pending block is its last
+    pivot, so a chain stops at the first row k where floor[k] > mu and
+    that pivot is not in (0, coupling[k] / (floor[k] - mu)]. It is still
+    the count of the box, the number the full sweep gives; only the layers
+    above go unswept.
     Any other operator's matrix is checked for symmetry and takes one dense
     symmetric-indefinite factorization, whose pivots within the tie band
     are counted; its breakdown falls back to a full eigensolve with a
@@ -502,7 +524,8 @@ def count_below(op, lam):
     tie = n * np.finfo(float).eps * scale
     sweeps = _once_per_matrix(
         op.sectors,
-        lambda s: _chain_inertia(s.diag, s.low, lam + tie) + (s.sizes.size,)
+        lambda s: _chain_inertia(s.diag, s.low, lam + tie, s.floor,
+                                 s.coupling)
         if s.chain() is not None
         else _layered_inertia(s, lam + tie, LAYER_GROWTH * scale))
     log.debug("count_below route=layered dim=%d sectors=%d merges=%d ties=%d "
@@ -624,3 +647,141 @@ def braak_intervals(spectrum, shift, Nmax):
     else:
         verdicts = {"total": _verdict(totals)}
     return IntervalReport(per_interval, verdicts, shift, list(v[flagged]))
+
+
+def braak_census(spec, shift, nmax):
+    """The Braak census of a QR or QRabi operator, certified for the
+    untruncated operator: (IntervalReport, closing depth).
+
+    Interval N holds the eigenvalues lam with N + BOUNDARY_TOL < lam +
+    shift <= N + 1 + BOUNDARY_TOL, braak_intervals' rule, so a parity
+    chain's count in it is C(N + 1 + tol) - C(N + tol), with C(x) the
+    number of the chain's eigenvalues with lam + shift <= x. The counts C
+    at the thresholds b +- tol - shift, b = 0 .. nmax + 1, come from one
+    Sturm sweep per distinct chain (_once_per_matrix) of the box at
+    cutoff SINGLE_MODE_CAP, vectorized over the thresholds
+    (_census_sweep). Each threshold's count is frozen at the first row
+    whose bracket closes (_chain_inertia's test), where it is the count of
+    the operator itself (Sector.floor, Sector.coupling), and the sweep
+    ends when every count has closed; the rows of a chain do not depend on
+    the cutoff it is built at, so the spec's cutoff plays no part. A
+    threshold can close only at a row whose floor lies above it, so a
+    largest threshold at or above the floor of the last row raises
+    CoverageError before the thresholds are formed, and ResourceError
+    refuses work arrays over fock_ops.DENSE_BUDGET_BYTES. A boundary b
+    whose counts at b - tol and b + tol differ holds an eigenvalue, which
+    goes to interval b - 1 and is listed in boundary_values, shifted, as
+    found by bisection on the chain's Sturm count. The closing depth is
+    the deepest row at which a threshold closed: the box of that cutoff
+    has the census of the operator. nmax = -1 gives braak_intervals'
+    empty report; nmax < -1, a non-finite shift and matrix entries that
+    overflow raise ValueError, as does any family but QR and QRabi; a
+    malformed spec, its cutoff included, raises ModelSpecError first.
+    """
+    spec.validate()
+    if spec.family not in (QR, QRABI):
+        raise ValueError("the Braak census requires a QR-type two-level "
+                         "model")
+    if not math.isfinite(shift):
+        raise ValueError("shift must be finite")
+    if nmax < -1:
+        raise ValueError("nmax must be at least -1")
+    sectors = build(spec.with_cutoffs((SINGLE_MODE_CAP,))).sectors
+    # eps * gamma or alpha sqrt(n) can overflow where the parameters are
+    # finite
+    if not all(np.isfinite(s.diag).all() and np.isfinite(s.low).all()
+               for s in sectors):
+        raise ValueError("the model's matrix entries overflow the double "
+                         "range")
+    top = nmax + 1 + BOUNDARY_TOL - shift
+    if not all(s.floor[-1] > top for s in sectors):
+        raise CoverageError(
+            "the count bracket at boundary %d of the shifted spectrum stays "
+            "open to depth %d; interval I_%d is not certified"
+            % (nmax + 1, SINGLE_MODE_CAP, nmax))
+    # t, the arrays that form it and _census_sweep's work arrays
+    _check_budget("the census of %d interval boundaries needs" % (nmax + 2),
+                  8 * 8 * 2 * (nmax + 2))
+    # b - tol and b + tol for each boundary b, ascending
+    t = (np.arange(nmax + 2.0)[:, None]
+         + [-BOUNDARY_TOL, BOUNDARY_TOL]).ravel() - shift
+    sweeps = _once_per_matrix(sectors, lambda s: _census_sweep(s, t))
+    still = [np.flatnonzero(closed < 0) for _, closed in sweeps]
+    if any(j.size for j in still):
+        b = min(j[0] for j in still if j.size) // 2
+        raise CoverageError(
+            "the count bracket at boundary %d of the shifted spectrum is "
+            "still open at depth %d; interval I_%d is not certified"
+            % (b, SINGLE_MODE_CAP, max(b - 1, 0)))
+    counts = [count.reshape(-1, 2) for count, _ in sweeps]
+    plus, minus = (np.diff(c[:, 1]).tolist() for c in counts)
+    per_interval = [IntervalCount(N, p + m, p, m)
+                    for N, (p, m) in enumerate(zip(plus, minus))]
+    values = [_bisect_chain(s, t[2 * b], t[2 * b + 1], r) + shift
+              for s, c in zip(sectors, counts) if nmax >= 0
+              for b in np.flatnonzero(c[:, 0] < c[:, 1]).tolist()
+              for r in range(c[b, 0] + 1, c[b, 1] + 1)]
+    report = IntervalReport(per_interval,
+                            {"+": _verdict(plus), "-": _verdict(minus)},
+                            shift, sorted(values))
+    return report, max(s.first + int(closed.max())
+                       for s, (_, closed) in zip(sectors, sweeps))
+
+
+def _bisect_chain(sector, lo, hi, rank):
+    """The rank-th smallest eigenvalue of a chain sector, known to lie in
+    (lo, hi], by bisection on its Sturm count (_chain_inertia) down to
+    adjacent doubles: the upper end of the last bracket."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if _chain_inertia(sector.diag, sector.low, mid, sector.floor,
+                          sector.coupling)[0] >= rank:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _census_sweep(sector, t):
+    """_chain_inertia at every threshold of the ascending array t at once,
+    through the rows of sector's chain: (count, closed), each threshold's
+    count of nonpositive pivots and the row where it closed (-1 if it did
+    not). The pivots, the zero-pivot rule and the closing test are
+    _chain_inertia's, elementwise; a threshold's count is frozen at the
+    row where it closes, and the sweep ends when every threshold has
+    closed."""
+    q = np.ones_like(t)
+    count = np.zeros(t.size, np.intp)
+    closed = np.full(t.size, -1)
+    diag, low, floor, coupling = (sector.diag, sector.low, sector.floor,
+                                  sector.coupling)
+    tiny = -float(np.finfo(float).tiny)
+    shifted, update = np.empty_like(t), np.empty_like(t)
+    nonpositive = np.empty(t.size, bool)
+    # every threshold below lo is closed
+    lo, k = 0, 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while k < len(diag) and lo < t.size:
+            tl, ql, nl = t[lo:], q[lo:], nonpositive[lo:]
+            # q = (d - t) - e (e / q), in place
+            e = low[k - 1] if k else 0.0
+            np.subtract(diag[k], tl, out=shifted[lo:])
+            np.divide(e, ql, out=update[lo:])
+            np.multiply(update[lo:], e, out=update[lo:])
+            np.subtract(shifted[lo:], update[lo:], out=ql)
+            np.less_equal(ql, 0.0, out=nl)
+            np.add(count[lo:], nl, out=count[lo:], where=closed[lo:] < 0)
+            if not ql.all():
+                ql[ql == 0.0] = tiny
+            # the open thresholds below floor[k] whose pivot lies outside
+            # (0, coupling[k] / (floor[k] - t)] close at row k
+            n = int(tl.searchsorted(floor[k]))
+            if n:
+                shut = (closed[lo:lo + n] < 0) & (
+                    nl[:n] | (ql[:n] > coupling[k] / (floor[k] - tl[:n])))
+                closed[lo:lo + n][shut] = k
+                while lo < t.size and closed[lo] >= 0:
+                    lo += 1
+            k += 1
+    return count, closed

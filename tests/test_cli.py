@@ -208,6 +208,10 @@ def test_braak_command_defaults(tmp_path):
                               "--nmax", "4"])
     assert doc["config"]["shift"] == 0.5  # alpha^2/2 by default
     assert [c["total"] for c in doc["per_interval"]] == [2, 2, 2, 2, 2]
+    # the census is the operator's: every count closed by depth 9, below
+    # the starting cutoff, and no level count or tolerance is echoed
+    assert doc["cutoffs_used"] == [9]
+    assert not {"levels", "tol"} & set(doc["config"])
     for v in doc["verdicts"].values():
         assert v["max_two"] and v["no_adjacent_empty"] and v["no_adjacent_double"]
     check_schema(doc, load_schema("braak"))
@@ -385,13 +389,17 @@ QR_FLAGS = ["--alpha", "1", "--gamma1", "1", "--gamma2=-1", "--eps", "0.1"]
     (["weyl", "--family", "abframe"] + QR_FLAGS + ["--cutoff", "20,30",
                                                    "--lambdas", "3"],
      "--cutoff takes one value for family abframe"),
-    # an explicit --levels 0 is refused, not replaced by the default
+    # the census is certified for the operator: braak takes no level count
+    # or stability tolerance
     (["braak", "--family", "qr"] + QR_FLAGS + ["--cutoff", "8", "--nmax", "2",
                                                "--levels", "0"],
-     "m must be at least 1"),
+     "unrecognized arguments: --levels"),
+    (["braak", "--family", "qr"] + QR_FLAGS + ["--cutoff", "8", "--nmax", "2",
+                                               "--tol", "1e-9"],
+     "unrecognized arguments: --tol"),
 ], ids=["bad-N", "unknown-flag", "retired-jobs", "braak-xi",
         "smges-check-no-family", "qr-empty-cutoff", "qrabi-empty-cutoff",
-        "abframe-two-cutoffs", "braak-levels-0"])
+        "abframe-two-cutoffs", "braak-levels-0", "braak-tol"])
 def test_argparse_errors_are_usage_errors(capsys, argv, says):
     doc = expect_error(capsys, argv, 2, "UsageError")
     assert says in doc["message"]
@@ -446,10 +454,46 @@ def test_exit_code_precision_overflow(capsys):
 
 
 def test_exit_code_coverage(capsys):
-    expect_error(capsys, ["braak", "--family", "qr", "--alpha", "1",
-                          "--gamma1", "1", "--gamma2", "-1", "--eps", "0.02",
-                          "--cutoff", "16", "--nmax", "300", "--levels", "12"],
-                 6, "CoverageError")
+    # at alpha 100 the bound on the rows above depth L is -inf for every
+    # L up to the cap (L + 3/2 < alpha^2 / 2), so no count closes
+    doc = expect_error(capsys, ["braak", "--family", "qr", "--alpha", "100",
+                                "--gamma1", "1", "--gamma2", "-1",
+                                "--eps", "0.02", "--cutoff", "16",
+                                "--nmax", "2", "--shift", "0"],
+                       6, "CoverageError")
+    assert "open to depth 4096" in doc["message"]
+
+
+@pytest.mark.parametrize("shift, code, name", [
+    # boundaries above the floor of the last row at the depth cap can
+    # never close: refused before 2 (nmax + 2) thresholds are formed
+    ([], 6, "CoverageError"),
+    # a shift that brings them below it leaves work arrays over the budget
+    (["--shift", "1e9"], 9, "ResourceError"),
+], ids=["coverage", "budget"])
+def test_braak_refuses_a_huge_nmax_before_allocating(capsys, shift, code,
+                                                     name):
+    # the only arrays formed are the chains of the depth cap, 4097 rows
+    tracemalloc.start()
+    try:
+        expect_error(capsys, ["braak", "--family", "qr"] + QR_FLAGS
+                     + ["--cutoff", "16", "--nmax", "1000000000"] + shift,
+                     code, name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_braak_empty_range(tmp_path, capsys):
+    # nmax -1 asks for no interval: an empty census with vacuous verdicts;
+    # below -1 the request is a usage error
+    argv = ["braak", "--family", "qr"] + QR_FLAGS + ["--cutoff", "8"]
+    doc = run_json(tmp_path, argv + ["--nmax=-1"])
+    assert doc["per_interval"] == [] and doc["boundary_values"] == []
+    assert all(all(v.values()) for v in doc["verdicts"].values())
+    check_schema(doc, load_schema("braak"))
+    expect_error(capsys, argv + ["--nmax=-2"], 2, "UsageError")
 
 
 def test_exit_code_model_spec(capsys):
@@ -891,8 +935,6 @@ def _argv(draw):
         rest = draw(_model(("qr", "qrabi", "xi"))) + _flags(
             nmax=draw(st.integers(-1, 3)),
             shift=draw(_optional(FLOAT.map(_num))),
-            levels=draw(_optional(st.integers(0, 12))),
-            tol=_num(draw(POSITIVE)),
             format=draw(FORMAT))
     elif cmd == "weyl":
         lams = ",".join(f() for _ in range(draw(st.integers(1, 3))))

@@ -12,14 +12,13 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rabispec import fock_ops, spectral_analysis
-from rabispec.errors import CoverageError, ResourceError
+from rabispec.errors import CoverageError, ModelSpecError, ResourceError
 from rabispec.fock_ops import (
     BasisDescriptor,
     ModelSpec,
     TruncatedOperator,
     build,
     export_matrix,
-    harmonic_matrix,
     load_matrix,
     parity_matrix,
 )
@@ -33,13 +32,15 @@ from rabispec.spectral_analysis import (
     eigen_spectrum,
     parity_split,
 )
+from test_fock_ops import (harmonic_matrix, index_of, occupation_layers,
+                           state_of)
 
 
 def _layered_op(basis, a):
     """a on basis with its occupation-layer blocks declared as one sector,
     in build's flat form; count_below then takes the layered route in one
     sweep over the unsplit layers."""
-    layers = basis.occupation_layers()
+    layers = occupation_layers(basis)
     return TruncatedOperator(basis, a, [fock_ops.Sector(
         np.concatenate(layers), np.array([i.size for i in layers]),
         np.concatenate([a[np.ix_(i, i)].ravel() for i in layers]),
@@ -682,17 +683,25 @@ def _count_records(caplog):
     return [r for r in caplog.records if r.name == spectral_analysis.__name__]
 
 
-def _spy_sweeps(monkeypatch):
-    """The (sector, layers swept) of every layered sweep from now on."""
+def _spy_sweeps(monkeypatch, sectors):
+    """The (sector, layers swept) of every layered or chain sweep of one of
+    sectors from now on."""
     swept = []
-    sweep = spectral_analysis._layered_inertia
+    layered = spectral_analysis._layered_inertia
+    chain = spectral_analysis._chain_inertia
 
-    def spy(sector, mu, growth):
-        out = sweep(sector, mu, growth)
+    def spy_layered(sector, mu, growth):
+        out = layered(sector, mu, growth)
         swept.append((sector, out[4]))
         return out
 
-    monkeypatch.setattr(spectral_analysis, "_layered_inertia", spy)
+    def spy_chain(diag, off, mu, floor=None, coupling=None):
+        out = chain(diag, off, mu, floor, coupling)
+        swept.append((next(s for s in sectors if s.diag is diag), out[4]))
+        return out
+
+    monkeypatch.setattr(spectral_analysis, "_layered_inertia", spy_layered)
+    monkeypatch.setattr(spectral_analysis, "_chain_inertia", spy_chain)
     return swept
 
 
@@ -704,8 +713,8 @@ _RECORD = (r"count_below route=layered dim=%d sectors=%d merges=(\d+) "
                          ids=lambda s: "%s-%d" % (s.family, s.modes))
 def test_layered_count_matches_dense_and_eigvalsh(spec, caplog, monkeypatch):
     caplog.set_level(logging.DEBUG, logger=spectral_analysis.__name__)
-    swept = _spy_sweeps(monkeypatch)
     op = build(spec)
+    swept = _spy_sweeps(monkeypatch, op.sectors)
     ev = scipy.linalg.eigvalsh(op.matrix)
     # midpoints between low eigenvalues, and integer and half-integer
     # thresholds: there a state with no lower-layer neighbour (level 0,
@@ -726,15 +735,12 @@ def test_layered_count_matches_dense_and_eigvalsh(spec, caplog, monkeypatch):
         assert found
         merges, max_block, depth, closed = map(int, found.groups())
         merged += merges
-        # a chain sector sweeps all its layers, of one state each
-        reach = swept + [(s, s.sizes.size) for s in op.sectors
-                         if s.chain() is not None]
-        assert len(reach) == len(op.sectors)
-        assert depth == max(s.first + n - 1 for s, n in reach)
-        assert closed == sum(n < s.sizes.size for s, n in reach)
+        assert len(swept) == len(op.sectors)
+        assert depth == max(s.first + n - 1 for s, n in swept)
+        assert closed == sum(n < s.sizes.size for s, n in swept)
         # without merges every pending block is one swept layer's Schur
         # block
-        largest_swept = max(s.sizes[:n].max() for s, n in reach)
+        largest_swept = max(s.sizes[:n].max() for s, n in swept)
         assert max_block >= largest_swept
         if merges == 0:
             assert max_block == largest_swept
@@ -769,7 +775,7 @@ def test_layer_bounds_hold_on_the_box(spec):
     # block from layer L to L + 1
     op = build(spec)
     h = op.matrix
-    layers = spec.basis().occupation_layers()
+    layers = occupation_layers(spec.basis())
     for L in (0, 4, 8, 12):
         for s in op.sectors:
             if L < s.first:
@@ -779,8 +785,10 @@ def test_layer_bounds_hold_on_the_box(spec):
                                         subset_by_index=[0, 0])[0]
             assert np.isfinite(s.floor[L - s.first])
             assert low >= s.floor[L - s.first] - 1e-9  # rounding
+        # s (L + 1) / 2, rounded up by a few units of roundoff
         coupling = op.sectors[0].coupling[L]
-        assert coupling == 0.5 * sum(a * a for a in spec.alphas) * (L + 1)
+        exact = 0.5 * sum(a * a for a in spec.alphas) * (L + 1)
+        assert exact <= coupling <= exact * (1 + 1e-14)
         norm = np.linalg.norm(h[np.ix_(layers[L + 1], layers[L])], 2)
         assert norm <= np.sqrt(coupling) * (1 + 1e-12)
         if L == 0 and (spec.modes == 2 or spec.family != "Xi"):
@@ -830,10 +838,10 @@ def test_layered_count_through_singular_schur_block():
     basis = spec.basis()
     # (level 0, n = (0, 9)) sits on the diagonal at 10 and couples only to
     # layer 10, so the Schur block of layer 9 at lam = 10 is singular
-    i = basis.index_of(0, (0, 9))
+    i = index_of(basis, 0, (0, 9))
     row = op.matrix[i]
     assert row[i] == 10.0
-    assert all(sum(basis.state_of(int(j))[1]) == 10
+    assert all(sum(state_of(basis, int(j))[1]) == 10
                for j in np.nonzero(row)[0] if j != i)
     ev = scipy.linalg.eigvalsh(op.matrix)
     assert count_below(op, 10.0) == _dense_count(op.matrix, 10.0) \
@@ -888,10 +896,113 @@ def test_chain_inertia_counts_random_tridiagonals(chain, lam, frac):
     ev = scipy.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
                                + np.diag(off, -1))
     assume(np.min(np.abs(ev - mu)) > 1e-8)
-    count, merges, pivots, max_block = spectral_analysis._chain_inertia(
+    count, merges, pivots, max_block, rows = spectral_analysis._chain_inertia(
         diag, off, mu)
     assert count == int(np.count_nonzero(ev <= mu))
-    assert (merges, pivots.size, max_block) == (0, diag.size, 1)
+    assert (merges, pivots.size, max_block, rows) == (0, diag.size, 1,
+                                                      diag.size)
+
+
+EPS = np.finfo(float).eps
+CHAIN_BOUND_SPECS = [
+    ModelSpec.qr(0.5, 1.0, -1.0, 0.05, 40),
+    ModelSpec.qr(1.03, 0.95, -1.07, -0.08, 40),
+    ModelSpec.qr(2.3, 0.4, -1.2, -0.1, 40),
+    ModelSpec.qrabi(0.8, 0.9, -0.04, 40),
+    ModelSpec.qrabi(1.7, 0.3, 0.1, 40),
+    ModelSpec.qrabi(0.4, 2.0, -0.1, 40),
+]
+
+
+@pytest.mark.parametrize("spec", CHAIN_BOUND_SPECS,
+                         ids=lambda s: "%s-%g-%g" % (s.family, s.alphas[0],
+                                                     s.eps))
+def test_chain_bounds_hold_on_a_deeper_chain(spec):
+    # floor[L] is at most the smallest eigenvalue of the rows above L, taken
+    # from a chain four times deeper than the build it belongs to, and
+    # coupling[L] bounds the squared entry from row L to row L + 1: on a
+    # chain it is that entry, alpha^2 (L + 1) / 2, rounded up so that the
+    # rounded entry's square stays below it
+    op = build(spec)
+    deep = build(spec.with_cutoffs((4 * spec.cutoffs[0] + 3,)))
+    finite = 0
+    for s, d in zip(op.sectors, deep.sectors):
+        assert s.first == 0
+        for L in range(s.sizes.size):
+            if np.isfinite(s.floor[L]):
+                finite += 1
+                low = scipy.linalg.eigvalsh_tridiagonal(
+                    d.diag[L + 1:], d.low[L + 1:], select="i",
+                    select_range=(0, 0))[0]
+                assert s.floor[L] <= low
+            if L < s.low.size:
+                assert s.coupling[L] >= s.low[L] ** 2
+    assert finite > 0
+
+
+CHAIN_COUNT_SPECS = [
+    ModelSpec.qr(1.03, 0.95, -1.07, 0.03, 2000),
+    ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 2000),
+    ModelSpec.qr(2.5, 0.8, -1.1, -0.06, 2000),
+    ModelSpec.qrabi(0.8, 0.9, 0.04, 2000),
+]
+
+
+@pytest.mark.parametrize("spec", CHAIN_COUNT_SPECS,
+                         ids=["qr", "qr-eps0", "qr-alpha2.5", "qrabi"])
+def test_chain_counts_stop_early_with_the_full_sweeps_count(spec, caplog):
+    # count_below on the chains closes at the first row whose bracket
+    # closes, and counts what the sweep over every row counts: at random
+    # thresholds, at eigenvalues and inside the tie band above and below
+    # them (at eps 0 and alpha 1 every integer is a double eigenvalue)
+    caplog.set_level(logging.DEBUG, logger=spectral_analysis.__name__)
+    op = build(spec)
+    full = TruncatedOperator(op.basis, None, [
+        s._replace(floor=None, coupling=None) for s in op.sectors])
+    ev = eigen_spectrum(op)
+    rng = np.random.default_rng(7)
+    picks = ev[rng.integers(0, ev.size // 2, 12)]
+    lams = np.concatenate((rng.uniform(-5.0, 2100.0, 25), picks,
+                           picks - 1e-10, picks + 1e-10,
+                           np.nextafter(picks, -np.inf), [7.0, 300.0]))
+    depths = []
+    for lam in lams.tolist():
+        caplog.clear()
+        got = count_below(op, lam)
+        found = re.fullmatch(_RECORD % (ev.size, 2),
+                             _count_records(caplog)[0].getMessage())
+        depths.append(int(found.group(3)))
+        assert int(found.group(4)) == 2 * (depths[-1] < spec.cutoffs[0])
+        assert got == count_below(full, lam), lam
+    # thresholds low in the chain close long before its last row
+    assert min(depths) < 50 and max(depths) == spec.cutoffs[0]
+
+
+def test_closing_test_reads_its_own_rows_pivot_and_coupling():
+    # a chain of three rows with valid bounds: floor[0] = 0.4 is below the
+    # smallest eigenvalue 0.43 of rows 1..2, floor[1] = 1 is row 2, and
+    # coupling[k] >= low[k]^2. At mu = 0 the pivots are 1, 0.01 and -3: the
+    # bracket at row 1 is open (0 < 0.01 <= coupling[1] / floor[1]), and
+    # the eigenvalue below 0 shows only at row 2. A test that dropped the
+    # coupling term, or read row 0's pivot 1 at row 1, would close there
+    # with the count 0
+    diag, low = np.array([1.0, 0.5, 1.0]), np.array([0.7, 0.2])
+    floor, coupling = np.array([0.4, 1.0, np.inf]), np.array([0.49, 0.05, 0])
+    h = np.diag(diag) + np.diag(low, 1) + np.diag(low, -1)
+    assert scipy.linalg.eigvalsh(h[1:, 1:])[0] >= floor[0]
+    assert np.all(coupling[:2] >= low ** 2)
+    sector = fock_ops.Sector(np.arange(3), np.ones(3, int), diag, low, 0,
+                             floor, coupling)
+    t = np.array([-0.5, 0.0, 0.7, 2.0])
+    want = [int(np.count_nonzero(scipy.linalg.eigvalsh(h) <= x)) for x in t]
+    assert want[1] == 1
+    got = [spectral_analysis._chain_inertia(diag, low, x, floor, coupling)
+           for x in t.tolist()]
+    assert [g[0] for g in got] == want
+    assert got[1][4] == 3
+    count, closed = spectral_analysis._census_sweep(sector, t)
+    assert count.tolist() == want
+    assert closed[1] == 2
 
 
 _BANDED_BASES = [BasisDescriptor(1, (5,), 2), BasisDescriptor(1, (3,), 3),
@@ -911,7 +1022,7 @@ def test_layered_count_on_random_banded_matrices(seed, basis, small_ints, lam):
         a = rng.standard_normal((n, n))
     a = a + a.T
     occ = np.empty(n, dtype=int)
-    for k, idx in enumerate(basis.occupation_layers()):
+    for k, idx in enumerate(occupation_layers(basis)):
         occ[idx] = k
     a[np.abs(occ[:, None] - occ[None, :]) > 1] = 0.0
     ev = np.linalg.eigvalsh(a)
@@ -1082,3 +1193,188 @@ def test_braak_census_empty_range_is_vacuous():
     assert rep.verdicts["total"]["max_two"]
     d = rep.to_dict()
     assert d["per_interval"] == [] and d["shift_applied"] == 0.0
+
+
+# ------------------------------------------------------- certified census
+
+
+def _old_census(spec, shift, nmax):
+    """The census by the stable-prefix route, the oracle of braak_census:
+    2 (nmax + 2) parity-labelled eigenvalues stable to 1e-9 across two
+    growth steps, counted per interval (parity_split, braak_intervals)."""
+    spectrum = parity_split(spec, 2 * (nmax + 2), 1e-9)
+    return spectrum, braak_intervals(spectrum, shift, nmax)
+
+
+def _default_shift(spec):
+    return 0.5 * spec.alphas[0] ** 2 + (0.5 if spec.family == "QRabi" else 0)
+
+
+def _random_chain_models(n):
+    rng = np.random.default_rng(20)
+    for _ in range(n):
+        alpha, eps = rng.uniform(0.3, 2.5), rng.uniform(-0.1, 0.1)
+        cutoff, nmax = int(rng.integers(1, 40)), int(rng.integers(0, 401))
+        if rng.random() < 0.5:
+            spec = ModelSpec.qr(alpha, rng.uniform(0.3, 1.5),
+                                -rng.uniform(0.3, 1.5), eps, cutoff)
+        else:
+            spec = ModelSpec.qrabi(alpha, rng.uniform(0.2, 2.0), eps, cutoff)
+        yield spec, nmax
+
+
+CENSUS_CASES = (
+    # c06's models and the README example
+    [(ModelSpec.qr(1.0, 1.0, -1.0, eps, 16), 9)
+     for eps in (0.05, -0.05, 0.02, -0.02)]
+    + [(ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 16), 3)]
+    # the chain_spectra benchmark's qr_braak model at seeds 1 and 11
+    + [(ModelSpec.qr(0.9754, 1.1573, -0.9544, -0.0333, 16), 1000),
+       (ModelSpec.qr(1.0508, 1.0985, -1.174, -0.0382, 16), 1000)]
+    + [(ModelSpec.qrabi(1.0, 1.0, 0.02, 16), 50),
+       (ModelSpec.qrabi(0.5, 0.7, -0.1, 30), 300),
+       (ModelSpec.qrabi(0.8, 0.9, 0.0, 20), 40),
+       (ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 12), 30)]
+    + list(_random_chain_models(24)))
+
+
+@pytest.mark.parametrize("spec,nmax", CENSUS_CASES)
+def test_certified_census_matches_the_stable_prefix_census(spec, nmax):
+    shift = _default_shift(spec)
+    report, depth = spectral_analysis.braak_census(spec, shift, nmax)
+    spectrum, old = _old_census(spec, shift, nmax)
+    assert report.to_dict() == old.to_dict()
+    assert report.boundary_values == []
+    # the box of the closing depth already has the operator's census, and
+    # no box needs more than the stable-prefix route's last step
+    assert 1 <= depth <= spectrum.cutoffs_used[0]
+    box = parity_split(spec.with_cutoffs((depth,)), 1, 1.0, cap=depth)
+    box.converged_count = box.eigenvalues.size
+    assert braak_intervals(box, shift, nmax).per_interval \
+        == report.per_interval
+
+
+@pytest.mark.parametrize("spec", [ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 16),
+                                  ModelSpec.qrabi(0.8, 0.9, 0.04, 20)],
+                         ids=["qr", "qrabi"])
+@pytest.mark.parametrize("k,off", [(5, 0.0), (6, 0.5e-10), (7, -0.9e-10),
+                                   (8, 2e-10)])
+def test_certified_census_assigns_a_boundary_value_downwards(spec, k, off):
+    # a shift that puts eigenvalue k within BOUNDARY_TOL of the boundary 4
+    # (or just outside it, off 2e-10): it goes to interval 3 and is listed
+    # at its value to within the tie band of the old route's
+    values = parity_split(spec, 40, 1e-9).eigenvalues
+    shift = 4.0 - values[k] + off
+    report, depth = spectral_analysis.braak_census(spec, shift, 8)
+    spectrum, old = _old_census(spec, shift, 8)
+    got, want = report.to_dict(), old.to_dict()
+    assert got["per_interval"] == want["per_interval"]
+    assert got["verdicts"] == want["verdicts"]
+    assert len(old.boundary_values) == (abs(off) <= BOUNDARY_TOL)
+    assert len(report.boundary_values) == len(old.boundary_values)
+    # count_below's tie band on the old route's box at the eigenvalue
+    box = build(spec.with_cutoffs(spectrum.cutoffs_used))
+    scale = max(max(np.abs(s.diag - values[k]).max(), np.abs(s.low).max())
+                for s in box.sectors)
+    tie = box.basis.dim * EPS * max(1.0, scale)
+    for a, b in zip(report.boundary_values, old.boundary_values):
+        assert abs(a - b) <= tie
+
+
+def test_chains_are_bitwise_prefixes_of_deeper_builds():
+    # the census sweeps the chains of one build at the depth cap: every
+    # buffer and bound of a chain is a bitwise prefix of a deeper build's,
+    # so a count that closes in a shallower build closes at the same row
+    # with the same count there, and the cutoff of the build is immaterial
+    t = np.arange(-0.5, 60.0, 0.5)
+    for spec in (ModelSpec.qr(1.03, 0.95, -1.07, -0.03, 16),
+                 ModelSpec.qrabi(0.8, 0.9, 0.04, 16),
+                 ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 16)):
+        deep = build(spec.with_cutoffs((1000,))).sectors
+        whole = [spectral_analysis._census_sweep(s, t) for s in deep]
+        for cutoff in (16, 24, 36, 54):
+            for s, d, (count, closed) in zip(
+                    build(spec.with_cutoffs((cutoff,))).sectors, deep, whole):
+                for name in ("diag", "low", "floor", "coupling"):
+                    a, b = getattr(s, name), getattr(d, name)
+                    assert a.tobytes() == b[:a.size].tobytes(), name
+                got, shut = spectral_analysis._census_sweep(s, t)
+                done = shut >= 0
+                assert done.any() and (closed >= 0).all()
+                assert got[done].tobytes() == count[done].tobytes()
+                assert shut[done].tobytes() == closed[done].tobytes()
+
+
+@pytest.mark.parametrize("spec", EQUAL_CHAIN_SPECS, ids=["qr", "qrabi"])
+def test_certified_census_sweeps_equal_chains_once(spec, monkeypatch):
+    calls = []
+    sweep = spectral_analysis._census_sweep
+
+    def spy(sector, t):
+        calls.append(1)
+        return sweep(sector, t)
+
+    monkeypatch.setattr(spectral_analysis, "_census_sweep", spy)
+    got = spectral_analysis.braak_census(spec, _default_shift(spec), 30)
+    once = len(calls)
+    monkeypatch.setattr(spectral_analysis, "_once_per_matrix", _per_sector)
+    assert spectral_analysis.braak_census(spec, _default_shift(spec), 30) \
+        == got
+    assert len(calls) == 3 * once
+
+
+def test_certified_census_refusals():
+    spec = ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 16)
+    census = spectral_analysis.braak_census
+    with pytest.raises(ValueError, match="finite"):
+        census(spec, math.inf, 3)
+    with pytest.raises(ValueError, match="at least -1"):
+        census(spec, 0.5, -2)
+    with pytest.raises(ValueError, match="QR-type"):
+        census(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (6, 6)), 0.5, 3)
+    # finite parameters whose level eps * gamma1 overflows
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                  match="overflow"):
+        census(ModelSpec.qr(1.0, 1e300, 1.0, 1e300, 6), 0.5, 1)
+    # a cutoff the model refuses is refused here too, though the census
+    # builds its own
+    with pytest.raises(ModelSpecError):
+        census(spec.with_cutoffs((0,)), 0.5, 3)
+    # at alpha 100 the rows above depth L are bounded below only from
+    # L + 3/2 >= alpha^2 / 2 on, past the cap: no bracket can close, which
+    # is known before any threshold is formed
+    with pytest.raises(CoverageError, match="open to depth 4096"):
+        census(ModelSpec.qr(100.0, 1.0, -1.0, 0.02, 16), 0.0, 2)
+    # boundaries above the floor of the last row cannot close either, and
+    # a huge nmax is refused by that test alone
+    with pytest.raises(CoverageError, match="boundary 1000000001"):
+        census(spec, 0.5, 10 ** 9)
+    # below it, the work arrays of 2 (nmax + 2) thresholds exceed the
+    # memory budget
+    with pytest.raises(ResourceError, match="census"):
+        census(spec, 1e9, 10 ** 9)
+
+
+def test_certified_census_of_an_empty_range():
+    # nmax = -1 asks for no interval: braak_intervals' empty report, with
+    # no boundary value even where an eigenvalue sits on boundary 0
+    spec = ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 12)
+    for shift in (0.5, 0.25):
+        report, depth = spectral_analysis.braak_census(spec, shift, -1)
+        assert report.per_interval == [] and report.boundary_values == []
+        assert report.verdicts == {k: spectral_analysis._verdict([])
+                                   for k in "+-"}
+        assert depth >= 1
+
+
+def test_certified_census_reports_a_bracket_open_at_the_cap(monkeypatch):
+    # with the cap at 16 rows and the top threshold just below the last
+    # row's floor, every threshold may close there, so the early refusal
+    # lets them through; but within a unit or two of the floor the bracket
+    # (0, coupling / (floor - t)] is wide, and some stay open
+    monkeypatch.setattr(spectral_analysis, "SINGLE_MODE_CAP", 16)
+    spec = ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 16)
+    floor = min(s.floor[-1] for s in build(spec).sectors)
+    shift = 3.0 + BOUNDARY_TOL - floor + 1e-9
+    with pytest.raises(CoverageError, match="still open at depth 16"):
+        spectral_analysis.braak_census(spec, shift, 2)
