@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fock_ops, overlaps, perturbation, specfun, spectral_analysis
 from . import weyl_asymptotics as weyl
-from .errors import PrecisionError, RabispecError, UsageError
+from .errors import PrecisionError, RabispecError, ResourceError, UsageError
 
 JSON_FLOAT_FORMAT = "%.17g"
 
@@ -42,6 +42,13 @@ def _format_json(obj, indent=0):
         seq = list(obj)
         if not seq:
             return "[]"
+        # a list of finite Python floats in one format: a sum of floats is
+        # finite only when every term is
+        if (all(type(v) is float for v in seq)
+                and math.isfinite(sum(seq))):
+            body = (",\n%s  " % pad).join(
+                [JSON_FLOAT_FORMAT] * len(seq)) % tuple(seq)
+            return "[\n%s  %s\n%s]" % (pad, body, pad)
         items = ["%s  %s" % (pad, _format_json(v, indent + 1)) for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
@@ -559,12 +566,17 @@ def main(argv=None):
             doc["config"] = config
             _emit(_format_json(doc) + "\n", args.out)
         return 0
-    except (RabispecError, ValueError, KeyError, OSError, OverflowError) as e:
+    except (RabispecError, ValueError, KeyError, OSError, OverflowError,
+            MemoryError) as e:
         # OSError: a config file that cannot be read or an output file
         # (--out, --dump-matrix) that cannot be written; OverflowError: a
-        # value past the double range, e.g. alpha ** 2 at alpha = 1e200
+        # value past the double range, e.g. alpha ** 2 at alpha = 1e200;
+        # MemoryError: an allocation no budget check foresaw
         if isinstance(e, OverflowError):
             e = PrecisionError("result overflows the double range: %s" % e)
+        elif isinstance(e, MemoryError):
+            e = ResourceError("out of memory: %s"
+                              % (str(e) or "allocation failed"))
         elif not isinstance(e, RabispecError):
             e = UsageError(str(e))
         _print_error(type(e).__name__, str(e), e.exit_code)

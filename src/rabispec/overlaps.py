@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InsufficientNodes, PrecisionError
 from .specfun import (MAX_COMBINED_DEGREE, _alternating_series, _check_degrees,
@@ -222,6 +221,7 @@ def _orthonormal_scan_dd(n, xh, xl, ah, al, p0h, p0l):
 def _gauss_hermite_dd(nodes):
     if nodes in _gh_cache:
         return _gh_cache[nodes]
+    import scipy.linalg  # loads at the first call, not with the package
     if nodes < 1:
         raise ValueError("node count must be positive")
     diag = np.zeros(nodes)

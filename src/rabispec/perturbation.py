@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ModelSpecError, UsageError
 from .fock_ops import ModelSpec, ab_sector_pairs, build
@@ -292,6 +291,7 @@ def _sector_spectra(params, eps_values, cutoff, sectors):
     """ab_sector_spectrum(params, eps, cutoff, s) for each s in sectors,
     one list per eps in eps_values, all from one displacement matrix
     (fock_ops.ab_sector_pairs)."""
+    import scipy.linalg  # loads at the first call, not with the package
     specs = [ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2,
                                 eps, cutoff) for eps in eps_values]
     return [[np.sort(scipy.linalg.eigvalsh(h[(1 - s) // 2])) for s in sectors]

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateInput, NumericError, PrecisionError
 
@@ -137,6 +136,7 @@ def laguerre_zeros(N):
         raise ValueError("degree must be at least 1")
     _check_work_bytes("Laguerre zeros of degree %d need" % N,
                       _ZEROS_BYTES_PER_DEGREE * N)
+    import scipy.linalg  # loads at the first call, not with the package
     diag = 2.0 * np.arange(N) + 1.0
     off = np.arange(1.0, N)
     z = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .errors import CoverageError, ResourceError
 from .fock_ops import (AB_FRAME, QR, QRABI, _check_budget, ab_sectors,
@@ -108,6 +106,7 @@ def eigen_spectrum(op):
     """
     if op.sectors is not None and len(op.sectors) > 1:
         return _solve_sectors(op.sectors)[0]
+    import scipy.linalg  # loads at the first call, not with the package
     m = np.asarray(op.matrix, dtype=float)
     _check_symmetric(m)
     return np.sort(scipy.linalg.eigvalsh(m))
@@ -122,6 +121,7 @@ def _solve_sectors(sectors):
     two QR/QRabi parity chains are one chain, and LAPACK gives identical
     inputs identical outputs, so the merged values and labels are bitwise
     those of solving every sector."""
+    import scipy.linalg  # loads at the first call, not with the package
     return _merge(_once_per_matrix(
         sectors,
         lambda s: scipy.linalg.eigvalsh(s.matrix()) if s.chain() is None
@@ -129,9 +129,13 @@ def _solve_sectors(sectors):
 
 
 def _sector_parts(sector):
-    """The arrays of a Sector that its solve and its count read."""
-    return (sector.sizes, sector.diag, sector.low, sector.floor,
-            sector.coupling)
+    """The arrays of a Sector that its solve and its count read, cheap ones
+    first: the layer sizes and the first layer's diagonal block come before
+    the whole buffers, so a comparison part by part (_once_per_matrix)
+    tells sectors that differ there apart without reading the rest."""
+    head = int(sector.sizes[0]) ** 2 if sector.sizes.size else 0
+    return (sector.sizes, sector.diag[:head], sector.diag, sector.low,
+            sector.floor, sector.coupling)
 
 
 def _once_per_matrix(sectors, solve):
@@ -169,6 +173,7 @@ def ab_spectrum(spec):
     on each of its two parity sectors (fock_ops.ab_sectors), merged by
     _merge. The eigvalsh of the whole dense matrix (eigen_spectrum of its
     build) agrees to rounding."""
+    import scipy.linalg  # loads at the first call, not with the package
     return _merge([scipy.linalg.eigvalsh(h) for h in ab_sectors(spec)])[0]
 
 
@@ -557,13 +562,14 @@ def _shifted_max(sector, lam):
 
 def _dense_count(m, lam):
     """count_below on a symmetric dense matrix by one sytrf factorization."""
+    import scipy.linalg  # loads at the first call, not with the package
     n = m.shape[0]
     # Fortran order so the factorization can work in place; the diagonal
     # shift avoids materializing lam * I at large dimensions
     shifted = np.array(m, dtype=float, order="F")
     shifted.flat[:: n + 1] -= lam
     tie = n * np.finfo(float).eps * max(1.0, shifted.max(), -shifted.min())
-    sytrf, = lapack.get_lapack_funcs(("sytrf",), (shifted,))
+    sytrf, = scipy.linalg.lapack.get_lapack_funcs(("sytrf",), (shifted,))
     ldu, ipiv, info = sytrf(shifted, lower=0, overwrite_a=1)
     if info < 0:
         log.warning("sytrf failed with info=%d, falling back to eigensolve",

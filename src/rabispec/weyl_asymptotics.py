@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .fock_ops import build, coupling_pattern
+from .fock_ops import _check_budget, build, coupling_pattern
 from .spectral_analysis import count_below
 
 SPHERE_RADIUS = math.sqrt(2.0)
@@ -206,18 +206,30 @@ def _grid_points(n, samples):
     return r * pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
+def _sample_bytes(spec):
+    """Bytes per sample of smges_gap_check's work arrays: the 2n normal
+    draws and the point, the Nlev x Nlev stacks a1 (real), b1, eps b1 and
+    a1 + eps b1 (complex), and the eigenvalues, sorted, and their gaps."""
+    n, nlev = spec.modes, spec.spin_dim
+    return 8 * 2 * 2 * n + (8 + 3 * 16) * nlev * nlev + 3 * 8 * nlev
+
+
 def smges_gap_check(spec, eps, samples, seed=0, grid=False):
     """Minimum eigenvalue gap of a1 + eps b1 over points on the sphere.
 
     Uniform seeded sampling by default; with grid=True (one or two modes)
     the points come from a fixed deterministic lattice, making the result
-    independent of the seed.
+    independent of the seed. A sample count whose work arrays
+    (_sample_bytes each) would exceed fock_ops.DENSE_BUDGET_BYTES raises
+    ResourceError before any point is drawn.
     """
     spec.validate()
     if samples < 1:
         raise ValueError("need at least one sample")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    _check_budget("symbol gap check of %d samples needs" % samples,
+                  samples * _sample_bytes(spec))
     n = spec.modes
     if grid:
         if n > 2:

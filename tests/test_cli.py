@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rabispec
-from rabispec import cli, errors
+from rabispec import cli, errors, fock_ops, weyl_asymptotics
 from rabispec.cli import main
 from rabispec.fock_ops import load_matrix
 from rabispec.overlaps import overlap_closed
@@ -259,6 +259,87 @@ def test_smges_check_command_grid_seed_invariance(tmp_path):
 
 
 # ------------------------------------------------------- output formats
+
+
+def _format_json_by_items(obj, indent=0):
+    """The JSON writer that formats every value on its own, kept as the
+    oracle of cli._format_json, which formats a list of finite floats in
+    one join."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k in sorted(obj):
+            items.append('%s  "%s": %s'
+                         % (pad, k, _format_json_by_items(obj[k], indent + 1)))
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        items = ["%s  %s" % (pad, _format_json_by_items(v, indent + 1))
+                 for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if math.isnan(v) or math.isinf(v):
+            return json.dumps(str(v))
+        return cli.JSON_FLOAT_FORMAT % v
+    if isinstance(obj, np.ndarray):
+        return _format_json_by_items(obj.tolist(), indent)
+    return json.dumps(obj)
+
+
+def _readme_documents():
+    """The JSON document, config echo included, of every README example, as
+    main builds it before writing."""
+    for argv in _readme_commands():
+        args = cli.build_parser(argv[0]).parse_args(argv)
+        config = cli._config_echo(args)
+        doc, _ = cli.HANDLERS[args.command](args, config)
+        doc["config"] = config
+        yield argv, doc
+
+
+def test_json_writer_is_the_per_item_writer_on_readme_documents():
+    docs = list(_readme_documents())
+    assert {argv[0] for argv, _ in docs} == set(cli.HANDLERS)
+    for argv, doc in docs:
+        assert cli._format_json(doc) == _format_json_by_items(doc), argv
+
+
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 1e308,
+                     5e-324]))
+JSON_LEAVES = st.one_of(
+    JSON_FLOATS, JSON_FLOATS.map(np.float64), st.integers(),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans(),
+    st.none(), st.text(alphabet="abc xyz", max_size=4),
+    st.lists(JSON_FLOATS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple),
+        st.dictionaries(st.text(alphabet="abkz_", max_size=3), inner)),
+    max_leaves=30))
+@example(doc=[1.0, -0.0, 2.5])
+@example(doc=[1.0, math.nan])
+@example(doc=[math.inf, -math.inf])
+@example(doc=[1e308, 1e308])
+@example(doc=[1.0, np.float64(2.0)])
+@example(doc=[1.0, True, 2, None])
+@example(doc={"a": [], "b": {}, "c": [[], [0.5]], "d": (0.25, -0.0)})
+def test_json_writer_is_the_per_item_writer(doc):
+    assert cli._format_json(doc) == _format_json_by_items(doc)
 
 
 def test_json_determinism_bitwise(tmp_path):
@@ -555,6 +636,51 @@ def test_exit_code_resource_laguerre_degrees(tmp_path, capsys):
     assert len(doc["zeros"]) == 2000
 
 
+SMGES_XI = ["smges-check", "--family", "xi", "--alpha", "1,0.8",
+            "--gamma", "0.3,0.5", "--eps", "0.1", "--cutoff", "10"]
+
+
+def test_smges_check_budget_caps_the_sample_count(tmp_path, capsys,
+                                                   monkeypatch):
+    spec = fock_ops.ModelSpec.xi([1.0, 0.8], [0.3, 0.5], 0.1, [10, 10])
+    cap = 1000
+    budget = cap * weyl_asymptotics._sample_bytes(spec)
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", budget)
+    tracemalloc.start()
+    try:
+        doc = run_json(tmp_path, SMGES_XI + ["--samples", str(cap)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the counted bytes bound what the sampling allocates
+    assert len(doc["X"]) == 4 and peak <= budget
+    expect_error(capsys, SMGES_XI + ["--samples", str(cap + 1)], 9,
+                 "ResourceError")
+
+
+def test_smges_check_refuses_a_huge_sample_count_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        doc = expect_error(capsys, SMGES_XI + ["--samples", "10000000000"],
+                           9, "ResourceError")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "over the 2 GiB budget" in doc["message"]
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.45 GiB", ""])
+def test_a_stray_memory_error_exits_9(capsys, monkeypatch, message):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(weyl_asymptotics, "smges_gap_check", out_of_memory)
+    doc = expect_error(capsys, SMGES_XI, 9, "ResourceError")
+    assert doc["message"] == "out of memory: %s" % (message
+                                                    or "allocation failed")
+
+
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing"
     expect_error(capsys, ["laguerre-zeros", "--degree", "2",
@@ -750,6 +876,59 @@ def test_readme_command_examples_run():
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0, argv
         _parse_output(argv, out.getvalue())
+
+
+def _scipy_free_readme_commands():
+    """The README examples of the six commands that make no LAPACK call, in
+    their LAPACK-free form: overlap by the closed form alone, perturb
+    without --fd-check."""
+    out = []
+    for argv in _readme_commands():
+        if argv[0] == "overlap":
+            argv = argv[:argv.index("--method") + 1] + ["closed"]
+        elif argv[0] == "perturb":
+            argv = [a for a in argv if a != "--fd-check"]
+        elif argv[0] not in ("quasimode", "braak", "weyl", "smges-check"):
+            continue
+        out.append(argv)
+    return out
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from rabispec.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return [argv[0], code, scipy_modules()]
+
+print(json.dumps([["import", 0, scipy_modules()]]
+                 + [run(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_cli_loads_scipy_only_at_its_first_lapack_call():
+    # in one fresh interpreter: the import, the six, then spectrum, whose
+    # eigensolve loads scipy, so a probe blind to loads fails there
+    free = _scipy_free_readme_commands()
+    assert len(free) == 6
+    spectrum, = [a for a in _readme_commands() if a[0] == "spectrum"]
+    src = str(Path(rabispec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(free + [spectrum])],
+        capture_output=True, text=True, env=env, check=True)
+    runs = json.loads(out.stdout)
+    assert [r[:2] for r in runs] == [["import", 0]] + [
+        [a[0], 0] for a in free + [spectrum]]
+    assert all(loaded == [] for _, _, loaded in runs[:-1]), runs
+    assert "scipy.linalg" in runs[-1][2]
 
 
 def _parse(parser, argv):

@@ -2,17 +2,12 @@
 and the binary export format."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import rabispec
 from rabispec import fock_ops
 from rabispec.errors import ModelSpecError, ResourceError
 from rabispec.fock_ops import (
@@ -211,18 +206,6 @@ def test_position_matrix_equals_kronecker_product_exactly(basis):
         x = _mode_kron(basis.mode_dims, mode, _x(basis.mode_dims[mode - 1]))
         assert np.array_equal(position_matrix(basis, mode).matrix,
                               np.kron(np.eye(basis.spin_dim), x))
-
-
-def test_cli_import_loads_no_scipy_sparse():
-    src = str(Path(rabispec.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, rabispec.cli; print(sorted("
-         "m for m in sys.modules if m.startswith('scipy.sparse')))"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------- mode operators

@@ -612,6 +612,27 @@ def test_sectors_differing_in_one_entry_are_both_solved(where, monkeypatch):
     assert not all(map(spectral_analysis._same_bits, parts(a), parts(c)))
 
 
+def test_sectors_apart_past_the_first_layer_are_both_solved():
+    # the cheap comparisons (sizes, first diagonal block) pass, so only the
+    # whole buffers tell these sectors apart; equal ones are solved once
+    rng = np.random.default_rng(3)
+    diag, low = rng.normal(size=40), rng.normal(size=39)
+    chain = _chain_op(diag, [low]).sectors[0]._replace(floor=np.zeros(40))
+    xi = build(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.0, (6, 7))).sectors[0]
+    for a in (chain, xi):
+        last = a.diag.copy()
+        last[-1] = np.nextafter(last[-1], np.inf)
+        floor = a.floor.copy()
+        floor[-1] += 1.0
+        twin = a._replace(diag=a.diag.copy(), low=a.low.copy())
+        for b, solves in ((a._replace(diag=last), 2),
+                          (a._replace(floor=floor), 2), (twin, 1)):
+            calls = []
+            got = spectral_analysis._once_per_matrix(
+                [a, b], lambda s: calls.append(s) or len(calls))
+            assert len(calls) == solves and got == [1, solves]
+
+
 def test_same_bits_is_exact():
     same = spectral_analysis._same_bits
     assert same(np.zeros(3), np.zeros(3)) and same(None, None)
