@@ -49,6 +49,19 @@ def _format_json(obj, indent=0):
             body = (",\n%s  " % pad).join(
                 [JSON_FLOAT_FORMAT] * len(seq)) % tuple(seq)
             return "[\n%s  %s\n%s]" % (pad, body, pad)
+        # a list of dicts with one key set and exact-int values from one
+        # item template (a bool is an int that prints as true or false)
+        keys = sorted(seq[0]) if type(seq[0]) is dict else None
+        if keys and all(type(d) is dict and d.keys() == seq[0].keys()
+                        for d in seq):
+            values = [d[k] for d in seq for k in keys]
+            if set(map(type, values)) == {int}:
+                inner = pad + "  "
+                item = "%s  {\n%s\n%s}" % (pad, ",\n".join(
+                    ('%s  "%s": ' % (inner, k)).replace("%", "%%") + "%d"
+                    for k in keys), inner)
+                body = ",\n".join([item] * len(seq)) % tuple(values)
+                return "[\n%s\n%s]" % (body, pad)
         items = ["%s  %s" % (pad, _format_json(v, indent + 1)) for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:

@@ -54,6 +54,7 @@ class NumericError(RabispecError):
 
 
 class ResourceError(RabispecError):
-    """Request needs more memory than the stated budget allows."""
+    """Request needs more memory or work than the stated budget or cap
+    allows."""
 
     exit_code = 9

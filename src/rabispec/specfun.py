@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInput, NumericError, PrecisionError
+from .errors import (DegenerateInput, NumericError, PrecisionError,
+                     ResourceError)
 
 LADDER = "ladder"
 PHYSICISTS = "physicists"
@@ -43,6 +44,16 @@ ZERO_PROXIMITY_TOL = 1e-10
 # sweep time replaces it.
 _ZEROS_BYTES_PER_DEGREE = 12 * 8 + 4
 _STURM_BYTES_PER_DEGREE = 4 * 8 + 1
+
+# Work of laguerre_zeros in operations, counted from the code: about
+# degree^2 for the tridiagonal eigensolve and degree^2 for each of the
+# three scans of _laguerre_pair_scaled (degree steps over degree points).
+# The cap admits degree 10 000, about 3.5 s with one BLAS thread on a
+# 2-core VM (0.6 s at degree 4 000); a larger degree raises ResourceError
+# before any work. Every degree tried from 4 128 to 10 000 fails the
+# residual check.
+_ZEROS_WORK_PER_DEGREE_SQUARED = 4
+MAX_ZEROS_WORK = _ZEROS_WORK_PER_DEGREE_SQUARED * 10_000 ** 2
 
 
 def _check_work_bytes(what, need):
@@ -129,13 +140,19 @@ def laguerre_zeros(N):
     Golub-Welsch on the Jacobi matrix (diagonal 2i+1, off-diagonal i), then
     Newton polish. Each zero is certified by a residual check
     |L_N(x)| <= 1e-12 * max(1, |L_N'(x)|); failure raises NumericError.
-    A degree whose work arrays would exceed fock_ops.DENSE_BUDGET_BYTES
-    raises ResourceError before anything is allocated.
+    A degree whose work arrays would exceed fock_ops.DENSE_BUDGET_BYTES,
+    or whose work would exceed MAX_ZEROS_WORK operations, raises
+    ResourceError before anything is allocated.
     """
     if N < 1:
         raise ValueError("degree must be at least 1")
     _check_work_bytes("Laguerre zeros of degree %d need" % N,
                       _ZEROS_BYTES_PER_DEGREE * N)
+    work = _ZEROS_WORK_PER_DEGREE_SQUARED * N * N
+    if work > MAX_ZEROS_WORK:
+        raise ResourceError(
+            "Laguerre zeros of degree %d take %.3g operations, over the "
+            "cap of %.3g" % (N, work, MAX_ZEROS_WORK))
     import scipy.linalg  # loads at the first call, not with the package
     diag = 2.0 * np.arange(N) + 1.0
     off = np.arange(1.0, N)
@@ -314,7 +331,8 @@ def nondegenerate_sequence(x0, jmax, kcap=4000):
     Raises DegenerateInput if x0 sits within 1e-10 of a zero of any L_k with
     k <= kcap, and ResourceError, before any sweep, if kcap is over the
     cap that fock_ops.DENSE_BUDGET_BYTES sets at _STURM_BYTES_PER_DEGREE
-    bytes per degree.
+    bytes per degree, or once a window reaches a degree whose zeros
+    laguerre_zeros refuses.
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")

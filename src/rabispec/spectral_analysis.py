@@ -27,6 +27,8 @@ GROWTH_FACTOR = 1.5
 SINGLE_MODE_CAP = 4096
 MULTI_MODE_CAP = 160
 BOUNDARY_TOL = 1e-10
+# chain rows per step of the census sweep (_census_sweep)
+CENSUS_BLOCK_ROWS = 32
 SYMMETRY_TILE = 2048
 # growth bound of the layered count in units of max(1, max|A - lam I|): an
 # eigenpair (w, v) of a Schur block is eliminated only if |C v|^2 / |w|,
@@ -705,9 +707,9 @@ def braak_census(spec, shift, nmax):
             "the count bracket at boundary %d of the shifted spectrum stays "
             "open to depth %d; interval I_%d is not certified"
             % (nmax + 1, SINGLE_MODE_CAP, nmax))
-    # t, the arrays that form it and _census_sweep's work arrays
+    # t, _census_sweep's per-threshold arrays and its blocks of rows
     _check_budget("the census of %d interval boundaries needs" % (nmax + 2),
-                  8 * 8 * 2 * (nmax + 2))
+                  _census_bytes(nmax))
     # b - tol and b + tol for each boundary b, ascending
     t = (np.arange(nmax + 2.0)[:, None]
          + [-BOUNDARY_TOL, BOUNDARY_TOL]).ravel() - shift
@@ -734,6 +736,16 @@ def braak_census(spec, shift, nmax):
                        for s, (_, closed) in zip(sectors, sweeps))
 
 
+def _census_bytes(nmax):
+    """Bytes of the work arrays of a census to nmax, 2 (nmax + 2)
+    thresholds: per threshold, 10 floats or ints (t, the arrays that form
+    it, and _census_sweep's pivots, updates, counts, closing rows and
+    per-block sums), and per threshold and block row, 2 floats (the
+    pivot and closing-bound blocks) and 6 bools (the nonpositive and
+    closing tests and their slices at the closing thresholds)."""
+    return (10 * 8 + CENSUS_BLOCK_ROWS * (2 * 8 + 6)) * 2 * (nmax + 2)
+
+
 def _bisect_chain(sector, lo, hi, rank):
     """The rank-th smallest eigenvalue of a chain sector, known to lie in
     (lo, hi], by bisection on its Sturm count (_chain_inertia) down to
@@ -756,38 +768,81 @@ def _census_sweep(sector, t):
     not). The pivots, the zero-pivot rule and the closing test are
     _chain_inertia's, elementwise; a threshold's count is frozen at the
     row where it closes, and the sweep ends when every threshold has
-    closed."""
-    q = np.ones_like(t)
+    closed.
+
+    The rows are swept CENSUS_BLOCK_ROWS at a time, over the thresholds
+    from the lowest one still open. A block's pivots fill a rows x
+    thresholds buffer, three calls per row; the nonpositive test, each
+    threshold's first closing row and its count up to that row are then
+    read from the buffer once per block, the closing test only on the
+    thresholds below the block's largest floor. A pivot that is exactly
+    zero must be replaced by minus the smallest normal number before the
+    next row reads it, so a block that holds one is redone with that
+    replacement after each row. Every pivot and bound is the same
+    operation on the same operands as when the rows are swept one at a
+    time, so (count, closed) are bitwise those of a one-row sweep."""
     count = np.zeros(t.size, np.intp)
     closed = np.full(t.size, -1)
-    diag, low, floor, coupling = (sector.diag, sector.low, sector.floor,
-                                  sector.coupling)
+    diag, floor, coupling = sector.diag, sector.floor, sector.coupling
+    # e[k] couples row k to the row before it; row 0 has none
+    e = np.concatenate(([0.0], sector.low))
     tiny = -float(np.finfo(float).tiny)
-    shifted, update = np.empty_like(t), np.empty_like(t)
-    nonpositive = np.empty(t.size, bool)
+    pivots = np.empty(CENSUS_BLOCK_ROWS * t.size)
+    nonpositive = np.empty(pivots.size, bool)
+    q, update = np.ones_like(t), np.empty_like(t)
+
+    def fill(block, d, tl, ql, ek, redo):
+        # row i: q = (d_i - t) - e_i (e_i / q), q the row before it
+        np.subtract.outer(d, tl, out=block)
+        u = update[:tl.size]
+        for row, e_i in zip(block, ek):
+            np.divide(e_i, ql, out=u)
+            np.multiply(u, e_i, out=u)
+            np.subtract(row, u, out=row)
+            if redo and not row.all():
+                row[row == 0.0] = tiny
+            ql = row
+
     # every threshold below lo is closed
-    lo, k = 0, 0
+    lo = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while k < len(diag) and lo < t.size:
-            tl, ql, nl = t[lo:], q[lo:], nonpositive[lo:]
-            # q = (d - t) - e (e / q), in place
-            e = low[k - 1] if k else 0.0
-            np.subtract(diag[k], tl, out=shifted[lo:])
-            np.divide(e, ql, out=update[lo:])
-            np.multiply(update[lo:], e, out=update[lo:])
-            np.subtract(shifted[lo:], update[lo:], out=ql)
-            np.less_equal(ql, 0.0, out=nl)
-            np.add(count[lo:], nl, out=count[lo:], where=closed[lo:] < 0)
-            if not ql.all():
-                ql[ql == 0.0] = tiny
-            # the open thresholds below floor[k] whose pivot lies outside
-            # (0, coupling[k] / (floor[k] - t)] close at row k
-            n = int(tl.searchsorted(floor[k]))
+        for k0 in range(0, len(diag), CENSUS_BLOCK_ROWS):
+            if lo == t.size:
+                break
+            k1 = min(k0 + CENSUS_BLOCK_ROWS, len(diag))
+            tl, ql = t[lo:], q[lo:]
+            shape = (k1 - k0, tl.size)
+            block = pivots[:shape[0] * shape[1]].reshape(shape)
+            ek = e[k0:k1].tolist()
+            fill(block, diag[k0:k1], tl, ql, ek, False)
+            # the rows after a zero pivot read it unreplaced: redo them
+            if not block.all():
+                fill(block, diag[k0:k1], tl, ql, ek, True)
+            ql[:] = block[-1]
+            neg = nonpositive[:block.size].reshape(shape)
+            np.less_equal(block, 0.0, out=neg)
+            still = closed[lo:] < 0
+            total = neg.sum(axis=0)
+            # an open threshold closes at the first row k with floor[k] > t
+            # whose pivot lies outside (0, coupling[k] / (floor[k] - t)],
+            # and only the thresholds below the block's largest floor can
+            n = int(tl.searchsorted(np.max(floor[k0:k1])))
             if n:
-                shut = (closed[lo:lo + n] < 0) & (
-                    nl[:n] | (ql[:n] > coupling[k] / (floor[k] - tl[:n])))
-                closed[lo:lo + n][shut] = k
-                while lo < t.size and closed[lo] >= 0:
-                    lo += 1
-            k += 1
+                fl, tn = floor[k0:k1, None], tl[:n]
+                bound = np.subtract(fl, tn)
+                np.divide(coupling[k0:k1, None], bound, out=bound)
+                shut = block[:, :n] > bound
+                shut |= neg[:, :n]
+                shut &= fl > tn
+                shut &= still[:n]
+                hit = np.flatnonzero(shut.any(axis=0))
+                if hit.size:
+                    first = shut[:, hit].argmax(axis=0)
+                    # its count is frozen at that row
+                    upto = np.arange(shape[0])[:, None] <= first
+                    total[hit] = np.count_nonzero(neg[:, hit] & upto, axis=0)
+                    closed[lo + hit] = k0 + first
+            count[lo:] += np.where(still, total, 0)
+            left = np.flatnonzero(closed[lo:] < 0)
+            lo = lo + int(left[0]) if left.size else t.size
     return count, closed

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rabispec
-from rabispec import cli, errors, fock_ops, weyl_asymptotics
+from rabispec import (cli, errors, fock_ops, spectral_analysis, specfun,
+                      weyl_asymptotics)
 from rabispec.cli import main
 from rabispec.fock_ops import load_matrix
 from rabispec.overlaps import overlap_closed
@@ -317,11 +318,31 @@ JSON_FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 1e308,
                      5e-324]))
+JSON_KEYS = st.text(alphabet="abkz_%", max_size=3)
+JSON_INTS = st.one_of(st.integers(), st.booleans(),
+                      st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+
+
+@st.composite
+def _json_int_rows(draw):
+    # a list of dicts with one key set and exact ints (the writer's one
+    # template), or ints mixed with bools and np.int64, or a row with
+    # another key set, empty dicts included
+    keys = draw(st.sets(JSON_KEYS, max_size=4))
+    value = draw(st.sampled_from([st.integers(), JSON_INTS]))
+    rows = [{k: draw(value) for k in keys}
+            for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.dictionaries(JSON_KEYS, JSON_INTS, max_size=3)))
+    return rows
+
+
 JSON_LEAVES = st.one_of(
     JSON_FLOATS, JSON_FLOATS.map(np.float64), st.integers(),
     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans(),
     st.none(), st.text(alphabet="abc xyz", max_size=4),
-    st.lists(JSON_FLOATS))
+    st.lists(JSON_FLOATS), _json_int_rows())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -338,6 +359,14 @@ JSON_LEAVES = st.one_of(
 @example(doc=[1.0, np.float64(2.0)])
 @example(doc=[1.0, True, 2, None])
 @example(doc={"a": [], "b": {}, "c": [[], [0.5]], "d": (0.25, -0.0)})
+@example(doc={"rows": [{"N": 0, "%d": -1}, {"%d": 2 ** 70, "N": 1}]})
+@example(doc=[{"a": 1}, {"a": True}])
+@example(doc=[{"a": 1}, {"a": np.int64(2)}])
+@example(doc=[{"a": 1}, {"b": 1}])
+@example(doc=[{"a": 1}, {"a": 1, "b": 2}])
+@example(doc=[{}, {}])
+@example(doc=[{"a": 1}, {}])
+@example(doc=[{"a": 1.0}, {"a": 2}])
 def test_json_writer_is_the_per_item_writer(doc):
     assert cli._format_json(doc) == _format_json_by_items(doc)
 
@@ -566,6 +595,37 @@ def test_braak_refuses_a_huge_nmax_before_allocating(capsys, shift, code,
     assert peak < 2e6
 
 
+def test_braak_census_budget_counts_its_block_buffers(tmp_path, capsys,
+                                                     monkeypatch):
+    # the budget patched to the census of 2500 intervals, whose pivot
+    # blocks alone (CENSUS_BLOCK_ROWS rows of 5004 thresholds) are 1.3 MB;
+    # the traced peak counts what the census allocates after its chains
+    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES",
+                        spectral_analysis._census_bytes(2500))
+    real_build, built = spectral_analysis.build, []
+
+    def build(spec):
+        op = real_build(spec)
+        built.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return op
+
+    monkeypatch.setattr(spectral_analysis, "build", build)
+    argv = ["braak", "--family", "qr"] + QR_FLAGS + ["--cutoff", "16"]
+    tracemalloc.start()
+    try:
+        expect_error(capsys, argv + ["--nmax", "2501"], 9, "ResourceError")
+        refused = tracemalloc.get_traced_memory()[1] - built[-1]
+        doc = run_json(tmp_path, argv + ["--nmax", "2500"])
+        ran = tracemalloc.get_traced_memory()[1] - built[-1]
+    finally:
+        tracemalloc.stop()
+    assert refused < 1e6
+    assert len(doc["per_interval"]) == 2501
+    blocks = spectral_analysis.CENSUS_BLOCK_ROWS * 2 * 2502 * 8
+    assert blocks < ran <= spectral_analysis._census_bytes(2500)
+
+
 def test_braak_empty_range(tmp_path, capsys):
     # nmax -1 asks for no interval: an empty census with vacuous verdicts;
     # below -1 the request is a usage error
@@ -634,6 +694,40 @@ def test_exit_code_resource_laguerre_degrees(tmp_path, capsys):
     assert doc["kcap"] == 4000 and len(doc["entries"]) == 1
     doc = run_json(tmp_path, ["laguerre-zeros", "--degree", "2000"])
     assert len(doc["zeros"]) == 2000
+
+
+def test_laguerre_zeros_work_cap(tmp_path, capsys, monkeypatch):
+    # the cap patched to the work of degree 36: degree 37 is refused at
+    # once, with no eigensolve or scan, by laguerre-zeros and by an
+    # avoid-seq whose third window (degrees 2, 15, 37) reaches it
+    monkeypatch.setattr(specfun, "MAX_ZEROS_WORK",
+                        specfun._ZEROS_WORK_PER_DEGREE_SQUARED * 36 ** 2)
+    scans = []
+    real_scan = specfun._laguerre_pair_scaled
+
+    def scan(N, x):
+        scans.append(N)
+        return real_scan(N, x)
+
+    monkeypatch.setattr(specfun, "_laguerre_pair_scaled", scan)
+    doc = expect_error(capsys, ["laguerre-zeros", "--degree", "37"], 9,
+                       "ResourceError")
+    assert "degree 37" in doc["message"] and "cap" in doc["message"]
+    assert scans == []
+    assert len(run_json(tmp_path, ["laguerre-zeros", "--degree", "36"])
+               ["zeros"]) == 36
+    avoid = ["avoid-seq", "--x0", "0.5", "--jmax"]
+    assert [e["k"] for e in run_json(tmp_path, avoid + ["2"])["entries"]] \
+        == [2, 15]
+    expect_error(capsys, avoid + ["3"], 9, "ResourceError")
+    assert 37 not in scans
+    # degree 21474836 passes the 2 GiB check but is 4 degree^2 = 1.8e15
+    # operations: the cap as it stands refuses it
+    monkeypatch.undo()
+    assert specfun.MAX_ZEROS_WORK < 4 * 21474836 ** 2
+    doc = expect_error(capsys, ["laguerre-zeros", "--degree", "21474836"], 9,
+                       "ResourceError")
+    assert "over the cap" in doc["message"]
 
 
 SMGES_XI = ["smges-check", "--family", "xi", "--alpha", "1,0.8",

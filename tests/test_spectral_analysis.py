@@ -24,6 +24,7 @@ from rabispec.fock_ops import (
 )
 from rabispec.spectral_analysis import (
     BOUNDARY_TOL,
+    CENSUS_BLOCK_ROWS,
     Spectrum,
     _dense_count,
     braak_intervals,
@@ -1024,6 +1025,135 @@ def test_closing_test_reads_its_own_rows_pivot_and_coupling():
     count, closed = spectral_analysis._census_sweep(sector, t)
     assert count.tolist() == want
     assert closed[1] == 2
+
+
+def _census_sweep_by_rows(sector, t):
+    """The census sweep one chain row per step, kept as the oracle of
+    spectral_analysis._census_sweep, which sweeps a block of rows per step
+    and must give its (count, closed) bitwise."""
+    q = np.ones_like(t)
+    count = np.zeros(t.size, np.intp)
+    closed = np.full(t.size, -1)
+    diag, low, floor, coupling = (sector.diag, sector.low, sector.floor,
+                                  sector.coupling)
+    tiny = -float(np.finfo(float).tiny)
+    shifted, update = np.empty_like(t), np.empty_like(t)
+    nonpositive = np.empty(t.size, bool)
+    # every threshold below lo is closed
+    lo, k = 0, 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while k < len(diag) and lo < t.size:
+            tl, ql, nl = t[lo:], q[lo:], nonpositive[lo:]
+            # q = (d - t) - e (e / q), in place
+            e = low[k - 1] if k else 0.0
+            np.subtract(diag[k], tl, out=shifted[lo:])
+            np.divide(e, ql, out=update[lo:])
+            np.multiply(update[lo:], e, out=update[lo:])
+            np.subtract(shifted[lo:], update[lo:], out=ql)
+            np.less_equal(ql, 0.0, out=nl)
+            np.add(count[lo:], nl, out=count[lo:], where=closed[lo:] < 0)
+            if not ql.all():
+                ql[ql == 0.0] = tiny
+            # the open thresholds below floor[k] whose pivot lies outside
+            # (0, coupling[k] / (floor[k] - t)] close at row k
+            n = int(tl.searchsorted(floor[k]))
+            if n:
+                shut = (closed[lo:lo + n] < 0) & (
+                    nl[:n] | (ql[:n] > coupling[k] / (floor[k] - tl[:n])))
+                closed[lo:lo + n][shut] = k
+                while lo < t.size and closed[lo] >= 0:
+                    lo += 1
+            k += 1
+    return count, closed
+
+
+def _chain_sector(diag, low, floor, coupling):
+    n = len(diag)
+    return fock_ops.Sector(np.arange(n), np.ones(n, int),
+                           *(np.array(a, float) for a in (diag, low)), 0,
+                           *(np.array(a, float) for a in (floor, coupling)))
+
+
+def _sweeps_agree(sector, t):
+    got = spectral_analysis._census_sweep(sector, t)
+    want = _census_sweep_by_rows(sector, t)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    return got
+
+
+@st.composite
+def _census_chains(draw):
+    # up to four blocks of rows, the last one short; small integers give
+    # exactly zero pivots at integer thresholds, anywhere in a block
+    n = draw(st.integers(1, 4 * CENSUS_BLOCK_ROWS + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        diag, low = (rng.integers(-3, 4, m).astype(float) for m in (n, n - 1))
+    else:
+        diag, low = (rng.uniform(-3, 3, m) for m in (n, n - 1))
+    # floors in any order, a share of the rows at -inf (never closing),
+    # some at +inf (closing every threshold still open)
+    floor = rng.uniform(-4, 4, n)
+    floor[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))] \
+        = -math.inf
+    floor[rng.random(n) < 0.02] = math.inf
+    coupling = rng.uniform(0, 10, n)
+    # integer, half-integer and random thresholds, and the eigenvalues of a
+    # leading submatrix, at which a pivot is zero in exact arithmetic
+    lead = draw(st.integers(1, n))
+    t = np.concatenate((
+        rng.integers(-8, 9, rng.integers(0, 20)) / 2.0,
+        rng.uniform(-4, 4, rng.integers(0, 20)),
+        scipy.linalg.eigvalsh(np.diag(diag[:lead]) + np.diag(low[:lead - 1], 1)
+                              + np.diag(low[:lead - 1], -1))))
+    return _chain_sector(diag, low, floor, coupling), np.sort(t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_census_chains())
+def test_census_sweep_is_bitwise_the_row_by_row_sweep(case):
+    _sweeps_agree(*case)
+
+
+def test_census_sweep_redoes_a_block_with_a_zero_pivot():
+    # rows 39..41 alone are coupled, all ones: at t = 0 row 40's pivot is
+    # 1 - 1 (1 / 1) = 0, in the middle of the second block. Replaced by
+    # -tiny it makes row 41's pivot huge and positive, so the count is 1,
+    # that of the eigenvalue 1 - sqrt 2; left at zero, row 41 would read
+    # 1 - 1 / 0 = -inf and count a second
+    n = 2 * CENSUS_BLOCK_ROWS + 7
+    low = np.zeros(n - 1)
+    low[39:41] = 1.0
+    diag = np.ones(n)
+    h = np.diag(diag) + np.diag(low, 1) + np.diag(low, -1)
+    t = np.array([-1.0, 0.0, 0.5, 1.0, 2.5])
+    count, closed = _sweeps_agree(
+        _chain_sector(diag, low, np.full(n, -math.inf), np.zeros(n)), t)
+    ev = scipy.linalg.eigvalsh(h)
+    assert count.tolist() == [int(np.count_nonzero(ev <= x)) for x in t]
+    assert count[1] == 1 and (closed == -1).all()
+
+
+@pytest.mark.parametrize("row", [0, CENSUS_BLOCK_ROWS - 1, CENSUS_BLOCK_ROWS,
+                                 2 * CENSUS_BLOCK_ROWS - 1,
+                                 2 * CENSUS_BLOCK_ROWS,
+                                 3 * CENSUS_BLOCK_ROWS + 4])
+def test_census_sweep_closes_on_a_blocks_first_and_last_rows(row):
+    # a QR chain whose only row with a floor above the thresholds is row:
+    # its bound coupling / inf is 0, so every threshold closes there, with
+    # the count of the rows up to it
+    chain = build(ModelSpec.qr(1.0, 1.0, -1.0, 0.02,
+                               3 * CENSUS_BLOCK_ROWS + 4)).sectors[0]
+    floor = np.full(chain.diag.size, -math.inf)
+    floor[row] = math.inf
+    t = np.arange(-0.5, 40.0, 0.25)
+    count, closed = _sweeps_agree(
+        _chain_sector(chain.diag, chain.low, floor, chain.coupling), t)
+    assert (closed == row).all()
+    head = chain.diag[:row + 1], chain.low[:row]
+    assert count.tolist() == [spectral_analysis._chain_inertia(*head, x)[0]
+                              for x in t.tolist()]
 
 
 _BANDED_BASES = [BasisDescriptor(1, (5,), 2), BasisDescriptor(1, (3,), 3),
