@@ -159,21 +159,35 @@ def _one_cutoff(args):
     return _ints(args.cutoff)[0]
 
 
+# the model flags each family takes, all required; a level flag that is
+# not among them is refused
+_MODEL_FLAGS = {
+    "qr": ("alpha", "gamma1", "gamma2", "eps", "cutoff"),
+    "abframe": ("alpha", "gamma1", "gamma2", "eps", "cutoff"),
+    "qrabi": ("alpha", "delta", "eps", "cutoff"),
+    "xi": ("alpha", "gamma", "eps", "cutoff"),
+    "lambda": ("alpha", "gamma", "eps", "cutoff"),
+    "vee": ("alpha", "gamma", "eps", "cutoff"),
+}
+
+
 def _build_model(args, config):
-    """The model the flags describe; its echo goes into config["model"]."""
+    """The model the flags describe; its echo goes into config["model"]. A
+    level flag the family does not take is a usage error."""
     fam = args.family
+    _require(args, _MODEL_FLAGS[fam])
+    for n in ("gamma1", "gamma2", "gamma", "delta"):
+        if n not in _MODEL_FLAGS[fam] and getattr(args, n) is not None:
+            raise UsageError("--%s is not a flag of family %s" % (n, fam))
     if fam in ("qr", "abframe"):
-        _require(args, ["alpha", "gamma1", "gamma2", "eps", "cutoff"])
         ctor = (fock_ops.ModelSpec.qr if fam == "qr"
                 else fock_ops.ModelSpec.ab_frame)
         spec = ctor(float(args.alpha), float(args.gamma1),
                     float(args.gamma2), float(args.eps), _one_cutoff(args))
     elif fam == "qrabi":
-        _require(args, ["alpha", "delta", "eps", "cutoff"])
         spec = fock_ops.ModelSpec.qrabi(float(args.alpha), float(args.delta),
                                         float(args.eps), _one_cutoff(args))
     else:
-        _require(args, ["alpha", "gamma", "eps", "cutoff"])
         alphas = _floats(args.alpha)
         gammas = _floats(args.gamma)
         cuts = _ints(args.cutoff)

@@ -1,7 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its memory budget.
 
 Each class carries an ``exit_code`` used by the command line front end, so
 scripted callers can distinguish failure modes without parsing messages.
+check_budget refuses, with ResourceError, work arrays over
+DENSE_BUDGET_BYTES before they are allocated.
 """
 
 
@@ -58,3 +60,18 @@ class ResourceError(RabispecError):
     allows."""
 
     exit_code = 9
+
+
+# the package's memory budget: build refuses a dense matrix, or
+# occupation-layer blocks, larger than this (2 GiB: a dense matrix of
+# dimension 16 384), and every other work-array check uses it too
+DENSE_BUDGET_BYTES = 2 * 1024 ** 3
+
+
+def check_budget(what, need):
+    """Raise ResourceError when need bytes exceed DENSE_BUDGET_BYTES; what
+    names the object and its verb, as in "dense matrix ... needs"."""
+    if need > DENSE_BUDGET_BYTES:
+        raise ResourceError("%s %.3g GiB, over the %.3g GiB budget"
+                            % (what, need / 2 ** 30,
+                               DENSE_BUDGET_BYTES / 2 ** 30))

@@ -7,7 +7,7 @@ Supported families:
 * ABFrame   harmonic x I2 + eps [[beta1, beta2 D], [beta2 D^T, beta1]]
             with D the normalized displacement matrix; spectrally equal to
             QR + alpha^2/2 at matched truncation, and split by its parity
-            into two dense sectors (ab_sectors)
+            into two dense sectors (ab_sector_pairs)
 * Xi        N levels chained k <-> k+1 through n = N-1 oscillator modes
 * Lambda    N levels, every lower level coupled into level N
 * Vee       N levels, level 1 coupled out to every upper level
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ModelSpecError, ResourceError
+from .errors import ModelSpecError, check_budget
 from .overlaps import displacement_matrix
 
 QR = "QR"
@@ -44,25 +44,11 @@ VEE = "Vee"
 
 FAMILIES = (QR, QRABI, AB_FRAME, XI, LAMBDA, VEE)
 
-# build refuses a dense matrix, or occupation-layer blocks, larger than this
-# (2 GiB: a dense matrix of dimension 16 384)
-DENSE_BUDGET_BYTES = 2 * 1024 ** 3
-
-
-def _check_budget(what, need):
-    """Raise ResourceError when need bytes exceed DENSE_BUDGET_BYTES; what
-    names the object and its verb, as in "dense matrix ... needs"."""
-    if need > DENSE_BUDGET_BYTES:
-        raise ResourceError("%s %.3g GiB, over the %.3g GiB budget"
-                            % (what, need / 2 ** 30,
-                               DENSE_BUDGET_BYTES / 2 ** 30))
-
-
 def check_dense_budget(basis):
     """Raise ResourceError when a dense matrix on basis would exceed
-    DENSE_BUDGET_BYTES."""
-    _check_budget("dense matrix of dimension %d needs" % basis.dim,
-                  8 * basis.dim ** 2)
+    errors.DENSE_BUDGET_BYTES."""
+    check_budget("dense matrix of dimension %d needs" % basis.dim,
+                 8 * basis.dim ** 2)
 
 
 @dataclass(frozen=True)
@@ -165,8 +151,8 @@ class TruncatedOperator:
     couple only adjacent layers. Reading matrix then assembles the dense
     matrix, anew on every read, by scattering each sector's layer bands
     onto the sector's basis indices, and raises ResourceError, before
-    allocating, when it would exceed DENSE_BUDGET_BYTES. A stored matrix is
-    returned as it is.
+    allocating, when it would exceed errors.DENSE_BUDGET_BYTES. A stored
+    matrix is returned as it is.
     """
 
     def __init__(self, basis, matrix, sectors=None):
@@ -419,7 +405,7 @@ def build(spec):
     and its per-layer bounds (_layer_bounds). Two budgets apply, each
     checked before allocating: build raises ResourceError when the AB
     frame's dense matrix, or the bytes of all sector blocks, would exceed
-    DENSE_BUDGET_BYTES, the latter from the (sector, layer) sizes of
+    errors.DENSE_BUDGET_BYTES, the latter from the (sector, layer) sizes of
     _group_sizes before any basis-length array is formed; reading
     op.matrix checks the dense matrix itself.
     """
@@ -434,7 +420,7 @@ def build(spec):
     # the dim states fill n_sectors * n_layers diagonal blocks, whose
     # squared sizes sum to at least dim^2 / (n_sectors * n_layers): a bound
     # that refuses huge cutoffs before any array is formed
-    _check_budget(what, 8 * basis.dim ** 2 // (n_sectors * n_layers))
+    check_budget(what, 8 * basis.dim ** 2 // (n_sectors * n_layers))
     # all diagonal blocks, then all coupling blocks (layer N + 1 by N of one
     # sector), are row-major slices of one buffer each
     sigma = _far_sides(spec.family, spec.spin_dim)
@@ -442,7 +428,7 @@ def build(spec):
     sizes = grid.ravel()
     diag_sizes = sizes * sizes
     low_sizes = (grid[:, 1:] * grid[:, :-1]).ravel()
-    _check_budget(what, 8 * (diag_sizes.sum() + low_sizes.sum()))
+    check_budget(what, 8 * (diag_sizes.sum() + low_sizes.sum()))
     # QR/QRabi scale their levels by eps; the N-level families carry the
     # bare (0, gammas...) and eps only enters the subprincipal analysis
     if spec.family in (QR, QRABI):
@@ -519,33 +505,25 @@ def _ab_parts(spec, d):
     return diag, (spec.eps * beta2) * d
 
 
-def ab_sectors(spec):
-    """The two parity sectors of an AB frame model, s = +1 then s = -1:
-    the dense (K + 1)^2 matrices H_s = P + eps beta1 I + s eps beta2 D
-    diag((-1)^k) on the oscillator, with P = diag(k + 1/2).
+def ab_sector_pairs(specs):
+    """The two parity sectors of each AB frame model in specs, in order,
+    one pair at a time, s = +1 then s = -1: the dense (K + 1)^2 matrices
+    H_s = P + eps beta1 I + s eps beta2 D diag((-1)^k) on the oscillator,
+    with P = diag(k + 1/2).
 
     The parity is spin flip times (-1)^k; sector +1 holds the symmetric
-    spin combination on even k. Both sectors come from one displacement
-    matrix D, and each is bitwise symmetric because D[k, N] = (-1)^(N + k)
-    D[N, k] holds bitwise. A malformed spec raises ModelSpecError, another
-    family ValueError, and a cutoff whose dense AB matrix build would
-    refuse raises ResourceError before anything is allocated.
-    """
-    return next(ab_sector_pairs([spec]))
-
-
-def ab_sector_pairs(specs):
-    """ab_sectors(spec) for each spec in specs, in order, one pair at a
-    time: AB frame models that may differ in eps and the gammas but not
-    in the cutoff or alpha (ValueError), so that every pair comes from
-    one displacement matrix D, which depends on those two alone. Each
-    pair is bitwise what ab_sectors gives for its spec, and the checks
-    of ab_sectors run on every spec before D is formed.
+    spin combination on even k. The models may differ in eps and the
+    gammas but not in the cutoff or alpha (ValueError), so that every pair
+    comes from one displacement matrix D, which depends on those two
+    alone; each sector is bitwise symmetric because D[k, N] = (-1)^(N + k)
+    D[N, k] holds bitwise. Every spec is checked before D is formed: a
+    malformed spec raises ModelSpecError, another family ValueError, and a
+    cutoff whose dense AB matrix build would refuse raises ResourceError.
     """
     for spec in specs:
         spec.validate()
         if spec.family != AB_FRAME:
-            raise ValueError("ab_sectors needs an AB frame model")
+            raise ValueError("ab_sector_pairs needs an AB frame model")
     key = {(spec.cutoffs, spec.alphas) for spec in specs}
     if len(key) != 1:
         raise ValueError("ab_sector_pairs needs one cutoff and one alpha")

@@ -23,9 +23,9 @@ expansions as
 
 SECOND_ORDER_SIGN = -1 was calibrated once against central second
 differences of eigensolver output (the two candidate weight conventions
-differ by overall sign); those differences, formed from the sector
-eigensolves of this module in the tests, are the authority for it and a
-test re-derives it.
+differ by overall sign); those differences, formed in the tests from the
+eigenvalues of the AB parity sectors (spectral_analysis.ab_spectra), are
+the authority for it and a test re-derives it.
 """
 
 import math
@@ -34,14 +34,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ModelSpecError, UsageError
-from .fock_ops import ModelSpec, ab_sector_pairs, build
+from .errors import ModelSpecError, UsageError, check_budget
+from .fock_ops import ModelSpec, build
 from .overlaps import diagonal_overlap_ratio, displacement_matrix
-from .spectral_analysis import _merge
+from .spectral_analysis import ab_spectra
 
-# calibrated once against central second differences of ab_sector_spectrum
-# (fd_second_differences in tests/test_perturbation.py); do not edit without
-# re-running that comparison
+# calibrated once against central second differences of the AB parity
+# sectors' eigenvalues (fd_second_differences on ab_spectra in
+# tests/test_perturbation.py); do not edit without re-running that
+# comparison
 SECOND_ORDER_SIGN = -1.0
 
 DEGENERACY_TOL = 1e-9
@@ -111,11 +112,14 @@ class QuasimodeForm(NamedTuple):
     tail_estimate: float
 
 
-def _spectral_cutoff(N, K):
+def _spectral_cutoff(N, K, what, arrays):
+    """K, N + DEFAULT_SPECTRAL_CUTOFF_MARGIN by default, once the budget
+    admits what, arrays float arrays of (K + 1)^2 entries (check_budget)."""
     if K is None:
         K = N + DEFAULT_SPECTRAL_CUTOFF_MARGIN
     if K <= N:
         raise ValueError("spectral cutoff K must exceed the level N")
+    check_budget("%s at K = %d need" % (what, K), 8 * arrays * (K + 1) ** 2)
     return K
 
 
@@ -125,9 +129,11 @@ def quasimode_form(N, params, K=None):
     The matrix carries the overall factor 2 of the quadratic form and is a
     multiple of the identity (see module docstring), so mu2_minus equals
     mu2_plus. The tail estimate is a heuristic bound from the last retained
-    term; the summand decays superexponentially in k.
+    term; the summand decays superexponentially in k. A K whose arrays
+    would exceed the budget raises ResourceError before D is formed.
     """
-    K = _spectral_cutoff(N, K)
+    # D, and at alpha < 0 the sign matrix displacement_matrix scales it by
+    K = _spectral_cutoff(N, K, "the quasimode form's arrays", 2)
     return _form(N, params, displacement_matrix(K, params.alpha)[N, :])
 
 
@@ -176,9 +182,12 @@ def quasimode_vectors(N, params, K=None):
     Coefficients live on the product basis at cutoff K, spin slowest. With
     mu the first-order eigenvalue of the branch, u1 = R0 (mu - B) (phi_N w)
     and u2 = R0 (mu - B) u1; both have vanishing components on the
-    unperturbed eigenspace because the reduced resolvent kills it.
+    unperturbed eigenspace because the reduced resolvent kills it. A K
+    whose arrays would exceed the budget raises ResourceError before D is
+    formed.
     """
-    K = _spectral_cutoff(N, K)
+    # D, the four blocks of _ab_pieces' B and B itself, of 4 (K + 1)^2
+    K = _spectral_cutoff(N, K, "the quasimode vectors' arrays", 9)
     d = displacement_matrix(K, params.alpha)
     form = _form(N, params, d[N, :])
     split = first_order(N, params)
@@ -274,30 +283,6 @@ def expansion_residual(exp, params, eps, cutoff=None):
 # finite-difference oracles on eigensolver output; these never touch the
 # perturbation formulas above, so the two routes stay independent
 
-def ab_sector_spectrum(params, eps, cutoff, sector):
-    """Eigenvalues of one parity sector of the displaced-frame operator.
-
-    The parity here is spin-flip times mode-number parity; sector +1 carries
-    the states whose spin part is the symmetric combination on even modes.
-    Reduction: H_s = P + e beta1 + s e beta2 D diag((-1)^k), formed by
-    fock_ops.ab_sectors, bitwise symmetric by the overlap antisymmetry.
-    """
-    if sector not in (+1, -1):
-        raise ValueError("sector must be +1 or -1")
-    return _sector_spectra(params, (eps,), cutoff, (sector,))[0][0]
-
-
-def _sector_spectra(params, eps_values, cutoff, sectors):
-    """ab_sector_spectrum(params, eps, cutoff, s) for each s in sectors,
-    one list per eps in eps_values, all from one displacement matrix
-    (fock_ops.ab_sector_pairs)."""
-    import scipy.linalg  # loads at the first call, not with the package
-    specs = [ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2,
-                                eps, cutoff) for eps in eps_values]
-    return [[np.sort(scipy.linalg.eigvalsh(h[(1 - s) // 2])) for s in sectors]
-            for h in ab_sector_pairs(specs)]
-
-
 def branch_parity(N, params):
     """Parity sector labels (plus_branch, minus_branch) for the level-N pair."""
     split = first_order(N, params)
@@ -318,12 +303,14 @@ def _check_level(N, cutoff):
 def fd_pair_slopes(N, params, eps_fd=1e-3, cutoff=240):
     """Richardson-extrapolated eps-slopes (slope_minus, slope_plus) of the
     sorted eigenvalue pair at level N of the displaced-frame operator,
-    solved on its two parity sectors and merged as ab_spectrum does, at
-    the four eps from one displacement matrix. A level outside
-    0..cutoff raises UsageError."""
+    the merged eigenvalues of its two parity sectors (ab_spectra) at the
+    four eps, from one displacement matrix. A level outside 0..cutoff
+    raises UsageError."""
     _check_level(N, cutoff)
-    spectra = [_merge(v)[0] for v in _sector_spectra(
-        params, (eps_fd, -eps_fd, eps_fd / 2, -eps_fd / 2), cutoff, (1, -1))]
+    spectra = [values for values, _ in ab_spectra([
+        ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2, eps,
+                           cutoff)
+        for eps in (eps_fd, -eps_fd, eps_fd / 2, -eps_fd / 2)])]
 
     def central(eps, plus, minus):
         lo_p, hi_p = plus[2 * N], plus[2 * N + 1]
@@ -340,6 +327,8 @@ def fd_signed_splitting(N, params, eps, cutoff=240):
     """Parity-tracked signed gap lambda_plusbranch - lambda_minusbranch. A
     level outside 0..cutoff raises UsageError."""
     _check_level(N, cutoff)
-    lp, lm = (v[N] for v in _sector_spectra(params, (eps,), cutoff,
-                                             branch_parity(N, params))[0])
+    (values, sector), = ab_spectra([ModelSpec.ab_frame(
+        params.alpha, params.gamma1, params.gamma2, eps, cutoff)])
+    lp, lm = (values[sector == (1 - s) // 2][N]
+              for s in branch_parity(N, params))
     return lp - lm

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateInput, NumericError, PrecisionError,
-                     ResourceError)
+                     ResourceError, check_budget)
 
 LADDER = "ladder"
 PHYSICISTS = "physicists"
@@ -40,8 +40,8 @@ ZERO_PROXIMITY_TOL = 1e-10
 # the scan's five buffers, or L, L_(N-1), logscale, deriv and the residual
 # test's temporaries). The Sturm sweeps of avoid-seq hold no per-degree
 # arrays; _STURM_BYTES_PER_DEGREE keeps the exit-9 limit on kcap (near 65
-# million at 2 GiB) scaled with DENSE_BUDGET_BYTES, until a bound on the
-# sweep time replaces it.
+# million at 2 GiB) scaled with errors.DENSE_BUDGET_BYTES, until a bound on
+# the sweep time replaces it.
 _ZEROS_BYTES_PER_DEGREE = 12 * 8 + 4
 _STURM_BYTES_PER_DEGREE = 4 * 8 + 1
 
@@ -54,14 +54,6 @@ _STURM_BYTES_PER_DEGREE = 4 * 8 + 1
 # residual check.
 _ZEROS_WORK_PER_DEGREE_SQUARED = 4
 MAX_ZEROS_WORK = _ZEROS_WORK_PER_DEGREE_SQUARED * 10_000 ** 2
-
-
-def _check_work_bytes(what, need):
-    """Raise ResourceError when need bytes exceed the package's memory
-    budget, fock_ops.DENSE_BUDGET_BYTES. fock_ops imports this module
-    (through overlaps), so it is imported here, when a check runs."""
-    from . import fock_ops
-    fock_ops._check_budget(what, need)
 
 
 def hermite_poly(N, x, convention=LADDER):
@@ -140,14 +132,14 @@ def laguerre_zeros(N):
     Golub-Welsch on the Jacobi matrix (diagonal 2i+1, off-diagonal i), then
     Newton polish. Each zero is certified by a residual check
     |L_N(x)| <= 1e-12 * max(1, |L_N'(x)|); failure raises NumericError.
-    A degree whose work arrays would exceed fock_ops.DENSE_BUDGET_BYTES,
+    A degree whose work arrays would exceed errors.DENSE_BUDGET_BYTES,
     or whose work would exceed MAX_ZEROS_WORK operations, raises
     ResourceError before anything is allocated.
     """
     if N < 1:
         raise ValueError("degree must be at least 1")
-    _check_work_bytes("Laguerre zeros of degree %d need" % N,
-                      _ZEROS_BYTES_PER_DEGREE * N)
+    check_budget("Laguerre zeros of degree %d need" % N,
+                 _ZEROS_BYTES_PER_DEGREE * N)
     work = _ZEROS_WORK_PER_DEGREE_SQUARED * N * N
     if work > MAX_ZEROS_WORK:
         raise ResourceError(
@@ -330,7 +322,7 @@ def nondegenerate_sequence(x0, jmax, kcap=4000):
 
     Raises DegenerateInput if x0 sits within 1e-10 of a zero of any L_k with
     k <= kcap, and ResourceError, before any sweep, if kcap is over the
-    cap that fock_ops.DENSE_BUDGET_BYTES sets at _STURM_BYTES_PER_DEGREE
+    cap that errors.DENSE_BUDGET_BYTES sets at _STURM_BYTES_PER_DEGREE
     bytes per degree, or once a window reaches a degree whose zeros
     laguerre_zeros refuses.
     """
@@ -343,8 +335,8 @@ def nondegenerate_sequence(x0, jmax, kcap=4000):
     if x0 <= 0:
         # zeros all live on the positive axis, nothing to avoid
         raise ValueError("x0 must be positive")
-    _check_work_bytes("Sturm counts to kcap = %d need" % kcap,
-                      _STURM_BYTES_PER_DEGREE * kcap)
+    check_budget("Sturm counts to kcap = %d need" % kcap,
+                 _STURM_BYTES_PER_DEGREE * kcap)
     if _first_degree_with_zero_in(x0, ZERO_PROXIMITY_TOL, kcap) is not None:
         raise DegenerateInput(
             "x0 = %.17g is within %g of a Laguerre zero" % (x0, ZERO_PROXIMITY_TOL)

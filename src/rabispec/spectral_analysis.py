@@ -17,9 +17,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CoverageError, ResourceError
-from .fock_ops import (AB_FRAME, QR, QRABI, _check_budget, ab_sectors,
-                       build, check_dense_budget)
+from .errors import CoverageError, ResourceError, check_budget
+from .fock_ops import (AB_FRAME, QR, QRABI, ab_sector_pairs, build,
+                       check_dense_budget)
 
 log = logging.getLogger(__name__)
 
@@ -170,13 +170,17 @@ def _same_bits(a, b):
     return np.array_equal(a.reshape(-1).view(u), b.reshape(-1).view(u))
 
 
-def ab_spectrum(spec):
-    """All eigenvalues of an AB frame model, ascending: one dense eigvalsh
-    on each of its two parity sectors (fock_ops.ab_sectors), merged by
-    _merge. The eigvalsh of the whole dense matrix (eigen_spectrum of its
-    build) agrees to rounding."""
+def ab_spectra(specs):
+    """[(eigenvalues, sector of each)] of AB frame models that share one
+    cutoff and one alpha: one dense eigvalsh on each of a model's two
+    parity sectors, all from one displacement matrix
+    (fock_ops.ab_sector_pairs), merged by _merge, sector 0 holding s = +1.
+    _merge is a stable sort of ascending arrays, so values[sector == i] is
+    bitwise sector i's ascending eigenvalues. The eigvalsh of the whole
+    dense matrix (eigen_spectrum of its build) agrees to rounding."""
     import scipy.linalg  # loads at the first call, not with the package
-    return _merge([scipy.linalg.eigvalsh(h) for h in ab_sectors(spec)])[0]
+    return [_merge([scipy.linalg.eigvalsh(h) for h in pair])
+            for pair in ab_sector_pairs(specs)]
 
 
 def _merge(vals):
@@ -305,13 +309,13 @@ def converged_spectrum(spec, m, tol, cap=None):
 
     Cutoffs grow geometrically (factor 1.5, rounded up) from the ones in the
     ModelSpec. Hitting the cap, or a growth step whose dense matrix is over
-    fock_ops.DENSE_BUDGET_BYTES (checked before the step is built), yields
+    errors.DENSE_BUDGET_BYTES (checked before the step is built), yields
     a partial result: converged_count reports how long a prefix was stable
     at the last comparison and the partial flag is set. A growth step is
     solved only when it is compared or returned (_converge): the steps with
     fewer than m eigenvalues are skipped until a partial result needs the
     one before its own. Every solved step solves the model sector by
-    sector: the AB frame on its two parity sectors (ab_spectrum), the other
+    sector: the AB frame on its two parity sectors (ab_spectra), the other
     families on the sectors of their build (eigen_spectrum); QR and QRabi
     are parity_split without the labels.
     """
@@ -326,7 +330,7 @@ def converged_spectrum(spec, m, tol, cap=None):
         # sectors or layer blocks are formed
         check_dense_budget(step.basis())
         if spec.family == AB_FRAME:
-            return ab_spectrum(step), None
+            return ab_spectra([step])[0][0], None
         return eigen_spectrum(build(step)), None
 
     return _converge(spec, m, tol, cap, solve)
@@ -676,7 +680,7 @@ def braak_census(spec, shift, nmax):
     threshold can close only at a row whose floor lies above it, so a
     largest threshold at or above the floor of the last row raises
     CoverageError before the thresholds are formed, and ResourceError
-    refuses work arrays over fock_ops.DENSE_BUDGET_BYTES. A boundary b
+    refuses work arrays over errors.DENSE_BUDGET_BYTES. A boundary b
     whose counts at b - tol and b + tol differ holds an eigenvalue, which
     goes to interval b - 1 and is listed in boundary_values, shifted, as
     found by bisection on the chain's Sturm count. The closing depth is
@@ -708,8 +712,8 @@ def braak_census(spec, shift, nmax):
             "open to depth %d; interval I_%d is not certified"
             % (nmax + 1, SINGLE_MODE_CAP, nmax))
     # t, _census_sweep's per-threshold arrays and its blocks of rows
-    _check_budget("the census of %d interval boundaries needs" % (nmax + 2),
-                  _census_bytes(nmax))
+    check_budget("the census of %d interval boundaries needs" % (nmax + 2),
+                 _census_bytes(nmax))
     # b - tol and b + tol for each boundary b, ascending
     t = (np.arange(nmax + 2.0)[:, None]
          + [-BOUNDARY_TOL, BOUNDARY_TOL]).ravel() - shift

@@ -27,7 +27,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .fock_ops import _check_budget, build, coupling_pattern
+from .errors import check_budget
+from .fock_ops import build, coupling_pattern
 from .spectral_analysis import count_below
 
 SPHERE_RADIUS = math.sqrt(2.0)
@@ -220,7 +221,7 @@ def smges_gap_check(spec, eps, samples, seed=0, grid=False):
     Uniform seeded sampling by default; with grid=True (one or two modes)
     the points come from a fixed deterministic lattice, making the result
     independent of the seed. A sample count whose work arrays
-    (_sample_bytes each) would exceed fock_ops.DENSE_BUDGET_BYTES raises
+    (_sample_bytes each) would exceed errors.DENSE_BUDGET_BYTES raises
     ResourceError before any point is drawn.
     """
     spec.validate()
@@ -228,8 +229,8 @@ def smges_gap_check(spec, eps, samples, seed=0, grid=False):
         raise ValueError("need at least one sample")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    _check_budget("symbol gap check of %d samples needs" % samples,
-                  samples * _sample_bytes(spec))
+    check_budget("symbol gap check of %d samples needs" % samples,
+                 samples * _sample_bytes(spec))
     n = spec.modes
     if grid:
         if n > 2:

@@ -600,7 +600,7 @@ def test_braak_census_budget_counts_its_block_buffers(tmp_path, capsys,
     # the budget patched to the census of 2500 intervals, whose pivot
     # blocks alone (CENSUS_BLOCK_ROWS rows of 5004 thresholds) are 1.3 MB;
     # the traced peak counts what the census allocates after its chains
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES",
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
                         spectral_analysis._census_bytes(2500))
     real_build, built = spectral_analysis.build, []
 
@@ -647,6 +647,75 @@ def test_exit_code_model_spec(capsys):
                           "--gamma", "0.3,0.5", "--eps", "0.05",
                           "--cutoff", "4", "--levels", "3", "--parity"],
                  7, "ModelSpecError")
+
+
+# a value for each level flag, and the ones each family takes
+LEVEL_VALUES = {"gamma1": "1", "gamma2": "-1", "gamma": "0.3,0.5",
+                "delta": "0.9"}
+FAMILY_LEVELS = {"qr": ("gamma1", "gamma2"), "abframe": ("gamma1", "gamma2"),
+                 "qrabi": ("delta",), "xi": ("gamma",), "lambda": ("gamma",),
+                 "vee": ("gamma",)}
+FOREIGN_LEVEL_FLAGS = [(fam, flag) for fam, takes in FAMILY_LEVELS.items()
+                       for flag in LEVEL_VALUES if flag not in takes]
+
+
+@pytest.mark.parametrize("fam, flag", FOREIGN_LEVEL_FLAGS)
+def test_a_level_flag_the_family_does_not_take_is_a_usage_error(
+        tmp_path, capsys, fam, flag):
+    # the multi-mode families, which take --gamma, have two modes here
+    alpha = "1,0.8" if "gamma" in FAMILY_LEVELS[fam] else "1"
+    argv = (["spectrum", "--family", fam, "--alpha", alpha]
+            + ["--%s=%s" % (f, LEVEL_VALUES[f]) for f in FAMILY_LEVELS[fam]]
+            + ["--eps", "0.05", "--cutoff", "4", "--levels", "3"])
+    value = LEVEL_VALUES[flag]
+    assert "eigenvalues" in run_json(tmp_path, argv)
+    doc = expect_error(capsys, argv + ["--%s=%s" % (flag, value)],
+                       2, "UsageError")
+    assert doc["message"] == "--%s is not a flag of family %s" % (flag, fam)
+    # the same key in a config file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s=%s\n" % (flag, value), encoding="utf-8")
+    assert expect_error(capsys, argv + ["--config", str(cfg)], 2,
+                        "UsageError") == doc
+
+
+@pytest.mark.parametrize("argv, foreign", [
+    (["weyl", "--family", "xi", "--alpha", "1,0.8", "--gamma", "0.3,0.5",
+      "--eps", "0.05", "--cutoff", "10", "--lambdas", "5"],
+     ["--delta", "nan", "--gamma1", "inf"]),
+    (["braak", "--family", "qrabi", "--alpha", "1", "--delta", "1",
+      "--eps", "0.02", "--cutoff", "16", "--nmax", "3"], ["--gamma1", "5"]),
+    (["smges-check", "--family", "vee", "--alpha", "1,0.8", "--gamma",
+      "0.3,0.5", "--eps", "0.1", "--cutoff", "10"], ["--gamma2", "0"]),
+], ids=["weyl", "braak", "smges-check"])
+def test_every_model_command_refuses_a_foreign_level_flag(capsys, argv,
+                                                           foreign):
+    # without the foreign flags the command runs
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    doc = expect_error(capsys, argv + foreign, 2, "UsageError")
+    assert "is not a flag of family" in doc["message"]
+
+
+def test_quasimode_budget_is_checked_before_the_displacement_matrix(
+        tmp_path, capsys, monkeypatch):
+    # the budget patched to the arrays of K = 400: D, the four blocks of
+    # B and B, 9 (K + 1)^2 doubles, 11.6 MB
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 9 * 401 ** 2)
+    argv = ["quasimode", "--N", "1", "--alpha", "1", "--gamma1", "1",
+            "--gamma2", "-1"]
+    tracemalloc.start()
+    try:
+        for extra in ([], ["--eps", "0.01"]):
+            doc = expect_error(capsys, argv + ["--K", "401"] + extra, 9,
+                               "ResourceError")
+            assert doc["message"].startswith(
+                "the quasimode vectors' arrays at K = 401 need")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert run_json(tmp_path, argv + ["--K", "400"])["K"] == 400
 
 
 def test_exit_code_model_spec_nonfinite(capsys):
@@ -739,7 +808,7 @@ def test_smges_check_budget_caps_the_sample_count(tmp_path, capsys,
     spec = fock_ops.ModelSpec.xi([1.0, 0.8], [0.3, 0.5], 0.1, [10, 10])
     cap = 1000
     budget = cap * weyl_asymptotics._sample_bytes(spec)
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", budget)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", budget)
     tracemalloc.start()
     try:
         doc = run_json(tmp_path, SMGES_XI + ["--samples", str(cap)])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rabispec import fock_ops
+from rabispec import errors, fock_ops
 from rabispec.errors import ModelSpecError, ResourceError
 from rabispec.fock_ops import (
     BasisDescriptor,
@@ -332,7 +332,7 @@ def test_displaced_frame_block_structure():
 def test_ab_sectors_are_the_symmetric_parity_halves_of_the_frame(
         a, g1, g2, eps, cut):
     spec = ModelSpec.ab_frame(a, g1, g2, eps, cut)
-    plus, minus = fock_ops.ab_sectors(spec)
+    plus, minus = next(fock_ops.ab_sector_pairs([spec]))
     m = build(spec).matrix
     d = cut + 1
     # sector s is P + eps beta1 + s C diag((-1)^k), with C = eps beta2 D
@@ -350,15 +350,17 @@ def test_ab_sectors_are_the_symmetric_parity_halves_of_the_frame(
 
 def test_ab_sectors_refuse_like_build(monkeypatch):
     with pytest.raises(ValueError, match="AB frame"):
-        fock_ops.ab_sectors(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 8))
+        next(fock_ops.ab_sector_pairs([ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 8)]))
     with pytest.raises(ModelSpecError):
-        fock_ops.ab_sectors(ModelSpec.ab_frame(1.0, -1.0, 1.0, 0.1, 8))
+        next(fock_ops.ab_sector_pairs(
+            [ModelSpec.ab_frame(1.0, -1.0, 1.0, 0.1, 8)]))
     # the dense frame's budget: dimension 42 fits, 44 does not
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", 8 * 42 ** 2)
-    assert len(fock_ops.ab_sectors(
-        ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 20))) == 2
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 42 ** 2)
+    assert len(next(fock_ops.ab_sector_pairs(
+        [ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 20)]))) == 2
     with pytest.raises(ResourceError, match="dense matrix of dimension 44"):
-        fock_ops.ab_sectors(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 21))
+        next(fock_ops.ab_sector_pairs(
+            [ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 21)]))
 
 
 def test_ab_sector_pairs_share_one_displacement_matrix(monkeypatch):
@@ -376,7 +378,7 @@ def test_ab_sector_pairs_share_one_displacement_matrix(monkeypatch):
     assert formed == [(60, -0.8)]
     monkeypatch.undo()
     for spec, pair in zip(specs, pairs):
-        for got, want in zip(pair, fock_ops.ab_sectors(spec)):
+        for got, want in zip(pair, next(fock_ops.ab_sector_pairs([spec]))):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # every spec is checked before D is formed
     monkeypatch.setattr(fock_ops, "displacement_matrix", counted)
@@ -601,7 +603,7 @@ def test_build_refuses_dense_matrix_over_budget(monkeypatch):
     assert peak < 1e6
     # the budget is inclusive: dimension 42 fits 8 * 42^2 bytes exactly; a
     # layered build assembles its dense matrix, and refuses it, on reading
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", 8 * 42 ** 2)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 42 ** 2)
     assert build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 20)).matrix.shape == (42, 42)
     op = build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 21))
     with pytest.raises(ResourceError, match="dense matrix of dimension 44"):
@@ -615,9 +617,9 @@ def test_build_refuses_dense_matrix_over_budget(monkeypatch):
         sizes = s.sizes.tolist()
         need += 8 * (sum(m * m for m in sizes)
                      + sum(m * m1 for m, m1 in zip(sizes, sizes[1:])))
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", need)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", need)
     assert build(spec).sectors is not None
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", need - 1)
     with pytest.raises(ResourceError, match="blocks of dimension 144"):
         build(spec)
 

@@ -8,18 +8,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rabispec import fock_ops, perturbation
-from rabispec.errors import UsageError
+from rabispec import errors, fock_ops, perturbation
+from rabispec.errors import ResourceError, UsageError
 from rabispec.fock_ops import ModelSpec, build
 from rabispec.overlaps import displacement_matrix
 from rabispec.perturbation import (
     DEGENERACY_TOL,
     SECOND_ORDER_SIGN,
     RabiParameters,
-    ab_sector_spectrum,
     branch_parity,
     expansion_residual,
-    _sector_spectra,
     fd_pair_slopes,
     fd_signed_splitting,
     first_order,
@@ -27,7 +25,7 @@ from rabispec.perturbation import (
     quasimode_residual,
     quasimode_vectors,
 )
-from rabispec.spectral_analysis import ab_spectrum
+from rabispec.spectral_analysis import ab_spectra
 
 STD = RabiParameters(1.0, 1.0, -1.0)
 # 2 a^2 = 1 puts the level-1 diagonal overlap on the first Laguerre zero
@@ -126,6 +124,27 @@ def test_quasimode_form_vanishes_without_level_splitting():
     assert np.all(form.matrix == 0.0)
 
 
+def test_quasimode_routines_refuse_a_cutoff_over_budget(monkeypatch):
+    # quasimode_form forms D and its sign matrix, 2 (K + 1)^2 doubles, and
+    # quasimode_vectors D, the four blocks of B and B, 9 (K + 1)^2
+    formed = []
+
+    def counted(*args):
+        formed.append(args)
+        return displacement_matrix(*args)
+
+    monkeypatch.setattr(perturbation, "displacement_matrix", counted)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 2 * 101 ** 2)
+    with pytest.raises(ResourceError, match="form's arrays at K = 101 need"):
+        quasimode_form(3, STD, K=101)
+    with pytest.raises(ResourceError, match="vectors' arrays at K = 47 need"):
+        quasimode_vectors(3, STD, K=47)
+    assert formed == []
+    assert quasimode_form(3, STD, K=100).tail_estimate >= 0.0
+    assert quasimode_vectors(3, STD, K=46).K == 46
+    assert formed == [(100, STD.alpha), (46, STD.alpha)]
+
+
 def test_quasimode_vectors_avoid_unperturbed_eigenspace():
     exp = quasimode_vectors(2, STD)
     K = exp.K
@@ -187,6 +206,26 @@ def test_quasimode_computes_each_piece_once(monkeypatch):
     assert (exp.mu1_plus, exp.mu1_minus) == (split.mu_plus, split.mu_minus)
 
 
+def _ab_frame(params, eps, cutoff):
+    return ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2,
+                              eps, cutoff)
+
+
+def ab_sector_spectrum(params, eps, cutoff, sector):
+    """Eigenvalues of one parity sector of the displaced-frame operator,
+    ascending, read off ab_spectra.
+
+    The parity here is spin-flip times mode-number parity; sector +1 carries
+    the states whose spin part is the symmetric combination on even modes.
+    Reduction: H_s = P + e beta1 + s e beta2 D diag((-1)^k), formed by
+    fock_ops.ab_sector_pairs, bitwise symmetric by the overlap antisymmetry.
+    """
+    if sector not in (+1, -1):
+        raise ValueError("sector must be +1 or -1")
+    (values, which), = ab_spectra([_ab_frame(params, eps, cutoff)])
+    return values[which == (1 - sector) // 2]
+
+
 def fd_second_differences(N, params, eps_fd=1e-2, cutoff=240):
     """Central second differences (lambda(e) - 2 lambda(0) + lambda(-e))/e^2
     per parity branch, returned as (value_plus_branch, value_minus_branch).
@@ -195,8 +234,10 @@ def fd_second_differences(N, params, eps_fd=1e-2, cutoff=240):
     equal SECOND_ORDER_SIGN * mu2 for its branch.
     """
     perturbation._check_level(N, cutoff)
-    lp, lm = ([v[N] for v in sectors] for sectors in _sector_spectra(
-        params, (eps_fd, -eps_fd), cutoff, branch_parity(N, params)))
+    lp, lm = ([values[which == (1 - s) // 2][N] for s in
+               branch_parity(N, params)]
+              for values, which in ab_spectra(
+                  [_ab_frame(params, e, cutoff) for e in (eps_fd, -eps_fd)]))
     l0 = N + 0.5
     return tuple((p - 2 * l0 + m) / eps_fd ** 2 for p, m in zip(lp, lm))
 
@@ -242,7 +283,7 @@ def test_sector_union_recovers_full_spectrum():
 
 def _symmetrized_sector(params, eps, cutoff, sector):
     """The sector matrix as ab_sector_spectrum formed it itself, before
-    fock_ops.ab_sectors: symmetrized by 0.5 (h + h^T)."""
+    fock_ops.ab_sector_pairs: symmetrized by 0.5 (h + h^T)."""
     lam = np.arange(cutoff + 1) + 0.5
     d = displacement_matrix(cutoff, params.alpha)
     signs = (-1.0) ** np.arange(cutoff + 1)
@@ -349,12 +390,12 @@ def _bits(values):
 
 
 def _per_eps_fd_pair_slopes(N, params, eps_fd=1e-3, cutoff=240):
-    """fd_pair_slopes with one ab_spectrum, and so one displacement matrix,
+    """fd_pair_slopes with one ab_spectra, and so one displacement matrix,
     per eps."""
 
     def sorted_pair(eps):
-        ev = ab_spectrum(ModelSpec.ab_frame(params.alpha, params.gamma1,
-                                            params.gamma2, eps, cutoff))
+        ev = ab_spectra([ModelSpec.ab_frame(params.alpha, params.gamma1,
+                                            params.gamma2, eps, cutoff)])[0][0]
         return ev[2 * N], ev[2 * N + 1]
 
     def central(eps):

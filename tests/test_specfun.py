@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from rabispec import fock_ops, specfun
+from rabispec import errors, specfun
 from rabispec.errors import DegenerateInput, PrecisionError, ResourceError
 from rabispec.specfun import (
     LADDER,
@@ -172,12 +172,12 @@ def test_laguerre_scan_in_place_is_bitwise_the_expression(N):
 def test_laguerre_zeros_and_sturm_counts_refuse_over_the_budget(
         monkeypatch):
     # refused from the counted work bytes, before anything is allocated
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES",
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
                         specfun._ZEROS_BYTES_PER_DEGREE * 40)
     assert laguerre_zeros(40).size == 40
     with pytest.raises(ResourceError, match="degree 41"):
         laguerre_zeros(41)
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES",
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
                         specfun._STURM_BYTES_PER_DEGREE * 1000)
     assert len(nondegenerate_sequence(0.5, 2, kcap=1000).entries) == 2
     with pytest.raises(ResourceError, match="kcap = 1001"):

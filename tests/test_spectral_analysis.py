@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rabispec import fock_ops, spectral_analysis
+from rabispec import errors, fock_ops, spectral_analysis
 from rabispec.errors import CoverageError, ModelSpecError, ResourceError
 from rabispec.fock_ops import (
     BasisDescriptor,
@@ -116,7 +116,7 @@ def test_eigen_spectrum_solves_each_sector(spec, monkeypatch):
     op = build(spec)
     want = scipy.linalg.eigvalsh(op.matrix)
     # one byte short of the dense matrix: the sectors never form it
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES",
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
                         8 * spec.basis().dim ** 2 - 1)
     got = eigen_spectrum(op)
     assert got.shape == want.shape and np.all(np.diff(got) >= 0)
@@ -176,7 +176,7 @@ def test_ab_growth_steps_keep_the_dense_refusal_point(monkeypatch):
     # AB at cutoff c has dimension 2 (c + 1): steps 20, 30 fit a dense
     # budget of dimension 62, step 45 (92) does not, though its two
     # sectors (46^2 each) would
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", 8 * 62 ** 2)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 62 ** 2)
     spec = ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 20)
     s = converged_spectrum(spec, 60, 1e-14)
     assert s.partial and s.cutoffs_used == (30,)
@@ -234,7 +234,7 @@ def test_converged_spectrum_partial_at_cap():
 def test_converged_spectrum_partial_when_growth_exceeds_budget(monkeypatch):
     # Xi at per-mode cutoff c has dimension 3 (c + 1)^2: the growth steps
     # 4, 6, 9 fit a budget of dimension 300 and step 14 (675) does not
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", 8 * 300 ** 2)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 300 ** 2)
     spec = ModelSpec.xi([1.0, 0.8], [0.3, 0.5], 0.05, [4, 4])
     s = converged_spectrum(spec, 60, 1e-14)
     assert s.partial
@@ -387,7 +387,7 @@ def test_driver_budget_exit_solves_the_latest_admitted_step(monkeypatch,
     # first compared (53 has m = 80 values or more), so the refusal is met
     # at 53, and 35, which has fewer than m and was skipped, is solved
     # with 23 for its stable prefix
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", 8 * 100 ** 2)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 100 ** 2)
     spec = ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 10)
     with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
         got, want, asked = _against_eager(monkeypatch, converged_spectrum,
@@ -406,7 +406,7 @@ def test_driver_refused_first_step_still_raises(monkeypatch, caplog):
     # every step from 60 (dimension 122) on is over a budget of dimension
     # 100; the first solved step, 305, is refused, and so is every skipped
     # step below it
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES", 8 * 100 ** 2)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 100 ** 2)
     spec = ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 60)
     with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
         with pytest.raises(ResourceError,
@@ -414,8 +414,8 @@ def test_driver_refused_first_step_still_raises(monkeypatch, caplog):
             converged_spectrum(spec, 500, 1e-8)
     with pytest.raises(ResourceError) as want:
         _eager_converge(spec, 500, 1e-8, None,
-                        lambda c: (spectral_analysis.ab_spectrum(
-                            spec.with_cutoffs(c)), None))
+                        lambda c: (spectral_analysis.ab_spectra([
+                            spec.with_cutoffs(c)])[0][0], None))
     assert str(got.value) == str(want.value)
     assert _records(caplog) == [
         "converge stop=budget m=500 tried=60,90,135,203,305,458 solved= "

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rabispec import fock_ops
+from rabispec import errors
 from rabispec.errors import ResourceError
 from rabispec.fock_ops import ModelSpec, build
 from rabispec.spectral_analysis import count_below
@@ -210,7 +210,7 @@ def test_empirical_counting_past_the_dense_budget(monkeypatch):
     want = empirical_counting(XI3, lambdas)
     # one byte short of the dense matrix of dimension 1323: the counts work
     # on the occupation-layer blocks and never assemble it
-    monkeypatch.setattr(fock_ops, "DENSE_BUDGET_BYTES",
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
                         8 * XI3.basis().dim ** 2 - 1)
     assert empirical_counting(XI3, lambdas) == want
     with pytest.raises(ResourceError):

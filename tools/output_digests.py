@@ -1,0 +1,129 @@
+"""Print one "name sha256" line per program output, so that two trees can
+be checked for byte-identical results with diff.
+
+Run it from the root of each tree and compare:
+
+    python3 tools/output_digests.py --seeds 1 7 11 > digests.txt
+
+The outputs digested are
+
+* every example of README's "Command line" section, its exit code,
+  stdout and stderr;
+* every op of the benchmark's three workloads (perfbench/workloads.py,
+  imported, not changed) at each seed: a CLI op by its output file's
+  bytes, a library op by its arrays, tuples and numbers in a fixed byte
+  encoding (_encode);
+* braak on the four models of the c06 gate, in JSON and in CSV.
+
+BLAS runs on one thread, as in the benchmark. An op that raises is
+digested by its exception's type and message.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+# before numpy is first imported
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"})
+
+ROOT = os.getcwd()
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import rabispec  # noqa: E402
+import workloads  # noqa: E402
+from rabispec.cli import main  # noqa: E402
+
+if not rabispec.__file__.startswith(sys.path[0]):
+    sys.exit("imported rabispec from %s, not from this tree"
+             % rabispec.__file__)
+
+# c06: qr at alpha 1, gamma (1, -1), cutoff 16, intervals 0..9 at shift 1/2
+C06_EPS = ("0.05", "-0.05", "0.02", "-0.02")
+
+
+def _encode(value, out):
+    """Append a byte encoding of value to the bytearray out: bytes and
+    arrays with their length, dtype and shape, sequences item by item,
+    floats by their IEEE bits, anything else by its repr."""
+    if isinstance(value, (bytes, bytearray)):
+        out += b"b%d:" % len(value) + bytes(value)
+    elif isinstance(value, np.ndarray):
+        out += ("a%s%s:" % (value.dtype.str, value.shape)).encode()
+        out += np.ascontiguousarray(value).tobytes()
+    elif isinstance(value, (list, tuple)):
+        out += b"l%d:" % len(value)
+        for v in value:
+            _encode(v, out)
+    elif isinstance(value, (float, np.floating)):
+        out += b"f" + np.float64(value).tobytes()
+    elif isinstance(value, (bool, np.bool_)):
+        out += b"t" if value else b"n"
+    elif isinstance(value, (int, np.integer)):
+        out += b"i%d;" % int(value)
+    else:
+        out += ("r%r;" % (value,)).encode()
+
+
+def digest(value):
+    out = bytearray()
+    _encode(value, out)
+    return hashlib.sha256(out).hexdigest()
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of rabispec argv, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def readme_commands():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        text = f.read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [ln.split()[1:] for ln in block.splitlines()
+            if ln.startswith("rabispec ")]
+
+
+def outputs(seeds):
+    """(name, value) of every output, in a fixed order."""
+    for i, argv in enumerate(readme_commands()):
+        yield "readme/%d/%s" % (i, argv[0]), run_cli(argv)
+    for name in sorted(workloads.WORKLOADS):
+        for seed in seeds:
+            with tempfile.TemporaryDirectory() as out_dir:
+                wl = workloads.WORKLOADS[name](seed, out_dir)
+                for op in wl.ops:
+                    try:
+                        value = op.call()
+                    except Exception as e:
+                        value = ("failed", type(e).__name__, str(e))
+                    yield "%s/seed%d/%s" % (name, seed, op.name), value
+    for eps in C06_EPS:
+        for fmt in ("json", "csv"):
+            argv = ["braak", "--family", "qr", "--alpha", "1", "--gamma1",
+                    "1", "--gamma2=-1", "--eps", eps, "--cutoff", "16",
+                    "--nmax", "9", "--shift", "0.5", "--format", fmt]
+            yield "braak_c06/eps%s/%s" % (eps, fmt), run_cli(argv)
+
+
+def cli(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1],
+                    help="workload seeds (default 1)")
+    args = ap.parse_args(argv)
+    for name, value in outputs(args.seeds):
+        print(name, digest(value), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(cli())
