@@ -62,8 +62,8 @@ class ResourceError(RabispecError):
     exit_code = 9
 
 
-# the package's memory budget: build refuses a dense matrix, or
-# occupation-layer blocks, larger than this (2 GiB: a dense matrix of
+# the package's memory budget: build refuses a dense matrix, or the arrays
+# of an occupation-layer build, larger than this (2 GiB: a dense matrix of
 # dimension 16 384), and every other work-array check uses it too
 DENSE_BUDGET_BYTES = 2 * 1024 ** 3
 

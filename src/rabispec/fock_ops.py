@@ -17,12 +17,13 @@ multi-index in row-major order. Every coupling moves exactly one quantum, so
 all families but the AB frame are block tridiagonal in the occupation
 layers. They also keep one Z2 parity per mode (sector_labels), which
 splits them into 2^modes sectors that no entry joins; the two sectors of
-QR and QRabi are tridiagonal chains. Assembly writes the harmonic and
-level diagonal into the diagonal blocks of each (sector, layer) group and
-scatters the ladder entries of each coupling, the pairs of mode-space
-indices one quantum apart, into the coupling blocks; the dense matrix is
-formed from the blocks and their transposes only when it is read, which
-keeps every matrix bitwise symmetric.
+QR and QRabi are tridiagonal chains. No entry joins two states of one
+layer, so the blocks on the layers are diagonal: assembly keeps the
+harmonic and level diagonal as one vector per sector and scatters the
+ladder entries of each coupling, the pairs of mode-space indices one
+quantum apart, into the coupling blocks between consecutive layers; the
+dense matrix is formed from the diagonal, the blocks and their transposes
+only when it is read, which keeps every matrix bitwise symmetric.
 """
 
 import json
@@ -85,11 +86,14 @@ class BasisDescriptor:
 
 class Sector(NamedTuple):
     """One parity sector of a layered operator: its basis indices in block
-    order, the sizes of its nonempty occupation layers, and its block
-    tridiagonal matrix in two flat buffers of row-major blocks (blocks):
-    diag, those on each layer, and low, those coupling layer k to k + 1
-    (rows in layer k + 1). A sector whose layers all hold one state, as
-    both sectors of QR and QRabi do, is the tridiagonal chain (diag, low).
+    order, the sizes of its nonempty occupation layers, its diagonal over
+    index (diag), and its coupling blocks in one flat buffer of row-major
+    blocks (low), that from layer k to k + 1 (rows in layer k + 1) after
+    that from layer k - 1 (low_blocks). Every coupling moves one quantum,
+    so no entry joins two states of one layer: the blocks on the layers are
+    diagonal, and diag holds them. A sector whose layers all hold one
+    state, as both sectors of QR and QRabi do, is the tridiagonal chain
+    (diag, low).
 
     first is the total occupation of layer 0. floor and coupling, when
     set (build sets them, _layer_bounds), bound the sector per layer k:
@@ -105,39 +109,30 @@ class Sector(NamedTuple):
     floor: np.ndarray | None = None
     coupling: np.ndarray | None = None
 
-    def blocks(self):
-        """([block on layer k], [block from layer k to k + 1]), as views."""
-        m = self.sizes.tolist()
-        d = np.cumsum([0] + [k * k for k in m]).tolist()
-        c = np.cumsum([0] + [k * k1 for k, k1 in zip(m, m[1:])]).tolist()
-        return ([self.diag[a:b].reshape(k, k) for a, b, k in zip(d, d[1:], m)],
-                [self.low[a:b].reshape(k1, k)
-                 for a, b, k, k1 in zip(c, c[1:], m, m[1:])])
-
     def chain(self):
         """(diag, low) when every layer holds one state, else None."""
         if self.sizes.size != self.index.size:
             return None
         return self.diag, self.low
 
-    def bands(self):
-        """(rows, cols, band) per layer: the slices of the sector matrix
-        holding the layer's rows over the columns of the layer and its
-        neighbours, and the values there."""
-        diag, low = self.blocks()
-        edges = np.concatenate(([0], np.cumsum(self.sizes)))
-        last = len(diag) - 1
-        for k, d in enumerate(diag):
-            band = np.hstack(low[k - 1:k] + [d] + [c.T for c in low[k:k + 1]])
-            yield (slice(edges[k], edges[k + 1]),
-                   slice(edges[max(k - 1, 0)], edges[min(k + 1, last) + 1]),
-                   band)
+    def low_blocks(self):
+        """(rows, cols, block) per coupling block, from layer 0 up: the
+        slices of index, and of diag, holding layer k + 1 (rows) and layer
+        k (cols), and the block from k to k + 1, a view of low."""
+        edges = np.cumsum([0] + self.sizes.tolist()).tolist()
+        start = 0
+        for a, b, c in zip(edges, edges[1:], edges[2:]):
+            end = start + (c - b) * (b - a)
+            yield (slice(b, c), slice(a, b),
+                   self.low[start:end].reshape(c - b, b - a))
+            start = end
 
     def matrix(self):
         """The dense sector matrix, over index."""
-        mat = np.zeros((self.index.size, self.index.size))
-        for rows, cols, band in self.bands():
-            mat[rows, cols] = band
+        mat = np.diag(self.diag)
+        for rows, cols, block in self.low_blocks():
+            mat[rows, cols] = block
+            mat[cols, rows] = block.T
         return mat
 
 
@@ -149,10 +144,11 @@ class TruncatedOperator:
 
     build declares the sectors, and stores no matrix, for the families that
     couple only adjacent layers. Reading matrix then assembles the dense
-    matrix, anew on every read, by scattering each sector's layer bands
-    onto the sector's basis indices, and raises ResourceError, before
-    allocating, when it would exceed errors.DENSE_BUDGET_BYTES. A stored
-    matrix is returned as it is.
+    matrix, anew on every read, by placing each sector's diagonal, then
+    each of its coupling blocks and the block's transpose, on the sector's
+    basis indices, and raises ResourceError, before allocating, when it
+    would exceed errors.DENSE_BUDGET_BYTES. A stored matrix is returned as
+    it is.
     """
 
     def __init__(self, basis, matrix, sectors=None):
@@ -171,8 +167,11 @@ class TruncatedOperator:
         check_dense_budget(self.basis)
         mat = np.zeros((self.basis.dim, self.basis.dim))
         for s in self.sectors:
-            for rows, cols, band in s.bands():
-                mat[np.ix_(s.index[rows], s.index[cols])] = band
+            mat[s.index, s.index] = s.diag
+            for rows, cols, block in s.low_blocks():
+                r, c = s.index[rows], s.index[cols]
+                mat[np.ix_(r, c)] = block
+                mat[np.ix_(c, r)] = block.T
         return mat
 
 
@@ -398,16 +397,18 @@ def build(spec):
     Sector blocks, and the dense matrix is assembled only when op.matrix is
     read (TruncatedOperator). Every layered family has one sector per
     sector_labels value, 2^modes in all: QR and QRabi have two, the "+"
-    and the "-" parity chain (Sector.chain). The blocks of all sectors are
-    formed straight from the ladder arrays in one buffer of diagonal and
-    one of coupling blocks, each sector a slice of both with its empty
-    layers at either end dropped, and each carries its first occupation
-    and its per-layer bounds (_layer_bounds). Two budgets apply, each
-    checked before allocating: build raises ResourceError when the AB
-    frame's dense matrix, or the bytes of all sector blocks, would exceed
-    errors.DENSE_BUDGET_BYTES, the latter from the (sector, layer) sizes of
-    _group_sizes before any basis-length array is formed; reading
-    op.matrix checks the dense matrix itself.
+    and the "-" parity chain (Sector.chain). The diagonal of all sectors is
+    one vector in their index order, and their coupling blocks are formed
+    straight from the ladder arrays in one buffer; each sector is a slice
+    of both, with its empty layers at either end dropped, and carries its
+    first occupation and its per-layer bounds (_layer_bounds). Two budgets
+    apply, each checked before allocating: build raises ResourceError when
+    the AB frame's dense matrix would exceed errors.DENSE_BUDGET_BYTES, or
+    when a layered build's arrays would, counted as the arrays of every
+    basis state, group and layer (_build_bytes, from the spec alone, before
+    any array is formed) and then with the coupling blocks, from the
+    (sector, layer) sizes of _group_sizes before any basis-length array is
+    formed; reading op.matrix checks the dense matrix itself.
     """
     spec.validate()
     basis = spec.basis()
@@ -415,51 +416,44 @@ def build(spec):
         check_dense_budget(basis)
         return _build_ab(spec, basis)
     what = "occupation-layer blocks of dimension %d need" % basis.dim
-    n_layers = sum(spec.cutoffs) + 1
-    n_sectors = 2 ** spec.modes
-    # the dim states fill n_sectors * n_layers diagonal blocks, whose
-    # squared sizes sum to at least dim^2 / (n_sectors * n_layers): a bound
-    # that refuses huge cutoffs before any array is formed
-    check_budget(what, 8 * basis.dim ** 2 // (n_sectors * n_layers))
-    # all diagonal blocks, then all coupling blocks (layer N + 1 by N of one
-    # sector), are row-major slices of one buffer each
+    # refuses huge cutoffs before any array is formed
+    need = _build_bytes(spec)
+    check_budget(what, need)
     sigma = _far_sides(spec.family, spec.spin_dim)
     grid = _group_sizes(spec, sigma)
     sizes = grid.ravel()
-    diag_sizes = sizes * sizes
+    # coupling block N + s (n_layers - 1), layer N + 1 by N of sector s, is a
+    # row-major slice of one buffer
     low_sizes = (grid[:, 1:] * grid[:, :-1]).ravel()
-    check_budget(what, 8 * (diag_sizes.sum() + low_sizes.sum()))
+    check_budget(what, need + 8 * int(low_sizes.sum()))
     # QR/QRabi scale their levels by eps; the N-level families carry the
     # bare (0, gammas...) and eps only enters the subprincipal analysis
     if spec.family in (QR, QRABI):
         levels = spec.eps * np.asarray(spec.gammas)
     else:
         levels = np.concatenate(([0.0], np.asarray(spec.gammas)))
+    n_layers = grid.shape[1]
     msd = basis.mode_space_dim
     occupations = np.indices(basis.mode_dims).reshape(spec.modes, -1)
     occ = occupations.sum(axis=0)
-    # the harmonic diagonal sum_j (n_j + 1/2): half-integers, so exact
-    diag_values = (np.tile(occ + 0.5 * spec.modes, spec.spin_dim)
-                   + np.repeat(levels, msd))
-    if spec.family == QRABI:
-        diag_values -= 0.5
-    # (sector, layer) group of every basis index, and the position of every
-    # index within its group, in ascending index order
-    sector = _labels(occupations, sigma)
-    group = sector * n_layers + np.tile(occ, spec.spin_dim)
+    # (sector, layer) group of every basis index, the indices ordered by
+    # group, and the position of every index within its group
+    group = (_labels(occupations, sigma) * n_layers
+             + np.tile(occ, spec.spin_dim))
     order = np.argsort(group, kind="stable")
     pos = np.empty(basis.dim, dtype=np.intp)
     pos[order] = (np.arange(basis.dim)
                   - np.repeat(np.cumsum(sizes) - sizes, sizes))
-    diag_start = np.cumsum(diag_sizes) - diag_sizes
+    # the harmonic diagonal sum_j (n_j + 1/2): half-integers, so exact
+    diag = (np.tile(occ + 0.5 * spec.modes, spec.spin_dim)
+            + np.repeat(levels, msd))[order]
+    if spec.family == QRABI:
+        diag -= 0.5
     low_start = np.cumsum(low_sizes) - low_sizes
-    diag_buf = np.zeros(diag_sizes.sum())
-    diag_buf[diag_start[group] + pos * (sizes[group] + 1)] = diag_values
     low_buf = np.zeros(low_sizes.sum())
     # coupling k is alpha_k x_k on the spin blocks (i, j) and (j, i): entry
-    # (row in group (s, N), col in group (s, N + 1)) lands at
-    # [pos[col], pos[row]] of the block below group (s, N), numbered N + s
-    # (n_layers - 1)
+    # (row in group g = (s, N), col in group (s, N + 1)) lands at
+    # [pos[col], pos[row]] of the block below group g, numbered g - s
     for k in range(1, spec.spin_dim):
         i, j = coupling_pattern(spec.family, spec.spin_dim, k)
         lower, upper, value = _ladder(basis, k)
@@ -467,22 +461,44 @@ def build(spec):
         for a, b in ((i, j), (j, i)):
             r, c = a * msd + lower, b * msd + upper
             g = group[r]
-            low_buf[low_start[g - sector[r]] + pos[c] * sizes[g]
+            low_buf[low_start[g - g // n_layers] + pos[c] * sizes[g]
                     + pos[r]] = value
     # each sector's states and blocks are consecutive, and so are its
-    # nonempty layers: sector s is [e[s], e[s + 1]) of order, diag_buf and
-    # low_buf, with e the row of edges for each
-    edges = np.cumsum([[0] + n.reshape(n_sectors, -1).sum(axis=1).tolist()
-                       for n in (sizes, diag_sizes, low_sizes)],
-                      axis=1).tolist()
+    # nonempty layers: sector s is [e[s], e[s + 1]) of order and diag, and
+    # of low_buf, with e the row of edges for each
+    edges = np.cumsum([[0] + n.reshape(len(grid), -1).sum(axis=1).tolist()
+                       for n in (sizes, low_sizes)], axis=1).tolist()
     floor, coupling = _layer_bounds(spec, levels, n_layers)
     first = np.argmax(grid > 0, axis=1).tolist()
     return TruncatedOperator(basis, None, [
-        Sector(order[a:x], row[row > 0], diag_buf[b:y], low_buf[c:z], f,
+        Sector(order[a:x], row[row > 0], diag[a:x], low_buf[c:z], f,
                floor[f:f + n], coupling[f:f + n])
-        for row, f, n, (a, x), (b, y), (c, z)
+        for row, f, n, (a, x), (c, z)
         in zip(grid, first, np.count_nonzero(grid, axis=1).tolist(),
                *(zip(e, e[1:]) for e in edges))])
+
+
+def _build_bytes(spec):
+    """A bound on the bytes that build holds at once for a layered spec,
+    its coupling blocks left out, from the spec alone: 8 for each of
+    * per basis state, the 4 arrays build keeps (group, order, pos and
+      diag) and 3 temporaries, the most one statement forms (pos's arange,
+      repeated group starts and difference; the diagonal tiled, repeated
+      and summed; the labels, their multiple and the tiled occupations;
+      the stable argsort's buffer);
+    * per mode-space index, modes + 8: the occupations, occ, the ladder's
+      lower, upper and value, the scatter's r, c and g, and 1 for the
+      ladder's and the scatter's index arithmetic, at most 4 arrays of
+      half a basis state;
+    * per (sector, layer) group, 6: grid, low_sizes, low_start and the
+      sectors' sizes, and 2 for the group starts and their sums, more than
+      the per-layer temporaries of _group_sizes and _layer_bounds;
+    * per layer, 2: the bounds floor and coupling.
+    """
+    basis = spec.basis()
+    layers = sum(spec.cutoffs) + 1
+    return 8 * (7 * basis.dim + (spec.modes + 8) * basis.mode_space_dim
+                + 6 * 2 ** spec.modes * layers + 2 * layers)
 
 
 def _build_ab(spec, basis):

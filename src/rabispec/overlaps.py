@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsufficientNodes, PrecisionError
+from .errors import InsufficientNodes, PrecisionError, check_budget
 from .specfun import (MAX_COMBINED_DEGREE, _alternating_series, _check_degrees,
                       _dyadic, laguerre_poly)
 
@@ -393,11 +393,17 @@ def displacement_matrix(cutoff, alpha):
     The naive entrywise sum and the two-term ladder recurrence both lose all
     accuracy by cutoff a few hundred; this route was validated against the
     exact closed form to ~3e-14 at cutoff 400.
+
+    A cutoff whose (cutoff + 1)^2 arrays, D and at alpha < 0 its sign
+    matrix, would exceed errors.DENSE_BUDGET_BYTES raises ResourceError
+    before either is formed.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     d = cutoff + 1
     a = float(alpha)
+    check_budget("the displacement matrix at cutoff %d needs" % cutoff,
+                 8 * (2 if a < 0.0 else 1) * d * d)
     if a == 0.0:
         return np.eye(d)
     beta = math.sqrt(2.0) * abs(a)

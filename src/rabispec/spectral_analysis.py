@@ -132,10 +132,10 @@ def _solve_sectors(sectors):
 
 def _sector_parts(sector):
     """The arrays of a Sector that its solve and its count read, cheap ones
-    first: the layer sizes and the first layer's diagonal block come before
-    the whole buffers, so a comparison part by part (_once_per_matrix)
+    first: the layer sizes and the first layer's diagonal come before the
+    whole buffers, so a comparison part by part (_once_per_matrix)
     tells sectors that differ there apart without reading the rest."""
-    head = int(sector.sizes[0]) ** 2 if sector.sizes.size else 0
+    head = int(sector.sizes[0]) if sector.sizes.size else 0
     return (sector.sizes, sector.diag[:head], sector.diag, sector.low,
             sector.floor, sector.coupling)
 
@@ -382,17 +382,12 @@ def _block_eigenvalues(ldu, ipiv):
     return np.array(out)
 
 
-def _shifted(block, lam):
-    out = block.copy()
-    out.flat[:: block.shape[0] + 1] -= lam
-    return out
-
-
 def _layered_inertia(sector, mu, growth):
     """(nonpositive count, merges, pivots, largest pending block order,
     layers swept) over the successive Schur blocks of a Sector's block
-    tridiagonal matrix minus mu I, its blocks read from the flat buffers by
-    offsets.
+    tridiagonal matrix minus mu I. A layer's own block is diagonal, formed
+    as diag(d_k - mu) from the layer's slice d_k of Sector.diag, and the
+    coupling blocks come from Sector.low_blocks with their layers' slices.
 
     A sector with bounds (Sector.floor, Sector.coupling) stops after layer
     k where floor[k] > mu and no eigenvalue w of the pending block lies in
@@ -403,20 +398,14 @@ def _layered_inertia(sector, mu, growth):
     A - mu, and by Weyl both give the count so far plus #(w <= 0).
     """
     m = sector.sizes.tolist()
-    d = np.cumsum([0] + [k * k for k in m]).tolist()
-    c = np.cumsum([0] + [k * k1 for k, k1 in zip(m, m[1:])]).tolist()
     # without bounds no layer closes
     floor = ([-math.inf] * len(m) if sector.floor is None
              else sector.floor.tolist())
-
-    def shifted_layer(k):
-        return _shifted(sector.diag[d[k]:d[k + 1]].reshape(m[k], m[k]), mu)
-
     count = merges = 0
     pivots = []
-    pending, carried = shifted_layer(0), 0
+    pending, carried = np.diag(sector.diag[:m[0]] - mu), 0
     max_block = m[0]
-    for k in range(len(m) - 1):
+    for k, (rows, _, low) in enumerate(sector.low_blocks()):
         w, v = np.linalg.eigh(pending)
         if floor[k] > mu:
             i = int(np.searchsorted(w, 0.0, side="right"))
@@ -425,13 +414,13 @@ def _layered_inertia(sector, mu, growth):
                 return (count + i, merges, np.concatenate(pivots), max_block,
                         k + 1)
         # the next layer couples only to the layer part of pending
-        cv = sector.low[c[k]:c[k + 1]].reshape(m[k + 1], m[k]) @ v[carried:]
+        cv = low @ v[carried:]
         keep = (w != 0) & (np.einsum("ij,ij->j", cv, cv)
                            <= growth * np.abs(w))
         pivots.append(w[keep])
         count += int(np.count_nonzero(w[keep] < 0))
         ck = cv[:, keep]
-        s = shifted_layer(k + 1) - (ck / w[keep]) @ ck.T
+        s = np.diag(sector.diag[rows] - mu) - (ck / w[keep]) @ ck.T
         carried = keep.size - int(np.count_nonzero(keep))
         if carried:
             merges += 1
@@ -491,17 +480,20 @@ def count_below(op, lam):
     sum over sectors of one sweep each at mu = lam + tie, so eigenvalues
     within the band above lam are counted. A chain sector (Sector.chain,
     both sectors of QR and QRabi) is swept by the scalar Sturm recurrence
-    of _chain_inertia. Any other sector sweeps its layer blocks, read from
-    its flat buffers by offsets (_layered_inertia), for the number of
+    of _chain_inertia. Any other sector sweeps its layers
+    (_layered_inertia), its diagonal layer blocks A_kk from Sector.diag and
+    its coupling blocks C_k from Sector.low_blocks, for the number of
     nonpositive eigenvalues of the successive Schur blocks
     S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T (Haynsworth inertia
-    additivity). A sector bitwise equal to an earlier one, in its matrix
-    buffers and bounds (_once_per_matrix), reuses that sector's sweep for
-    the sum and the record: the two QR/QRabi chains at eps = 0, where the
-    spin flip commutes with H, so the count and the record are those of
-    sweeping every sector. The band and the growth bound are those of the
-    whole matrix. An eigendirection of S_k that is singular, or whose
-    elimination would grow the next block by more than
+    additivity). A sector bitwise equal to an earlier one, in its diagonal,
+    coupling buffer and bounds (_once_per_matrix), reuses that sector's
+    sweep for the sum and the record: the two QR/QRabi chains at eps = 0,
+    where the spin flip commutes with H, so the count and the record are
+    those of sweeping every sector. The band and the growth bound are
+    those of the whole matrix, whose largest entry of matrix - lam I is
+    the largest of every sector's |diag - lam| and |low|, as no entry
+    joins two states of one layer. An eigendirection of S_k that is
+    singular, or whose elimination would grow the next block by more than
     LAYER_GROWTH * max(1, max|matrix - lam I|), is merged into the next
     layer instead of eliminated, so a pending block can outgrow its layer.
     A sector built with bounds (Sector.floor, Sector.coupling; build sets
@@ -530,7 +522,7 @@ def count_below(op, lam):
         _check_symmetric(m)
         return _dense_count(m, lam)
     n = op.basis.dim
-    scale = max([1.0] + [_shifted_max(s, lam) for s in op.sectors]
+    scale = max([1.0] + [np.abs(s.diag - lam).max() for s in op.sectors]
                 + [np.abs(s.low).max() for s in op.sectors if s.low.size])
     tie = n * np.finfo(float).eps * scale
     sweeps = _once_per_matrix(
@@ -547,23 +539,6 @@ def count_below(op, lam):
               max(s.first + w[4] - 1 for s, w in zip(op.sectors, sweeps)),
               sum(w[4] < s.sizes.size for s, w in zip(op.sectors, sweeps)))
     return sum(w[0] for w in sweeps)
-
-
-def _shifted_max(sector, lam):
-    """The largest |entry| of the sector's layer blocks minus lam I, that
-    of their _shifted copies, from two vectorized maxima over its diag
-    buffer: lam comes off the diagonal entries and nothing else."""
-    if sector.chain() is not None:
-        return np.abs(sector.diag - lam).max()
-    sizes = sector.sizes
-    each = np.repeat(sizes, sizes)
-    # flat positions of the diagonal entries, block by block
-    on = (np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, sizes)
-          + (np.arange(each.size) - np.repeat(np.cumsum(sizes) - sizes, sizes))
-          * (each + 1))
-    off = np.abs(sector.diag)
-    off[on] = 0.0
-    return max(off.max(), np.abs(sector.diag[on] - lam).max())
 
 
 def _dense_count(m, lam):

@@ -140,7 +140,7 @@ def empirical_counting(spec, lambdas,
     occupation-layer blocks of each parity sector, and each threshold takes
     one sweep per sector, a Sturm recurrence on a chain and Schur
     complements otherwise (count_below): no dense matrix is assembled, so
-    only the budget on the blocks caps the cutoff. A Schur sweep stops at
+    only the budget on build's arrays caps the cutoff. A Schur sweep stops at
     the first layer above which a lower bound of the operator
     (fock_ops._layer_bounds) proves that no layer can change its count, so
     a low threshold sweeps only the low layers; the count is still the

@@ -454,21 +454,28 @@ LAYERED_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", LAYERED_SPECS)
+@pytest.mark.parametrize("spec", LAYERED_SPECS + [
+    ModelSpec.xi((1.0, 0.8, 0.7), (0.3, 0.5, 0.9), 0.05, (2, 3, 2)),
+    ModelSpec.lam((1.0, 0.9, 0.7), (0.2, 0.6, 0.8), 0.05, (3, 2, 2)),
+])
 def test_builds_couple_only_adjacent_occupation_layers(spec):
-    # build(spec).matrix is assembled from the declared blocks, so the
-    # blocks are checked against the independent Kronecker oracle instead
+    # build(spec).matrix is assembled from the sectors, so the sectors are
+    # checked against the independent Kronecker oracle instead
     h = _kron_build(spec)
     layers = occupation_layers(spec.basis())
     occ = np.empty(h.shape[0], dtype=int)
     for total, idx in enumerate(layers):
         occ[idx] = total
+    # every coupling moves one quantum: the oracle has no nonzero between
+    # two distinct states of one layer, nor of layers further apart, so a
+    # sector's blocks on its layers are diagonal, and its diag holds them
     rows, cols = np.nonzero(h)
-    assert np.all(np.abs(occ[rows] - occ[cols]) <= 1)
-    assert np.any(occ[rows] != occ[cols])
-    # count_below trusts the declared blocks without looking at a matrix:
-    # they are the oracle's exact blocks, hold every nonzero, and the
-    # oracle is exactly symmetric
+    off = rows != cols
+    assert np.any(off)
+    assert np.all(np.abs(occ[rows[off]] - occ[cols[off]]) == 1)
+    # count_below trusts the sectors without looking at a matrix: their
+    # diagonals and coupling blocks are the oracle's exact entries, hold
+    # every nonzero, and the oracle is exactly symmetric
     assert np.array_equal(h, h.T)
     sectors = build(spec).sectors
     assert len(sectors) == 2 ** spec.modes
@@ -476,26 +483,29 @@ def test_builds_couple_only_adjacent_occupation_layers(spec):
                           np.arange(h.shape[0]))
     nnz = 0
     for s in sectors:
-        diag, low = s.blocks()
-        assert [d.shape[0] for d in diag] == list(s.sizes)
         blocks = np.split(s.index, np.cumsum(s.sizes)[:-1])
-        assert len(low) == len(diag) - 1
-        # the views cover both buffers
-        assert sum(d.size for d in diag) == s.diag.size
-        assert sum(c.size for c in low) == s.low.size
+        # one float per state: the oracle's diagonal on index
+        assert s.diag.dtype == h.dtype and s.diag.shape == s.index.shape
+        assert np.array_equal(s.diag, np.diag(h)[s.index])
+        nnz += np.count_nonzero(s.diag)
+        low = list(s.low_blocks())
+        assert len(low) == len(blocks) - 1
+        # the views cover the coupling buffer
+        assert sum(c.size for _, _, c in low) == s.low.size
         # consecutive occupation layers from first on, none empty,
         # ascending within each, with one floor and coupling bound each
         assert min(s.sizes) > 0
         assert occ[blocks[0][0]] == s.first
         assert np.all(np.diff([occ[a[0]] for a in blocks]) == 1)
         assert s.floor.shape == s.coupling.shape == s.sizes.shape
-        for a, d in zip(blocks, diag):
+        for a in blocks:
             assert np.all(occ[a] == occ[a[0]]) and np.all(np.diff(a) > 0)
-            assert d.dtype == h.dtype and np.array_equal(d, h[np.ix_(a, a)])
-            nnz += np.count_nonzero(d)
-        for a, b, c in zip(blocks, blocks[1:], low):
-            assert c.dtype == h.dtype and np.array_equal(c, h[np.ix_(b, a)])
-            nnz += 2 * np.count_nonzero(c)
+        for (r, c, block), a, b in zip(low, blocks, blocks[1:]):
+            assert np.array_equal(s.index[r], b)
+            assert np.array_equal(s.index[c], a)
+            assert block.dtype == h.dtype
+            assert np.array_equal(block, h[np.ix_(b, a)])
+            nnz += 2 * np.count_nonzero(block)
     assert nnz == np.count_nonzero(h)
     if spec.family in ("QR", "QRabi"):
         # the two sectors are the + and - parity chains in occupation order
@@ -585,16 +595,22 @@ def test_layers_declared_only_by_layered_builds(tmp_path):
 def test_build_refuses_dense_matrix_over_budget(monkeypatch):
     tracemalloc.start()
     try:
-        # dimension 1 924 803: by the bound dim^2 / (sectors * layers) on
-        # their squared sizes, its 4 x 1601 sector blocks need 4.3 GiB
-        with pytest.raises(ResourceError, match="blocks of dimension 1924803"):
+        # dimension 1 924 803: its arrays but the coupling blocks need
+        # 0.15 GiB (_build_bytes), and with the coupling blocks of its
+        # 4 x 1601 (sector, layer) sizes, found before any basis-length
+        # array is formed, 5.25 GiB
+        with pytest.raises(ResourceError, match="blocks of dimension 1924803 "
+                                                "need 5.25 GiB"):
             build(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (800, 800)))
-        # dimension 1 083 603 passes that bound but not the exact need of
-        # its (sector, layer) blocks, found before any basis-length array
+        # dimension 1 083 603: 2.24 GiB, 2.16 of them coupling blocks
         with pytest.raises(ResourceError, match="blocks of dimension 1083603 "
-                                                "need 4.85 GiB"):
+                                                "need 2.24 GiB"):
             build(ModelSpec.xi((1, 0.8), (0.3, 0.5), 0.05, (600, 600)))
-        # refused before the layer sizes of a billion layers are formed
+        # refused from the dimension alone, before the layer sizes of a
+        # hundred million or a billion layers are formed
+        with pytest.raises(ResourceError, match="blocks of dimension "
+                                                "200000002 need 27.6 GiB"):
+            build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 10 ** 8))
         with pytest.raises(ResourceError, match="blocks of dimension"):
             build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 10 ** 9))
         peak = tracemalloc.get_traced_memory()[1]
@@ -610,18 +626,50 @@ def test_build_refuses_dense_matrix_over_budget(monkeypatch):
         op.matrix
     with pytest.raises(ResourceError):
         build(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 21))
-    # the block budget is inclusive too, and build itself applies it
+    # the block budget is inclusive too, and build itself applies it: the
+    # arrays of every basis state, group and layer (_build_bytes) and the
+    # coupling blocks between consecutive layers
+    monkeypatch.undo()
     spec = ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (5, 7))
-    need = 0
+    need = fock_ops._build_bytes(spec)
     for s in build(spec).sectors:
         sizes = s.sizes.tolist()
-        need += 8 * (sum(m * m for m in sizes)
-                     + sum(m * m1 for m, m1 in zip(sizes, sizes[1:])))
+        need += 8 * sum(m * m1 for m, m1 in zip(sizes, sizes[1:]))
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", need)
     assert build(spec).sectors is not None
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", need - 1)
     with pytest.raises(ResourceError, match="blocks of dimension 144"):
         build(spec)
+
+
+@pytest.mark.parametrize("spec, more", [
+    (ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 10000), (10001,)),
+    (ModelSpec.vee((0.6, 0.7, 0.8), (0.1, 0.4, 0.6), 0.05, (12, 12, 12)),
+     (12, 12, 13)),
+], ids=["QR", "Vee-3"])
+def test_build_budget_counts_the_arrays_it_forms(spec, more, monkeypatch):
+    # the budget patched to the count of spec's build: that build peaks
+    # within it, and one cutoff more is refused before any basis-length
+    # array is formed
+    need = fock_ops._build_bytes(spec) + 8 * sum(
+        s.low.size for s in build(spec).sectors)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", need)
+    tracemalloc.start()
+    try:
+        op = build(spec)
+        ran = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        kept = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ResourceError, match="blocks of dimension %d "
+                                                % spec.with_cutoffs(more)
+                                                .basis().dim):
+            build(spec.with_cutoffs(more))
+        refused = tracemalloc.get_traced_memory()[1] - kept
+    finally:
+        tracemalloc.stop()
+    assert op.sectors is not None
+    assert need / 2 < ran <= need
+    assert refused < 1e6
 
 
 def test_layered_matrix_is_assembled_on_every_read():

@@ -2,14 +2,15 @@
 normalized displacement matrix, and the diagonal ratio."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rabispec import overlaps
-from rabispec.errors import InsufficientNodes, PrecisionError
+from rabispec import errors, overlaps
+from rabispec.errors import InsufficientNodes, PrecisionError, ResourceError
 from rabispec.overlaps import (
     MAX_QUADRATURE_NODES,
     OverlapResult,
@@ -216,6 +217,29 @@ def test_displacement_matrix_high_degree_entries():
 def test_displacement_matrix_rejects_negative_cutoff():
     with pytest.raises(ValueError):
         displacement_matrix(-1, 0.5)
+
+
+@pytest.mark.parametrize("alpha, arrays", [(0.8, 1), (0.0, 1), (-0.8, 2)])
+def test_displacement_matrix_refuses_a_cutoff_over_budget(alpha, arrays,
+                                                          monkeypatch):
+    # D, and at alpha < 0 its sign matrix, are (cutoff + 1)^2 doubles each:
+    # the budget of cutoff 300 admits it and refuses 301 before allocating
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * arrays * 301 ** 2)
+    assert displacement_matrix(300, alpha).shape == (301, 301)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="displacement matrix at "
+                                                "cutoff 301 needs"):
+            displacement_matrix(301, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+    if alpha < 0:
+        # the sign matrix counts: one array's budget refuses
+        monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 301 ** 2)
+        with pytest.raises(ResourceError):
+            displacement_matrix(300, alpha)
 
 
 # ------------------------------------------- bitwise oracles of the routes

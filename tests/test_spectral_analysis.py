@@ -39,12 +39,16 @@ from test_fock_ops import (harmonic_matrix, index_of, occupation_layers,
 
 def _layered_op(basis, a):
     """a on basis with its occupation-layer blocks declared as one sector,
-    in build's flat form; count_below then takes the layered route in one
-    sweep over the unsplit layers."""
+    in build's form; count_below then takes the layered route in one
+    sweep over the unsplit layers. a's blocks on the layers are diagonal,
+    as those of every build are, and the sector's diag holds them."""
     layers = occupation_layers(basis)
+    for i in layers:
+        block = a[np.ix_(i, i)]
+        assert np.array_equal(block, np.diag(np.diag(block)))
+    index = np.concatenate(layers)
     return TruncatedOperator(basis, a, [fock_ops.Sector(
-        np.concatenate(layers), np.array([i.size for i in layers]),
-        np.concatenate([a[np.ix_(i, i)].ravel() for i in layers]),
+        index, np.array([i.size for i in layers]), a[index, index],
         np.concatenate([a[np.ix_(j, i)].ravel()
                         for i, j in zip(layers, layers[1:])]))])
 
@@ -614,7 +618,7 @@ def test_sectors_differing_in_one_entry_are_both_solved(where, monkeypatch):
 
 
 def test_sectors_apart_past_the_first_layer_are_both_solved():
-    # the cheap comparisons (sizes, first diagonal block) pass, so only the
+    # the cheap comparisons (sizes, first layer's diagonal) pass, so only the
     # whole buffers tell these sectors apart; equal ones are solved once
     rng = np.random.default_rng(3)
     diag, low = rng.normal(size=40), rng.normal(size=39)
@@ -1175,7 +1179,10 @@ def test_layered_count_on_random_banded_matrices(seed, basis, small_ints, lam):
     occ = np.empty(n, dtype=int)
     for k, idx in enumerate(occupation_layers(basis)):
         occ[idx] = k
-    a[np.abs(occ[:, None] - occ[None, :]) > 1] = 0.0
+    # only adjacent layers are joined, and no two states of one layer, as
+    # in every build
+    apart = np.abs(occ[:, None] - occ[None, :])
+    a[(apart > 1) | (apart == 0) & ~np.eye(n, dtype=bool)] = 0.0
     ev = np.linalg.eigvalsh(a)
     assume(np.min(np.abs(ev - lam)) > 1e-8)
     want = int(np.count_nonzero(ev <= lam))

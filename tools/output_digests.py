@@ -13,7 +13,10 @@ The outputs digested are
   imported, not changed) at each seed: a CLI op by its output file's
   bytes, a library op by its arrays, tuples and numbers in a fixed byte
   encoding (_encode);
-* braak on the four models of the c06 gate, in JSON and in CSV.
+* braak on the four models of the c06 gate, in JSON and in CSV;
+* for each of ten layered models (LAYERED), the dense matrix of its build,
+  its eigen_spectrum, its count_below at COUNT_THRESHOLDS and the DEBUG
+  records of those counts.
 
 BLAS runs on one thread, as in the benchmark. An op that raises is
 digested by its exception's type and message.
@@ -23,6 +26,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import logging.handlers
 import os
 import sys
 import tempfile
@@ -39,6 +43,8 @@ import numpy as np  # noqa: E402
 import rabispec  # noqa: E402
 import workloads  # noqa: E402
 from rabispec.cli import main  # noqa: E402
+from rabispec.fock_ops import ModelSpec, build  # noqa: E402
+from rabispec.spectral_analysis import count_below, eigen_spectrum  # noqa
 
 if not rabispec.__file__.startswith(sys.path[0]):
     sys.exit("imported rabispec from %s, not from this tree"
@@ -46,6 +52,26 @@ if not rabispec.__file__.startswith(sys.path[0]):
 
 # c06: qr at alpha 1, gamma (1, -1), cutoff 16, intervals 0..9 at shift 1/2
 C06_EPS = ("0.05", "-0.05", "0.02", "-0.02")
+
+# every layered family at one, two and three modes, an eps = 0 model whose
+# sectors coincide, and a three-mode box of dimension 8788
+LAYERED = {
+    "qr": ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 150),
+    "qrabi": ModelSpec.qrabi(0.8, 0.9, 0.04, 150),
+    "xi2": ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (20, 20)),
+    "lambda2": ModelSpec.lam((1.0, 0.9), (0.2, 0.6), 0.05, (16, 16)),
+    "vee2": ModelSpec.vee((0.7, 1.1), (0.1, 0.4), 0.05, (16, 16)),
+    "xi3": ModelSpec.xi((1.0, 0.8, 0.7), (0.3, 0.5, 0.9), 0.05, (5, 5, 5)),
+    "lambda3": ModelSpec.lam((0.9, 0.8, 0.6), (0.1, 0.2, 0.7), 0.05,
+                             (5, 5, 5)),
+    "vee3": ModelSpec.vee((0.6, 0.7, 0.8), (0.1, 0.4, 0.6), 0.05, (5, 5, 5)),
+    "xi2-eps0": ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.0, (9, 12)),
+    "vee3-box12": ModelSpec.vee((0.6, 0.7, 0.8), (0.1, 0.4, 0.6), 0.05,
+                                (12, 12, 12)),
+}
+# thresholds between eigenvalues, and integer and half-integer ones, where a
+# state without a lower-layer neighbour leaves a singular Schur block
+COUNT_THRESHOLDS = (-5.0, 0.5, 1.0, 2.5, 4.0, 7.3, 10.0, 20.0)
 
 
 def _encode(value, out):
@@ -85,6 +111,26 @@ def run_cli(argv):
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
+def layered_outputs(spec):
+    """(sha256 of the dense matrix's bytes, eigen_spectrum, counts at
+    COUNT_THRESHOLDS, their DEBUG records) of spec's build. The matrix is
+    hashed in place, so the largest array formed is the matrix itself."""
+    op = build(spec)
+    matrix = hashlib.sha256(memoryview(op.matrix)).hexdigest()
+    records = logging.handlers.BufferingHandler(len(COUNT_THRESHOLDS) + 1)
+    logger = logging.getLogger("rabispec.spectral_analysis")
+    level = logger.level
+    logger.addHandler(records)
+    logger.setLevel(logging.DEBUG)
+    try:
+        counts = [count_below(op, lam) for lam in COUNT_THRESHOLDS]
+    finally:
+        logger.removeHandler(records)
+        logger.setLevel(level)
+    return (matrix, eigen_spectrum(op), counts,
+            [r.getMessage() for r in records.buffer])
+
+
 def readme_commands():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
         text = f.read()
@@ -113,6 +159,8 @@ def outputs(seeds):
                     "1", "--gamma2=-1", "--eps", eps, "--cutoff", "16",
                     "--nmax", "9", "--shift", "0.5", "--format", fmt]
             yield "braak_c06/eps%s/%s" % (eps, fmt), run_cli(argv)
+    for name, spec in LAYERED.items():
+        yield "layered/%s" % name, layered_outputs(spec)
 
 
 def cli(argv=None):
