@@ -19,11 +19,11 @@ layers. They also keep one Z2 parity per mode (sector_labels), which
 splits them into 2^modes sectors that no entry joins; the two sectors of
 QR and QRabi are tridiagonal chains. No entry joins two states of one
 layer, so the blocks on the layers are diagonal: assembly keeps the
-harmonic and level diagonal as one vector per sector and scatters the
-ladder entries of each coupling, the pairs of mode-space indices one
-quantum apart, into the coupling blocks between consecutive layers; the
-dense matrix is formed from the diagonal, the blocks and their transposes
-only when it is read, which keeps every matrix bitwise symmetric.
+harmonic and level diagonal as one vector per sector, and each coupling's
+ladder entries, the pairs of mode-space indices one quantum apart, as
+(row, col, value) entries between consecutive layers; the dense matrix is
+formed from the diagonal, the entries and their mirror images only when it
+is read, which keeps every matrix bitwise symmetric.
 """
 
 import json
@@ -87,27 +87,28 @@ class BasisDescriptor:
 class Sector(NamedTuple):
     """One parity sector of a layered operator: its basis indices in block
     order, the sizes of its nonempty occupation layers, its diagonal over
-    index (diag), and its coupling blocks in one flat buffer of row-major
-    blocks (low), that from layer k to k + 1 (rows in layer k + 1) after
-    that from layer k - 1 (low_blocks). Every coupling moves one quantum,
-    so no entry joins two states of one layer: the blocks on the layers are
-    diagonal, and diag holds them. A sector whose layers all hold one
-    state, as both sectors of QR and QRabi do, is the tridiagonal chain
-    (diag, low).
+    index (diag), and its coupling entries: entry i joins position rows[i],
+    in layer k + 1, to position cols[i], in layer k, with the value low[i],
+    sorted by row and, within a row, by coupling. Every coupling moves one
+    quantum, so no entry joins two states of one layer: the blocks on the
+    layers are diagonal, and diag holds them. A sector whose layers all
+    hold one state, as both sectors of QR and QRabi do, holds one entry per
+    row after the first: it is the tridiagonal chain (diag, low).
 
-    first is the total occupation of layer 0. floor and coupling, when
-    set (build sets them, _layer_bounds), bound the sector per layer k:
-    its matrix on the layers above k is at least floor[k], and the block
-    from layer k to k + 1 has squared norm at most coupling[k]. A sector
-    without them is counted over every layer (count_below)."""
+    first is the total occupation of layer 0. floor and coupling bound the
+    sector per layer k (build sets them, _layer_bounds): its matrix on the
+    layers above k is at least floor[k], and the block from layer k to
+    k + 1 has squared norm at most coupling[k]."""
 
     index: np.ndarray
     sizes: np.ndarray
     diag: np.ndarray
     low: np.ndarray
-    first: int = 0
-    floor: np.ndarray | None = None
-    coupling: np.ndarray | None = None
+    rows: np.ndarray
+    cols: np.ndarray
+    first: int
+    floor: np.ndarray
+    coupling: np.ndarray
 
     def chain(self):
         """(diag, low) when every layer holds one state, else None."""
@@ -118,21 +119,21 @@ class Sector(NamedTuple):
     def low_blocks(self):
         """(rows, cols, block) per coupling block, from layer 0 up: the
         slices of index, and of diag, holding layer k + 1 (rows) and layer
-        k (cols), and the block from k to k + 1, a view of low."""
+        k (cols), and the dense block from k to k + 1, formed from the
+        layer's entries only when the generator reaches it."""
         edges = np.cumsum([0] + self.sizes.tolist()).tolist()
-        start = 0
-        for a, b, c in zip(edges, edges[1:], edges[2:]):
-            end = start + (c - b) * (b - a)
-            yield (slice(b, c), slice(a, b),
-                   self.low[start:end].reshape(c - b, b - a))
-            start = end
+        ends = np.searchsorted(self.rows, edges).tolist()
+        for a, b, c, lo, hi in zip(edges, edges[1:], edges[2:], ends[1:],
+                                   ends[2:]):
+            block = np.zeros((c - b, b - a))
+            block[self.rows[lo:hi] - b, self.cols[lo:hi] - a] = self.low[lo:hi]
+            yield slice(b, c), slice(a, b), block
 
     def matrix(self):
         """The dense sector matrix, over index."""
         mat = np.diag(self.diag)
-        for rows, cols, block in self.low_blocks():
-            mat[rows, cols] = block
-            mat[cols, rows] = block.T
+        mat[self.rows, self.cols] = self.low
+        mat[self.cols, self.rows] = self.low
         return mat
 
 
@@ -145,7 +146,7 @@ class TruncatedOperator:
     build declares the sectors, and stores no matrix, for the families that
     couple only adjacent layers. Reading matrix then assembles the dense
     matrix, anew on every read, by placing each sector's diagonal, then
-    each of its coupling blocks and the block's transpose, on the sector's
+    each of its coupling entries and their mirror images, on the sector's
     basis indices, and raises ResourceError, before allocating, when it
     would exceed errors.DENSE_BUDGET_BYTES. A stored matrix is returned as
     it is.
@@ -167,11 +168,10 @@ class TruncatedOperator:
         check_dense_budget(self.basis)
         mat = np.zeros((self.basis.dim, self.basis.dim))
         for s in self.sectors:
+            rows, cols = s.index[s.rows], s.index[s.cols]
             mat[s.index, s.index] = s.diag
-            for rows, cols, block in s.low_blocks():
-                r, c = s.index[rows], s.index[cols]
-                mat[np.ix_(r, c)] = block
-                mat[np.ix_(c, r)] = block.T
+            mat[rows, cols] = s.low
+            mat[cols, rows] = s.low
         return mat
 
 
@@ -397,35 +397,29 @@ def build(spec):
     Sector blocks, and the dense matrix is assembled only when op.matrix is
     read (TruncatedOperator). Every layered family has one sector per
     sector_labels value, 2^modes in all: QR and QRabi have two, the "+"
-    and the "-" parity chain (Sector.chain). The diagonal of all sectors is
-    one vector in their index order, and their coupling blocks are formed
-    straight from the ladder arrays in one buffer; each sector is a slice
-    of both, with its empty layers at either end dropped, and carries its
-    first occupation and its per-layer bounds (_layer_bounds). Two budgets
-    apply, each checked before allocating: build raises ResourceError when
-    the AB frame's dense matrix would exceed errors.DENSE_BUDGET_BYTES, or
-    when a layered build's arrays would, counted as the arrays of every
-    basis state, group and layer (_build_bytes, from the spec alone, before
-    any array is formed) and then with the coupling blocks, from the
-    (sector, layer) sizes of _group_sizes before any basis-length array is
-    formed; reading op.matrix checks the dense matrix itself.
+    and the "-" parity chain (Sector.chain). The basis indices are ordered
+    by sector, then layer, and the diagonal of all sectors is one vector in
+    that order. Each coupling's ladder arrays become entries (position of
+    the upper state, position of the lower state, value) in that order,
+    and one stable argsort sorts them by row. Each sector is a slice of the
+    order, the diagonal and the entries, its positions counted from its
+    own first state, with its empty layers at either end dropped, and
+    carries its first occupation and its per-layer bounds (_layer_bounds).
+    Two budgets apply, each checked before allocating: build raises
+    ResourceError when the AB frame's dense matrix would exceed
+    errors.DENSE_BUDGET_BYTES, or when a layered build's arrays would,
+    counted from the spec alone (_build_bytes) before any array is formed;
+    reading op.matrix checks the dense matrix itself.
     """
     spec.validate()
     basis = spec.basis()
     if spec.family == AB_FRAME:
         check_dense_budget(basis)
         return _build_ab(spec, basis)
-    what = "occupation-layer blocks of dimension %d need" % basis.dim
-    # refuses huge cutoffs before any array is formed
-    need = _build_bytes(spec)
-    check_budget(what, need)
+    check_budget("occupation-layer blocks of dimension %d need" % basis.dim,
+                 _build_bytes(spec))
     sigma = _far_sides(spec.family, spec.spin_dim)
     grid = _group_sizes(spec, sigma)
-    sizes = grid.ravel()
-    # coupling block N + s (n_layers - 1), layer N + 1 by N of sector s, is a
-    # row-major slice of one buffer
-    low_sizes = (grid[:, 1:] * grid[:, :-1]).ravel()
-    check_budget(what, need + 8 * int(low_sizes.sum()))
     # QR/QRabi scale their levels by eps; the N-level families carry the
     # bare (0, gammas...) and eps only enters the subprincipal analysis
     if spec.family in (QR, QRABI):
@@ -436,69 +430,76 @@ def build(spec):
     msd = basis.mode_space_dim
     occupations = np.indices(basis.mode_dims).reshape(spec.modes, -1)
     occ = occupations.sum(axis=0)
-    # (sector, layer) group of every basis index, the indices ordered by
-    # group, and the position of every index within its group
-    group = (_labels(occupations, sigma) * n_layers
-             + np.tile(occ, spec.spin_dim))
-    order = np.argsort(group, kind="stable")
-    pos = np.empty(basis.dim, dtype=np.intp)
-    pos[order] = (np.arange(basis.dim)
-                  - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    # the basis indices ordered by (sector, layer) group, and the position
+    # of every index in that order
+    order = np.argsort(_labels(occupations, sigma) * n_layers
+                       + np.tile(occ, spec.spin_dim), kind="stable")
+    at = np.empty_like(order)
+    at[order] = np.arange(basis.dim)
     # the harmonic diagonal sum_j (n_j + 1/2): half-integers, so exact
     diag = (np.tile(occ + 0.5 * spec.modes, spec.spin_dim)
             + np.repeat(levels, msd))[order]
     if spec.family == QRABI:
         diag -= 0.5
-    low_start = np.cumsum(low_sizes) - low_sizes
-    low_buf = np.zeros(low_sizes.sum())
-    # coupling k is alpha_k x_k on the spin blocks (i, j) and (j, i): entry
-    # (row in group g = (s, N), col in group (s, N + 1)) lands at
-    # [pos[col], pos[row]] of the block below group g, numbered g - s
+    rows, cols, low = map(np.concatenate, zip(*_entries(spec, at)))
+    by_row = np.argsort(rows, kind="stable")
+    rows = rows[by_row]
+    cols = cols[by_row]
+    low = low[by_row]
+    # each sector's states are consecutive: sector s is [e[s], e[s + 1]) of
+    # order and diag, and its entries are those whose rows lie there
+    edges = np.cumsum([0] + grid.sum(axis=1).tolist()).tolist()
+    ends = np.searchsorted(rows, edges).tolist()
+    floor, coupling = _layer_bounds(spec, levels, n_layers)
+    sectors = []
+    for row, a, x, c, z in zip(grid, edges, edges[1:], ends, ends[1:]):
+        rows[c:z] -= a
+        cols[c:z] -= a
+        f, n = int(np.argmax(row > 0)), int(np.count_nonzero(row))
+        sectors.append(Sector(order[a:x], row[row > 0], diag[a:x], low[c:z],
+                              rows[c:z], cols[c:z], f, floor[f:f + n],
+                              coupling[f:f + n]))
+    return TruncatedOperator(basis, None, sectors)
+
+
+def _entries(spec, at):
+    """(rows, cols, values) of coupling k's ladder entries on the spin
+    blocks (i, j) and (j, i), for every k: each joins the state one quantum
+    up (row) to the state below (col), both as their places at[index]."""
+    basis = spec.basis()
+    msd = basis.mode_space_dim
     for k in range(1, spec.spin_dim):
         i, j = coupling_pattern(spec.family, spec.spin_dim, k)
         lower, upper, value = _ladder(basis, k)
         value = spec.alphas[k - 1] * value
         for a, b in ((i, j), (j, i)):
-            r, c = a * msd + lower, b * msd + upper
-            g = group[r]
-            low_buf[low_start[g - g // n_layers] + pos[c] * sizes[g]
-                    + pos[r]] = value
-    # each sector's states and blocks are consecutive, and so are its
-    # nonempty layers: sector s is [e[s], e[s + 1]) of order and diag, and
-    # of low_buf, with e the row of edges for each
-    edges = np.cumsum([[0] + n.reshape(len(grid), -1).sum(axis=1).tolist()
-                       for n in (sizes, low_sizes)], axis=1).tolist()
-    floor, coupling = _layer_bounds(spec, levels, n_layers)
-    first = np.argmax(grid > 0, axis=1).tolist()
-    return TruncatedOperator(basis, None, [
-        Sector(order[a:x], row[row > 0], diag[a:x], low_buf[c:z], f,
-               floor[f:f + n], coupling[f:f + n])
-        for row, f, n, (a, x), (c, z)
-        in zip(grid, first, np.count_nonzero(grid, axis=1).tolist(),
-               *(zip(e, e[1:]) for e in edges))])
+            yield at[b * msd + upper], at[a * msd + lower], value
 
 
 def _build_bytes(spec):
     """A bound on the bytes that build holds at once for a layered spec,
-    its coupling blocks left out, from the spec alone: 8 for each of
-    * per basis state, the 4 arrays build keeps (group, order, pos and
-      diag) and 3 temporaries, the most one statement forms (pos's arange,
-      repeated group starts and difference; the diagonal tiled, repeated
-      and summed; the labels, their multiple and the tiled occupations;
-      the stable argsort's buffer);
-    * per mode-space index, modes + 8: the occupations, occ, the ladder's
-      lower, upper and value, the scatter's r, c and g, and 1 for the
-      ladder's and the scatter's index arithmetic, at most 4 arrays of
-      half a basis state;
-    * per (sector, layer) group, 6: grid, low_sizes, low_start and the
-      sectors' sizes, and 2 for the group starts and their sums, more than
-      the per-layer temporaries of _group_sizes and _layer_bounds;
-    * per layer, 2: the bounds floor and coupling.
+    from the spec alone: 8 for each of
+    * per basis state, 5: order, at and diag, and 2 temporaries, the most
+      one statement forms beside its result (diag's tiled and repeated
+      terms; the labels' multiple and the tiled occupations);
+    * per mode-space index, 2 modes + 2: the occupations and occ, and the
+      parities and their weighted sum in _labels, more than the ladder's
+      arrays beside the entries formed before them;
+    * per ladder entry, cutoff_k / (cutoff_k + 1) per mode-space index for
+      coupling k, 11: its rows and cols in both directions and its value,
+      which both share (_entries), and their concatenations, 2 each of
+      rows, cols and values; the argsort and the permuted arrays, one at a
+      time, take less;
+    * per (sector, layer) group, 2: grid, and the two layer rows
+      _group_sizes convolves;
+    * per layer, 6: floor, coupling and the temporaries of _layer_bounds.
     """
     basis = spec.basis()
+    msd = basis.mode_space_dim
+    ladder = sum(msd // (c + 1) * c for c in spec.cutoffs)
     layers = sum(spec.cutoffs) + 1
-    return 8 * (7 * basis.dim + (spec.modes + 8) * basis.mode_space_dim
-                + 6 * 2 ** spec.modes * layers + 2 * layers)
+    return 8 * (5 * basis.dim + (2 * spec.modes + 2) * msd + 11 * ladder
+                + 2 * 2 ** spec.modes * layers + 6 * layers)
 
 
 def _build_ab(spec, basis):

@@ -394,22 +394,29 @@ def displacement_matrix(cutoff, alpha):
     accuracy by cutoff a few hundred; this route was validated against the
     exact closed form to ~3e-14 at cutoff 400.
 
-    A cutoff whose (cutoff + 1)^2 arrays, D and at alpha < 0 its sign
-    matrix, would exceed errors.DENSE_BUDGET_BYTES raises ResourceError
-    before either is formed.
+    D(-a) = S D(a) S with S = diag((-1)^k), so at alpha < 0 row N's part
+    takes the signs that its column takes at alpha > 0.
+
+    A cutoff whose (cutoff + 1)^2 array D would exceed
+    errors.DENSE_BUDGET_BYTES raises ResourceError before it is formed.
+    Beside D, at most 16 vectors of cutoff + 1 are held at once: 7 kept
+    through the rows (m, mlogb, signs, lgam, the scales sc, the Laguerre
+    values L0 and the L0 before, which Lm1 views), 4 kept from one row to
+    the next (lpre, vals, signed and f) and 5 inside one statement, its new
+    result and its temporaries (lpre's three terms, or L1's).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     d = cutoff + 1
     a = float(alpha)
     check_budget("the displacement matrix at cutoff %d needs" % cutoff,
-                 8 * (2 if a < 0.0 else 1) * d * d)
+                 8 * d * d)
     if a == 0.0:
         return np.eye(d)
     beta = math.sqrt(2.0) * abs(a)
     x = beta * beta
     m = np.arange(d, dtype=float)
-    lgam = np.array([math.lgamma(i + 1) for i in range(2 * d + 1)])
+    lgam = np.array([math.lgamma(i + 1) for i in range(d)])
     Lm1 = np.zeros(d)
     L0 = np.ones(d)
     sc = np.zeros(d)
@@ -422,8 +429,9 @@ def displacement_matrix(cutoff, alpha):
         live = d - n
         lpre = -0.5 * x + mlogb[:live] + 0.5 * (lgam[n] - lgam[n:d])
         vals = L0 * np.exp(lpre + sc)
-        D[n, n:] = vals
-        D[n:, n] = signs[:live] * vals
+        signed = signs[:live] * vals
+        D[n, n:] = signed if a < 0.0 else vals
+        D[n:, n] = vals if a < 0.0 else signed
         if n == d - 1:
             break
         live -= 1
@@ -436,6 +444,4 @@ def displacement_matrix(cutoff, alpha):
             L0 = L0 / f
             Lm1 = Lm1 / f
             sc = sc + np.log(f)
-    if a < 0.0:
-        D *= np.outer(signs, signs)
     return D

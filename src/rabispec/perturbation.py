@@ -112,14 +112,17 @@ class QuasimodeForm(NamedTuple):
     tail_estimate: float
 
 
-def _spectral_cutoff(N, K, what, arrays):
+def _spectral_cutoff(N, K, what, arrays, vectors):
     """K, N + DEFAULT_SPECTRAL_CUTOFF_MARGIN by default, once the budget
-    admits what, arrays float arrays of (K + 1)^2 entries (check_budget)."""
+    admits what: arrays float arrays of (K + 1)^2 entries and vectors of
+    K + 1 (check_budget), the most of each held at once; the few kilobytes
+    of Python objects are left out."""
     if K is None:
         K = N + DEFAULT_SPECTRAL_CUTOFF_MARGIN
     if K <= N:
         raise ValueError("spectral cutoff K must exceed the level N")
-    check_budget("%s at K = %d need" % (what, K), 8 * arrays * (K + 1) ** 2)
+    check_budget("%s at K = %d need" % (what, K),
+                 8 * (arrays * (K + 1) + vectors) * (K + 1))
     return K
 
 
@@ -132,8 +135,9 @@ def quasimode_form(N, params, K=None):
     term; the summand decays superexponentially in k. A K whose arrays
     would exceed the budget raises ResourceError before D is formed.
     """
-    # D, and at alpha < 0 the sign matrix displacement_matrix scales it by
-    K = _spectral_cutoff(N, K, "the quasimode form's arrays", 2)
+    # D and the vectors displacement_matrix holds beside it, more than the
+    # 5 of _form
+    K = _spectral_cutoff(N, K, "the quasimode form's arrays", 1, 16)
     return _form(N, params, displacement_matrix(K, params.alpha)[N, :])
 
 
@@ -166,12 +170,15 @@ class QuasimodeExpansion:
 
 
 def _ab_pieces(params, d):
+    """(lam2, B) of the AB frame: the harmonic levels on both spin blocks,
+    and B = [[beta1 I, beta2 D], [beta2 D^T, beta1 I]], written into one
+    array a block at a time."""
     K = d.shape[0] - 1
     lam = np.arange(K + 1) + 0.5
-    b = np.block([
-        [params.beta1 * np.eye(K + 1), params.beta2 * d],
-        [params.beta2 * d.T, params.beta1 * np.eye(K + 1)],
-    ])
+    b = np.eye(2 * (K + 1))
+    b *= params.beta1
+    b[:K + 1, K + 1:] = params.beta2 * d
+    b[K + 1:, :K + 1] = params.beta2 * d.T
     lam2 = np.concatenate((lam, lam))
     return lam2, b
 
@@ -186,8 +193,11 @@ def quasimode_vectors(N, params, K=None):
     whose arrays would exceed the budget raises ResourceError before D is
     formed.
     """
-    # D, the four blocks of _ab_pieces' B and B itself, of 4 (K + 1)^2
-    K = _spectral_cutoff(N, K, "the quasimode vectors' arrays", 9)
+    # D, _ab_pieces' B of 4 (K + 1)^2 and one block on its way in; the
+    # vectors of K + 1 held at once, displacement_matrix's 16 or the
+    # expansion's 18: lam2, weights and v0, the first branch's u1 and u2,
+    # and the second's u1 and the three terms of its u2, each of 2 (K + 1)
+    K = _spectral_cutoff(N, K, "the quasimode vectors' arrays", 6, 18)
     d = displacement_matrix(K, params.alpha)
     form = _form(N, params, d[N, :])
     split = first_order(N, params)

@@ -133,11 +133,13 @@ def _solve_sectors(sectors):
 def _sector_parts(sector):
     """The arrays of a Sector that its solve and its count read, cheap ones
     first: the layer sizes and the first layer's diagonal come before the
-    whole buffers, so a comparison part by part (_once_per_matrix)
-    tells sectors that differ there apart without reading the rest."""
+    whole arrays, so a comparison part by part (_once_per_matrix) tells
+    sectors that differ there apart without reading the rest. The entries'
+    rows and cols are parts too: equal values at other positions are
+    another matrix."""
     head = int(sector.sizes[0]) if sector.sizes.size else 0
     return (sector.sizes, sector.diag[:head], sector.diag, sector.low,
-            sector.floor, sector.coupling)
+            sector.rows, sector.cols, sector.floor, sector.coupling)
 
 
 def _once_per_matrix(sectors, solve):
@@ -160,10 +162,8 @@ def _once_per_matrix(sectors, solve):
 
 
 def _same_bits(a, b):
-    """Whether arrays a and b have the same dtype, shape and bytes (None
-    only matches None: -0.0 is not 0.0, and a NaN matches its own bits)."""
-    if a is None or b is None:
-        return a is b
+    """Whether arrays a and b have the same dtype, shape and bytes (-0.0
+    is not 0.0, and a NaN matches its own bits)."""
     if a.dtype != b.dtype or a.shape != b.shape:
         return False
     u = "u%d" % a.itemsize
@@ -387,20 +387,19 @@ def _layered_inertia(sector, mu, growth):
     layers swept) over the successive Schur blocks of a Sector's block
     tridiagonal matrix minus mu I. A layer's own block is diagonal, formed
     as diag(d_k - mu) from the layer's slice d_k of Sector.diag, and the
-    coupling blocks come from Sector.low_blocks with their layers' slices.
+    coupling blocks come from Sector.low_blocks with their layers' slices,
+    formed only for the layers swept.
 
-    A sector with bounds (Sector.floor, Sector.coupling) stops after layer
-    k where floor[k] > mu and no eigenvalue w of the pending block lies in
-    (0, coupling[k] / (floor[k] - mu)]: with A the layers up to k, D those
+    The sweep stops after layer k where floor[k] > mu and no eigenvalue w
+    of the pending block lies in (0, coupling[k] / (floor[k] - mu)]
+    (Sector.floor, Sector.coupling): with A the layers up to k, D those
     above and B the block between, the part D - mu is positive definite,
     so by Haynsworth the count is that of A - mu - B (D - mu)^-1 B^T, which
     lies between A - mu - (coupling[k] / (floor[k] - mu)) I on layer k and
     A - mu, and by Weyl both give the count so far plus #(w <= 0).
     """
     m = sector.sizes.tolist()
-    # without bounds no layer closes
-    floor = ([-math.inf] * len(m) if sector.floor is None
-             else sector.floor.tolist())
+    floor = sector.floor.tolist()
     count = merges = 0
     pivots = []
     pending, carried = np.diag(sector.diag[:m[0]] - mu), 0
@@ -434,10 +433,10 @@ def _layered_inertia(sector, mu, growth):
     return count, merges, np.concatenate(pivots), max_block, len(m)
 
 
-def _chain_inertia(diag, off, mu, floor=None, coupling=None):
-    """_layered_inertia for a symmetric tridiagonal chain with diagonal diag
-    and off-diagonal off: the Sturm count of the nonpositive LDL^T pivots
-    q_i = (d_i - mu) - e_(i-1) (e_(i-1) / q_(i-1)), with no merges and
+def _chain_inertia(sector, mu):
+    """_layered_inertia for a chain sector (Sector.chain) with diagonal
+    diag and off-diagonal off: the Sturm count of the nonpositive LDL^T
+    pivots q_i = (d_i - mu) - e_(i-1) (e_(i-1) / q_(i-1)), with no merges and
     largest block 1, and the rows swept. e (e / q) neither underflows for a
     tiny e nor overflows for a huge one where e^2 / q would. An exactly
     zero pivot is counted, then replaced by minus the smallest normal
@@ -449,14 +448,12 @@ def _chain_inertia(diag, off, mu, floor=None, coupling=None):
     q_k > coupling[k] / (floor[k] - mu), _layered_inertia's closing test
     on a pending block of one row: the count is then final, that of
     sweeping every row."""
+    diag, off = sector.chain()
+    shut = sector.floor > mu
     # no row before the first with floor[k] > mu can close
-    first = diag.size
-    if floor is not None:
-        shut = floor > mu
-        if shut.any():
-            first = int(np.argmax(shut))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = coupling / (floor - mu)
+    first = int(np.argmax(shut)) if shut.any() else diag.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = sector.coupling / (sector.floor - mu)
     q = 1.0
     pivots = []
     for k, (a, e) in enumerate(zip((diag - mu).tolist(),
@@ -482,11 +479,12 @@ def count_below(op, lam):
     both sectors of QR and QRabi) is swept by the scalar Sturm recurrence
     of _chain_inertia. Any other sector sweeps its layers
     (_layered_inertia), its diagonal layer blocks A_kk from Sector.diag and
-    its coupling blocks C_k from Sector.low_blocks, for the number of
+    its coupling blocks C_k formed layer by layer from its entries
+    (Sector.low_blocks), for the number of
     nonpositive eigenvalues of the successive Schur blocks
     S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T (Haynsworth inertia
     additivity). A sector bitwise equal to an earlier one, in its diagonal,
-    coupling buffer and bounds (_once_per_matrix), reuses that sector's
+    coupling entries and bounds (_once_per_matrix), reuses that sector's
     sweep for the sum and the record: the two QR/QRabi chains at eps = 0,
     where the spin flip commutes with H, so the count and the record are
     those of sweeping every sector. The band and the growth bound are
@@ -496,8 +494,8 @@ def count_below(op, lam):
     singular, or whose elimination would grow the next block by more than
     LAYER_GROWTH * max(1, max|matrix - lam I|), is merged into the next
     layer instead of eliminated, so a pending block can outgrow its layer.
-    A sector built with bounds (Sector.floor, Sector.coupling; build sets
-    them, fock_ops._layer_bounds) stops at the first layer k where its
+    With its bounds (Sector.floor, Sector.coupling; build sets them,
+    fock_ops._layer_bounds) a sector stops at the first layer k where its
     matrix above layer k is at least floor[k] > mu and no eigenvalue w of
     the pending block, which the sweep solves anyway, lies in
     (0, coupling[k] / (floor[k] - mu)]: the count is then provably final,
@@ -527,9 +525,7 @@ def count_below(op, lam):
     tie = n * np.finfo(float).eps * scale
     sweeps = _once_per_matrix(
         op.sectors,
-        lambda s: _chain_inertia(s.diag, s.low, lam + tie, s.floor,
-                                 s.coupling)
-        if s.chain() is not None
+        lambda s: _chain_inertia(s, lam + tie) if s.chain() is not None
         else _layered_inertia(s, lam + tie, LAYER_GROWTH * scale))
     log.debug("count_below route=layered dim=%d sectors=%d merges=%d ties=%d "
               "max_block=%d depth=%d closed=%d", n, len(sweeps),
@@ -733,8 +729,7 @@ def _bisect_chain(sector, lo, hi, rank):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi
-        if _chain_inertia(sector.diag, sector.low, mid, sector.floor,
-                          sector.coupling)[0] >= rank:
+        if _chain_inertia(sector, mid)[0] >= rank:
             hi = mid
         else:
             lo = mid

@@ -699,9 +699,10 @@ def test_every_model_command_refuses_a_foreign_level_flag(capsys, argv,
 
 def test_quasimode_budget_is_checked_before_the_displacement_matrix(
         tmp_path, capsys, monkeypatch):
-    # the budget patched to the arrays of K = 400: D, the four blocks of
-    # B and B, 9 (K + 1)^2 doubles, 11.6 MB
-    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 9 * 401 ** 2)
+    # the budget patched to the count of K = 400: D, B and one of its
+    # blocks, 6 (K + 1)^2 doubles, and 18 vectors of K + 1, 7.8 MB
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
+                        8 * (6 * 401 + 18) * 401)
     argv = ["quasimode", "--N", "1", "--alpha", "1", "--gamma1", "1",
             "--gamma2", "-1"]
     tracemalloc.start()
@@ -730,13 +731,13 @@ def test_exit_code_model_spec_nonfinite(capsys):
 
 
 def test_exit_code_resource(capsys):
-    # dimension 1 924 803: its sector blocks need at least 4.3 GiB, over
-    # the 2 GiB block budget; refused up front
+    # dimension 48 024 003: its build's arrays need 5.13 GiB, over the
+    # 2 GiB budget; refused up front
     tracemalloc.start()
     try:
         expect_error(capsys, ["weyl", "--family", "xi", "--alpha", "1,0.8",
                               "--gamma", "0.3,0.5", "--eps", "0.05",
-                              "--cutoff", "800", "--lambdas", "5,10,20"],
+                              "--cutoff", "4000", "--lambdas", "5,10,20"],
                      9, "ResourceError")
         peak = tracemalloc.get_traced_memory()[1]
     finally:

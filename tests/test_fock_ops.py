@@ -474,9 +474,14 @@ def test_builds_couple_only_adjacent_occupation_layers(spec):
     assert np.any(off)
     assert np.all(np.abs(occ[rows[off]] - occ[cols[off]]) == 1)
     # count_below trusts the sectors without looking at a matrix: their
-    # diagonals and coupling blocks are the oracle's exact entries, hold
+    # diagonals and coupling entries are the oracle's exact entries, hold
     # every nonzero, and the oracle is exactly symmetric
     assert np.array_equal(h, h.T)
+    basis = spec.basis()
+    # the occupation of every mode at every basis index: an entry's
+    # coupling is the mode whose occupation its two states differ in
+    modes = np.tile(np.indices(basis.mode_dims).reshape(spec.modes, -1),
+                    spec.spin_dim)
     sectors = build(spec).sectors
     assert len(sectors) == 2 ** spec.modes
     assert np.array_equal(np.sort(np.concatenate([s.index for s in sectors])),
@@ -488,10 +493,6 @@ def test_builds_couple_only_adjacent_occupation_layers(spec):
         assert s.diag.dtype == h.dtype and s.diag.shape == s.index.shape
         assert np.array_equal(s.diag, np.diag(h)[s.index])
         nnz += np.count_nonzero(s.diag)
-        low = list(s.low_blocks())
-        assert len(low) == len(blocks) - 1
-        # the views cover the coupling buffer
-        assert sum(c.size for _, _, c in low) == s.low.size
         # consecutive occupation layers from first on, none empty,
         # ascending within each, with one floor and coupling bound each
         assert min(s.sizes) > 0
@@ -500,12 +501,35 @@ def test_builds_couple_only_adjacent_occupation_layers(spec):
         assert s.floor.shape == s.coupling.shape == s.sizes.shape
         for a in blocks:
             assert np.all(occ[a] == occ[a[0]]) and np.all(np.diff(a) > 0)
-        for (r, c, block), a, b in zip(low, blocks, blocks[1:]):
-            assert np.array_equal(s.index[r], b)
-            assert np.array_equal(s.index[c], a)
+        # each entry joins a state of layer k + 1 (row) to one of layer k
+        # (col), one quantum apart in one mode, its coupling's
+        assert s.low.dtype == h.dtype
+        assert s.low.shape == s.rows.shape == s.cols.shape
+        r, c = s.index[s.rows], s.index[s.cols]
+        assert np.all(occ[r] == occ[c] + 1)
+        step = modes[:, r] - modes[:, c]
+        assert np.all((step == 1).sum(axis=0) == 1)
+        assert np.all((step == 0).sum(axis=0) == spec.modes - 1)
+        coupling = np.argmax(step, axis=0)
+        # sorted by row, then coupling, at most one per coupling per row
+        key = s.rows * spec.modes + coupling
+        assert np.all(np.diff(key) > 0)
+        # the values are the oracle's, and the oracle has no other
+        # off-diagonal nonzero in the sector
+        assert np.array_equal(s.low, h[r, c])
+        inside = h[np.ix_(s.index, s.index)].copy()
+        np.fill_diagonal(inside, 0.0)
+        inside[s.rows, s.cols] = inside[s.cols, s.rows] = 0.0
+        assert not inside.any()
+        nnz += 2 * np.count_nonzero(s.low)
+        # low_blocks forms the oracle's blocks between consecutive layers
+        low = list(s.low_blocks())
+        assert len(low) == len(blocks) - 1
+        for (rows, cols, block), a, b in zip(low, blocks, blocks[1:]):
+            assert np.array_equal(s.index[rows], b)
+            assert np.array_equal(s.index[cols], a)
             assert block.dtype == h.dtype
             assert np.array_equal(block, h[np.ix_(b, a)])
-            nnz += 2 * np.count_nonzero(block)
     assert nnz == np.count_nonzero(h)
     if spec.family in ("QR", "QRabi"):
         # the two sectors are the + and - parity chains in occupation order
@@ -595,21 +619,19 @@ def test_layers_declared_only_by_layered_builds(tmp_path):
 def test_build_refuses_dense_matrix_over_budget(monkeypatch):
     tracemalloc.start()
     try:
-        # dimension 1 924 803: its arrays but the coupling blocks need
-        # 0.15 GiB (_build_bytes), and with the coupling blocks of its
-        # 4 x 1601 (sector, layer) sizes, found before any basis-length
-        # array is formed, 5.25 GiB
-        with pytest.raises(ResourceError, match="blocks of dimension 1924803 "
-                                                "need 5.25 GiB"):
-            build(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (800, 800)))
-        # dimension 1 083 603: 2.24 GiB, 2.16 of them coupling blocks
-        with pytest.raises(ResourceError, match="blocks of dimension 1083603 "
-                                                "need 2.24 GiB"):
-            build(ModelSpec.xi((1, 0.8), (0.3, 0.5), 0.05, (600, 600)))
+        # dimension 20 295 603: its arrays (_build_bytes), about 14 words
+        # per basis state, need 2.17 GiB; Xi (800, 800) needs 0.206 GiB
+        with pytest.raises(ResourceError, match="blocks of dimension "
+                                                "20295603 need 2.17 GiB"):
+            build(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (2600, 2600)))
+        # dimension 19 455 303: 2.08 GiB
+        with pytest.raises(ResourceError, match="blocks of dimension "
+                                                "19455303 need 2.08 GiB"):
+            build(ModelSpec.xi((1, 0.8), (0.3, 0.5), 0.05, (2400, 2700)))
         # refused from the dimension alone, before the layer sizes of a
         # hundred million or a billion layers are formed
         with pytest.raises(ResourceError, match="blocks of dimension "
-                                                "200000002 need 27.6 GiB"):
+                                                "200000002 need 26.1 GiB"):
             build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 10 ** 8))
         with pytest.raises(ResourceError, match="blocks of dimension"):
             build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 10 ** 9))
@@ -627,14 +649,9 @@ def test_build_refuses_dense_matrix_over_budget(monkeypatch):
     with pytest.raises(ResourceError):
         build(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 21))
     # the block budget is inclusive too, and build itself applies it: the
-    # arrays of every basis state, group and layer (_build_bytes) and the
-    # coupling blocks between consecutive layers
-    monkeypatch.undo()
+    # arrays of every basis state, entry, group and layer (_build_bytes)
     spec = ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (5, 7))
     need = fock_ops._build_bytes(spec)
-    for s in build(spec).sectors:
-        sizes = s.sizes.tolist()
-        need += 8 * sum(m * m1 for m, m1 in zip(sizes, sizes[1:]))
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", need)
     assert build(spec).sectors is not None
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", need - 1)
@@ -651,8 +668,7 @@ def test_build_budget_counts_the_arrays_it_forms(spec, more, monkeypatch):
     # the budget patched to the count of spec's build: that build peaks
     # within it, and one cutoff more is refused before any basis-length
     # array is formed
-    need = fock_ops._build_bytes(spec) + 8 * sum(
-        s.low.size for s in build(spec).sectors)
+    need = fock_ops._build_bytes(spec)
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", need)
     tracemalloc.start()
     try:
@@ -670,6 +686,34 @@ def test_build_budget_counts_the_arrays_it_forms(spec, more, monkeypatch):
     assert op.sectors is not None
     assert need / 2 < ran <= need
     assert refused < 1e6
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 20000),
+    ModelSpec.qrabi(0.8, 0.9, 0.04, 3000),
+    ModelSpec.xi((1.3,), (-0.7,), 0.3, (5000,)),
+    ModelSpec.lam((0.9,), (0.4,), 0.1, (4000,)),
+    ModelSpec.vee((-0.6,), (0.2,), 0.0, (6000,)),
+    ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (120, 150)),
+    ModelSpec.lam((1.0, 0.9), (0.2, 0.6), 0.05, (40, 60)),
+    ModelSpec.vee((0.7, 1.1), (0.1, 0.4), 0.05, (90, 90)),
+    ModelSpec.xi((1.0, 0.8, 0.7), (0.3, 0.5, 0.9), 0.05, (20, 25, 30)),
+    ModelSpec.lam((0.9, 0.8, 0.6), (0.1, 0.2, 0.7), 0.05, (16, 16, 16)),
+    ModelSpec.vee((0.6, 0.7, 0.8), (0.1, 0.4, 0.6), 0.05, (30, 30, 30)),
+], ids=lambda s: "%s-%s" % (s.family, "x".join(map(str, s.cutoffs))))
+def test_build_memory_is_linear_in_the_basis(spec):
+    # every layered build peaks within its count, and the count is at most
+    # 32 words per basis state: no array grows with a product of layer
+    # sizes, as dense coupling blocks did
+    need = fock_ops._build_bytes(spec)
+    tracemalloc.start()
+    try:
+        op = build(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.sectors is not None
+    assert peak <= need <= 8 * 32 * spec.basis().dim
 
 
 def test_layered_matrix_is_assembled_on_every_read():

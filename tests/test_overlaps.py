@@ -219,12 +219,12 @@ def test_displacement_matrix_rejects_negative_cutoff():
         displacement_matrix(-1, 0.5)
 
 
-@pytest.mark.parametrize("alpha, arrays", [(0.8, 1), (0.0, 1), (-0.8, 2)])
-def test_displacement_matrix_refuses_a_cutoff_over_budget(alpha, arrays,
+@pytest.mark.parametrize("alpha", [0.8, 0.0, -0.8])
+def test_displacement_matrix_refuses_a_cutoff_over_budget(alpha,
                                                           monkeypatch):
-    # D, and at alpha < 0 its sign matrix, are (cutoff + 1)^2 doubles each:
-    # the budget of cutoff 300 admits it and refuses 301 before allocating
-    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * arrays * 301 ** 2)
+    # D is (cutoff + 1)^2 doubles at every alpha: the budget of cutoff 300
+    # admits it and refuses 301 before allocating
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 301 ** 2)
     assert displacement_matrix(300, alpha).shape == (301, 301)
     tracemalloc.start()
     try:
@@ -235,11 +235,16 @@ def test_displacement_matrix_refuses_a_cutoff_over_budget(alpha, arrays,
     finally:
         tracemalloc.stop()
     assert peak < 1e5
-    if alpha < 0:
-        # the sign matrix counts: one array's budget refuses
-        monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 301 ** 2)
-        with pytest.raises(ResourceError):
-            displacement_matrix(300, alpha)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 7, 40, 151, 600])
+@pytest.mark.parametrize("a", [1e-8, 1e-3, 0.3, 1.0, 5.0, 40.0])
+def test_displacement_matrix_at_minus_alpha_is_the_sign_conjugate(cutoff, a):
+    # D(-a) = S D(a) S with S = diag((-1)^k), bit for bit: the signs are
+    # written into the rows at alpha < 0 instead of multiplied in after
+    signs = (-1.0) ** np.arange(cutoff + 1)
+    want = displacement_matrix(cutoff, a) * np.outer(signs, signs)
+    assert displacement_matrix(cutoff, -a).tobytes() == want.tobytes()
 
 
 # ------------------------------------------- bitwise oracles of the routes

@@ -2,6 +2,7 @@
 second-order quasimodes, and the finite-difference cross-checks."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -125,8 +126,8 @@ def test_quasimode_form_vanishes_without_level_splitting():
 
 
 def test_quasimode_routines_refuse_a_cutoff_over_budget(monkeypatch):
-    # quasimode_form forms D and its sign matrix, 2 (K + 1)^2 doubles, and
-    # quasimode_vectors D, the four blocks of B and B, 9 (K + 1)^2
+    # quasimode_form counts D, (K + 1)^2 doubles, and 16 vectors of K + 1;
+    # quasimode_vectors D, B and one block, 6 (K + 1)^2, and 18 vectors
     formed = []
 
     def counted(*args):
@@ -134,15 +135,43 @@ def test_quasimode_routines_refuse_a_cutoff_over_budget(monkeypatch):
         return displacement_matrix(*args)
 
     monkeypatch.setattr(perturbation, "displacement_matrix", counted)
-    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 2 * 101 ** 2)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * (101 + 16) * 101)
     with pytest.raises(ResourceError, match="form's arrays at K = 101 need"):
         quasimode_form(3, STD, K=101)
-    with pytest.raises(ResourceError, match="vectors' arrays at K = 47 need"):
-        quasimode_vectors(3, STD, K=47)
+    # 8 (6 * 43 + 18) * 43 bytes, over the 8 (101 + 16) * 101 above
+    with pytest.raises(ResourceError, match="vectors' arrays at K = 42 need"):
+        quasimode_vectors(3, STD, K=42)
     assert formed == []
     assert quasimode_form(3, STD, K=100).tail_estimate >= 0.0
-    assert quasimode_vectors(3, STD, K=46).K == 46
-    assert formed == [(100, STD.alpha), (46, STD.alpha)]
+    assert quasimode_vectors(3, STD, K=41).K == 41
+    assert formed == [(100, STD.alpha), (41, STD.alpha)]
+
+
+@pytest.mark.parametrize("K", [400, 1000])
+@pytest.mark.parametrize("alpha", [1.0, -1.0])
+@pytest.mark.parametrize("routine, arrays, vectors", [
+    (quasimode_form, 1, 16), (quasimode_vectors, 6, 18)],
+    ids=["form", "vectors"])
+def test_quasimode_budgets_bound_the_traced_peak(routine, arrays, vectors,
+                                                 alpha, K, monkeypatch):
+    # the budget patched to the count at K: the routine peaks within it,
+    # and K + 1 is refused before its arrays are formed
+    need = 8 * (arrays * (K + 1) + vectors) * (K + 1)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", need)
+    params = RabiParameters(alpha, 1.0, -1.0)
+    tracemalloc.start()
+    try:
+        routine(1, params, K)
+        ran = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        kept = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ResourceError, match="at K = %d need" % (K + 1)):
+            routine(1, params, K + 1)
+        refused = tracemalloc.get_traced_memory()[1] - kept
+    finally:
+        tracemalloc.stop()
+    assert need / 2 < ran <= need
+    assert refused < 1e6
 
 
 def test_quasimode_vectors_avoid_unperturbed_eigenspace():

@@ -39,18 +39,20 @@ from test_fock_ops import (harmonic_matrix, index_of, occupation_layers,
 
 def _layered_op(basis, a):
     """a on basis with its occupation-layer blocks declared as one sector,
-    in build's form; count_below then takes the layered route in one
-    sweep over the unsplit layers. a's blocks on the layers are diagonal,
-    as those of every build are, and the sector's diag holds them."""
+    in build's form, without bounds; count_below then takes the layered
+    route in one sweep over every unsplit layer. a joins only states of
+    adjacent layers, as every build does: its blocks on the layers are
+    diagonal, the sector's diag holds them, and its entries are the
+    nonzeros below the diagonal, by row."""
     layers = occupation_layers(basis)
-    for i in layers:
-        block = a[np.ix_(i, i)]
-        assert np.array_equal(block, np.diag(np.diag(block)))
     index = np.concatenate(layers)
+    sizes = np.array([i.size for i in layers])
+    layer = np.repeat(np.arange(sizes.size), sizes)
+    rows, cols = np.nonzero(np.tril(a[np.ix_(index, index)], -1))
+    assert np.all(layer[rows] == layer[cols] + 1)
     return TruncatedOperator(basis, a, [fock_ops.Sector(
-        index, np.array([i.size for i in layers]), a[index, index],
-        np.concatenate([a[np.ix_(j, i)].ravel()
-                        for i, j in zip(layers, layers[1:])]))])
+        index, sizes, a[index, index], a[index[rows], index[cols]], rows,
+        cols, 0, np.full(sizes.size, -math.inf), np.zeros(sizes.size))])
 
 
 def _diag_op(values):
@@ -584,8 +586,7 @@ def _chain_op(diag, lows):
     n = diag.size
     basis = BasisDescriptor(1, (n * len(lows) // 2 - 1,), 2)
     return TruncatedOperator(basis, None, [
-        fock_ops.Sector(np.arange(k * n, (k + 1) * n), np.ones(n, int),
-                        diag, low)
+        _chain_sector(diag, low)._replace(index=np.arange(k * n, (k + 1) * n))
         for k, low in enumerate(lows)])
 
 
@@ -629,7 +630,8 @@ def test_sectors_apart_past_the_first_layer_are_both_solved():
         last[-1] = np.nextafter(last[-1], np.inf)
         floor = a.floor.copy()
         floor[-1] += 1.0
-        twin = a._replace(diag=a.diag.copy(), low=a.low.copy())
+        twin = a._replace(diag=a.diag.copy(), low=a.low.copy(),
+                          rows=a.rows.copy(), cols=a.cols.copy())
         for b, solves in ((a._replace(diag=last), 2),
                           (a._replace(floor=floor), 2), (twin, 1)):
             calls = []
@@ -640,9 +642,8 @@ def test_sectors_apart_past_the_first_layer_are_both_solved():
 
 def test_same_bits_is_exact():
     same = spectral_analysis._same_bits
-    assert same(np.zeros(3), np.zeros(3)) and same(None, None)
+    assert same(np.zeros(3), np.zeros(3))
     assert not same(np.zeros(1), np.array([-0.0]))
-    assert not same(np.zeros(1), None) and not same(None, np.zeros(1))
     assert not same(np.zeros(4), np.zeros((2, 2)))
     assert not same(np.zeros(4), np.zeros(4, dtype=np.int64))
     nan = np.array([np.nan])
@@ -721,9 +722,9 @@ def _spy_sweeps(monkeypatch, sectors):
         swept.append((sector, out[4]))
         return out
 
-    def spy_chain(diag, off, mu, floor=None, coupling=None):
-        out = chain(diag, off, mu, floor, coupling)
-        swept.append((next(s for s in sectors if s.diag is diag), out[4]))
+    def spy_chain(sector, mu):
+        out = chain(sector, mu)
+        swept.append((sector, out[4]))
         return out
 
     monkeypatch.setattr(spectral_analysis, "_layered_inertia", spy_layered)
@@ -839,9 +840,9 @@ def _thresholds(ev, cutoffs):
 def test_early_exit_counts_match_the_full_sweep(spec, caplog):
     caplog.set_level(logging.DEBUG, logger=spectral_analysis.__name__)
     op = build(spec)
-    # the same sectors without bound data sweep every layer
+    # the same sectors with floors that never close sweep every layer
     full = TruncatedOperator(op.basis, None, [
-        s._replace(floor=None, coupling=None) for s in op.sectors])
+        s._replace(floor=np.full(s.sizes.size, -np.inf)) for s in op.sectors])
     ev = scipy.linalg.eigvalsh(op.matrix)
     last = sum(spec.cutoffs)
     depths = []
@@ -898,7 +899,7 @@ def test_chain_counts_match_parity_labelled_spectrum(spec):
     labels = np.asarray(split.parity)
     for lam in 0.5 * (ev[:29] + ev[1:30]):
         for sector, label in zip(op.sectors, ("+", "-")):
-            count = spectral_analysis._chain_inertia(*sector.chain(), lam)[0]
+            count = spectral_analysis._chain_inertia(sector, lam)[0]
             assert count == np.count_nonzero((ev <= lam) & (labels == label))
 
 
@@ -923,7 +924,7 @@ def test_chain_inertia_counts_random_tridiagonals(chain, lam, frac):
                                + np.diag(off, -1))
     assume(np.min(np.abs(ev - mu)) > 1e-8)
     count, merges, pivots, max_block, rows = spectral_analysis._chain_inertia(
-        diag, off, mu)
+        _chain_sector(diag, off), mu)
     assert count == int(np.count_nonzero(ev <= mu))
     assert (merges, pivots.size, max_block, rows) == (0, diag.size, 1,
                                                       diag.size)
@@ -984,7 +985,7 @@ def test_chain_counts_stop_early_with_the_full_sweeps_count(spec, caplog):
     caplog.set_level(logging.DEBUG, logger=spectral_analysis.__name__)
     op = build(spec)
     full = TruncatedOperator(op.basis, None, [
-        s._replace(floor=None, coupling=None) for s in op.sectors])
+        s._replace(floor=np.full(s.sizes.size, -np.inf)) for s in op.sectors])
     ev = eigen_spectrum(op)
     rng = np.random.default_rng(7)
     picks = ev[rng.integers(0, ev.size // 2, 12)]
@@ -1017,13 +1018,11 @@ def test_closing_test_reads_its_own_rows_pivot_and_coupling():
     h = np.diag(diag) + np.diag(low, 1) + np.diag(low, -1)
     assert scipy.linalg.eigvalsh(h[1:, 1:])[0] >= floor[0]
     assert np.all(coupling[:2] >= low ** 2)
-    sector = fock_ops.Sector(np.arange(3), np.ones(3, int), diag, low, 0,
-                             floor, coupling)
+    sector = _chain_sector(diag, low, floor, coupling)
     t = np.array([-0.5, 0.0, 0.7, 2.0])
     want = [int(np.count_nonzero(scipy.linalg.eigvalsh(h) <= x)) for x in t]
     assert want[1] == 1
-    got = [spectral_analysis._chain_inertia(diag, low, x, floor, coupling)
-           for x in t.tolist()]
+    got = [spectral_analysis._chain_inertia(sector, x) for x in t.tolist()]
     assert [g[0] for g in got] == want
     assert got[1][4] == 3
     count, closed = spectral_analysis._census_sweep(sector, t)
@@ -1071,10 +1070,15 @@ def _census_sweep_by_rows(sector, t):
     return count, closed
 
 
-def _chain_sector(diag, low, floor, coupling):
+def _chain_sector(diag, low, floor=None, coupling=None):
+    """The chain sector (diag, low) with the bounds floor and coupling;
+    without them its sweeps never close."""
     n = len(diag)
+    if floor is None:
+        floor, coupling = np.full(n, -math.inf), np.zeros(n)
     return fock_ops.Sector(np.arange(n), np.ones(n, int),
-                           *(np.array(a, float) for a in (diag, low)), 0,
+                           *(np.array(a, float) for a in (diag, low)),
+                           np.arange(1, n), np.arange(n - 1), 0,
                            *(np.array(a, float) for a in (floor, coupling)))
 
 
@@ -1156,8 +1160,9 @@ def test_census_sweep_closes_on_a_blocks_first_and_last_rows(row):
         _chain_sector(chain.diag, chain.low, floor, chain.coupling), t)
     assert (closed == row).all()
     head = chain.diag[:row + 1], chain.low[:row]
-    assert count.tolist() == [spectral_analysis._chain_inertia(*head, x)[0]
-                              for x in t.tolist()]
+    assert count.tolist() == [
+        spectral_analysis._chain_inertia(_chain_sector(*head), x)[0]
+        for x in t.tolist()]
 
 
 _BANDED_BASES = [BasisDescriptor(1, (5,), 2), BasisDescriptor(1, (3,), 3),
@@ -1453,7 +1458,8 @@ def test_chains_are_bitwise_prefixes_of_deeper_builds():
         for cutoff in (16, 24, 36, 54):
             for s, d, (count, closed) in zip(
                     build(spec.with_cutoffs((cutoff,))).sectors, deep, whole):
-                for name in ("diag", "low", "floor", "coupling"):
+                for name in ("diag", "low", "rows", "cols", "floor",
+                             "coupling"):
                     a, b = getattr(s, name), getattr(d, name)
                     assert a.tobytes() == b[:a.size].tobytes(), name
                 got, shut = spectral_analysis._census_sweep(s, t)

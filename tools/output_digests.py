@@ -16,7 +16,9 @@ The outputs digested are
 * braak on the four models of the c06 gate, in JSON and in CSV;
 * for each of ten layered models (LAYERED), the dense matrix of its build,
   its eigen_spectrum, its count_below at COUNT_THRESHOLDS and the DEBUG
-  records of those counts.
+  records of those counts;
+* for each of three deep boxes (DEEP), its count_below at DEEP_THRESHOLDS
+  and the DEBUG records of those counts.
 
 BLAS runs on one thread, as in the benchmark. An op that raises is
 digested by its exception's type and message.
@@ -73,6 +75,16 @@ LAYERED = {
 # state without a lower-layer neighbour leaves a singular Schur block
 COUNT_THRESHOLDS = (-5.0, 0.5, 1.0, 2.5, 4.0, 7.3, 10.0, 20.0)
 
+# boxes far deeper than the layers a count sweeps before it closes: three
+# modes, two modes and one chain, too large for a dense matrix
+DEEP = {
+    "vee3-box30": ModelSpec.vee((0.6, 0.7, 0.8), (0.1, 0.4, 0.6), 0.05,
+                                (30, 30, 30)),
+    "xi2-box200": ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (200, 200)),
+    "qr-cutoff20000": ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 20000),
+}
+DEEP_THRESHOLDS = (5.0, 10.0, 20.0)
+
 
 def _encode(value, out):
     """Append a byte encoding of value to the bytearray out: bytes and
@@ -111,24 +123,29 @@ def run_cli(argv):
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
+def counts(op, thresholds):
+    """(count_below of op at each threshold, the DEBUG records of those
+    counts)."""
+    records = logging.handlers.BufferingHandler(len(thresholds) + 1)
+    logger = logging.getLogger("rabispec.spectral_analysis")
+    level = logger.level
+    logger.addHandler(records)
+    logger.setLevel(logging.DEBUG)
+    try:
+        got = [count_below(op, lam) for lam in thresholds]
+    finally:
+        logger.removeHandler(records)
+        logger.setLevel(level)
+    return got, [r.getMessage() for r in records.buffer]
+
+
 def layered_outputs(spec):
     """(sha256 of the dense matrix's bytes, eigen_spectrum, counts at
     COUNT_THRESHOLDS, their DEBUG records) of spec's build. The matrix is
     hashed in place, so the largest array formed is the matrix itself."""
     op = build(spec)
     matrix = hashlib.sha256(memoryview(op.matrix)).hexdigest()
-    records = logging.handlers.BufferingHandler(len(COUNT_THRESHOLDS) + 1)
-    logger = logging.getLogger("rabispec.spectral_analysis")
-    level = logger.level
-    logger.addHandler(records)
-    logger.setLevel(logging.DEBUG)
-    try:
-        counts = [count_below(op, lam) for lam in COUNT_THRESHOLDS]
-    finally:
-        logger.removeHandler(records)
-        logger.setLevel(level)
-    return (matrix, eigen_spectrum(op), counts,
-            [r.getMessage() for r in records.buffer])
+    return (matrix, eigen_spectrum(op)) + counts(op, COUNT_THRESHOLDS)
 
 
 def readme_commands():
@@ -161,6 +178,8 @@ def outputs(seeds):
             yield "braak_c06/eps%s/%s" % (eps, fmt), run_cli(argv)
     for name, spec in LAYERED.items():
         yield "layered/%s" % name, layered_outputs(spec)
+    for name, spec in DEEP.items():
+        yield "deep/%s" % name, counts(build(spec), DEEP_THRESHOLDS)
 
 
 def cli(argv=None):
