@@ -6,24 +6,24 @@ Supported families:
 * QRabi     the QR operator at gamma1 = -gamma2 = delta, shifted by -1/2
 * ABFrame   harmonic x I2 + eps [[beta1, beta2 D], [beta2 D^T, beta1]]
             with D the normalized displacement matrix; spectrally equal to
-            QR + alpha^2/2 at matched truncation, and split by its parity
-            into two dense sectors (ab_sector_pairs)
+            QR + alpha^2/2 at matched truncation, and built as the two
+            dense parity sectors of half its dimension (ab_sectors)
 * Xi        N levels chained k <-> k+1 through n = N-1 oscillator modes
 * Lambda    N levels, every lower level coupled into level N
 * Vee       N levels, level 1 coupled out to every upper level
 
 Layout convention everywhere: spin index slowest, then the oscillator
-multi-index in row-major order. Every coupling moves exactly one quantum, so
-all families but the AB frame are block tridiagonal in the occupation
-layers. They also keep one Z2 parity per mode (sector_labels), which
-splits them into 2^modes sectors that no entry joins; the two sectors of
-QR and QRabi are tridiagonal chains. No entry joins two states of one
-layer, so the blocks on the layers are diagonal: assembly keeps the
-harmonic and level diagonal as one vector per sector, and each coupling's
-ladder entries, the pairs of mode-space indices one quantum apart, as
-(row, col, value) entries between consecutive layers; the dense matrix is
-formed from the diagonal, the entries and their mirror images only when it
-is read, which keeps every matrix bitwise symmetric.
+multi-index in row-major order. build stores every operator as its parity
+sectors, which no entry joins, and the dense matrix is formed only when it
+is read. The AB frame has two, which share one diagonal and one full
+coupling block (ABSector). Every coupling of the other families moves one
+quantum, so they are block tridiagonal in the occupation layers, and they
+keep one Z2 parity per mode (sector_labels): 2^modes sectors, the two of
+QR and QRabi tridiagonal chains. No entry joins two states of one layer,
+so assembly keeps each sector's diagonal as one vector and each
+coupling's ladder entries, the pairs of mode-space indices one quantum
+apart, as (row, col, value) entries between consecutive layers; the dense
+matrix is formed from them and their mirror images, bitwise symmetric.
 """
 
 import json
@@ -137,19 +137,40 @@ class Sector(NamedTuple):
         return mat
 
 
+class ABSector(NamedTuple):
+    """Parity sector s = sign of the AB frame: on the oscillator,
+    H_s = diag(diag) + s c diag((-1)^k), c = eps beta2 D the block joining
+    the spin blocks. The parity is spin flip times (-1)^k: the frame vector
+    of sector s is (x, s (-1)^k x), and sector +1 holds the symmetric spin
+    combination on even k. Both sectors of a build share diag and c."""
+
+    diag: np.ndarray
+    c: np.ndarray
+    sign: float
+
+    def chain(self):
+        """None: the coupling block is full."""
+        return None
+
+    def matrix(self):
+        """The dense H_s, bitwise symmetric because D[k, N] =
+        (-1)^(N + k) D[N, k] holds bitwise."""
+        signs = self.sign * (-1.0) ** np.arange(self.diag.size)
+        return np.diag(self.diag) + self.c * signs
+
+
 class TruncatedOperator:
     """A truncated matrix on its basis. sectors, when set, lists the
-    Sector blocks of the matrix: no entry couples two sectors, and each
-    sector's matrix is block tridiagonal over its occupation layers, so
+    sectors of the matrix, which no entry couples (Sector, ABSector), so
     count_below and eigen_spectrum work sector by sector.
 
-    build declares the sectors, and stores no matrix, for the families that
-    couple only adjacent layers. Reading matrix then assembles the dense
-    matrix, anew on every read, by placing each sector's diagonal, then
-    each of its coupling entries and their mirror images, on the sector's
-    basis indices, and raises ResourceError, before allocating, when it
-    would exceed errors.DENSE_BUDGET_BYTES. A stored matrix is returned as
-    it is.
+    build declares the sectors and stores no matrix. Reading matrix then
+    assembles the dense matrix, anew on every read: the AB frame
+    [[P, C], [C^T, P]] from its sectors' shared diag and c, any other by
+    placing each sector's diagonal, then each of its coupling entries and
+    their mirror images, on the sector's basis indices. It raises
+    ResourceError, before allocating, when the matrix would exceed
+    errors.DENSE_BUDGET_BYTES. A stored matrix is returned as it is.
     """
 
     def __init__(self, basis, matrix, sectors=None):
@@ -167,6 +188,13 @@ class TruncatedOperator:
             return self._matrix
         check_dense_budget(self.basis)
         mat = np.zeros((self.basis.dim, self.basis.dim))
+        if isinstance(self.sectors[0], ABSector):
+            diag, c, _ = self.sectors[0]
+            n = diag.size
+            mat[:n, n:], mat[n:, :n] = c, c.T
+            on = mat.reshape(-1)[::2 * n + 1]  # a view of the diagonal
+            on[:n] = on[n:] = diag
+            return mat
         for s in self.sectors:
             rows, cols = s.index[s.rows], s.index[s.cols]
             mat[s.index, s.index] = s.diag
@@ -393,29 +421,32 @@ def _layer_bounds(spec, levels, n_layers):
 def build(spec):
     """Assemble the truncated Hamiltonian for the given ModelSpec.
 
-    The AB frame is stored dense. Every other family is stored as its
-    Sector blocks, and the dense matrix is assembled only when op.matrix is
-    read (TruncatedOperator). Every layered family has one sector per
-    sector_labels value, 2^modes in all: QR and QRabi have two, the "+"
-    and the "-" parity chain (Sector.chain). The basis indices are ordered
-    by sector, then layer, and the diagonal of all sectors is one vector in
-    that order. Each coupling's ladder arrays become entries (position of
-    the upper state, position of the lower state, value) in that order,
-    and one stable argsort sorts them by row. Each sector is a slice of the
-    order, the diagonal and the entries, its positions counted from its
-    own first state, with its empty layers at either end dropped, and
-    carries its first occupation and its per-layer bounds (_layer_bounds).
+    Every family is stored as its sectors, and the dense matrix is
+    assembled only when op.matrix is read (TruncatedOperator). The AB frame
+    has two, s = +1 and s = -1, from one displacement matrix (ab_sectors).
+    Every layered family has one Sector per sector_labels value, 2^modes in
+    all: QR and QRabi have two, the "+" and the "-" parity chain
+    (Sector.chain). The basis indices are ordered by sector, then layer,
+    and the diagonal of all sectors is one vector in that order. Each
+    coupling's ladder arrays become entries (position of the upper state,
+    position of the lower state, value) in that order, and one stable
+    argsort sorts them by row. Each sector is a slice of the order, the
+    diagonal and the entries, its positions counted from its own first
+    state, with its empty layers at either end dropped, and carries its
+    first occupation and its per-layer bounds (_layer_bounds).
     Two budgets apply, each checked before allocating: build raises
     ResourceError when the AB frame's dense matrix would exceed
-    errors.DENSE_BUDGET_BYTES, or when a layered build's arrays would,
-    counted from the spec alone (_build_bytes) before any array is formed;
-    reading op.matrix checks the dense matrix itself.
+    errors.DENSE_BUDGET_BYTES (its sectors and the displacement matrix
+    take half of that), or when a layered build's arrays would, counted
+    from the spec alone (_build_bytes) before any array is formed; reading
+    op.matrix checks the dense matrix itself.
     """
     spec.validate()
     basis = spec.basis()
     if spec.family == AB_FRAME:
         check_dense_budget(basis)
-        return _build_ab(spec, basis)
+        return TruncatedOperator(basis, None, ab_sectors(
+            spec, displacement_matrix(spec.cutoffs[0], spec.alphas[0])))
     check_budget("occupation-layer blocks of dimension %d need" % basis.dim,
                  _build_bytes(spec))
     sigma = _far_sides(spec.family, spec.spin_dim)
@@ -502,56 +533,19 @@ def _build_bytes(spec):
                 + 2 * 2 ** spec.modes * layers + 6 * layers)
 
 
-def _build_ab(spec, basis):
-    diag, c = _ab_parts(spec, displacement_matrix(spec.cutoffs[0],
-                                                  spec.alphas[0]))
-    p0 = np.diag(diag)
-    return TruncatedOperator(basis, np.block([[p0, c], [c.T, p0]]))
-
-
-def _ab_parts(spec, d):
-    """(diagonal, coupling) of an AB frame model at cutoff K from its
-    displacement matrix d: the diagonal n + 1/2 + eps beta1 of each spin
-    block and the block eps beta2 D that joins them, with beta1, beta2 =
-    (gamma1 +- gamma2) / 2."""
+def ab_sectors(spec, d):
+    """The two parity sectors (ABSector), s = +1 then s = -1, of an AB
+    frame model at cutoff K from its displacement matrix d: both hold the
+    diagonal n + 1/2 + eps beta1 of each spin block and the block
+    eps beta2 D that joins them, with beta1, beta2 = (gamma1 +- gamma2) / 2.
+    """
     cut = spec.cutoffs[0]
     g1, g2 = spec.gammas
     beta1 = 0.5 * (g1 + g2)
     beta2 = 0.5 * (g1 - g2)
     diag = np.arange(cut + 1) + 0.5 + spec.eps * beta1
-    return diag, (spec.eps * beta2) * d
-
-
-def ab_sector_pairs(specs):
-    """The two parity sectors of each AB frame model in specs, in order,
-    one pair at a time, s = +1 then s = -1: the dense (K + 1)^2 matrices
-    H_s = P + eps beta1 I + s eps beta2 D diag((-1)^k) on the oscillator,
-    with P = diag(k + 1/2).
-
-    The parity is spin flip times (-1)^k; sector +1 holds the symmetric
-    spin combination on even k. The models may differ in eps and the
-    gammas but not in the cutoff or alpha (ValueError), so that every pair
-    comes from one displacement matrix D, which depends on those two
-    alone; each sector is bitwise symmetric because D[k, N] = (-1)^(N + k)
-    D[N, k] holds bitwise. Every spec is checked before D is formed: a
-    malformed spec raises ModelSpecError, another family ValueError, and a
-    cutoff whose dense AB matrix build would refuse raises ResourceError.
-    """
-    for spec in specs:
-        spec.validate()
-        if spec.family != AB_FRAME:
-            raise ValueError("ab_sector_pairs needs an AB frame model")
-    key = {(spec.cutoffs, spec.alphas) for spec in specs}
-    if len(key) != 1:
-        raise ValueError("ab_sector_pairs needs one cutoff and one alpha")
-    (cutoffs, alphas), = key
-    check_dense_budget(specs[0].basis())
-    d = displacement_matrix(cutoffs[0], alphas[0])
-    signs = (-1.0) ** np.arange(cutoffs[0] + 1)
-    for spec in specs:
-        diag, c = _ab_parts(spec, d)
-        signed = c * signs
-        yield [np.diag(diag) + signed, np.diag(diag) - signed]
+    c = (spec.eps * beta2) * d
+    return [ABSector(diag, c, 1.0), ABSector(diag, c, -1.0)]
 
 
 def parity_matrix(basis):

@@ -38,21 +38,21 @@ ZERO_PROXIMITY_TOL = 1e-10
 # Work bytes per degree, counted from the code: laguerre_zeros holds at most
 # 12 float arrays and 4 boolean arrays of length N at once (diag, off, z and
 # the scan's five buffers, or L, L_(N-1), logscale, deriv and the residual
-# test's temporaries). The Sturm sweeps of avoid-seq hold no per-degree
-# arrays; _STURM_BYTES_PER_DEGREE keeps the exit-9 limit on kcap (near 65
-# million at 2 GiB) scaled with errors.DENSE_BUDGET_BYTES, until a bound on
-# the sweep time replaces it.
+# test's temporaries; the sign-change scans take 11 and 2). The Sturm
+# sweeps of avoid-seq hold no per-degree arrays; _STURM_BYTES_PER_DEGREE
+# keeps the exit-9 limit on kcap (near 65 million at 2 GiB) scaled with
+# errors.DENSE_BUDGET_BYTES, until a bound on the sweep time replaces it.
 _ZEROS_BYTES_PER_DEGREE = 12 * 8 + 4
 _STURM_BYTES_PER_DEGREE = 4 * 8 + 1
 
 # Work of laguerre_zeros in operations, counted from the code: about
-# degree^2 for the tridiagonal eigensolve and degree^2 for each of the
-# three scans of _laguerre_pair_scaled (degree steps over degree points).
-# The cap admits degree 10 000, about 3.5 s with one BLAS thread on a
-# 2-core VM (0.6 s at degree 4 000); a larger degree raises ResourceError
-# before any work. Every degree tried from 4 128 to 10 000 fails the
-# residual check.
-_ZEROS_WORK_PER_DEGREE_SQUARED = 4
+# degree^2 for the tridiagonal eigensolve, degree^2 for each of the three
+# scans of _laguerre_pair_scaled (degree steps over degree points) and at
+# most 2 degree^2 for the sign-change scans (degree steps over at most
+# degree points, one scan for each end). The cap admits degree 10 000,
+# about 4 s with one BLAS thread on a 2-core VM (0.65 s at degree 4 128);
+# a larger degree raises ResourceError before any work.
+_ZEROS_WORK_PER_DEGREE_SQUARED = 6
 MAX_ZEROS_WORK = _ZEROS_WORK_PER_DEGREE_SQUARED * 10_000 ** 2
 
 
@@ -131,7 +131,10 @@ def laguerre_zeros(N):
 
     Golub-Welsch on the Jacobi matrix (diagonal 2i+1, off-diagonal i), then
     Newton polish. Each zero is certified by a residual check
-    |L_N(x)| <= 1e-12 * max(1, |L_N'(x)|); failure raises NumericError.
+    |L_N(x)| <= 1e-12 * max(1, |L_N'(x)|) or, where that fails, by a sign
+    change of L_N within two spacings of x (_brackets_a_zero): above 2^14,
+    doubles are 3.6e-12 apart and need not pass the absolute test. Failing
+    both raises NumericError.
     A degree whose work arrays would exceed errors.DENSE_BUDGET_BYTES,
     or whose work would exceed MAX_ZEROS_WORK operations, raises
     ResourceError before anything is allocated.
@@ -154,6 +157,17 @@ def laguerre_zeros(N):
         # x L_N' = N (L_N - L_{N-1}), so the Newton step is scale free
         deriv = N * (L - Lm1) / z
         z = z - L / deriv
+    del L, Lm1, deriv, _  # the last step's arrays, before the next scan
+    bad = _fails_residual(N, z)
+    if bad.any() and not _brackets_a_zero(N, z[bad]).all():
+        raise NumericError(
+            "Laguerre zero refinement failed residual check at degree %d" % N
+        )
+    return z
+
+
+def _fails_residual(N, z):
+    """Where the zeros z of L_N fail |L_N(x)| <= 1e-12 * max(1, |L_N'(x)|)."""
     L, Lm1, logscale = _laguerre_pair_scaled(N, z)
     deriv = N * (L - Lm1) / z
     # residual test split by whether |L'| is representable: where the scale
@@ -164,12 +178,16 @@ def laguerre_zeros(N):
         true_L = np.abs(L) * np.exp(np.where(small, logscale, 0.0))
         true_d = np.abs(deriv) * np.exp(np.where(small, logscale, 0.0))
     bad_small = small & (true_L > 1e-12 * np.maximum(1.0, true_d))
-    bad_big = (~small) & (np.abs(L) > 1e-12 * np.abs(deriv))
-    if np.any(bad_small | bad_big):
-        raise NumericError(
-            "Laguerre zero refinement failed residual check at degree %d" % N
-        )
-    return z
+    return bad_small | (~small) & (np.abs(L) > 1e-12 * np.abs(deriv))
+
+
+def _brackets_a_zero(N, z):
+    """Whether L_N changes sign, or vanishes, over
+    [x - 2 spacing(x), x + 2 spacing(x)] for each x in z: one scan of
+    _laguerre_pair_scaled for each end, whose rescaling keeps the sign."""
+    step = 2.0 * np.spacing(z)
+    lower = np.sign(_laguerre_pair_scaled(N, z - step)[0])
+    return lower * np.sign(_laguerre_pair_scaled(N, z + step)[0]) <= 0
 
 
 @dataclass

@@ -18,8 +18,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CoverageError, ResourceError, check_budget
-from .fock_ops import (AB_FRAME, QR, QRABI, ab_sector_pairs, build,
+from .fock_ops import (AB_FRAME, QR, QRABI, ABSector, ab_sectors, build,
                        check_dense_budget)
+from .overlaps import displacement_matrix
 
 log = logging.getLogger(__name__)
 
@@ -101,10 +102,10 @@ def _check_symmetric(m):
 def eigen_spectrum(op):
     """All eigenvalues of a symmetric truncated operator, ascending.
 
-    An operator with more than one sector (every build but the AB frame's)
-    is solved sector by sector and no matrix of the full dimension is
-    formed (_solve_sectors, as in parity_split). Any other operator's
-    matrix is checked for symmetry and solved whole.
+    An operator with more than one sector (every build) is solved sector by
+    sector and no matrix of the full dimension is formed (_solve_sectors,
+    as in parity_split). Any other operator's matrix is checked for
+    symmetry and solved whole.
     """
     if op.sectors is not None and len(op.sectors) > 1:
         return _solve_sectors(op.sectors)[0]
@@ -117,12 +118,12 @@ def eigen_spectrum(op):
 def _solve_sectors(sectors):
     """(eigenvalues, sector number of each) of all sectors (_merge): a
     chain sector (Sector.chain) solved by eigvalsh_tridiagonal on its own
-    buffers, any other by one dense eigvalsh of its matrix. A sector
-    bitwise equal to an earlier one (_once_per_matrix) reuses its
-    eigenvalue array: at eps = 0 the spin flip commutes with H, so the
-    two QR/QRabi parity chains are one chain, and LAPACK gives identical
-    inputs identical outputs, so the merged values and labels are bitwise
-    those of solving every sector."""
+    buffers, any other (an ABSector too) by one dense eigvalsh of its
+    matrix. A sector bitwise equal to an earlier one (_once_per_matrix)
+    reuses its eigenvalue array: at eps = 0 the spin flip commutes with H,
+    so the two QR/QRabi parity chains are one chain, and LAPACK gives
+    identical inputs identical outputs, so the merged values and labels
+    are bitwise those of solving every sector."""
     import scipy.linalg  # loads at the first call, not with the package
     return _merge(_once_per_matrix(
         sectors,
@@ -131,12 +132,15 @@ def _solve_sectors(sectors):
 
 
 def _sector_parts(sector):
-    """The arrays of a Sector that its solve and its count read, cheap ones
+    """The arrays of a sector that its solve and its count read, cheap ones
     first: the layer sizes and the first layer's diagonal come before the
     whole arrays, so a comparison part by part (_once_per_matrix) tells
     sectors that differ there apart without reading the rest. The entries'
     rows and cols are parts too: equal values at other positions are
-    another matrix."""
+    another matrix. An ABSector's sign comes first: the two AB sectors,
+    which share diag and c, are told apart before c is read."""
+    if isinstance(sector, ABSector):
+        return np.float64(sector.sign), sector.diag, sector.c
     head = int(sector.sizes[0]) if sector.sizes.size else 0
     return (sector.sizes, sector.diag[:head], sector.diag, sector.low,
             sector.rows, sector.cols, sector.floor, sector.coupling)
@@ -172,15 +176,25 @@ def _same_bits(a, b):
 
 def ab_spectra(specs):
     """[(eigenvalues, sector of each)] of AB frame models that share one
-    cutoff and one alpha: one dense eigvalsh on each of a model's two
-    parity sectors, all from one displacement matrix
-    (fock_ops.ab_sector_pairs), merged by _merge, sector 0 holding s = +1.
-    _merge is a stable sort of ascending arrays, so values[sector == i] is
-    bitwise sector i's ascending eigenvalues. The eigvalsh of the whole
-    dense matrix (eigen_spectrum of its build) agrees to rounding."""
-    import scipy.linalg  # loads at the first call, not with the package
-    return [_merge([scipy.linalg.eigvalsh(h) for h in pair])
-            for pair in ab_sector_pairs(specs)]
+    cutoff and one alpha, each eigen_spectrum of the model's build with its
+    sectors (_solve_sectors, sector 0 holding s = +1), all from one
+    displacement matrix D. values[sector == i] is bitwise sector i's
+    ascending eigenvalues (_merge). The models may differ in eps and the
+    gammas, not in the cutoff or alpha, which fix D (ValueError). Every
+    spec is checked before D is formed: a malformed spec raises
+    ModelSpecError, another family ValueError, and a cutoff whose build
+    would refuse ResourceError."""
+    for spec in specs:
+        spec.validate()
+        if spec.family != AB_FRAME:
+            raise ValueError("ab_spectra needs an AB frame model")
+    key = {(spec.cutoffs, spec.alphas) for spec in specs}
+    if len(key) != 1:
+        raise ValueError("ab_spectra needs one cutoff and one alpha")
+    (cutoffs, alphas), = key
+    check_dense_budget(specs[0].basis())
+    d = displacement_matrix(cutoffs[0], alphas[0])
+    return [_solve_sectors(ab_sectors(spec, d)) for spec in specs]
 
 
 def _merge(vals):
@@ -314,10 +328,9 @@ def converged_spectrum(spec, m, tol, cap=None):
     at the last comparison and the partial flag is set. A growth step is
     solved only when it is compared or returned (_converge): the steps with
     fewer than m eigenvalues are skipped until a partial result needs the
-    one before its own. Every solved step solves the model sector by
-    sector: the AB frame on its two parity sectors (ab_spectra), the other
-    families on the sectors of their build (eigen_spectrum); QR and QRabi
-    are parity_split without the labels.
+    one before its own. Every solved step solves the sectors of its build
+    (eigen_spectrum), the AB frame's two parity sectors included; QR and
+    QRabi are parity_split without the labels.
     """
     if spec.family in (QR, QRABI):
         result = parity_split(spec, m, tol, cap)
@@ -329,8 +342,6 @@ def converged_spectrum(spec, m, tol, cap=None):
         # refuse a step whose dense matrix is over budget before its
         # sectors or layer blocks are formed
         check_dense_budget(step.basis())
-        if spec.family == AB_FRAME:
-            return ab_spectra([step])[0][0], None
         return eigen_spectrum(build(step)), None
 
     return _converge(spec, m, tol, cap, solve)
@@ -471,47 +482,37 @@ def _chain_inertia(sector, mu):
 def count_below(op, lam):
     """Number of eigenvalues at most lam, by inertia of (matrix - lam I).
 
-    The tie band is tie = dimension * macheps * max(1, max|matrix - lam I|).
-    When the operator declares its sectors (op.sectors, set by build for
-    QR, QRabi, Xi, Lambda and Vee, not for the AB frame), the count is the
-    sum over sectors of one sweep each at mu = lam + tie, so eigenvalues
-    within the band above lam are counted. A chain sector (Sector.chain,
-    both sectors of QR and QRabi) is swept by the scalar Sturm recurrence
-    of _chain_inertia. Any other sector sweeps its layers
-    (_layered_inertia), its diagonal layer blocks A_kk from Sector.diag and
-    its coupling blocks C_k formed layer by layer from its entries
-    (Sector.low_blocks), for the number of
-    nonpositive eigenvalues of the successive Schur blocks
+    The tie band is tie = dimension * macheps * max(1, max|matrix - lam I|),
+    that of the whole matrix also where the count is summed over its
+    sectors (op.sectors, set by build), and eigenvalues within it above lam
+    are counted. Each of the AB frame's two sectors (ABSector) takes one
+    dense symmetric-indefinite (sytrf) factorization of H_s - lam I, whose
+    pivots within the band are counted. Every other sector is swept at
+    mu = lam + tie: a chain (Sector.chain, both sectors of QR and QRabi) by
+    the scalar Sturm recurrence of _chain_inertia, any other over its
+    occupation layers (_layered_inertia) by the successive Schur blocks
     S_k = A_kk - mu I - C_k S_(k-1)^-1 C_k^T (Haynsworth inertia
-    additivity). A sector bitwise equal to an earlier one, in its diagonal,
-    coupling entries and bounds (_once_per_matrix), reuses that sector's
-    sweep for the sum and the record: the two QR/QRabi chains at eps = 0,
-    where the spin flip commutes with H, so the count and the record are
-    those of sweeping every sector. The band and the growth bound are
-    those of the whole matrix, whose largest entry of matrix - lam I is
-    the largest of every sector's |diag - lam| and |low|, as no entry
-    joins two states of one layer. An eigendirection of S_k that is
-    singular, or whose elimination would grow the next block by more than
-    LAYER_GROWTH * max(1, max|matrix - lam I|), is merged into the next
-    layer instead of eliminated, so a pending block can outgrow its layer.
-    With its bounds (Sector.floor, Sector.coupling; build sets them,
-    fock_ops._layer_bounds) a sector stops at the first layer k where its
-    matrix above layer k is at least floor[k] > mu and no eigenvalue w of
-    the pending block, which the sweep solves anyway, lies in
-    (0, coupling[k] / (floor[k] - mu)]: the count is then provably final,
-    the count so far plus #(w <= 0). A chain's pending block is its last
-    pivot, so a chain stops at the first row k where floor[k] > mu and
-    that pivot is not in (0, coupling[k] / (floor[k] - mu)]. It is still
-    the count of the box, the number the full sweep gives; only the layers
-    above go unswept.
-    Any other operator's matrix is checked for symmetry and takes one dense
-    symmetric-indefinite factorization, whose pivots within the tie band
-    are counted; its breakdown falls back to a full eigensolve with a
-    logged warning. One debug record per call names the route, the number
-    of layer merges and the pivots inside the tie band; the layered route
-    adds the number of sectors, the largest pending block order, the
-    deepest occupation layer any sector swept (depth) and the number of
-    sectors that closed before their last layer (closed).
+    additivity), A_kk the diagonal matrix of the layer's slice of
+    Sector.diag and C_k formed from its entries (Sector.low_blocks). The
+    largest entry of matrix - lam I is then the largest of every sector's
+    |diag - lam| and |low|, as no entry joins two states of one layer. An
+    eigendirection of S_k that is singular, or whose elimination would
+    grow the next block by more than LAYER_GROWTH * max(1, max|matrix -
+    lam I|), is merged into the next layer instead. A sweep stops at the
+    first layer whose bounds (Sector.floor, Sector.coupling) prove the
+    count final (_layered_inertia): it is still the count of the box, and
+    only the layers above go unswept. A sector bitwise equal to an earlier
+    one (_once_per_matrix), as the two QR/QRabi chains are at eps = 0,
+    reuses that sector's sweep for the sum and the record.
+    Any other operator's matrix is checked for symmetry and takes one
+    sytrf factorization, as an AB sector does. A factorization's breakdown
+    falls back to a full eigensolve with a logged warning. One debug record
+    per call names the route, the dimension, the number of layer merges
+    and the pivots inside the tie band (for the AB frame, of both
+    sectors); the layered route adds the number of sectors, the largest
+    pending block order, the deepest occupation layer any sector swept
+    (depth) and the number of sectors that closed before their last layer
+    (closed).
     """
     if not np.isfinite(lam):
         raise ValueError("threshold must be finite")
@@ -520,6 +521,11 @@ def count_below(op, lam):
         _check_symmetric(m)
         return _dense_count(m, lam)
     n = op.basis.dim
+    if isinstance(op.sectors[0], ABSector):
+        diag, c, _ = op.sectors[0]
+        tie = n * np.finfo(float).eps * max(1.0, np.abs(diag - lam).max(),
+                                            c.max(), -c.min())
+        return _sytrf_count((s.matrix() for s in op.sectors), lam, n, tie)
     scale = max([1.0] + [np.abs(s.diag - lam).max() for s in op.sectors]
                 + [np.abs(s.low).max() for s in op.sectors if s.low.size])
     tie = n * np.finfo(float).eps * scale
@@ -539,26 +545,38 @@ def count_below(op, lam):
 
 def _dense_count(m, lam):
     """count_below on a symmetric dense matrix by one sytrf factorization."""
+    return _sytrf_count([m], lam, m.shape[0])
+
+
+def _sytrf_count(mats, lam, n, tie=None):
+    """count_below as the sum over the symmetric dense matrices m of mats
+    of the pivots at most tie of one sytrf factorization of m - lam I, with
+    one debug record for the dimension n. tie is by default m's own band,
+    n macheps max(1, max|m - lam I|). Where sytrf breaks down, after a
+    logged warning, the eigenvalues of m at most lam + tie are counted."""
     import scipy.linalg  # loads at the first call, not with the package
-    n = m.shape[0]
-    # Fortran order so the factorization can work in place; the diagonal
-    # shift avoids materializing lam * I at large dimensions
-    shifted = np.array(m, dtype=float, order="F")
-    shifted.flat[:: n + 1] -= lam
-    tie = n * np.finfo(float).eps * max(1.0, shifted.max(), -shifted.min())
-    sytrf, = scipy.linalg.lapack.get_lapack_funcs(("sytrf",), (shifted,))
-    ldu, ipiv, info = sytrf(shifted, lower=0, overwrite_a=1)
-    if info < 0:
-        log.warning("sytrf failed with info=%d, falling back to eigensolve",
-                    info)
-        ev = np.sort(scipy.linalg.eigvalsh(m))
-        log.debug("count_below route=eigensolve dim=%d merges=0 ties=%d",
-                  n, np.count_nonzero(np.abs(ev - lam) <= tie))
-        return int(np.searchsorted(ev, lam + tie, side="right"))
-    block_ev = _block_eigenvalues(ldu, ipiv)
-    log.debug("count_below route=dense dim=%d merges=0 ties=%d",
-              n, np.count_nonzero(np.abs(block_ev) <= tie))
-    return int(np.count_nonzero(block_ev <= tie))
+    count = ties = 0
+    route = "dense"
+    for m in mats:
+        # Fortran order so the factorization can work in place; the
+        # diagonal shift avoids materializing lam * I at large dimensions
+        shifted = np.array(m, dtype=float, order="F")
+        shifted.flat[:: m.shape[0] + 1] -= lam
+        band = tie if tie is not None else n * np.finfo(float).eps * max(
+            1.0, shifted.max(), -shifted.min())
+        sytrf, = scipy.linalg.lapack.get_lapack_funcs(("sytrf",), (shifted,))
+        ldu, ipiv, info = sytrf(shifted, lower=0, overwrite_a=1)
+        if info < 0:
+            log.warning("sytrf failed with info=%d, falling back to "
+                        "eigensolve", info)
+            route = "eigensolve"
+            pivots = scipy.linalg.eigvalsh(m) - lam
+        else:
+            pivots = _block_eigenvalues(ldu, ipiv)
+        count += int(np.count_nonzero(pivots <= band))
+        ties += int(np.count_nonzero(np.abs(pivots) <= band))
+    log.debug("count_below route=%s dim=%d merges=0 ties=%d", route, n, ties)
+    return count
 
 
 def _verdict(counts):

@@ -135,12 +135,13 @@ def empirical_counting(spec, lambdas,
                        reliable_fraction=DEFAULT_RELIABLE_FRACTION, jobs=1):
     """Counting function versus the two-term prediction on a lambda grid.
 
-    Counts come from the inertia of the truncated operator, built once.
-    For every family but the AB frame (stored dense) build forms only the
-    occupation-layer blocks of each parity sector, and each threshold takes
-    one sweep per sector, a Sturm recurrence on a chain and Schur
-    complements otherwise (count_below): no dense matrix is assembled, so
-    only the budget on build's arrays caps the cutoff. A Schur sweep stops at
+    Counts come from the inertia of the truncated operator, built once as
+    its parity sectors, and no dense matrix of the whole operator is
+    assembled (count_below). The AB frame's two sectors take one dense
+    factorization each per threshold. The other families' sectors take one
+    sweep each, a Sturm recurrence on a chain and Schur complements over
+    the occupation layers otherwise, so only the budget on build's arrays
+    caps their cutoff. A Schur sweep stops at
     the first layer above which a lower bound of the operator
     (fock_ops._layer_bounds) proves that no layer can change its count, so
     a low threshold sweeps only the low layers; the count is still the

@@ -131,6 +131,13 @@ def test_laguerre_zeros_command(tmp_path):
     check_schema(doc, load_schema("laguerre_zeros"))
 
 
+def test_laguerre_zeros_command_above_two_to_the_fourteenth(tmp_path):
+    # degree 4128 is the first with a zero above 2^14, certified by a sign
+    # change where the residual test cannot pass
+    z = run_json(tmp_path, ["laguerre-zeros", "--degree", "4128"])["zeros"]
+    assert len(z) == 4128 and z == sorted(set(z))
+
+
 def test_avoid_seq_command(tmp_path):
     doc = run_json(tmp_path, ["avoid-seq", "--x0", "0.5", "--jmax", "3"])
     assert [e["k"] for e in doc["entries"]] == [2, 15, 37]
@@ -791,7 +798,7 @@ def test_laguerre_zeros_work_cap(tmp_path, capsys, monkeypatch):
         == [2, 15]
     expect_error(capsys, avoid + ["3"], 9, "ResourceError")
     assert 37 not in scans
-    # degree 21474836 passes the 2 GiB check but is 4 degree^2 = 1.8e15
+    # degree 21474836 passes the 2 GiB check but is 6 degree^2 = 2.8e15
     # operations: the cap as it stands refuses it
     monkeypatch.undo()
     assert specfun.MAX_ZEROS_WORK < 4 * 21474836 ** 2

@@ -6,9 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from rabispec import errors, fock_ops
+from rabispec import errors, fock_ops, spectral_analysis
 from rabispec.errors import ModelSpecError, ResourceError
 from rabispec.fock_ops import (
     BasisDescriptor,
@@ -21,6 +22,7 @@ from rabispec.fock_ops import (
     parity_matrix,
 )
 from rabispec.overlaps import displacement_matrix
+from rabispec.spectral_analysis import ab_spectra
 
 # ------------------------------------------------------- basis oracles
 # Index arithmetic and mode operators on a BasisDescriptor (spin slowest,
@@ -332,35 +334,43 @@ def test_displaced_frame_block_structure():
 def test_ab_sectors_are_the_symmetric_parity_halves_of_the_frame(
         a, g1, g2, eps, cut):
     spec = ModelSpec.ab_frame(a, g1, g2, eps, cut)
-    plus, minus = next(fock_ops.ab_sector_pairs([spec]))
-    m = build(spec).matrix
+    op = build(spec)
+    plus, minus = (s.matrix() for s in op.sectors)
+    m = op.matrix
     d = cut + 1
     # sector s is P + eps beta1 + s C diag((-1)^k), with C = eps beta2 D
-    # the frame's coupling block, entry for entry
+    # the frame's coupling block, bit for bit
     signed = m[:d, d:] * (-1.0) ** np.arange(d)
-    assert np.array_equal(plus, m[:d, :d] + signed)
-    assert np.array_equal(minus, m[:d, :d] - signed)
+    assert np.array_equal(plus.view(np.int64),
+                          (m[:d, :d] + signed).view(np.int64))
+    assert np.array_equal(minus.view(np.int64),
+                          (m[:d, :d] - signed).view(np.int64))
     # bitwise symmetric, sign bits of zeros included
     for h in (plus, minus):
         assert np.array_equal(h.view(np.int64), h.T.view(np.int64))
-    merged = np.sort(np.concatenate([np.linalg.eigvalsh(h)
-                                     for h in (plus, minus)]))
-    assert np.allclose(merged, np.linalg.eigvalsh(m), rtol=0, atol=1e-11)
+    # ab_spectra solves the two sectors of the build, sector 0 holding +1
+    (values, which), = ab_spectra([spec])
+    for i, h in enumerate((plus, minus)):
+        assert np.array_equal(values[which == i],
+                              np.sort(scipy.linalg.eigvalsh(h)))
+    assert np.allclose(values, np.linalg.eigvalsh(m), rtol=0, atol=1e-11)
 
 
 def test_ab_sectors_refuse_like_build(monkeypatch):
     with pytest.raises(ValueError, match="AB frame"):
-        next(fock_ops.ab_sector_pairs([ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 8)]))
+        ab_spectra([ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 8)])
     with pytest.raises(ModelSpecError):
-        next(fock_ops.ab_sector_pairs(
-            [ModelSpec.ab_frame(1.0, -1.0, 1.0, 0.1, 8)]))
+        ab_spectra([ModelSpec.ab_frame(1.0, -1.0, 1.0, 0.1, 8)])
     # the dense frame's budget: dimension 42 fits, 44 does not
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 42 ** 2)
-    assert len(next(fock_ops.ab_sector_pairs(
-        [ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 20)]))) == 2
-    with pytest.raises(ResourceError, match="dense matrix of dimension 44"):
-        next(fock_ops.ab_sector_pairs(
-            [ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 21)]))
+    fits = ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 20)
+    assert len(build(fits).sectors) == 2
+    assert ab_spectra([fits])[0][0].size == 42
+    over = ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 21)
+    for refused in (lambda: build(over), lambda: ab_spectra([over])):
+        with pytest.raises(ResourceError,
+                           match="dense matrix of dimension 44"):
+            refused()
 
 
 def test_ab_sector_pairs_share_one_displacement_matrix(monkeypatch):
@@ -373,15 +383,19 @@ def test_ab_sector_pairs_share_one_displacement_matrix(monkeypatch):
         formed.append(args)
         return displacement_matrix(*args)
 
-    monkeypatch.setattr(fock_ops, "displacement_matrix", counted)
-    pairs = list(fock_ops.ab_sector_pairs(specs))
+    monkeypatch.setattr(spectral_analysis, "displacement_matrix", counted)
+    spectra = ab_spectra(specs)
     assert formed == [(60, -0.8)]
     monkeypatch.undo()
-    for spec, pair in zip(specs, pairs):
-        for got, want in zip(pair, next(fock_ops.ab_sector_pairs([spec]))):
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # each model's values are bitwise those of its build's sectors
+    for spec, (values, which) in zip(specs, spectra):
+        for i, sector in enumerate(build(spec).sectors):
+            assert np.array_equal(
+                values[which == i].view(np.int64),
+                np.sort(scipy.linalg.eigvalsh(sector.matrix())).view(
+                    np.int64))
     # every spec is checked before D is formed
-    monkeypatch.setattr(fock_ops, "displacement_matrix", counted)
+    monkeypatch.setattr(spectral_analysis, "displacement_matrix", counted)
     formed.clear()
     for bad, err in ((ModelSpec.ab_frame(-0.8, 1.0, -1.0, 0.1, 61),
                       ValueError),
@@ -390,8 +404,30 @@ def test_ab_sector_pairs_share_one_displacement_matrix(monkeypatch):
                      (ModelSpec.ab_frame(-0.8, -1.0, 1.0, 0.1, 60),
                       ModelSpecError)):
         with pytest.raises(err):
-            next(fock_ops.ab_sector_pairs(specs + [bad]))
+            ab_spectra(specs + [bad])
     assert formed == []
+
+
+@pytest.mark.parametrize("cut", [60, 200, 255, 400])
+def test_ab_build_peaks_within_its_dense_check(cut):
+    # build holds D and the sectors' shared coupling block, half the
+    # 8 dim^2 bytes of the frame it checks; reading op.matrix writes the
+    # frame into one zeroed array, its own check plus a few kilobytes
+    spec = ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, cut)
+    checked = 8 * spec.basis().dim ** 2
+    tracemalloc.start()
+    try:
+        op = build(spec)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        kept = tracemalloc.get_traced_memory()[0]
+        m = op.matrix
+        read = tracemalloc.get_traced_memory()[1] - kept
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (spec.basis().dim,) * 2
+    assert built <= checked
+    assert checked <= read <= checked + 4096
 
 
 def test_parity_commutes_with_two_level_builds():
@@ -605,8 +641,6 @@ def test_sector_labels_follow_the_coupling_tree():
 
 
 def test_layers_declared_only_by_layered_builds(tmp_path):
-    ab = build(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 8))
-    assert ab.sectors is None
     path = tmp_path / "xi.bin"
     export_matrix(build(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (3, 3))),
                   path)

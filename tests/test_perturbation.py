@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rabispec import errors, fock_ops, perturbation
+from rabispec import errors, perturbation, spectral_analysis
 from rabispec.errors import ResourceError, UsageError
 from rabispec.fock_ops import ModelSpec, build
 from rabispec.overlaps import displacement_matrix
@@ -247,7 +247,7 @@ def ab_sector_spectrum(params, eps, cutoff, sector):
     The parity here is spin-flip times mode-number parity; sector +1 carries
     the states whose spin part is the symmetric combination on even modes.
     Reduction: H_s = P + e beta1 + s e beta2 D diag((-1)^k), formed by
-    fock_ops.ab_sector_pairs, bitwise symmetric by the overlap antisymmetry.
+    fock_ops.ABSector, bitwise symmetric by the overlap antisymmetry.
     """
     if sector not in (+1, -1):
         raise ValueError("sector must be +1 or -1")
@@ -312,7 +312,7 @@ def test_sector_union_recovers_full_spectrum():
 
 def _symmetrized_sector(params, eps, cutoff, sector):
     """The sector matrix as ab_sector_spectrum formed it itself, before
-    fock_ops.ab_sector_pairs: symmetrized by 0.5 (h + h^T)."""
+    fock_ops.ABSector: symmetrized by 0.5 (h + h^T)."""
     lam = np.arange(cutoff + 1) + 0.5
     d = displacement_matrix(cutoff, params.alpha)
     signs = (-1.0) ** np.arange(cutoff + 1)
@@ -383,7 +383,7 @@ def test_signed_splitting_first_order_dominates():
 
 
 def test_fd_oracles_form_one_displacement_matrix_per_eps(monkeypatch):
-    # every eps of one call comes from one fock_ops.ab_sector_pairs, so one
+    # every eps of one call comes from one ab_spectra, so one
     # displacement matrix per call, and the values are bitwise those of
     # ab_sector_spectrum sector by sector
     calls = Counter()
@@ -399,7 +399,8 @@ def test_fd_oracles_form_one_displacement_matrix_per_eps(monkeypatch):
         def level(eps, sector):
             return ab_sector_spectrum(p, eps, 120, sector)[N]
 
-        monkeypatch.setattr(fock_ops, "displacement_matrix", counted)
+        monkeypatch.setattr(spectral_analysis, "displacement_matrix",
+                            counted)
         calls.clear()
         gap = fd_signed_splitting(N, p, 0.03, cutoff=120)
         assert calls["d"] == 1
@@ -447,7 +448,8 @@ def test_fd_pair_slopes_form_one_displacement_matrix(monkeypatch):
     for params, N, cutoff in ((RabiParameters(0.9, 1.0, -0.6), 0, 120),
                               (RabiParameters(-0.7, 1.2, 0.3), 3, 120),
                               (STD, 2, 240)):
-        monkeypatch.setattr(fock_ops, "displacement_matrix", counted)
+        monkeypatch.setattr(spectral_analysis, "displacement_matrix",
+                            counted)
         calls.clear()
         got = fd_pair_slopes(N, params, cutoff=cutoff)
         assert calls["d"] == 1

@@ -10,7 +10,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from rabispec import errors, specfun
-from rabispec.errors import DegenerateInput, PrecisionError, ResourceError
+from rabispec.errors import (DegenerateInput, NumericError, PrecisionError,
+                             ResourceError)
 from rabispec.specfun import (
     LADDER,
     MAX_COMBINED_DEGREE,
@@ -127,6 +128,29 @@ def test_laguerre_zeros_are_certified_roots():
     mids = 0.5 * (z[:-1] + z[1:])
     mv = np.array([laguerre_poly(12, x) for x in mids])
     assert np.all(mv[:-1] * mv[1:] < 0)
+
+
+def test_zeros_above_two_to_the_fourteenth_are_certified_by_a_sign_change(
+        monkeypatch):
+    # above 2^14 doubles are 3.6e-12 apart: the one zero of L_4128 there
+    # fails the absolute residual test, and L_4128 changes sign within two
+    # spacings of it
+    z = laguerre_zeros(4128)
+    assert z.size == 4128 and np.all(np.diff(z) > 0)
+    bad = specfun._fails_residual(4128, z)
+    assert np.count_nonzero(bad) == 1 and z[bad][0] > 2.0 ** 14
+    assert specfun._brackets_a_zero(4128, z[bad]).all()
+    # a large zero moved by 1e-6 after the Newton steps fails the residual
+    # test and has no sign change within two spacings
+    residual = specfun._fails_residual
+
+    def moved(N, zeros):
+        zeros[-1] += 1e-6
+        return residual(N, zeros)
+
+    monkeypatch.setattr(specfun, "_fails_residual", moved)
+    with pytest.raises(NumericError, match="degree 500"):
+        laguerre_zeros(500)
 
 
 def test_laguerre_zeros_rejects_degree_zero():

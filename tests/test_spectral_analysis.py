@@ -2,6 +2,7 @@
 inertia counting, and the unit-interval census."""
 
 import logging
+import logging.handlers
 import math
 import re
 import tracemalloc
@@ -168,7 +169,8 @@ def test_ab_converged_spectrum_matches_dense_growth(spec, m):
     got = converged_spectrum(spec, m, 1e-10)
 
     def dense(cutoffs):
-        return eigen_spectrum(build(spec.with_cutoffs(cutoffs))), None
+        frame = build(spec.with_cutoffs(cutoffs)).matrix
+        return np.sort(scipy.linalg.eigvalsh(frame)), None
 
     want = spectral_analysis._converge(spec, m, 1e-10, None, dense)
     assert got.cutoffs_used == want.cutoffs_used
@@ -1201,11 +1203,10 @@ def test_count_below_dense_route_without_layer_structure(caplog, tmp_path):
     rng = np.random.default_rng(2025)
     a = rng.standard_normal((30, 30))
     c10 = TruncatedOperator(BasisDescriptor(1, (14,), 2), 0.5 * (a + a.T))
-    ab = build(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 20))
     # a loaded matrix declares no layers even where build would have
     path = tmp_path / "qr.bin"
     export_matrix(build(ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 20)), path)
-    for op in (c10, ab, load_matrix(path)):
+    for op in (c10, load_matrix(path)):
         assert op.sectors is None
         caplog.clear()
         got = count_below(op, 0.5)
@@ -1213,6 +1214,63 @@ def test_count_below_dense_route_without_layer_structure(caplog, tmp_path):
         assert len(recs) == 1
         assert recs[0].getMessage().startswith("count_below route=dense ")
         assert got == _dense_count(op.matrix, 0.5)
+
+
+def _count_below_records(op, lam):
+    """(count_below(op, lam), the messages it logged)."""
+    records = logging.handlers.BufferingHandler(10)
+    logger = logging.getLogger(spectral_analysis.__name__)
+    level = logger.level
+    logger.addHandler(records)
+    logger.setLevel(logging.DEBUG)
+    try:
+        got = count_below(op, lam)
+    finally:
+        logger.removeHandler(records)
+        logger.setLevel(level)
+    return got, [r.getMessage() for r in records.buffer]
+
+
+def _frame_tie(op, lam):
+    """The tie band of an AB build's whole frame at lam."""
+    m = op.matrix - lam * np.eye(op.basis.dim)
+    return op.basis.dim * np.finfo(float).eps * max(1.0, np.abs(m).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 2.0), st.booleans(),
+       st.sampled_from([0.0, 1e-6, -1e-6, 0.03, -0.03, 0.2]),
+       st.sampled_from([(1.0, -1.0), (0.5, -0.2), (1.2, 1.1)]),
+       st.integers(1, 60), st.floats(-2.0, 64.0))
+def test_ab_sector_count_is_the_frames_dense_count(alpha, negative, eps,
+                                                   gammas, cut, lam):
+    # the sum of the two sectors' sytrf counts is the count of the whole
+    # frame, the dense oracle, at every threshold farther than the frame's
+    # tie band from its eigenvalues, and each call logs one record
+    op = build(ModelSpec.ab_frame(-alpha if negative else alpha, *gammas,
+                                  eps, cut))
+    frame = op.matrix
+    assume(np.min(np.abs(np.linalg.eigvalsh(frame) - lam))
+           > _frame_tie(op, lam))
+    got, records = _count_below_records(op, lam)
+    assert got == _dense_count(frame, lam)
+    assert len(records) == 1
+    assert re.fullmatch(r"count_below route=dense dim=%d merges=0 ties=\d+"
+                        % frame.shape[0], records[0])
+
+
+def test_ab_count_takes_the_frame_tie_band_and_both_sectors():
+    # at eps = 0 both sectors are diag(n + 1/2), so the pivots of
+    # H_s - lam I are n + 1/2 - lam. 0.75 of the frame's band below level
+    # 3.5, both copies of it are counted; a band of a sector's dimension,
+    # half the frame's, would miss them, and 1.5 bands below, neither is
+    op = build(ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.0, 20))
+    for below, want, ties in ((0.75, 8, 2), (1.5, 6, 0)):
+        lam = 3.5 - below * _frame_tie(op, 3.5)
+        got, records = _count_below_records(op, lam)
+        assert got == want == _dense_count(op.matrix, lam)
+        assert records == ["count_below route=dense dim=42 merges=0 ties=%d"
+                           % ties]
 
 
 def test_count_below_rejects_asymmetric_banded_matrix():

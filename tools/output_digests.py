@@ -18,7 +18,10 @@ The outputs digested are
   its eigen_spectrum, its count_below at COUNT_THRESHOLDS and the DEBUG
   records of those counts;
 * for each of three deep boxes (DEEP), its count_below at DEEP_THRESHOLDS
-  and the DEBUG records of those counts.
+  and the DEBUG records of those counts;
+* for each of four AB frame models (AB), the dense matrix of its build
+  and its count_below at AB_THRESHOLDS, and one `weyl --family abframe`
+  run (AB_WEYL).
 
 BLAS runs on one thread, as in the benchmark. An op that raises is
 digested by its exception's type and message.
@@ -84,6 +87,19 @@ DEEP = {
     "qr-cutoff20000": ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 20000),
 }
 DEEP_THRESHOLDS = (5.0, 10.0, 20.0)
+
+# the AB frame: c03's model, a negative alpha and eps, eps = 0, where the
+# coupling vanishes and the spectrum is n + 1/2 twice, and a cutoff of 300
+AB = {
+    "c03": ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 30),
+    "negative-alpha": ModelSpec.ab_frame(-0.8, 0.5, -0.2, -0.07, 40),
+    "eps0": ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.0, 30),
+    "cutoff300": ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 300),
+}
+AB_THRESHOLDS = (-1.3, 0.7, 3.3, 9.8, 14.2, 40.4, 140.6)
+AB_WEYL = ["weyl", "--family", "abframe", "--alpha", "1", "--gamma1", "1",
+           "--gamma2=-1", "--eps", "0.1", "--cutoff", "400", "--lambdas",
+           "5,50,120,190"]
 
 
 def _encode(value, out):
@@ -180,6 +196,12 @@ def outputs(seeds):
         yield "layered/%s" % name, layered_outputs(spec)
     for name, spec in DEEP.items():
         yield "deep/%s" % name, counts(build(spec), DEEP_THRESHOLDS)
+    for name, spec in AB.items():
+        op = build(spec)
+        yield "ab/%s" % name, (hashlib.sha256(memoryview(op.matrix))
+                               .hexdigest(),
+                               [count_below(op, lam) for lam in AB_THRESHOLDS])
+    yield "ab/weyl", run_cli(AB_WEYL)
 
 
 def cli(argv=None):
