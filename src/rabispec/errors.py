@@ -67,6 +67,11 @@ class ResourceError(RabispecError):
 # dimension 16 384), and every other work-array check uses it too
 DENSE_BUDGET_BYTES = 2 * 1024 ** 3
 
+# the Python objects (array headers, LAPACK wrappers, small lists) that a
+# routine holds beside the arrays its count itemizes, a few kilobytes: a
+# count that must bound the traced peak at small sizes adds them
+OBJECT_BYTES = 8 * 1024
+
 
 def check_budget(what, need):
     """Raise ResourceError when need bytes exceed DENSE_BUDGET_BYTES; what

@@ -362,29 +362,6 @@ def _labels(occupations, sigma):
                                 weights @ (occupations % 2)).ravel()
 
 
-def _group_sizes(spec, sigma):
-    """grid[s, N]: the number of basis states in parity sector s and
-    occupation layer N of a QR, QRabi, Xi, Lambda or Vee model, whose
-    _far_sides table is sigma.
-
-    Bit k - 1 of s is (n_k + sigma_k(level)) mod 2 (sector_labels), so the
-    states of one level in sector s have n_k of a fixed parity in every
-    mode, and their layer sizes are the convolution over the modes of the
-    indicators of the even or the odd occupations 0..cutoff_k. No
-    basis-length array is formed.
-    """
-    ones = [[np.arange(c + 1) % 2 == p for p in (0, 1)] for c in spec.cutoffs]
-    grid = np.zeros((2 ** spec.modes, sum(spec.cutoffs) + 1), dtype=np.intp)
-    for s in range(2 ** spec.modes):
-        for level in range(spec.spin_dim):
-            counts = np.ones(1, dtype=np.intp)
-            for k, parity in enumerate(ones):
-                counts = np.convolve(counts,
-                                     parity[(s >> k & 1) ^ sigma[k, level]])
-            grid[s] += counts
-    return grid
-
-
 def _layer_bounds(spec, levels, n_layers):
     """The Sector bounds (floor, coupling) of every occupation layer
     L = 0 .. n_layers - 1 of a layered model whose levels sit at levels.
@@ -418,6 +395,21 @@ def _layer_bounds(spec, levels, n_layers):
     return floor, 0.5 * s * (layer + 1.0) * slack
 
 
+def check_build_budget(spec):
+    """Raise ModelSpecError for a malformed spec, and ResourceError where
+    build(spec) would exceed errors.DENSE_BUDGET_BYTES, before any array is
+    formed: for the AB frame when its dense matrix would (its sectors and
+    the displacement matrix take half of that), for a layered family when
+    the arrays of its build would, counted from the spec alone
+    (_build_bytes)."""
+    spec.validate()
+    if spec.family == AB_FRAME:
+        check_dense_budget(spec.basis())
+    else:
+        check_budget("occupation-layer blocks of dimension %d need"
+                     % spec.basis().dim, _build_bytes(spec))
+
+
 def build(spec):
     """Assemble the truncated Hamiltonian for the given ModelSpec.
 
@@ -427,44 +419,43 @@ def build(spec):
     Every layered family has one Sector per sector_labels value, 2^modes in
     all: QR and QRabi have two, the "+" and the "-" parity chain
     (Sector.chain). The basis indices are ordered by sector, then layer,
-    and the diagonal of all sectors is one vector in that order. Each
+    by one stable argsort of the group key label * n_layers + occupation,
+    whose bincount sizes the groups, and the diagonal of all sectors is one
+    vector in that order. Each
     coupling's ladder arrays become entries (position of the upper state,
     position of the lower state, value) in that order, and one stable
     argsort sorts them by row. Each sector is a slice of the order, the
     diagonal and the entries, its positions counted from its own first
     state, with its empty layers at either end dropped, and carries its
     first occupation and its per-layer bounds (_layer_bounds).
-    Two budgets apply, each checked before allocating: build raises
-    ResourceError when the AB frame's dense matrix would exceed
-    errors.DENSE_BUDGET_BYTES (its sectors and the displacement matrix
-    take half of that), or when a layered build's arrays would, counted
-    from the spec alone (_build_bytes) before any array is formed; reading
-    op.matrix checks the dense matrix itself.
+    The spec and its budget are checked before any array is formed
+    (check_build_budget); reading op.matrix checks the dense matrix
+    itself.
     """
-    spec.validate()
+    check_build_budget(spec)
     basis = spec.basis()
     if spec.family == AB_FRAME:
-        check_dense_budget(basis)
         return TruncatedOperator(basis, None, ab_sectors(
             spec, displacement_matrix(spec.cutoffs[0], spec.alphas[0])))
-    check_budget("occupation-layer blocks of dimension %d need" % basis.dim,
-                 _build_bytes(spec))
     sigma = _far_sides(spec.family, spec.spin_dim)
-    grid = _group_sizes(spec, sigma)
     # QR/QRabi scale their levels by eps; the N-level families carry the
     # bare (0, gammas...) and eps only enters the subprincipal analysis
     if spec.family in (QR, QRABI):
         levels = spec.eps * np.asarray(spec.gammas)
     else:
         levels = np.concatenate(([0.0], np.asarray(spec.gammas)))
-    n_layers = grid.shape[1]
+    n_layers = sum(spec.cutoffs) + 1
     msd = basis.mode_space_dim
     occupations = np.indices(basis.mode_dims).reshape(spec.modes, -1)
     occ = occupations.sum(axis=0)
-    # the basis indices ordered by (sector, layer) group, and the position
-    # of every index in that order
-    order = np.argsort(_labels(occupations, sigma) * n_layers
-                       + np.tile(occ, spec.spin_dim), kind="stable")
+    # the basis indices ordered by (sector, layer) group, the size of every
+    # group, and the position of every index in that order
+    group = (_labels(occupations, sigma) * n_layers
+             + np.tile(occ, spec.spin_dim))
+    order = np.argsort(group, kind="stable")
+    grid = np.bincount(group, minlength=2 ** spec.modes * n_layers).reshape(
+        2 ** spec.modes, n_layers)
+    del group
     at = np.empty_like(order)
     at[order] = np.arange(basis.dim)
     # the harmonic diagonal sum_j (n_j + 1/2): half-integers, so exact
@@ -521,8 +512,8 @@ def _build_bytes(spec):
       which both share (_entries), and their concatenations, 2 each of
       rows, cols and values; the argsort and the permuted arrays, one at a
       time, take less;
-    * per (sector, layer) group, 2: grid, and the two layer rows
-      _group_sizes convolves;
+    * per (sector, layer) group, 2: grid, the bincount of the group key,
+      and the layer sizes the sectors keep from it;
     * per layer, 6: floor, coupling and the temporaries of _layer_bounds.
     """
     basis = spec.basis()

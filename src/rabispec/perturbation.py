@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ModelSpecError, UsageError, check_budget
+from .errors import OBJECT_BYTES, ModelSpecError, UsageError, check_budget
 from .fock_ops import ModelSpec, build
 from .overlaps import diagonal_overlap_ratio, displacement_matrix
 from .spectral_analysis import ab_spectra
@@ -115,14 +115,14 @@ class QuasimodeForm(NamedTuple):
 def _spectral_cutoff(N, K, what, arrays, vectors):
     """K, N + DEFAULT_SPECTRAL_CUTOFF_MARGIN by default, once the budget
     admits what: arrays float arrays of (K + 1)^2 entries and vectors of
-    K + 1 (check_budget), the most of each held at once; the few kilobytes
-    of Python objects are left out."""
+    K + 1, the most of each held at once, and errors.OBJECT_BYTES of
+    Python objects (check_budget)."""
     if K is None:
         K = N + DEFAULT_SPECTRAL_CUTOFF_MARGIN
     if K <= N:
         raise ValueError("spectral cutoff K must exceed the level N")
     check_budget("%s at K = %d need" % (what, K),
-                 8 * (arrays * (K + 1) + vectors) * (K + 1))
+                 8 * (arrays * (K + 1) + vectors) * (K + 1) + OBJECT_BYTES)
     return K
 
 

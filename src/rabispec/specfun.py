@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DegenerateInput, NumericError, PrecisionError,
-                     ResourceError, check_budget)
+from .errors import (OBJECT_BYTES, DegenerateInput, NumericError,
+                     PrecisionError, ResourceError, check_budget)
 
 LADDER = "ladder"
 PHYSICISTS = "physicists"
@@ -36,13 +36,17 @@ MAX_COMBINED_DEGREE = 120
 ZERO_PROXIMITY_TOL = 1e-10
 
 # Work bytes per degree, counted from the code: laguerre_zeros holds at most
-# 12 float arrays and 4 boolean arrays of length N at once (diag, off, z and
-# the scan's five buffers, or L, L_(N-1), logscale, deriv and the residual
-# test's temporaries; the sign-change scans take 11 and 2). The Sturm
+# 13 float arrays and 4 boolean arrays of length N at once, beside
+# errors.OBJECT_BYTES of Python objects: diag, off and z throughout, with
+# the second Newton step's scan (its five buffers, the rescaling factors and
+# their log, and its mask) beside the first step's L, L_(N-1) and deriv,
+# or with the residual test's ten (L, L_(N-1), logscale, deriv, log_deriv,
+# true_L, true_d and three temporaries) and its masks; the sign-change
+# scans take fewer. The Sturm
 # sweeps of avoid-seq hold no per-degree arrays; _STURM_BYTES_PER_DEGREE
 # keeps the exit-9 limit on kcap (near 65 million at 2 GiB) scaled with
 # errors.DENSE_BUDGET_BYTES, until a bound on the sweep time replaces it.
-_ZEROS_BYTES_PER_DEGREE = 12 * 8 + 4
+_ZEROS_BYTES_PER_DEGREE = 13 * 8 + 4
 _STURM_BYTES_PER_DEGREE = 4 * 8 + 1
 
 # Work of laguerre_zeros in operations, counted from the code: about
@@ -142,7 +146,7 @@ def laguerre_zeros(N):
     if N < 1:
         raise ValueError("degree must be at least 1")
     check_budget("Laguerre zeros of degree %d need" % N,
-                 _ZEROS_BYTES_PER_DEGREE * N)
+                 _ZEROS_BYTES_PER_DEGREE * N + OBJECT_BYTES)
     work = _ZEROS_WORK_PER_DEGREE_SQUARED * N * N
     if work > MAX_ZEROS_WORK:
         raise ResourceError(

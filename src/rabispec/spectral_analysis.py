@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CoverageError, ResourceError, check_budget
 from .fock_ops import (AB_FRAME, QR, QRABI, ABSector, ab_sectors, build,
-                       check_dense_budget)
+                       check_build_budget, check_dense_budget)
 from .overlaps import displacement_matrix
 
 log = logging.getLogger(__name__)
@@ -218,35 +218,31 @@ def _stable_prefix(prev, cur, m, tol):
     return mm if bad.size == 0 else int(bad[0])
 
 
-def _converge(spec, m, tol, cap, solve):
-    """Cutoff-growth driver. solve(cutoffs) -> (values, labels or None),
-    one value per basis state.
+def _converge(spec, m, tol, cap):
+    """Cutoff-growth driver: (Spectrum without labels, sector number of
+    each eigenvalue).
 
-    The cutoffs grow from spec.cutoffs (_grow) until the first m values of
+    The steps grow from spec.cutoffs (_grow) until the first m values of
     two consecutive steps agree to tol (stop "stable"), or up to the cap
     (stop "cap", a partial result). A step with a cutoff below 1, which no
-    model admits, is the last one too. A growth step is solved only when
-    its values are compared or returned: the comparison at step i can find
-    m stable values only if step i - 1 has at least m, so step i is
-    compared only then, and the steps below the first of dimension m or
-    more are skipped, build and eigensolve included. A partial result
-    reports the stable prefix of its step against the step before, which
-    is then solved if it was skipped.
+    model admits, is the last one too. Before any step is built, the
+    growth is planned: each step's budget is checked from its spec
+    (check_build_budget, and for every family but QR and QRabi the dense
+    matrix, check_dense_budget), and the plan ends before the first step
+    refused (stop "budget", a partial result of the last step planned); a
+    refused first step raises.
 
-    A step that the budget refuses (ResourceError) ends the growth like the
-    cap does, with the partial result of the latest admitted step (stop
-    "budget"); a refused first step raises. The budget checks grow with
-    the cutoffs, and no step lowers a cutoff but the second, when the first
-    has one above the cap; the second step is then compared whatever the
-    dimensions, so a refusal of the first is met there. Every step after a
-    refused one is thus refused too, and a refusal met at a solved step is
-    traced back through the skipped steps below it, solving them in
-    descending order, to the latest admitted one. Every exit returns what
-    solving every step in turn returns.
+    A step is solved (_solve_sectors of its build) only when its values
+    are compared or returned: the comparison at step i can find m stable
+    values only if step i - 1 has at least m, so step i is compared only
+    then, or as the last step of the plan, or as the second step when the
+    first is above the cap (the second lowers it). Each compared step is
+    solved with the step before it, once, and every exit returns what
+    solving every step of the plan in turn returns.
 
-    One debug record per call that returns or meets a refusal names the
-    stop reason, the cutoffs tried, those solved, and the stable prefix at
-    each comparison.
+    One debug record per call names the stop reason, the cutoffs tried (up
+    to the returned step, and the refused one), those solved, and the
+    stable prefix at each comparison.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -255,61 +251,55 @@ def _converge(spec, m, tol, cap, solve):
     if cap is None:
         cap = SINGLE_MODE_CAP if spec.modes == 1 else MULTI_MODE_CAP
     cuts = [spec.cutoffs]
+    refused = None
+    while True:
+        step = spec.with_cutoffs(cuts[-1])
+        try:
+            if spec.family not in (QR, QRABI):
+                check_dense_budget(step.basis())
+            check_build_budget(step)
+        except ResourceError as exc:
+            refused = exc
+            break
+        if all(c >= cap for c in cuts[-1]) or any(c < 1 for c in cuts[-1]):
+            break
+        cuts.append(_grow(cuts[-1], cap))
+    last = len(cuts) - 1 - (refused is not None)
     solved = {}
     stables = []
 
     def values(i):
         if i not in solved:
-            solved[i] = solve(cuts[i])
+            solved[i] = _solve_sectors(
+                build(spec.with_cutoffs(cuts[i])).sectors)
         return solved[i]
 
-    def stable_at(i):
-        if i == 0:
-            return 0
-        stable = _stable_prefix(values(i - 1)[0], values(i)[0], m, tol)
-        stables.append("%s:%d" % (_cutoff_text(cuts[i]), stable))
-        return stable
-
-    def record(stop):
+    def record(stop, tried):
         log.debug("converge stop=%s m=%d tried=%s solved=%s stable=%s", stop,
-                  m, ",".join(map(_cutoff_text, cuts)),
+                  m, ",".join(map(_cutoff_text, cuts[:tried])),
                   ",".join(_cutoff_text(cuts[i]) for i in sorted(solved)),
                   ",".join(stables))
 
-    i = 0
-    try:
-        while True:
-            last = (all(c >= cap for c in cuts[i])
-                    or any(c < 1 for c in cuts[i]))
-            compared = i > 0 and (
-                spec.with_cutoffs(cuts[i - 1]).basis().dim >= m
-                or i == 1 and max(cuts[0]) > cap)
-            if last or compared:
-                stable = stable_at(i)
-                if stable >= m or last:
-                    vals, labels = values(i)
-                    stop = "stable" if stable >= m else "cap"
-                    record(stop)
-                    return Spectrum(vals, labels, stable, cuts[i], spec,
-                                    partial=stop == "cap")
-            cuts.append(_grow(cuts[i], cap))
-            i += 1
-    except ResourceError as exc:
-        refused = exc
-    # stable_at solves step i - 1 before step i, so the refused step is the
-    # first of them not solved
-    first = i - 1 if i and i - 1 not in solved else i
-    for a in range(first - 1, -1, -1):
-        try:
-            values(a)
-        except ResourceError as exc:
-            refused = exc
+    if last < 0:
+        record("budget", 1)
+        raise refused
+    for i in range(last + 1):
+        compared = i > 0 and (
+            spec.with_cutoffs(cuts[i - 1]).basis().dim >= m
+            or i == 1 and max(cuts[0]) > cap)
+        if not (compared or i == last):
             continue
-        stable = stable_at(a)
-        record("budget")
-        return Spectrum(*values(a), stable, cuts[a], spec, partial=True)
-    record("budget")
-    raise refused
+        stable = 0
+        if i > 0:
+            stable = _stable_prefix(values(i - 1)[0], values(i)[0], m, tol)
+            stables.append("%s:%d" % (_cutoff_text(cuts[i]), stable))
+        if stable >= m or i == last:
+            vals, sector = values(i)
+            stop = ("stable" if stable >= m else
+                    "cap" if refused is None else "budget")
+            record(stop, len(cuts) if stop == "budget" else i + 1)
+            return Spectrum(vals, None, stable, cuts[i], spec,
+                            partial=stop != "stable"), sector
 
 
 def _cutoff_text(cutoffs):
@@ -322,55 +312,41 @@ def converged_spectrum(spec, m, tol, cap=None):
     """Spectrum with the first m eigenvalues certified stable to tol.
 
     Cutoffs grow geometrically (factor 1.5, rounded up) from the ones in the
-    ModelSpec. Hitting the cap, or a growth step whose dense matrix is over
-    errors.DENSE_BUDGET_BYTES (checked before the step is built), yields
-    a partial result: converged_count reports how long a prefix was stable
+    ModelSpec. Hitting the cap, or a growth step that the budget refuses
+    (build's, and for every family but QR and QRabi a dense matrix over
+    errors.DENSE_BUDGET_BYTES, checked before any step is built), yields a
+    partial result: converged_count reports how long a prefix was stable
     at the last comparison and the partial flag is set. A growth step is
     solved only when it is compared or returned (_converge): the steps with
     fewer than m eigenvalues are skipped until a partial result needs the
     one before its own. Every solved step solves the sectors of its build
-    (eigen_spectrum), the AB frame's two parity sectors included; QR and
-    QRabi are parity_split without the labels.
+    (_solve_sectors), the AB frame's two parity sectors and the two QR and
+    QRabi parity chains included; parity_split is the same result with
+    the labels.
     """
-    if spec.family in (QR, QRABI):
-        result = parity_split(spec, m, tol, cap)
-        result.parity = None
-        return result
-
-    def solve(cutoffs):
-        step = spec.with_cutoffs(cutoffs)
-        # refuse a step whose dense matrix is over budget before its
-        # sectors or layer blocks are formed
-        check_dense_budget(step.basis())
-        return eigen_spectrum(build(step)), None
-
-    return _converge(spec, m, tol, cap, solve)
+    return _converge(spec, m, tol, cap)[0]
 
 
 def parity_split(spec, m, tol, cap=None):
     """Converged spectrum with a parity label on every eigenvalue.
 
     The conserved parity splits a QR/QRabi Hamiltonian into two symmetric
-    tridiagonal chains, the two sectors of build: every growth step that
-    the driver compares or returns (_converge; the steps with fewer than m
-    values are skipped) builds the model, solves each chain and merges the
-    values sorted (_solve_sectors), "+" (sector 0) before "-" (sector 1) on
-    exact ties. At eps = 0 the spin flip commutes with H and the two chains
-    are bitwise one chain, which is then solved once and labelled both
-    ways; every value and label is what solving both gives. Other families
-    raise ValueError, a malformed spec ModelSpecError first.
+    tridiagonal chains, the two sectors of build: the growth is
+    converged_spectrum's (_converge), and each value of the returned step
+    is labelled by its chain, "+" (sector 0) before "-" (sector 1) on
+    exact ties (_solve_sectors). At eps = 0 the spin flip commutes with H
+    and the two chains are bitwise one chain, which is then solved once
+    and labelled both ways; every value and label is what solving both
+    gives. Other families raise ValueError before anything is built, a
+    malformed spec ModelSpecError first.
     """
-
-    def solve(cutoffs):
-        if spec.family not in (QR, QRABI):
-            spec.validate()
-            raise ValueError("parity splitting requires a QR-type two-level "
-                             "model")
-        op = build(spec.with_cutoffs(cutoffs))
-        vals, sector = _solve_sectors(op.sectors)
-        return vals, list(np.array(["+", "-"], dtype=object)[sector])
-
-    return _converge(spec, m, tol, cap, solve)
+    spec.validate()
+    if spec.family not in (QR, QRABI):
+        raise ValueError("parity splitting requires a QR-type two-level "
+                         "model")
+    result, sector = _converge(spec, m, tol, cap)
+    result.parity = list(np.array(["+", "-"], dtype=object)[sector])
+    return result
 
 
 def _block_eigenvalues(ldu, ipiv):

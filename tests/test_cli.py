@@ -707,9 +707,10 @@ def test_every_model_command_refuses_a_foreign_level_flag(capsys, argv,
 def test_quasimode_budget_is_checked_before_the_displacement_matrix(
         tmp_path, capsys, monkeypatch):
     # the budget patched to the count of K = 400: D, B and one of its
-    # blocks, 6 (K + 1)^2 doubles, and 18 vectors of K + 1, 7.8 MB
+    # blocks, 6 (K + 1)^2 doubles, 18 vectors of K + 1 and the Python
+    # objects, 7.8 MB
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
-                        8 * (6 * 401 + 18) * 401)
+                        8 * (6 * 401 + 18) * 401 + errors.OBJECT_BYTES)
     argv = ["quasimode", "--N", "1", "--alpha", "1", "--gamma1", "1",
             "--gamma2", "-1"]
     tracemalloc.start()
@@ -798,13 +799,19 @@ def test_laguerre_zeros_work_cap(tmp_path, capsys, monkeypatch):
         == [2, 15]
     expect_error(capsys, avoid + ["3"], 9, "ResourceError")
     assert 37 not in scans
-    # degree 21474836 passes the 2 GiB check but is 6 degree^2 = 2.8e15
-    # operations: the cap as it stands refuses it
+    # the largest degree the 2 GiB check admits, 19884032, is 6 degree^2
+    # = 2.4e15 operations: the cap as it stands refuses it
     monkeypatch.undo()
-    assert specfun.MAX_ZEROS_WORK < 4 * 21474836 ** 2
-    doc = expect_error(capsys, ["laguerre-zeros", "--degree", "21474836"], 9,
+    top = ((errors.DENSE_BUDGET_BYTES - errors.OBJECT_BYTES)
+           // specfun._ZEROS_BYTES_PER_DEGREE)
+    assert top == 19884032
+    assert specfun.MAX_ZEROS_WORK < 4 * top ** 2
+    doc = expect_error(capsys, ["laguerre-zeros", "--degree", str(top)], 9,
                        "ResourceError")
     assert "over the cap" in doc["message"]
+    doc = expect_error(capsys, ["laguerre-zeros", "--degree", str(top + 1)],
+                       9, "ResourceError")
+    assert "over the 2 GiB budget" in doc["message"]
 
 
 SMGES_XI = ["smges-check", "--family", "xi", "--alpha", "1,0.8",
@@ -1192,6 +1199,33 @@ def test_exit_codes_have_one_source_of_truth():
                                                    for c in classes)
     assert prop["exit_code"]["minimum"] == codes[0]
     assert prop["exit_code"]["maximum"] == codes[-1]
+
+
+def _times_ten(n):
+    """n as the README writes a power of ten: 600000000 as 6 · 10⁸."""
+    digits = str(n)
+    exp = len(digits) - len(digits.rstrip("0"))
+    return "%d · 10%s" % (n // 10 ** exp, str(exp).translate(
+        str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")))
+
+
+def test_readme_quotes_the_laguerre_work_cap():
+    # the exit-code row and the laguerre-zeros paragraph quote the cap and
+    # its count, and the largest degree the cap admits
+    text = README.read_text(encoding="utf-8")
+    table = text.split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    row, = re.findall(r"^\| 9 \|.*$", table, re.M)
+    per = specfun._ZEROS_WORK_PER_DEGREE_SQUARED
+    degree = math.isqrt(specfun.MAX_ZEROS_WORK // per)
+    assert per * degree ** 2 == specfun.MAX_ZEROS_WORK
+    cap = _times_ten(specfun.MAX_ZEROS_WORK)
+    assert ("whose work, %d degree² operations, is over the cap of %s "
+            "(degree %s," % (per, cap, format(degree, ",").replace(",", " "))
+            in row)
+    para = " ".join(text.split("`laguerre-zeros` time grows", 1)[1]
+                    .split("\n\n", 1)[0].split())
+    assert "counted as %d degree² operations" % per in para
+    assert "capped at %s" % cap in para
 
 
 def _num(v):

@@ -609,16 +609,20 @@ def test_sector_labels_split_the_kronecker_oracle(spec):
                          ids=lambda s: "%s-%s" % (
                              s.family, "x".join(map(str, s.cutoffs))))
 def test_group_sizes_count_the_labelled_basis(spec):
-    # the (sector, layer) sizes build checks its budget with, formed without
-    # basis-length arrays, against a count over every labelled basis state
+    # the (sector, layer) sizes of build against a count over every
+    # labelled basis state: sector s keeps its nonempty layers from first
     n_layers = sum(spec.cutoffs) + 1
     occ = np.tile(mode_occupation(spec.basis()), spec.spin_dim)
     want = np.bincount(fock_ops.sector_labels(spec) * n_layers + occ,
                        minlength=2 ** spec.modes * n_layers)
-    got = fock_ops._group_sizes(
-        spec, fock_ops._far_sides(spec.family, spec.spin_dim))
-    assert got.shape == (2 ** spec.modes, n_layers)
-    assert np.array_equal(got.ravel(), want)
+    want = want.reshape(2 ** spec.modes, n_layers)
+    sectors = build(spec).sectors
+    assert len(sectors) == 2 ** spec.modes
+    for row, s in zip(want, sectors):
+        got = np.zeros(n_layers, dtype=row.dtype)
+        got[s.first:s.first + s.sizes.size] = s.sizes
+        assert np.array_equal(got, row)
+        assert np.all(s.sizes > 0)
 
 
 def test_sector_labels_follow_the_coupling_tree():

@@ -127,7 +127,8 @@ def test_quasimode_form_vanishes_without_level_splitting():
 
 def test_quasimode_routines_refuse_a_cutoff_over_budget(monkeypatch):
     # quasimode_form counts D, (K + 1)^2 doubles, and 16 vectors of K + 1;
-    # quasimode_vectors D, B and one block, 6 (K + 1)^2, and 18 vectors
+    # quasimode_vectors D, B and one block, 6 (K + 1)^2, and 18 vectors;
+    # both add errors.OBJECT_BYTES
     formed = []
 
     def counted(*args):
@@ -135,7 +136,8 @@ def test_quasimode_routines_refuse_a_cutoff_over_budget(monkeypatch):
         return displacement_matrix(*args)
 
     monkeypatch.setattr(perturbation, "displacement_matrix", counted)
-    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * (101 + 16) * 101)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
+                        8 * (101 + 16) * 101 + errors.OBJECT_BYTES)
     with pytest.raises(ResourceError, match="form's arrays at K = 101 need"):
         quasimode_form(3, STD, K=101)
     # 8 (6 * 43 + 18) * 43 bytes, over the 8 (101 + 16) * 101 above
@@ -147,7 +149,7 @@ def test_quasimode_routines_refuse_a_cutoff_over_budget(monkeypatch):
     assert formed == [(100, STD.alpha), (41, STD.alpha)]
 
 
-@pytest.mark.parametrize("K", [400, 1000])
+@pytest.mark.parametrize("K", [2, 10, 61, 200, 400, 1000])
 @pytest.mark.parametrize("alpha", [1.0, -1.0])
 @pytest.mark.parametrize("routine, arrays, vectors", [
     (quasimode_form, 1, 16), (quasimode_vectors, 6, 18)],
@@ -156,9 +158,10 @@ def test_quasimode_budgets_bound_the_traced_peak(routine, arrays, vectors,
                                                  alpha, K, monkeypatch):
     # the budget patched to the count at K: the routine peaks within it,
     # and K + 1 is refused before its arrays are formed
-    need = 8 * (arrays * (K + 1) + vectors) * (K + 1)
+    need = 8 * (arrays * (K + 1) + vectors) * (K + 1) + errors.OBJECT_BYTES
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", need)
     params = RabiParameters(alpha, 1.0, -1.0)
+    routine(0, params, 1)  # whatever loads at the first call
     tracemalloc.start()
     try:
         routine(1, params, K)

@@ -2,6 +2,7 @@
 the overlap kernel polynomial, and the zero-avoidance sequence."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -197,7 +198,8 @@ def test_laguerre_zeros_and_sturm_counts_refuse_over_the_budget(
         monkeypatch):
     # refused from the counted work bytes, before anything is allocated
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
-                        specfun._ZEROS_BYTES_PER_DEGREE * 40)
+                        specfun._ZEROS_BYTES_PER_DEGREE * 40
+                        + errors.OBJECT_BYTES)
     assert laguerre_zeros(40).size == 40
     with pytest.raises(ResourceError, match="degree 41"):
         laguerre_zeros(41)
@@ -206,6 +208,21 @@ def test_laguerre_zeros_and_sturm_counts_refuse_over_the_budget(
     assert len(nondegenerate_sequence(0.5, 2, kcap=1000).entries) == 2
     with pytest.raises(ResourceError, match="kcap = 1001"):
         nondegenerate_sequence(0.5, 2, kcap=1001)
+
+
+@pytest.mark.parametrize("N", [10, 2000, 5000])
+def test_laguerre_zeros_peak_within_their_count(N):
+    need = specfun._ZEROS_BYTES_PER_DEGREE * N + errors.OBJECT_BYTES
+    laguerre_zeros(3)  # scipy loads at the first call
+    tracemalloc.start()
+    try:
+        laguerre_zeros(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a bound, and the per-degree part alone within 5% of the peak
+    assert peak <= need
+    assert specfun._ZEROS_BYTES_PER_DEGREE * N <= 1.05 * peak
 
 
 def test_laguerre_zero_set_collects_all_degrees():

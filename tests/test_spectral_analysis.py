@@ -148,7 +148,7 @@ def test_multimode_converged_spectrum_matches_dense_growth(spec, m, tol, cap):
         op = build(spec.with_cutoffs(cutoffs))
         return np.sort(scipy.linalg.eigvalsh(op.matrix)), None
 
-    want = spectral_analysis._converge(spec, m, tol, cap, dense)
+    want = _eager_converge(spec, m, tol, cap, dense)
     assert got.cutoffs_used == want.cutoffs_used
     assert got.converged_count == want.converged_count
     assert got.partial == want.partial and got.parity is None
@@ -172,7 +172,7 @@ def test_ab_converged_spectrum_matches_dense_growth(spec, m):
         frame = build(spec.with_cutoffs(cutoffs)).matrix
         return np.sort(scipy.linalg.eigvalsh(frame)), None
 
-    want = spectral_analysis._converge(spec, m, 1e-10, None, dense)
+    want = _eager_converge(spec, m, 1e-10, None, dense)
     assert got.cutoffs_used == want.cutoffs_used
     assert got.converged_count == want.converged_count
     assert got.partial == want.partial and got.parity is None
@@ -319,24 +319,39 @@ def _eager_converge(spec, m, tol, cap, solve):
         cur = spectral_analysis._grow(cur, cap)
 
 
+def _checking_solve(spec, labelled):
+    """A solve(cutoffs) that checks each step as it builds it: for every
+    family but QR and QRabi the dense check, then build and its sectors'
+    values, with parity labels for parity_split. The eager loop on it
+    refuses a step only when building it does, independently of the
+    driver's planned admit rule."""
+    def solve(cutoffs):
+        step = spec.with_cutoffs(cutoffs)
+        if spec.family not in (fock_ops.QR, fock_ops.QRABI):
+            fock_ops.check_dense_budget(step.basis())
+        vals, sector = spectral_analysis._solve_sectors(build(step).sectors)
+        if not labelled:
+            return vals, None
+        return vals, list(np.array(["+", "-"], dtype=object)[sector])
+
+    return solve
+
+
 def _against_eager(monkeypatch, call, spec, m, tol, cap=None):
-    """(call(spec, m, tol, cap), _eager_converge on the solve that call
-    hands the driver, the cutoffs each of them asked solve for)."""
+    """(call(spec, m, tol, cap), _eager_converge on _checking_solve for
+    call, the cutoffs each of them solved: the driver's as the steps it
+    builds)."""
     asked = {"driver": [], "eager": []}
-    real = spectral_analysis._converge
-    handed = []
-
-    def spy(spec_, m_, tol_, cap_, solve):
-        handed.append(solve)
-        return real(spec_, m_, tol_, cap_,
-                    lambda c: asked["driver"].append(c) or solve(c))
-
-    monkeypatch.setattr(spectral_analysis, "_converge", spy)
-    got = call(spec, m, tol, cap)
-    monkeypatch.setattr(spectral_analysis, "_converge", real)
-    want = _eager_converge(
-        spec, m, tol, cap,
-        lambda c: asked["eager"].append(c) or handed[0](c))
+    real = spectral_analysis.build
+    monkeypatch.setattr(spectral_analysis, "build",
+                        lambda s: asked["driver"].append(s.cutoffs) or real(s))
+    try:
+        got = call(spec, m, tol, cap)
+    finally:
+        monkeypatch.setattr(spectral_analysis, "build", real)
+    solve = _checking_solve(spec, call is parity_split)
+    want = _eager_converge(spec, m, tol, cap,
+                           lambda c: asked["eager"].append(c) or solve(c))
     return got, want, asked
 
 
@@ -390,11 +405,10 @@ def test_driver_cap_exit_solves_the_skipped_step_before(monkeypatch,
 
 def test_driver_budget_exit_solves_the_latest_admitted_step(monkeypatch,
                                                             caplog):
-    # AB steps 10, 15, 23, 35, 53, 80 have dimension 22, 32, 48, 72, 108,
-    # 162; a dense budget of dimension 100 refuses 53. Step 80 is the
-    # first compared (53 has m = 80 values or more), so the refusal is met
-    # at 53, and 35, which has fewer than m and was skipped, is solved
-    # with 23 for its stable prefix
+    # AB steps 10, 15, 23, 35, 53 have dimension 22, 32, 48, 72, 108; a
+    # dense budget of dimension 100 refuses 53, so the plan ends at 35,
+    # which has fewer than m = 80 values: it is solved with 23 for its
+    # stable prefix, and 53 is never built
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 100 ** 2)
     spec = ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 10)
     with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
@@ -403,31 +417,86 @@ def test_driver_budget_exit_solves_the_latest_admitted_step(monkeypatch,
     _assert_same_spectrum(got, want)
     assert got.partial and got.cutoffs_used == (35,)
     assert 0 < got.converged_count < 80
-    assert asked["driver"] == [(53,), (35,), (23,)]
+    assert asked["driver"] == [(23,), (35,)]
     assert asked["eager"] == [(10,), (15,), (23,), (35,), (53,)]
     assert _records(caplog) == [
-        "converge stop=budget m=80 tried=10,15,23,35,53,80 solved=23,35 "
+        "converge stop=budget m=80 tried=10,15,23,35,53 solved=23,35 "
         "stable=35:%d" % got.converged_count]
+
+
+@pytest.mark.parametrize("call", [parity_split, converged_spectrum],
+                         ids=["parity_split", "converged_spectrum"])
+def test_driver_budget_exit_lists_its_comparison_once(call, monkeypatch,
+                                                      caplog):
+    # QR steps from 4: 162 (dimension 326) has m = 300 values or more, so
+    # 243 is compared; the budget of a dense matrix of dimension 100,
+    # 10 000 words, admits the build of 243 (8 529) and refuses 365
+    # (12 799)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 100 ** 2)
+    spec = ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 4)
+    with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
+        got, want, asked = _against_eager(monkeypatch, call, spec, 300, 1e-8)
+    _assert_same_spectrum(got, want)
+    assert got.partial and got.cutoffs_used == (243,)
+    assert asked["driver"] == [(162,), (243,)]
+    assert asked["eager"][-1] == (365,)
+    assert _records(caplog) == [
+        "converge stop=budget m=300 tried=4,6,9,14,21,32,48,72,108,162,243,"
+        "365 solved=162,243 stable=243:%d" % got.converged_count]
 
 
 def test_driver_refused_first_step_still_raises(monkeypatch, caplog):
     # every step from 60 (dimension 122) on is over a budget of dimension
-    # 100; the first solved step, 305, is refused, and so is every skipped
-    # step below it
+    # 100: the plan meets the refusal at its first step and builds nothing
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 100 ** 2)
     spec = ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 60)
+    built = []
+    real = spectral_analysis.build
+    monkeypatch.setattr(spectral_analysis, "build",
+                        lambda s: built.append(s) or real(s))
     with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
         with pytest.raises(ResourceError,
                            match="dense matrix of dimension 122 ") as got:
             converged_spectrum(spec, 500, 1e-8)
     with pytest.raises(ResourceError) as want:
         _eager_converge(spec, 500, 1e-8, None,
-                        lambda c: (spectral_analysis.ab_spectra([
-                            spec.with_cutoffs(c)])[0][0], None))
+                        _checking_solve(spec, labelled=False))
     assert str(got.value) == str(want.value)
+    assert built == []
     assert _records(caplog) == [
-        "converge stop=budget m=500 tried=60,90,135,203,305,458 solved= "
-        "stable="]
+        "converge stop=budget m=500 tried=60 solved= stable="]
+
+
+BUDGET_SPECS = [ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 4),
+                ModelSpec.qrabi(0.7, 1.0, 0.05, 4),
+                ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 10),
+                ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (4, 4)),
+                ModelSpec.vee((-0.7, 1.1), (0.1, 0.4), 0.05, (1, 6))]
+
+
+@pytest.mark.parametrize("spec", BUDGET_SPECS, ids=lambda s: s.family)
+@pytest.mark.parametrize("dim", [100, 300, 1000])
+def test_driver_refuses_where_the_eager_loop_does(spec, dim, monkeypatch):
+    # the plan's admit rule against a solve that refuses as it builds:
+    # each solved step is one the eager loop solved, ascending, and every
+    # exit returns its result
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * dim ** 2)
+    calls = [converged_spectrum]
+    if spec.family in (fock_ops.QR, fock_ops.QRABI):
+        calls.append(parity_split)
+    for call in calls:
+        for m in (80, 300):
+            try:
+                got, want, asked = _against_eager(monkeypatch, call, spec, m,
+                                                  1e-3)
+            except ResourceError as exc:
+                with pytest.raises(ResourceError, match=re.escape(str(exc))):
+                    _eager_converge(spec, m, 1e-3, None,
+                                    _checking_solve(spec, False))
+                continue
+            _assert_same_spectrum(got, want)
+            assert set(asked["driver"]) <= set(asked["eager"])
+            assert asked["driver"] == sorted(asked["driver"])
 
 
 def test_driver_matches_the_eager_loop_on_multimode_steps(monkeypatch):

@@ -21,7 +21,10 @@ The outputs digested are
   and the DEBUG records of those counts;
 * for each of four AB frame models (AB), the dense matrix of its build
   and its count_below at AB_THRESHOLDS, and one `weyl --family abframe`
-  run (AB_WEYL).
+  run (AB_WEYL);
+* the `spectrum` runs of DRIVER, one or more per exit of the cutoff-growth
+  driver, with the driver's `converge` DEBUG record on its stable and cap
+  exits.
 
 BLAS runs on one thread, as in the benchmark. An op that raises is
 digested by its exception's type and message.
@@ -101,6 +104,34 @@ AB_WEYL = ["weyl", "--family", "abframe", "--alpha", "1", "--gamma1", "1",
            "--gamma2=-1", "--eps", "0.1", "--cutoff", "400", "--lambdas",
            "5,50,120,190"]
 
+# spectrum runs through the cutoff-growth driver, by exit: stable (QR at
+# eps 0, the AB frame, QRabi with parity labels), cap (QR at cap 20, and
+# Xi from a start above its cap) and budget (Vee (4, 4, 4), whose step 21^3
+# is over the dense budget: partial at 14^3)
+QR_MODEL = ["--family", "qr", "--alpha", "1", "--gamma1", "1", "--gamma2=-1"]
+DRIVER = {
+    "stable/qr-eps0": ["spectrum"] + QR_MODEL + [
+        "--eps", "0", "--cutoff", "20", "--levels", "1200"],
+    "stable/abframe": [
+        "spectrum", "--family", "abframe", "--alpha", "1.1", "--gamma1",
+        "1.05", "--gamma2=-0.9", "--eps", "0.1", "--cutoff", "30",
+        "--levels", "480"],
+    "stable/qrabi-parity": [
+        "spectrum", "--family", "qrabi", "--alpha", "0.8", "--delta", "0.9",
+        "--eps", "0.04", "--cutoff", "20", "--levels", "480", "--parity"],
+    "cap/qr": ["spectrum"] + QR_MODEL + [
+        "--eps", "0.3", "--cutoff", "4", "--levels", "60", "--tol", "1e-3",
+        "--cap", "20"],
+    "cap/xi": [
+        "spectrum", "--family", "xi", "--alpha", "1,0.8", "--gamma",
+        "0.3,0.5", "--eps", "0.05", "--cutoff", "30,1", "--cap", "12",
+        "--levels", "400"],
+    "budget/vee": [
+        "spectrum", "--family", "vee", "--alpha", "0.6,0.7,0.8", "--gamma",
+        "0.1,0.4,0.6", "--eps", "0.05", "--cutoff", "4,4,4", "--levels",
+        "5000"],
+}
+
 
 def _encode(value, out):
     """Append a byte encoding of value to the bytearray out: bytes and
@@ -139,20 +170,40 @@ def run_cli(argv):
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
-def counts(op, thresholds):
-    """(count_below of op at each threshold, the DEBUG records of those
-    counts)."""
-    records = logging.handlers.BufferingHandler(len(thresholds) + 1)
+@contextlib.contextmanager
+def debug_records():
+    """The messages of spectral_analysis's DEBUG records logged inside the
+    block, as a list filled when the block ends."""
+    records = logging.handlers.BufferingHandler(1000)
     logger = logging.getLogger("rabispec.spectral_analysis")
     level = logger.level
     logger.addHandler(records)
     logger.setLevel(logging.DEBUG)
+    messages = []
     try:
-        got = [count_below(op, lam) for lam in thresholds]
+        yield messages
     finally:
         logger.removeHandler(records)
         logger.setLevel(level)
-    return got, [r.getMessage() for r in records.buffer]
+        messages.extend(r.getMessage() for r in records.buffer)
+
+
+def counts(op, thresholds):
+    """(count_below of op at each threshold, the DEBUG records of those
+    counts)."""
+    with debug_records() as messages:
+        got = [count_below(op, lam) for lam in thresholds]
+    return got, messages
+
+
+def driver_run(name, argv):
+    """run_cli(argv), with its converge DEBUG record unless name is a
+    budget exit, whose record names the refused step."""
+    with debug_records() as messages:
+        out = run_cli(argv)
+    if name.startswith("budget/"):
+        return out
+    return out, [m for m in messages if m.startswith("converge ")]
 
 
 def layered_outputs(spec):
@@ -202,6 +253,8 @@ def outputs(seeds):
                                .hexdigest(),
                                [count_below(op, lam) for lam in AB_THRESHOLDS])
     yield "ab/weyl", run_cli(AB_WEYL)
+    for name, argv in DRIVER.items():
+        yield "driver/%s" % name, driver_run(name, argv)
 
 
 def cli(argv=None):
