@@ -5,7 +5,7 @@ dispatches to one library operation, and emits a deterministic artifact:
 JSON with 17-significant-digit numbers and sorted keys, or CSV with a
 comment header carrying the full configuration echo. Identical
 configurations produce bitwise-identical files; there are no timestamps and
-all sampling is seeded.
+no random draws.
 """
 
 import argparse
@@ -366,8 +366,7 @@ def _cmd_weyl(args, config):
 
 def _cmd_smges_check(args, config):
     spec = _build_model(args, config)
-    res = weyl.smges_gap_check(spec, float(args.eps), int(args.samples),
-                               seed=int(args.seed), grid=args.grid)
+    res = weyl.smges_gap_check(spec, float(args.eps))
     return {"command": "smges-check", "min_gap": res.min_gap,
             "X": list(res.X),
             "eigenvalues": list(res.sample.eigenvalues)}, None
@@ -400,7 +399,7 @@ def _add_common(p, formats=("json", "csv")):
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for any sampling (echoed)")
+                   help="accepted and echoed; no command samples")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -484,9 +483,8 @@ def _weyl_args(p):
 
 def _smges_check_args(p):
     _add_model_flags(p, families=("xi", "lambda", "vee"), default=None)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--grid", action="store_true",
-                   help="deterministic lattice instead of seeded sampling")
+    p.add_argument("--samples", type=int, default=1000,
+                   help="accepted and echoed; the gap is exact")
     _add_common(p, formats=("json",))
 
 
@@ -506,7 +504,7 @@ COMMANDS = (
     ("braak", "interval counts of the shifted spectrum", _braak_args,
      _cmd_braak),
     ("weyl", "counting function vs two-term law", _weyl_args, _cmd_weyl),
-    ("smges-check", "symbol eigenvalue gap sampling", _smges_check_args,
+    ("smges-check", "exact symbol eigenvalue gap", _smges_check_args,
      _cmd_smges_check),
 )
 
@@ -533,7 +531,7 @@ def build_parser(command=None):
     return ap
 
 
-_SWITCH_KEYS = {"parity", "grid", "fd-check", "fd_check", "vectors"}
+_SWITCH_KEYS = {"parity", "fd-check", "fd_check", "vectors"}
 _SWITCH_VALUES = {"1": True, "true": True, "yes": True,
                   "0": False, "false": False, "no": False}
 

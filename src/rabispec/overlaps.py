@@ -37,9 +37,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsufficientNodes, PrecisionError, check_budget
+from .errors import (InsufficientNodes, PrecisionError, ResourceError,
+                     check_budget)
 from .specfun import (MAX_COMBINED_DEGREE, _alternating_series, _check_degrees,
-                      _dyadic, laguerre_poly)
+                      _dyadic, _laguerre_pair_scaled)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -47,6 +48,11 @@ SQRT_PI = math.sqrt(math.pi)
 # Fixed once by comparing both candidate conventions against quadrature at
 # (N,k) = (1,1); a test re-runs that comparison against this constant.
 DISPLACEMENT_COEFF_SCALE = math.sqrt(2.0)
+
+# Steps of the Laguerre recurrence behind diagonal_overlap_ratio, one per
+# level: level 200 000 takes about 2.2 s on one core of a 2-core VM, and a
+# higher level raises ResourceError before any step.
+MAX_RATIO_STEPS = 200_000
 
 
 def weighted_norm_squared(N):
@@ -371,12 +377,28 @@ def diagonal_overlap_ratio(N, alpha):
     """Normalized diagonal overlap O(N,N)/norm^2, equal to e^{-a^2} L_N(2 a^2).
 
     Goes through the exact closed form while the degree cap allows, through
-    the Laguerre evaluation beyond it.
+    the Laguerre recurrence beyond it, up to level MAX_RATIO_STEPS
+    (ResourceError above it, before any step). The recurrence rescales
+    past 1e250 and keeps the discarded magnitude as a log, which e^{-a^2}
+    offsets before it is applied, so a ratio below the double range is 0,
+    not inf * 0; without a rescale the log is 0 and the ratio is
+    e^{-a^2} L_N(2 a^2) as evaluated in doubles. A ratio that is not
+    finite raises PrecisionError.
     """
     if 2 * N <= MAX_COMBINED_DEGREE:
         return overlap_closed(N, N, alpha) / weighted_norm_squared(N)
+    if N > MAX_RATIO_STEPS:
+        raise ResourceError(
+            "diagonal overlap ratio at level %d takes %d recurrence steps, "
+            "over the cap of %d" % (N, N, MAX_RATIO_STEPS))
     a2 = float(alpha) * float(alpha)
-    return math.exp(-a2) * laguerre_poly(N, 2.0 * a2)
+    with np.errstate(invalid="ignore"):  # a NaN raises below
+        L, _, logscale = _laguerre_pair_scaled(N, 2.0 * a2)
+    r = float(L) * math.exp(float(logscale) - a2)
+    if not math.isfinite(r):
+        raise PrecisionError("diagonal overlap ratio at level %d, alpha=%r, "
+                             "is not finite" % (N, alpha))
+    return r
 
 
 def displacement_matrix(cutoff, alpha):

@@ -36,17 +36,18 @@ MAX_COMBINED_DEGREE = 120
 ZERO_PROXIMITY_TOL = 1e-10
 
 # Work bytes per degree, counted from the code: laguerre_zeros holds at most
-# 13 float arrays and 4 boolean arrays of length N at once, beside
-# errors.OBJECT_BYTES of Python objects: diag, off and z throughout, with
-# the second Newton step's scan (its five buffers, the rescaling factors and
-# their log, and its mask) beside the first step's L, L_(N-1) and deriv,
-# or with the residual test's ten (L, L_(N-1), logscale, deriv, log_deriv,
-# true_L, true_d and three temporaries) and its masks; the sign-change
-# scans take fewer. The Sturm
-# sweeps of avoid-seq hold no per-degree arrays; _STURM_BYTES_PER_DEGREE
-# keeps the exit-9 limit on kcap (near 65 million at 2 GiB) scaled with
-# errors.DENSE_BUDGET_BYTES, until a bound on the sweep time replaces it.
-_ZEROS_BYTES_PER_DEGREE = 13 * 8 + 4
+# 11 float arrays and 4 boolean arrays of length N at once, beside
+# errors.OBJECT_BYTES of Python objects: z throughout (diag and off go once
+# the eigensolve returns), with the residual test's ten (L, L_(N-1),
+# logscale, deriv, log_deriv, true_L, true_d and three temporaries) and
+# its masks. A Newton step's scan (its five buffers, the rescaling factors
+# and their log, and its mask) beside the step before's L, L_(N-1) and
+# deriv holds as many floats and one mask; the sign-change scans hold
+# fewer. The Sturm sweeps of avoid-seq hold no per-degree arrays;
+# _STURM_BYTES_PER_DEGREE keeps the exit-9 limit on kcap (near 65 million
+# at 2 GiB) scaled with errors.DENSE_BUDGET_BYTES, until a bound on the
+# sweep time replaces it.
+_ZEROS_BYTES_PER_DEGREE = 11 * 8 + 4
 _STURM_BYTES_PER_DEGREE = 4 * 8 + 1
 
 # Work of laguerre_zeros in operations, counted from the code: about
@@ -156,6 +157,7 @@ def laguerre_zeros(N):
     diag = 2.0 * np.arange(N) + 1.0
     off = np.arange(1.0, N)
     z = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+    del diag, off
     for _ in range(2):
         L, Lm1, _ = _laguerre_pair_scaled(N, z)
         # x L_N' = N (L_N - L_{N-1}), so the Newton step is scale free

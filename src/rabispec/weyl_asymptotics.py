@@ -1,6 +1,6 @@
 """Two-term eigenvalue counting asymptotics for the multilevel oscillator
-families, empirical counting comparisons, and pointwise gap checks of the
-perturbed matrix symbol on the energy sphere.
+families, empirical counting comparisons, and the exact infimum of the
+eigenvalue gap of the perturbed matrix symbol on the energy sphere.
 
 The counting function of such an operator grows like
 
@@ -27,7 +27,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import check_budget
 from .fock_ops import build, coupling_pattern
 from .spectral_analysis import count_below
 
@@ -184,65 +183,36 @@ class GapCheck(NamedTuple):
     sample: SymbolSample
 
 
-def _grid_points(n, samples):
-    r = SPHERE_RADIUS
-    if n == 1:
-        theta = 2.0 * math.pi * np.arange(samples) / samples
-        return r * np.stack((np.cos(theta), np.sin(theta)), axis=1)
-    # generalized Fibonacci lattice on S^3, deterministic in the sample count
-    g1 = 1.0 / 1.2207440846057596  # plastic-number offsets
-    g2 = 1.0 / 1.4902959105489326
-    i = np.arange(samples) + 0.5
-    u = i / samples
-    v = (i * g1) % 1.0
-    w = (i * g2) % 1.0
-    chi = np.arccos(1.0 - 2.0 * u)
-    phi = np.arccos(1.0 - 2.0 * v)
-    psi = 2.0 * math.pi * w
-    pts = np.stack((
-        np.cos(chi),
-        np.sin(chi) * np.cos(phi),
-        np.sin(chi) * np.sin(phi) * np.cos(psi),
-        np.sin(chi) * np.sin(phi) * np.sin(psi),
-    ), axis=1)
-    return r * pts / np.linalg.norm(pts, axis=1)[:, None]
+def smges_gap_check(spec, eps):
+    """Infimum of the least eigenvalue gap of a1 + eps b1 over the sphere
+    |X| = sqrt(2), and a point X that attains it.
 
+    a1 + eps b1 has zero diagonal and is supported on the coupling tree,
+    with entry alpha_k (x_k +- i eps xi_k) on edge k. On a tree, diagonal
+    phases remove the complex phases, so the spectrum depends only on the
+    weights w_k^2 = alpha_k^2 (x_k^2 + eps^2 xi_k^2). With j the first
+    coupling of least |alpha_j|:
 
-def _sample_bytes(spec):
-    """Bytes per sample of smges_gap_check's work arrays: the 2n normal
-    draws and the point, the Nlev x Nlev stacks a1 (real), b1, eps b1 and
-    a1 + eps b1 (complex), and the eigenvalues, sorted, and their gaps."""
-    n, nlev = spec.modes, spec.spin_dim
-    return 8 * 2 * 2 * n + (8 + 3 * 16) * nlev * nlev + 3 * 8 * nlev
+    * one mode has eigenvalues +-w_1, and two modes (a path or a star of
+      two edges) 0 and +-|w|. The gap, 2 w_1 or |w|, is least with all the
+      weight on xi_j where eps < 1 and on x_j otherwise, at
+      c sqrt(2) |alpha_j| min(1, eps), with c = 2 at one mode and 1 at two;
+    * three or more modes have infimum 0, attained at X = sqrt(2) e(x_2):
+      a star (Lambda, Vee) has 0 at least twice everywhere, and a path
+      (Xi) has w_1 = w_n = 0 there, which leaves both end levels at 0.
 
-
-def smges_gap_check(spec, eps, samples, seed=0, grid=False):
-    """Minimum eigenvalue gap of a1 + eps b1 over points on the sphere.
-
-    Uniform seeded sampling by default; with grid=True (one or two modes)
-    the points come from a fixed deterministic lattice, making the result
-    independent of the seed. A sample count whose work arrays
-    (_sample_bytes each) would exceed errors.DENSE_BUDGET_BYTES raises
-    ResourceError before any point is drawn.
+    min_gap is the least spacing of the eigenvalues at X (symbol_sample),
+    which is the infimum.
     """
     spec.validate()
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    check_budget("symbol gap check of %d samples needs" % samples,
-                 samples * _sample_bytes(spec))
+    if not 0.0 <= eps < math.inf:
+        raise ValueError("eps must be finite and nonnegative")
     n = spec.modes
-    if grid:
-        if n > 2:
-            raise ValueError("deterministic grid mode only for n <= 2")
-        pts = _grid_points(n, samples)
+    X = np.zeros(2 * n)
+    if n <= 2:
+        j = int(np.argmin(np.abs(spec.alphas)))
+        X[j if eps >= 1.0 else n + j] = SPHERE_RADIUS
     else:
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((samples, 2 * n))
-        pts = g * (SPHERE_RADIUS / np.linalg.norm(g, axis=1)[:, None])
-    s = a1_matrix(spec, pts) + eps * b1_matrix(spec, pts)
-    gaps = np.diff(np.sort(np.linalg.eigvalsh(s)))
-    # argmin keeps the first of tied minima, as a strict-< scan would
-    best = symbol_sample(spec, pts[int(np.argmin(gaps.min(axis=-1)))], eps)
-    return GapCheck(best.min_gap, best.X, best)
+        X[1] = SPHERE_RADIUS
+    best = symbol_sample(spec, X, eps)
+    return GapCheck(best.min_gap, X, best)

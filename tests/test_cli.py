@@ -18,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rabispec
-from rabispec import (cli, errors, fock_ops, spectral_analysis, specfun,
-                      weyl_asymptotics)
+from rabispec import (cli, errors, fock_ops, overlaps, spectral_analysis,
+                      specfun, weyl_asymptotics)
 from rabispec.cli import main
 from rabispec.fock_ops import load_matrix
 from rabispec.overlaps import overlap_closed
@@ -188,6 +188,44 @@ def test_perturb_fd_check_refuses_a_level_above_its_cutoff(capsys):
     assert "level N = 241" in doc["message"] and "cutoff 240" in doc["message"]
 
 
+PERTURB = ["perturb", "--gamma1", "1", "--gamma2", "-1"]
+
+
+@pytest.mark.parametrize("N,alpha", [("100", "224"), ("400", "60")])
+def test_perturb_below_the_double_range_is_degenerate(tmp_path, N, alpha):
+    # the ratios are 9.5e-21450 and 2.7e-900, 0 in doubles: not NaN
+    doc = run_json(tmp_path, PERTURB + ["--N", N, "--alpha", alpha])
+    assert doc["overlap_ratio"] == 0.0 and doc["degenerate"] is True
+    assert doc["mu_plus"] == doc["mu_minus"] == doc["beta1"]
+    check_schema(doc, load_schema("perturb"))
+
+
+def test_perturb_refuses_a_ratio_past_the_double_range(capsys):
+    doc = expect_error(capsys, PERTURB + ["--N", "100", "--alpha", "1e200"],
+                       5, "PrecisionError")
+    assert "not finite" in doc["message"]
+
+
+def test_perturb_refuses_a_level_over_the_step_cap(tmp_path, capsys,
+                                                   monkeypatch):
+    # the cap patched to level 100: level 101 is refused before any step
+    monkeypatch.setattr(overlaps, "MAX_RATIO_STEPS", 100)
+    scans = []
+    real_scan = overlaps._laguerre_pair_scaled
+
+    def scan(N, x):
+        scans.append(N)
+        return real_scan(N, x)
+
+    monkeypatch.setattr(overlaps, "_laguerre_pair_scaled", scan)
+    argv = PERTURB + ["--alpha", "0.5", "--N"]
+    doc = expect_error(capsys, argv + ["101"], 9, "ResourceError")
+    assert "level 101" in doc["message"] and "cap" in doc["message"]
+    assert scans == []
+    assert run_json(tmp_path, argv + ["100"])["N"] == 100
+    assert scans == [100]
+
+
 def test_quasimode_command(tmp_path):
     doc = run_json(tmp_path, ["quasimode", "--N", "1", "--alpha", "1",
                               "--gamma1", "1", "--gamma2", "-1",
@@ -255,15 +293,25 @@ def test_weyl_command_three_modes(tmp_path):
     check_schema(doc, load_schema("weyl"))
 
 
-def test_smges_check_command_grid_seed_invariance(tmp_path):
+def test_smges_check_samples_and_seed_are_inert(tmp_path, capsys):
+    # the gap is exact: --samples and --seed are echoed and change nothing,
+    # a sample count of 1e10 included, and --grid is gone
     base = ["smges-check", "--family", "xi", "--alpha", "1,0.8",
-            "--gamma", "0.3,0.5", "--eps", "0.5", "--cutoff", "10",
-            "--samples", "200", "--grid"]
-    a = run_json(tmp_path, base + ["--seed", "1"], "a.json")
-    b = run_json(tmp_path, base + ["--seed", "77"], "b.json")
-    assert a["min_gap"] == b["min_gap"]
-    assert a["X"] == b["X"]
-    check_schema(a, load_schema("smges_check"))
+            "--gamma", "0.3,0.5", "--eps", "0.5", "--cutoff", "10"]
+    a = run_json(tmp_path, base, "a.json")
+    b = run_json(tmp_path, base + ["--samples", "10000000000", "--seed",
+                                   "77"], "b.json")
+    assert a["config"]["samples"] == 1000 and a["config"]["seed"] == 0
+    assert b["config"]["samples"] == 10000000000 and b["config"]["seed"] == 77
+    check_schema(b, load_schema("smges_check"))
+    del a["config"], b["config"]
+    assert a == b
+    assert a["min_gap"] == math.sqrt(2.0) * 0.8 * 0.5
+    assert a["X"] == [0.0, 0.0, 0.0, math.sqrt(2.0)]
+    expect_error(capsys, base + ["--grid"], 2, "UsageError")
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("grid=1\n")
+    expect_error(capsys, base + ["--config", str(cfg)], 2, "UsageError")
 
 
 # ------------------------------------------------------- output formats
@@ -799,12 +847,12 @@ def test_laguerre_zeros_work_cap(tmp_path, capsys, monkeypatch):
         == [2, 15]
     expect_error(capsys, avoid + ["3"], 9, "ResourceError")
     assert 37 not in scans
-    # the largest degree the 2 GiB check admits, 19884032, is 6 degree^2
-    # = 2.4e15 operations: the cap as it stands refuses it
+    # the largest degree the 2 GiB check admits, 23342124, is 6 degree^2
+    # = 3.3e15 operations: the cap as it stands refuses it
     monkeypatch.undo()
     top = ((errors.DENSE_BUDGET_BYTES - errors.OBJECT_BYTES)
            // specfun._ZEROS_BYTES_PER_DEGREE)
-    assert top == 19884032
+    assert top == 23342124
     assert specfun.MAX_ZEROS_WORK < 4 * top ** 2
     doc = expect_error(capsys, ["laguerre-zeros", "--degree", str(top)], 9,
                        "ResourceError")
@@ -816,36 +864,6 @@ def test_laguerre_zeros_work_cap(tmp_path, capsys, monkeypatch):
 
 SMGES_XI = ["smges-check", "--family", "xi", "--alpha", "1,0.8",
             "--gamma", "0.3,0.5", "--eps", "0.1", "--cutoff", "10"]
-
-
-def test_smges_check_budget_caps_the_sample_count(tmp_path, capsys,
-                                                   monkeypatch):
-    spec = fock_ops.ModelSpec.xi([1.0, 0.8], [0.3, 0.5], 0.1, [10, 10])
-    cap = 1000
-    budget = cap * weyl_asymptotics._sample_bytes(spec)
-    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", budget)
-    tracemalloc.start()
-    try:
-        doc = run_json(tmp_path, SMGES_XI + ["--samples", str(cap)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the counted bytes bound what the sampling allocates
-    assert len(doc["X"]) == 4 and peak <= budget
-    expect_error(capsys, SMGES_XI + ["--samples", str(cap + 1)], 9,
-                 "ResourceError")
-
-
-def test_smges_check_refuses_a_huge_sample_count_before_allocating(capsys):
-    tracemalloc.start()
-    try:
-        doc = expect_error(capsys, SMGES_XI + ["--samples", "10000000000"],
-                           9, "ResourceError")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert "over the 2 GiB budget" in doc["message"]
-    assert peak < 1e6
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 7.45 GiB", ""])
@@ -1327,8 +1345,7 @@ def _argv(draw):
                                        format=draw(FORMAT))
     else:
         rest = draw(_model(("qr", "xi", "lambda", "vee"))) + _flags(
-            samples=draw(st.integers(1, 20)), grid=draw(st.booleans()),
-            seed=draw(st.integers(0, 3)))
+            samples=draw(st.integers(1, 20)), seed=draw(st.integers(0, 3)))
     return [cmd] + rest
 
 

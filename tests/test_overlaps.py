@@ -21,6 +21,7 @@ from rabispec.overlaps import (
     required_nodes,
     weighted_norm_squared,
 )
+from rabispec.specfun import laguerre_poly
 from test_specfun import lag_exact
 
 # values frozen from a run cross-checked against quadrature and hand algebra
@@ -158,6 +159,36 @@ def test_diagonal_ratio_beyond_closed_form_cap():
     v = diagonal_overlap_ratio(70, 0.5)
     ref = math.exp(-0.25) * float(lag_exact(70, Fraction(1, 2)))
     assert v == pytest.approx(ref, rel=1e-9)
+
+
+def test_diagonal_ratio_keeps_its_bits_without_a_rescale():
+    # no value of the recurrence passes 1e250, so the scaled route gives
+    # e^(-a^2) L_N(2 a^2) as evaluated in doubles
+    for N, a in ((61, 0.5), (70, 3.0), (200, -1.7), (5000, 0.3)):
+        a2 = a * a
+        assert diagonal_overlap_ratio(N, a) == (math.exp(-a2)
+                                                * laguerre_poly(N, 2.0 * a2))
+
+
+def test_diagonal_ratio_below_the_double_range_is_zero():
+    # L_N(2 a^2) alone overflows, and e^(-a^2) inf was NaN; the ratios are
+    # 9.5e-21450 and 2.7e-900 (by 50-digit arithmetic), 0 in doubles
+    assert diagonal_overlap_ratio(100, 224.0) == 0.0
+    assert diagonal_overlap_ratio(400, 60.0) == 0.0
+
+
+def test_diagonal_ratio_past_the_double_range_raises():
+    # a^2 overflows at alpha 1e200, and the recurrence gives NaN
+    with pytest.raises(PrecisionError, match="not finite"):
+        diagonal_overlap_ratio(100, 1e200)
+
+
+def test_diagonal_ratio_refuses_a_level_over_the_step_cap(monkeypatch):
+    monkeypatch.setattr(overlaps, "MAX_RATIO_STEPS", 100)
+    assert diagonal_overlap_ratio(100, 0.5) == pytest.approx(
+        math.exp(-0.25) * float(lag_exact(100, Fraction(1, 2))), rel=1e-9)
+    with pytest.raises(ResourceError, match="level 101"):
+        diagonal_overlap_ratio(101, 0.5)
 
 
 # ---------------------------------------------------- displacement matrix

@@ -15,7 +15,6 @@ from rabispec.spectral_analysis import count_below
 from rabispec.weyl_asymptotics import (
     SPHERE_RADIUS,
     WeylPrediction,
-    _grid_points,
     a1_matrix,
     b1_matrix,
     empirical_counting,
@@ -129,59 +128,126 @@ def test_symbol_gap_opens_with_momentum_term():
     assert s1.min_gap > 0.0
 
 
-def test_gap_check_grid_mode_ignores_seed():
-    g1 = smges_gap_check(XI3, 0.5, 400, seed=1, grid=True)
-    g2 = smges_gap_check(XI3, 0.5, 400, seed=99, grid=True)
-    assert g1.min_gap == g2.min_gap
-    assert np.array_equal(g1.X, g2.X)
+FAMILIES = (ModelSpec.xi, ModelSpec.lam, ModelSpec.vee)
+
+
+def _family_spec(ctor, alphas, eps):
+    n = len(alphas)
+    return ctor(list(alphas), [0.1, 0.3, 0.5, 0.7][:n], eps, [6] * n)
+
+
+def _gap_infimum(spec, eps):
+    """c sqrt(2) min|alpha_k| min(1, eps): c = 2 at one mode (eigenvalues
+    +-w), 1 at two (0 and +-|w|) and 0 from three on (a double 0)."""
+    c = {1: 2.0, 2: 1.0}.get(spec.modes, 0.0)
+    return c * SPHERE_RADIUS * min(map(abs, spec.alphas)) * min(1.0, eps)
+
+
+def _least_gap(spec, eps, points):
+    """Least eigenvalue gap of a1 + eps b1 over a stack of points: the
+    sampling oracle of smges_gap_check, never below the infimum."""
+    s = a1_matrix(spec, points) + eps * b1_matrix(spec, points)
+    return float(np.diff(np.linalg.eigvalsh(s), axis=-1).min())
+
+
+def _sphere_samples(n, samples, seed):
+    g = np.random.default_rng(seed).standard_normal((samples, 2 * n))
+    return g * (SPHERE_RADIUS / np.linalg.norm(g, axis=1)[:, None])
+
+
+def _sphere_grid(n, m):
+    """|X| = sqrt(2) in 2n = 2 or 4 dimensions on a grid of angle step
+    pi / (2 m), which holds the coordinate axes: S^1 by its angle, S^3 by
+    its hyperspherical angles."""
+    t = np.arange(4 * m) * (math.pi / (2 * m))
+    if n == 1:
+        return SPHERE_RADIUS * np.stack((np.cos(t), np.sin(t)), axis=1)
+    chi, phi, psi = np.meshgrid(t[:2 * m + 1], t[:2 * m + 1], t,
+                                indexing="ij")
+    pts = np.stack((np.cos(chi), np.sin(chi) * np.cos(phi),
+                    np.sin(chi) * np.sin(phi) * np.cos(psi),
+                    np.sin(chi) * np.sin(phi) * np.sin(psi)), axis=-1)
+    return SPHERE_RADIUS * pts.reshape(-1, 4)
+
+
+GAP_EPS = (0.0, 0.05, 0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("ctor", FAMILIES)
+@pytest.mark.parametrize("alphas", [(-0.7,), (1.0, -0.8), (0.8, -0.8),
+                                    (1.0, 0.6, -0.9)])
+def test_gap_check_is_the_closed_form_at_its_point(ctor, alphas):
+    for eps in GAP_EPS:
+        spec = _family_spec(ctor, alphas, eps)
+        n = spec.modes
+        g = smges_gap_check(spec, eps)
+        # the weakest coupling first, on xi where eps < 1 and x otherwise;
+        # x_2 from three modes on
+        j = min(range(n), key=lambda k: abs(alphas[k]))
+        want = np.zeros(2 * n)
+        want[1 if n >= 3 else j if eps >= 1.0 else n + j] = SPHERE_RADIUS
+        assert np.array_equal(g.X, want)
+        assert g.min_gap == pytest.approx(_gap_infimum(spec, eps),
+                                          rel=1e-15, abs=0.0)
+        assert g.min_gap == float(np.diff(g.sample.eigenvalues).min())
+        assert g.sample.min_gap == g.min_gap
+
+
+@pytest.mark.parametrize("ctor", FAMILIES)
+@pytest.mark.parametrize("n,m", [(1, 1024), (2, 12)])
+def test_gap_check_matches_a_fine_grid_on_S1_and_S3(ctor, n, m):
+    pts = _sphere_grid(n, m)
+    for eps in GAP_EPS:
+        spec = _family_spec(ctor, (1.0, -0.8)[:n], eps)
+        got = smges_gap_check(spec, eps).min_gap
+        grid = _least_gap(spec, eps, pts)
+        # never above the grid's minimum, and reached on it: the grid holds
+        # the minimizing point up to the rounding of cos(pi / 2)
+        assert got <= grid + 1e-15
+        assert grid == pytest.approx(got, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("spec", [QR_SPEC] + [
+    ctor([1.0, 0.8, 0.6][:n], [0.1, 0.3, 0.5][:n], 0.05, [6] * n)
+    for ctor in FAMILIES for n in (2, 3)
+])
+def test_gap_check_is_below_the_sampled_minimum(spec):
+    pts = _sphere_samples(spec.modes, 100_000, 7)
+    for eps in (0.0, 0.3, 2.0):
+        got = smges_gap_check(spec, eps).min_gap
+        assert got <= _least_gap(spec, eps, pts)
+        assert got == pytest.approx(_gap_infimum(spec, eps), rel=1e-15,
+                                    abs=0.0)
+
+
+@pytest.mark.parametrize("ctor", FAMILIES)
+def test_gap_check_three_mode_zero_gap_points_are_exact(ctor):
+    for alphas in ((1.0, 0.8, 0.6), (0.6, -0.9, 1.2, 0.7)):
+        spec = _family_spec(ctor, alphas, 0.1)
+        g = smges_gap_check(spec, 0.1)
+        s = a1_matrix(spec, g.X) + 0.1 * b1_matrix(spec, g.X)
+        # every coupling but the second is 0 at X = sqrt(2) e(x_2), so all
+        # levels off that coupling have zero rows: 0 is an exact eigenvalue
+        # at least twice
+        zero_rows = ~np.any(s, axis=1)
+        assert np.count_nonzero(zero_rows) == spec.spin_dim - 2 >= 2
+        w = SPHERE_RADIUS * abs(alphas[1])
+        want = [-w] + [0.0] * (spec.spin_dim - 2) + [w]
+        assert np.array_equal(g.sample.eigenvalues, want)
+        assert g.min_gap == 0.0
 
 
 def test_gap_check_sampling_stays_on_sphere():
-    g = smges_gap_check(XI3, 0.5, 300, seed=5)
+    g = smges_gap_check(XI3, 0.5)
     assert np.linalg.norm(g.X) == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert g.min_gap >= 0.0
     assert g.sample.min_gap == g.min_gap
 
 
-def _gap_check_by_loop(spec, eps, samples, seed=0, grid=False):
-    """Reference: one symbol_sample per point, keeping the first strict
-    minimum, on the same points smges_gap_check draws."""
-    if grid:
-        pts = _grid_points(spec.modes, samples)
-    else:
-        g = np.random.default_rng(seed).standard_normal((samples, 2 * spec.modes))
-        pts = g * (math.sqrt(2.0) / np.linalg.norm(g, axis=1)[:, None])
-    best = None
-    for x in pts:
-        s = symbol_sample(spec, x, eps)
-        if best is None or s.min_gap < best.min_gap:
-            best = s
-    return best
-
-
-@pytest.mark.parametrize("spec", [QR_SPEC] + [
-    ctor([1.0, 0.8, 0.6][:n], [0.1, 0.3, 0.5][:n], 0.05, [6] * n)
-    for ctor in (ModelSpec.xi, ModelSpec.lam, ModelSpec.vee) for n in (2, 3)
-])
-def test_gap_check_batched_matches_pointwise_loop(spec):
-    runs = [dict(eps=0.3, samples=400, seed=7), dict(eps=0.0, samples=150, seed=2)]
-    if spec.modes <= 2:
-        runs.append(dict(eps=0.5, samples=300, grid=True))
-    for kw in runs:
-        got = smges_gap_check(spec, **kw)
-        want = _gap_check_by_loop(spec, **kw)
-        assert got.min_gap == want.min_gap
-        assert np.array_equal(got.X, want.X)
-        assert np.array_equal(got.sample.eigenvalues, want.eigenvalues)
-
-
 def test_gap_check_argument_validation():
-    with pytest.raises(ValueError):
-        smges_gap_check(XI3, 0.5, 0)
-    with pytest.raises(ValueError):
-        smges_gap_check(XI3, -0.1, 10)
-    with pytest.raises(ValueError):
-        smges_gap_check(LAM4, 0.1, 10, grid=True)
+    for eps in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            smges_gap_check(XI3, eps)
 
 
 def test_empirical_counting_matches_eigensolve():

@@ -24,7 +24,10 @@ The outputs digested are
   run (AB_WEYL);
 * the `spectrum` runs of DRIVER, one or more per exit of the cutoff-growth
   driver, with the driver's `converge` DEBUG record on its stable and cap
-  exits.
+  exits;
+* smges_gap_check for Xi, Lambda and Vee at one, two and three modes
+  (SMGES) and each eps of SMGES_EPS: its gap, its point, and the
+  eigenvalues and symbol matrices there.
 
 BLAS runs on one thread, as in the benchmark. An op that raises is
 digested by its exception's type and message.
@@ -53,6 +56,7 @@ import workloads  # noqa: E402
 from rabispec.cli import main  # noqa: E402
 from rabispec.fock_ops import ModelSpec, build  # noqa: E402
 from rabispec.spectral_analysis import count_below, eigen_spectrum  # noqa
+from rabispec.weyl_asymptotics import smges_gap_check  # noqa: E402
 
 if not rabispec.__file__.startswith(sys.path[0]):
     sys.exit("imported rabispec from %s, not from this tree"
@@ -131,6 +135,17 @@ DRIVER = {
         "0.1,0.4,0.6", "--eps", "0.05", "--cutoff", "4,4,4", "--levels",
         "5000"],
 }
+
+# the exact symbol gap: every multilevel family at one, two and three
+# modes, with a negative coupling, on both sides of eps = 1 and at it
+SMGES = {
+    "%s%d" % (family, n): ctor((1.0, -0.8, 0.7)[:n], (0.3, 0.5, 0.9)[:n],
+                               0.05, (4,) * n)
+    for family, ctor in (("xi", ModelSpec.xi), ("lambda", ModelSpec.lam),
+                         ("vee", ModelSpec.vee))
+    for n in (1, 2, 3)
+}
+SMGES_EPS = (0.0, 0.05, 1.0, 2.0)
 
 
 def _encode(value, out):
@@ -255,6 +270,12 @@ def outputs(seeds):
     yield "ab/weyl", run_cli(AB_WEYL)
     for name, argv in DRIVER.items():
         yield "driver/%s" % name, driver_run(name, argv)
+    for name, spec in SMGES.items():
+        for eps in SMGES_EPS:
+            g = smges_gap_check(spec, eps)
+            yield "smges/%s/eps%g" % (name, eps), (
+                g.min_gap, g.X, g.sample.eigenvalues, g.sample.a1_matrix,
+                g.sample.b1_matrix)
 
 
 def cli(argv=None):
