@@ -32,6 +32,7 @@ displacement_matrix).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -381,7 +382,10 @@ def diagonal_overlap_ratio(N, alpha):
     (ResourceError above it, before any step). The recurrence rescales
     past 1e250 and keeps the discarded magnitude as a log, which e^{-a^2}
     offsets before it is applied, so a ratio below the double range is 0,
-    not inf * 0; without a rescale the log is 0 and the ratio is
+    not inf * 0. Where that scale, e^{log - a^2}, is itself below the
+    normal range (from a^2 > 708 without a rescale), the ratio is
+    sign(L) e^{log|L| + log - a^2}, so a scaled value L past 1 brings it
+    back; elsewhere (without a rescale the log is 0) the ratio is
     e^{-a^2} L_N(2 a^2) as evaluated in doubles. A ratio that is not
     finite raises PrecisionError.
     """
@@ -394,7 +398,14 @@ def diagonal_overlap_ratio(N, alpha):
     a2 = float(alpha) * float(alpha)
     with np.errstate(invalid="ignore"):  # a NaN raises below
         L, _, logscale = _laguerre_pair_scaled(N, 2.0 * a2)
-    r = float(L) * math.exp(float(logscale) - a2)
+    L, log_scale = float(L), float(logscale) - a2
+    scale = math.exp(log_scale)
+    if scale < sys.float_info.min and L != 0.0:
+        # the scale alone is below the normal range, where L may bring the
+        # ratio back: form it from the log of their product
+        r = math.copysign(math.exp(math.log(abs(L)) + log_scale), L)
+    else:
+        r = L * scale
     if not math.isfinite(r):
         raise PrecisionError("diagonal overlap ratio at level %d, alpha=%r, "
                              "is not finite" % (N, alpha))

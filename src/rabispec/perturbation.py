@@ -15,6 +15,15 @@ blocks satisfy M* M = beta2^2 D(N,k)^2 I_2 by the overlap antisymmetry. The
 two second-order coefficients therefore always coincide; see the tests,
 which pin this down rather than assuming a splitting at this order.
 
+Each branch of the pair lies in one parity sector s of the frame
+(branch_parity), where the operator is H_s(eps) = P + eps B_s with
+P = diag(k + 1/2) and B_s y = beta1 y + s beta2 D ((-1)^k y), because
+D^T = S D S with S = diag((-1)^k). The quasimode vectors and their
+residual are formed there, on the K + 1 coefficients of the sector, by
+one function (sector_perturbation) from one displacement matrix; the
+2(K + 1) frame is never formed, and the vectors are returned in its
+layout, (y, s (-1)^k y).
+
 WARNING ON CONVENTION. The second-order spectral weights are used here as
 1/(lambda_k - lambda_N), and the resulting number mu2 enters eigenvalue
 expansions as
@@ -34,8 +43,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OBJECT_BYTES, ModelSpecError, UsageError, check_budget
-from .fock_ops import ModelSpec, build
+from .errors import (OBJECT_BYTES, ModelSpecError, PrecisionError, UsageError,
+                     check_budget)
+from .fock_ops import ModelSpec
 from .overlaps import diagonal_overlap_ratio, displacement_matrix
 from .spectral_analysis import ab_spectra
 
@@ -112,17 +122,28 @@ class QuasimodeForm(NamedTuple):
     tail_estimate: float
 
 
-def _spectral_cutoff(N, K, what, arrays, vectors):
+# the vectors of length n + 1 that a quasimode routine holds at once beside
+# the displacement matrix D at cutoff n: the 16 of displacement_matrix,
+# more than any routine's own (_form's, the expansion's and the residual's)
+VECTORS = 16
+
+
+def _check_arrays(what, n):
+    """Raise ResourceError unless the budget admits what: D at cutoff n,
+    (n + 1)^2 doubles, VECTORS vectors of n + 1 and errors.OBJECT_BYTES
+    of Python objects (check_budget)."""
+    check_budget("%s need" % what,
+                 8 * (n + 1 + VECTORS) * (n + 1) + OBJECT_BYTES)
+
+
+def _spectral_cutoff(N, K, what):
     """K, N + DEFAULT_SPECTRAL_CUTOFF_MARGIN by default, once the budget
-    admits what: arrays float arrays of (K + 1)^2 entries and vectors of
-    K + 1, the most of each held at once, and errors.OBJECT_BYTES of
-    Python objects (check_budget)."""
+    admits what at K (_check_arrays)."""
     if K is None:
         K = N + DEFAULT_SPECTRAL_CUTOFF_MARGIN
     if K <= N:
         raise ValueError("spectral cutoff K must exceed the level N")
-    check_budget("%s at K = %d need" % (what, K),
-                 8 * (arrays * (K + 1) + vectors) * (K + 1) + OBJECT_BYTES)
+    _check_arrays("%s at K = %d" % (what, K), K)
     return K
 
 
@@ -135,9 +156,7 @@ def quasimode_form(N, params, K=None):
     term; the summand decays superexponentially in k. A K whose arrays
     would exceed the budget raises ResourceError before D is formed.
     """
-    # D and the vectors displacement_matrix holds beside it, more than the
-    # 5 of _form
-    K = _spectral_cutoff(N, K, "the quasimode form's arrays", 1, 16)
+    K = _spectral_cutoff(N, K, "the quasimode form's arrays")
     return _form(N, params, displacement_matrix(K, params.alpha)[N, :])
 
 
@@ -167,20 +186,18 @@ class QuasimodeExpansion:
     tail_estimate: float
     mu1_plus: float
     mu1_minus: float
+    parity: tuple
 
 
-def _ab_pieces(params, d):
-    """(lam2, B) of the AB frame: the harmonic levels on both spin blocks,
-    and B = [[beta1 I, beta2 D], [beta2 D^T, beta1 I]], written into one
-    array a block at a time."""
-    K = d.shape[0] - 1
-    lam = np.arange(K + 1) + 0.5
-    b = np.eye(2 * (K + 1))
-    b *= params.beta1
-    b[:K + 1, K + 1:] = params.beta2 * d
-    b[K + 1:, :K + 1] = params.beta2 * d.T
-    lam2 = np.concatenate((lam, lam))
-    return lam2, b
+def sector_perturbation(d, sign, params, y):
+    """B_s y = beta1 y + s beta2 D ((-1)^k y): the perturbation B of the AB
+    frame on its parity sector s (fock_ops.ABSector) applied to y, the
+    y.size coefficients of the frame vector (y, s (-1)^k y), with D = d of
+    the same cutoff. B_s is B on the sector because D^T = S D S, S =
+    diag((-1)^k)."""
+    sy = y.copy()
+    sy[1::2] *= -1.0
+    return params.beta1 * y + (sign * params.beta2) * (d @ sy)
 
 
 def quasimode_vectors(N, params, K=None):
@@ -189,47 +206,47 @@ def quasimode_vectors(N, params, K=None):
     Coefficients live on the product basis at cutoff K, spin slowest. With
     mu the first-order eigenvalue of the branch, u1 = R0 (mu - B) (phi_N w)
     and u2 = R0 (mu - B) u1; both have vanishing components on the
-    unperturbed eigenspace because the reduced resolvent kills it. A K
-    whose arrays would exceed the budget raises ResourceError before D is
-    formed.
+    unperturbed eigenspace because the reduced resolvent kills it. Each
+    branch lies in one AB parity sector s (branch_parity), where phi_N w
+    is (x0, s (-1)^k x0) with x0 = w[0] e_N, so both are formed on the
+    K + 1 coefficients of the sector (sector_perturbation) and returned
+    as frame vectors (y, s (-1)^k y). A K whose arrays would exceed the
+    budget raises ResourceError before D is formed.
     """
-    # D, _ab_pieces' B of 4 (K + 1)^2 and one block on its way in; the
-    # vectors of K + 1 held at once, displacement_matrix's 16 or the
-    # expansion's 18: lam2, weights and v0, the first branch's u1 and u2,
-    # and the second's u1 and the three terms of its u2, each of 2 (K + 1)
-    K = _spectral_cutoff(N, K, "the quasimode vectors' arrays", 6, 18)
+    K = _spectral_cutoff(N, K, "the quasimode vectors' arrays")
     d = displacement_matrix(K, params.alpha)
     form = _form(N, params, d[N, :])
     split = first_order(N, params)
-    lam2, b = _ab_pieces(params, d)
-    lam_n = N + 0.5
+    parity = _branch_parity(N, split)
+    # R0 on a sector: the harmonic gaps k - N, exact, and 0 on level N
     with np.errstate(divide="ignore"):
-        weights = 1.0 / (lam2 - lam_n)
-    e0 = (N, K + 1 + N)
-    weights[list(e0)] = 0.0
-    out = {}
-    for tag, w, mu in (("plus", split.w_plus, split.mu_plus),
-                       ("minus", split.w_minus, split.mu_minus)):
-        v0 = np.zeros(2 * (K + 1))
-        v0[e0[0]] = w[0]
-        v0[e0[1]] = w[1]
-        u1 = weights * (mu * v0 - b @ v0)
-        u2 = weights * (mu * u1 - b @ u1)
-        out[tag] = (u1, u2)
+        weights = 1.0 / (np.arange(K + 1.0) - N)
+    weights[N] = 0.0
+    u = []
+    for w, mu, s in ((split.w_plus, split.mu_plus, parity[0]),
+                     (split.w_minus, split.mu_minus, parity[1])):
+        y = np.zeros(K + 1)
+        y[N] = w[0]
+        for _ in range(2):
+            y = weights * (mu * y - sector_perturbation(d, s, params, y))
+            frame = np.concatenate((y, s * y))
+            frame[K + 2::2] *= -1.0
+            u.append(frame)
     return QuasimodeExpansion(
         level=N,
         mu2_plus=form.mu2_plus,
         mu2_minus=form.mu2_minus,
-        u1_plus=out["plus"][0],
-        u1_minus=out["minus"][0],
-        u2_plus=out["plus"][1],
-        u2_minus=out["minus"][1],
+        u1_plus=u[0],
+        u1_minus=u[2],
+        u2_plus=u[1],
+        u2_minus=u[3],
         K=K,
         w_plus=split.w_plus,
         w_minus=split.w_minus,
         tail_estimate=form.tail_estimate,
         mu1_plus=split.mu_plus,
         mu1_minus=split.mu_minus,
+        parity=parity,
     )
 
 
@@ -253,7 +270,16 @@ def quasimode_residual(N, params, eps, K=None, cutoff=None):
 
 def expansion_residual(exp, params, eps, cutoff=None):
     """quasimode_residual of an expansion quasimode_vectors already made
-    for params."""
+    for params.
+
+    Each branch's u is the frame vector (y, s (-1)^k y) of its sector s, so
+    its residual is ||H_s y - lambda y|| / ||y||, with H_s = P + eps B_s
+    (sector_perturbation) applied at the cutoff without forming it. The
+    model is checked as build would check the AB frame at eps and cutoff
+    (ModelSpecError), and a cutoff whose arrays would exceed the budget
+    raises ResourceError before D is formed (_check_arrays). A residual
+    that is not finite raises PrecisionError.
+    """
     N, K = exp.level, exp.K
     if cutoff is None:
         cutoff = K + RESIDUAL_CUTOFF_MARGIN
@@ -261,30 +287,28 @@ def expansion_residual(exp, params, eps, cutoff=None):
         raise ValueError("residual cutoff %d is below the spectral cutoff "
                          "K = %d" % (cutoff, K))
     margin_violated = cutoff < K + RESIDUAL_CUTOFF_MARGIN
-    spec = ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2,
-                              eps, cutoff)
-    h = build(spec).matrix
-    lam_n = N + 0.5
-
-    def embed(vec):
-        big = np.zeros(2 * (cutoff + 1))
-        big[: K + 1] = vec[: K + 1]
-        big[cutoff + 1: cutoff + 2 + K] = vec[K + 1:]
-        return big
-
+    ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2, eps,
+                       cutoff).validate()
+    _check_arrays("the quasimode residual's arrays at cutoff %d" % cutoff,
+                  cutoff)
+    d = displacement_matrix(cutoff, params.alpha)
+    lam = np.arange(cutoff + 1) + 0.5
     worst = 0.0
     branches = ((exp.w_plus, exp.u1_plus, exp.u2_plus, exp.mu1_plus,
-                 exp.mu2_plus),
+                 exp.mu2_plus, exp.parity[0]),
                 (exp.w_minus, exp.u1_minus, exp.u2_minus, exp.mu1_minus,
-                 exp.mu2_minus))
-    for w, u1, u2, mu, mu2 in branches:
-        v0 = np.zeros(2 * (cutoff + 1))
-        v0[N] = w[0]
-        v0[cutoff + 1 + N] = w[1]
-        u = v0 + eps * embed(u1) + eps * eps * embed(u2)
-        lam = lam_n + eps * mu \
-            + 0.5 * eps * eps * SECOND_ORDER_SIGN * mu2
-        res = np.linalg.norm(h @ u - lam * u) / np.linalg.norm(u)
+                 exp.mu2_minus, exp.parity[1]))
+    for w, u1, u2, mu, mu2, s in branches:
+        y = np.zeros(cutoff + 1)
+        level = N + 0.5 + eps * mu + 0.5 * eps * eps * SECOND_ORDER_SIGN * mu2
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            y[:K + 1] = eps * u1[:K + 1] + eps * eps * u2[:K + 1]
+            y[N] += w[0]
+            hy = lam * y + eps * sector_perturbation(d, s, params, y)
+            res = np.linalg.norm(hy - level * y) / np.linalg.norm(y)
+        if not math.isfinite(res):
+            raise PrecisionError("quasimode residual at eps=%r is not finite"
+                                 % eps)
         worst = max(worst, res)
     return QuasimodeResidual(worst, margin_violated)
 
@@ -295,7 +319,11 @@ def expansion_residual(exp, params, eps, cutoff=None):
 
 def branch_parity(N, params):
     """Parity sector labels (plus_branch, minus_branch) for the level-N pair."""
-    split = first_order(N, params)
+    return _branch_parity(N, first_order(N, params))
+
+
+def _branch_parity(N, split):
+    """branch_parity from the level's first_order split."""
     base = 1 if N % 2 == 0 else -1
     if split.degenerate or split.overlap_ratio >= 0:
         return base, -base

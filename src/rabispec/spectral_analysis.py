@@ -85,9 +85,16 @@ class IntervalReport:
 
 
 def _check_symmetric(m):
+    """Raise ValueError unless the stored matrix m is finite and symmetric
+    to dimension * macheps * max(1, max|m|). A NaN or an infinity would
+    pass the comparisons below (max(0.0, nan) is 0.0), so either is
+    refused first: np.max and np.min propagate them."""
     scale = asym = 0.0
     if m.size:
-        scale = max(m.max(), -m.min())
+        hi, lo = m.max(), m.min()
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise ValueError("matrix has non-finite entries")
+        scale = max(hi, -lo)
         # m - m.T is antisymmetric, so the tiles on and above the diagonal
         # hold its maximum; no temporary larger than one tile is built
         t = SYMMETRY_TILE

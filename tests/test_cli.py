@@ -247,6 +247,15 @@ def test_quasimode_vectors_flag(tmp_path):
     check_schema(doc, load_schema("quasimode"))
 
 
+def test_quasimode_residual_at_a_large_finite_eps(tmp_path):
+    # far outside the expansion's range the residual is large, but finite
+    doc = run_json(tmp_path, ["quasimode", "--N", "1", "--alpha", "1",
+                              "--gamma1", "1", "--gamma2", "-1",
+                              "--eps", "10"])
+    assert doc["residual"] == pytest.approx(21.588, rel=1e-4)
+    check_schema(doc, load_schema("quasimode"))
+
+
 def test_braak_command_defaults(tmp_path):
     doc = run_json(tmp_path, ["braak", "--family", "qr", "--alpha", "1",
                               "--gamma1", "1", "--gamma2", "-1",
@@ -754,11 +763,11 @@ def test_every_model_command_refuses_a_foreign_level_flag(capsys, argv,
 
 def test_quasimode_budget_is_checked_before_the_displacement_matrix(
         tmp_path, capsys, monkeypatch):
-    # the budget patched to the count of K = 400: D, B and one of its
-    # blocks, 6 (K + 1)^2 doubles, 18 vectors of K + 1 and the Python
-    # objects, 7.8 MB
+    # the budget patched to the count of cutoff 400: D, 16 vectors of 401
+    # and the Python objects, 1.34 MB; the vectors at K and the residual
+    # step at its cutoff are each refused before D is formed
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
-                        8 * (6 * 401 + 18) * 401 + errors.OBJECT_BYTES)
+                        8 * (401 + 16) * 401 + errors.OBJECT_BYTES)
     argv = ["quasimode", "--N", "1", "--alpha", "1", "--gamma1", "1",
             "--gamma2", "-1"]
     tracemalloc.start()
@@ -768,11 +777,23 @@ def test_quasimode_budget_is_checked_before_the_displacement_matrix(
                                "ResourceError")
             assert doc["message"].startswith(
                 "the quasimode vectors' arrays at K = 401 need")
+        doc = expect_error(capsys, argv + ["--K", "60", "--eps", "0.01",
+                                           "--cutoff", "401"],
+                           9, "ResourceError")
+        assert doc["message"].startswith(
+            "the quasimode residual's arrays at cutoff 401 need")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
     assert run_json(tmp_path, argv + ["--K", "400"])["K"] == 400
+    # the default residual cutoff, K + 40, is over the budget at K 400
+    doc = expect_error(capsys, argv + ["--K", "400", "--eps", "0.01"], 9,
+                       "ResourceError")
+    assert doc["message"].startswith(
+        "the quasimode residual's arrays at cutoff 440 need")
+    doc = run_json(tmp_path, argv + ["--K", "360", "--eps", "0.01"])
+    assert (doc["K"], doc["margin_violated"]) == (360, False)
 
 
 def test_exit_code_model_spec_nonfinite(capsys):
@@ -951,6 +972,15 @@ def test_json_only_commands_refuse_csv(tmp_path, capsys, argv):
       "--gamma2=-1"], 7),
     (["quasimode", "--N", "1", "--alpha", "1", "--gamma1", "1e300",
       "--gamma2=-1"], 5),
+    # the residual's norms overflow from about eps 1e100: not finite
+    (["quasimode", "--N", "1", "--alpha", "1", "--gamma1", "1",
+      "--gamma2=-1", "--eps", "1e100"], 5),
+    (["quasimode", "--N", "1", "--alpha", "1", "--gamma1", "1",
+      "--gamma2=-1", "--eps", "1e200"], 5),
+    (["quasimode", "--N", "1", "--alpha", "1", "--gamma1", "1",
+      "--gamma2=-1", "--eps=-1e200"], 5),
+    (["quasimode", "--N", "1", "--alpha", "1", "--gamma1", "1",
+      "--gamma2=-1", "--eps", "nan"], 7),
     (["avoid-seq", "--x0", "nan", "--jmax", "2"], 2),
     (["spectrum", "--family", "qr", "--alpha", "1", "--gamma1", "1",
       "--gamma2=-1", "--eps", "0.1", "--cutoff", "4", "--tol", "nan"], 2),
@@ -964,7 +994,8 @@ def test_json_only_commands_refuse_csv(tmp_path, capsys, argv):
 ], ids=["braak-shift-inf", "braak-alpha-overflow", "quadrature-nan",
         "quadrature-inf", "quadrature-overflow", "quadrature-400-nodes",
         "perturb-gamma-inf",
-        "quasimode-overflow", "avoid-seq-nan", "spectrum-tol-nan",
+        "quasimode-overflow", "quasimode-eps-1e100", "quasimode-eps-1e200",
+        "quasimode-eps-minus-1e200", "quasimode-eps-nan", "avoid-seq-nan", "spectrum-tol-nan",
         "weyl-fraction-nan", "weyl-fraction-0"])
 def test_nonfinite_and_overflowing_inputs_are_classified(capsys, argv, code):
     names = {2: "UsageError", 5: "PrecisionError", 7: "ModelSpecError"}

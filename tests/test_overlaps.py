@@ -177,6 +177,16 @@ def test_diagonal_ratio_below_the_double_range_is_zero():
     assert diagonal_overlap_ratio(400, 60.0) == 0.0
 
 
+def test_diagonal_ratio_keeps_a_ratio_whose_scale_underflows():
+    # e^(-800) underflows to 0, and L_100(1600), 3.457e159, needs no
+    # rescale: the ratio, 1.2680e-188, is formed from their logs
+    L = lag_exact(100, Fraction(1600))
+    assert float(L) == 3.4571714136007503e159
+    want = math.exp(math.log(float(L)) - 800.0)
+    got = diagonal_overlap_ratio(100, math.sqrt(800.0))
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_diagonal_ratio_past_the_double_range_raises():
     # a^2 overflows at alpha 1e200, and the recurrence gives NaN
     with pytest.raises(PrecisionError, match="not finite"):

@@ -126,39 +126,43 @@ def test_quasimode_form_vanishes_without_level_splitting():
 
 
 def test_quasimode_routines_refuse_a_cutoff_over_budget(monkeypatch):
-    # quasimode_form counts D, (K + 1)^2 doubles, and 16 vectors of K + 1;
-    # quasimode_vectors D, B and one block, 6 (K + 1)^2, and 18 vectors;
-    # both add errors.OBJECT_BYTES
+    # each routine counts D at its cutoff, (n + 1)^2 doubles, the 16
+    # vectors of n + 1 that displacement_matrix holds beside it and
+    # errors.OBJECT_BYTES: quasimode_form and quasimode_vectors at K, the
+    # residual step at its cutoff
     formed = []
 
     def counted(*args):
         formed.append(args)
         return displacement_matrix(*args)
 
+    exp = quasimode_vectors(3, STD, K=30)
     monkeypatch.setattr(perturbation, "displacement_matrix", counted)
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
                         8 * (101 + 16) * 101 + errors.OBJECT_BYTES)
     with pytest.raises(ResourceError, match="form's arrays at K = 101 need"):
         quasimode_form(3, STD, K=101)
-    # 8 (6 * 43 + 18) * 43 bytes, over the 8 (101 + 16) * 101 above
-    with pytest.raises(ResourceError, match="vectors' arrays at K = 42 need"):
-        quasimode_vectors(3, STD, K=42)
+    with pytest.raises(ResourceError, match="vectors' arrays at K = 101 need"):
+        quasimode_vectors(3, STD, K=101)
+    with pytest.raises(ResourceError,
+                       match="residual's arrays at cutoff 101 need"):
+        expansion_residual(exp, STD, 1e-2, cutoff=101)
     assert formed == []
     assert quasimode_form(3, STD, K=100).tail_estimate >= 0.0
-    assert quasimode_vectors(3, STD, K=41).K == 41
-    assert formed == [(100, STD.alpha), (41, STD.alpha)]
+    assert quasimode_vectors(3, STD, K=100).K == 100
+    assert expansion_residual(exp, STD, 1e-2, cutoff=100).residual > 0.0
+    assert formed == [(100, STD.alpha)] * 3
 
 
 @pytest.mark.parametrize("K", [2, 10, 61, 200, 400, 1000])
 @pytest.mark.parametrize("alpha", [1.0, -1.0])
-@pytest.mark.parametrize("routine, arrays, vectors", [
-    (quasimode_form, 1, 16), (quasimode_vectors, 6, 18)],
-    ids=["form", "vectors"])
-def test_quasimode_budgets_bound_the_traced_peak(routine, arrays, vectors,
-                                                 alpha, K, monkeypatch):
-    # the budget patched to the count at K: the routine peaks within it,
-    # and K + 1 is refused before its arrays are formed
-    need = 8 * (arrays * (K + 1) + vectors) * (K + 1) + errors.OBJECT_BYTES
+@pytest.mark.parametrize("routine", [quasimode_form, quasimode_vectors],
+                         ids=["form", "vectors"])
+def test_quasimode_budgets_bound_the_traced_peak(routine, alpha, K,
+                                                 monkeypatch):
+    # the budget patched to the count at K, D and 16 vectors: the routine
+    # peaks within it, and K + 1 is refused before its arrays are formed
+    need = 8 * (K + 1 + 16) * (K + 1) + errors.OBJECT_BYTES
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", need)
     params = RabiParameters(alpha, 1.0, -1.0)
     routine(0, params, 1)  # whatever loads at the first call
@@ -174,6 +178,33 @@ def test_quasimode_budgets_bound_the_traced_peak(routine, arrays, vectors,
     finally:
         tracemalloc.stop()
     assert need / 2 < ran <= need
+    assert refused < 1e6
+
+
+@pytest.mark.parametrize("C", [2, 10, 101, 400, 1000])
+@pytest.mark.parametrize("alpha", [1.0, -1.0])
+def test_residual_budget_bounds_the_traced_peak(alpha, C, monkeypatch):
+    # the residual step counts D at its cutoff C and 16 vectors of C + 1,
+    # as the spectral cutoff's routines do, and is refused at C + 1 before
+    # D is formed
+    need = 8 * (C + 1 + 16) * (C + 1) + errors.OBJECT_BYTES
+    params = RabiParameters(alpha, 1.0, -1.0)
+    exp = quasimode_vectors(1, params, 2)
+    expansion_residual(exp, params, 1e-2, 2)  # whatever loads at first
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", need)
+    tracemalloc.start()
+    try:
+        expansion_residual(exp, params, 1e-2, C)
+        ran = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        kept = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ResourceError, match="at cutoff %d need" % (C + 1)):
+            expansion_residual(exp, params, 1e-2, C + 1)
+        refused = tracemalloc.get_traced_memory()[1] - kept
+    finally:
+        tracemalloc.stop()
+    # D is formed and held beside the vectors, within the count
+    assert 8 * (C + 1) ** 2 < ran <= need
     assert refused < 1e6
 
 
@@ -226,16 +257,144 @@ def test_quasimode_computes_each_piece_once(monkeypatch):
     exp = quasimode_vectors(1, STD)
     assert calls == {"displacement_matrix": 1, "first_order": 1}
     calls.clear()
+    # the residual forms D once more, at its own cutoff, and nothing else
     res = expansion_residual(exp, STD, 1e-2)
-    assert calls == {}
+    assert calls == {"displacement_matrix": 1}
+    calls.clear()
     assert res == quasimode_residual(1, STD, 1e-2)
-    assert calls == {"displacement_matrix": 1, "first_order": 1}
+    assert calls == {"displacement_matrix": 2, "first_order": 1}
     # the pieces shared with quasimode_form and first_order are bitwise theirs
     form = quasimode_form(1, STD)
     split = first_order(1, STD)
     assert (exp.mu2_plus, exp.tail_estimate) == (form.mu2_plus,
                                                  form.tail_estimate)
     assert (exp.mu1_plus, exp.mu1_minus) == (split.mu_plus, split.mu_minus)
+
+
+# the frame route: the expansion and its residual on the whole 2 (K + 1)
+# AB frame, as quasimode_vectors and expansion_residual formed them before
+# they worked on the branch's parity sector; kept as their oracle
+
+ORACLE_MODELS = [
+    (1, RabiParameters(DEGEN_ALPHA, 1.0, -1.0)),
+    (0, RabiParameters(0.7, 1.0, -1.0)),
+    (4, RabiParameters(1.0, 1.0, -1.0)),
+    (3, RabiParameters(1.3, 0.9, -1.1)),
+    (2, RabiParameters(-0.8, 1.2, -0.6)),
+]
+
+
+def _frame_pieces(params, d):
+    """(lam2, B) of the AB frame: the harmonic levels on both spin blocks,
+    and B = [[beta1 I, beta2 D], [beta2 D^T, beta1 I]]."""
+    K = d.shape[0] - 1
+    lam = np.arange(K + 1) + 0.5
+    b = np.eye(2 * (K + 1))
+    b *= params.beta1
+    b[:K + 1, K + 1:] = params.beta2 * d
+    b[K + 1:, :K + 1] = params.beta2 * d.T
+    return np.concatenate((lam, lam)), b
+
+
+def _frame_vectors(N, params, K):
+    """[(u1, u2) of the plus branch, then of the minus branch], each
+    R0 (mu - B) applied on the frame to phi_N w and then to u1."""
+    lam2, b = _frame_pieces(params, displacement_matrix(K, params.alpha))
+    split = first_order(N, params)
+    with np.errstate(divide="ignore"):
+        weights = 1.0 / (lam2 - (N + 0.5))
+    weights[[N, K + 1 + N]] = 0.0
+    out = []
+    for w, mu in ((split.w_plus, split.mu_plus),
+                  (split.w_minus, split.mu_minus)):
+        v0 = np.zeros(2 * (K + 1))
+        v0[N], v0[K + 1 + N] = w
+        u1 = weights * (mu * v0 - b @ v0)
+        out.append((u1, weights * (mu * u1 - b @ u1)))
+    return out
+
+
+def _frame_residual(exp, params, eps, cutoff):
+    """expansion_residual with the frame vectors embedded at cutoff and
+    multiplied by the dense frame matrix of build."""
+    N, K = exp.level, exp.K
+    h = build(ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2,
+                                 eps, cutoff)).matrix
+
+    def embed(vec):
+        big = np.zeros(2 * (cutoff + 1))
+        big[:K + 1] = vec[:K + 1]
+        big[cutoff + 1:cutoff + 2 + K] = vec[K + 1:]
+        return big
+
+    worst = 0.0
+    for w, u1, u2, mu, mu2 in ((exp.w_plus, exp.u1_plus, exp.u2_plus,
+                                exp.mu1_plus, exp.mu2_plus),
+                               (exp.w_minus, exp.u1_minus, exp.u2_minus,
+                                exp.mu1_minus, exp.mu2_minus)):
+        v0 = np.zeros(2 * (cutoff + 1))
+        v0[N], v0[cutoff + 1 + N] = w
+        u = v0 + eps * embed(u1) + eps * eps * embed(u2)
+        lam = N + 0.5 + eps * mu + 0.5 * eps * eps * SECOND_ORDER_SIGN * mu2
+        worst = max(worst, np.linalg.norm(h @ u - lam * u)
+                    / np.linalg.norm(u))
+    return worst
+
+
+@pytest.mark.parametrize("N, params", ORACLE_MODELS)
+def test_quasimode_vectors_match_the_frame_route(N, params):
+    exp = quasimode_vectors(N, params)
+    got = [(exp.u1_plus, exp.u2_plus), (exp.u1_minus, exp.u2_minus)]
+    for pair, want in zip(got, _frame_vectors(N, params, exp.K)):
+        for u, v in zip(pair, want):
+            assert u.shape == v.shape
+            assert np.max(np.abs(u - v)) <= 1e-14 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("N, params", ORACLE_MODELS)
+def test_quasimode_residual_matches_the_frame_route(N, params):
+    exp = quasimode_vectors(N, params)
+    for eps in (1e-3, 1e-2, 0.05):
+        for cutoff in (None, exp.K, exp.K + 15):
+            got = expansion_residual(exp, params, eps, cutoff).residual
+            want = _frame_residual(exp, params, eps,
+                                   exp.K + 40 if cutoff is None else cutoff)
+            assert abs(got - want) <= 1e-14
+
+
+@pytest.mark.parametrize("N, params", ORACLE_MODELS)
+def test_sector_recursion_gives_the_second_order_sign(N, params):
+    # Rayleigh-Schrodinger on the branch's sector: the eps^2 coefficient is
+    # <v0, B u1> = 2 <x0, B_s y1>, with v0 = (x0, s (-1)^k x0) of norm 1;
+    # the module writes it as (1/2) SECOND_ORDER_SIGN mu2
+    exp = quasimode_vectors(N, params)
+    d = displacement_matrix(exp.K, params.alpha)
+    for w, u1, mu2, s in ((exp.w_plus, exp.u1_plus, exp.mu2_plus,
+                           exp.parity[0]),
+                          (exp.w_minus, exp.u1_minus, exp.mu2_minus,
+                           exp.parity[1])):
+        y1 = u1[:exp.K + 1]
+        lam2 = 2.0 * w[0] * perturbation.sector_perturbation(
+            d, s, params, y1)[N]
+        want = 0.5 * SECOND_ORDER_SIGN * mu2
+        assert abs(lam2 - want) <= 1e-15 + 1e-12 * abs(mu2)
+
+
+def test_branch_sectors_hold_the_first_order_vectors():
+    # phi_N w of each branch is the frame vector (x0, s (-1)^k x0) of its
+    # sector s, x0 = w[0] e_N, and u1, u2 are frame vectors of that sector
+    for N, params in ORACLE_MODELS:
+        exp = quasimode_vectors(N, params)
+        assert exp.parity == branch_parity(N, params)
+        n = exp.K + 1
+        signs = (-1.0) ** np.arange(n)
+        for w, s, us in ((exp.w_plus, exp.parity[0],
+                          (exp.u1_plus, exp.u2_plus)),
+                         (exp.w_minus, exp.parity[1],
+                          (exp.u1_minus, exp.u2_minus))):
+            assert w[1] == s * (-1) ** N * w[0]
+            for u in us:
+                assert np.array_equal(u[n:], s * signs * u[:n])
 
 
 def _ab_frame(params, eps, cutoff):

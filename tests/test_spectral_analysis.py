@@ -1285,6 +1285,25 @@ def test_count_below_dense_route_without_layer_structure(caplog, tmp_path):
         assert got == _dense_count(op.matrix, 0.5)
 
 
+@pytest.mark.parametrize("entries", [{(0, 1): np.nan, (1, 0): 5.0},
+                                     {(2, 2): np.inf}],
+                         ids=["nan-and-5", "inf-on-diagonal"])
+def test_stored_matrix_with_nonfinite_entries_is_refused(entries, tmp_path):
+    # a NaN passed the symmetry gate, and count_below(op, 0.5) gave 0; an
+    # infinity made the tie band infinite, and the count 4, where it is 0
+    m = np.eye(4)
+    for at, value in entries.items():
+        m[at] = value
+    basis = BasisDescriptor(1, (1,), 2)
+    path = tmp_path / "m.bin"
+    export_matrix(TruncatedOperator(basis, m), path)
+    for op in (TruncatedOperator(basis, m), load_matrix(path)):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            count_below(op, 0.5)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            eigen_spectrum(op)
+
+
 def _count_below_records(op, lam):
     """(count_below(op, lam), the messages it logged)."""
     records = logging.handlers.BufferingHandler(10)

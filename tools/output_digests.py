@@ -27,7 +27,9 @@ The outputs digested are
   exits;
 * smges_gap_check for Xi, Lambda and Vee at one, two and three modes
   (SMGES) and each eps of SMGES_EPS: its gap, its point, and the
-  eigenvalues and symbol matrices there.
+  eigenvalues and symbol matrices there;
+* `quasimode --vectors --eps` on five models (QUASIMODE), one of them
+  also with an explicit residual `--cutoff`.
 
 BLAS runs on one thread, as in the benchmark. An op that raises is
 digested by its exception's type and message.
@@ -146,6 +148,26 @@ SMGES = {
     for n in (1, 2, 3)
 }
 SMGES_EPS = (0.0, 0.05, 1.0, 2.0)
+
+# quasimode expansions and residuals: a level on a Laguerre zero (the
+# README model), the ground level, positive and negative overlap ratios,
+# unequal gammas and a negative alpha, and a residual cutoff below the
+# default margin
+QUASIMODE_MODELS = {
+    "degenerate-N1": ["--N", "1", "--alpha", "0.7071067811865476",
+                      "--gamma1", "1", "--gamma2=-1"],
+    "N0": ["--N", "0", "--alpha", "0.7", "--gamma1", "1", "--gamma2=-1"],
+    "N4": ["--N", "4", "--alpha", "1", "--gamma1", "1", "--gamma2=-1"],
+    "N3": ["--N", "3", "--alpha", "1.3", "--gamma1", "0.9",
+           "--gamma2=-1.1"],
+    "N2-negative-alpha": ["--N", "2", "--alpha=-0.8", "--gamma1", "1.2",
+                          "--gamma2=-0.6"],
+}
+QUASIMODE = {
+    name: ["quasimode"] + argv + ["--vectors", "--eps", "0.01"]
+    for name, argv in QUASIMODE_MODELS.items()
+}
+QUASIMODE["N3/cutoff90"] = QUASIMODE["N3"] + ["--cutoff", "90"]
 
 
 def _encode(value, out):
@@ -276,6 +298,8 @@ def outputs(seeds):
             yield "smges/%s/eps%g" % (name, eps), (
                 g.min_gap, g.X, g.sample.eigenvalues, g.sample.a1_matrix,
                 g.sample.b1_matrix)
+    for name, argv in QUASIMODE.items():
+        yield "quasimode/%s" % name, run_cli(argv)
 
 
 def cli(argv=None):
