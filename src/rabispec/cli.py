@@ -307,6 +307,10 @@ def _cmd_quasimode(args, config):
     params = _rabi_params(args)
     n = int(args.N)
     k = int(args.K) if args.K is not None else None
+    if args.eps is not None:
+        cutoff = int(args.cutoff) if args.cutoff is not None else None
+        k, cutoff = perturbation.check_residual_step(
+            n, params, float(args.eps), k, cutoff)
     exp = perturbation.quasimode_vectors(n, params, k)
     payload = {
         "command": "quasimode", "N": n, "K": exp.K,
@@ -316,7 +320,6 @@ def _cmd_quasimode(args, config):
         "w_plus": list(exp.w_plus), "w_minus": list(exp.w_minus),
     }
     if args.eps is not None:
-        cutoff = int(args.cutoff) if args.cutoff is not None else None
         res = perturbation.expansion_residual(exp, params, float(args.eps),
                                               cutoff)
         payload["eps"] = float(args.eps)

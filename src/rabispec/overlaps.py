@@ -388,9 +388,27 @@ def diagonal_overlap_ratio(N, alpha):
     back; elsewhere (without a rescale the log is 0) the ratio is
     e^{-a^2} L_N(2 a^2) as evaluated in doubles. A ratio that is not
     finite raises PrecisionError.
+
+    On the closed-form route, where e^{-a^2} is below the normal range
+    (a^2 > 708), the ratio is sign(S) e^{log|S / N!| - a^2} from the exact
+    sum S = N! L_N(2 a^2) of the closed form, so it is neither 0 nor
+    subnormal where the ratio is normal.
     """
     if 2 * N <= MAX_COMBINED_DEGREE:
-        return overlap_closed(N, N, alpha) / weighted_norm_squared(N)
+        a2 = alpha * alpha
+        if math.exp(-a2) >= sys.float_info.min:
+            return overlap_closed(N, N, alpha) / weighted_norm_squared(N)
+        _check_degrees(N, N)
+        mant, texp = _dyadic(alpha)
+        s = Fraction(_alternating_series(N, N, mant, texp, N, True),
+                     math.factorial(N) << (2 * N * texp))
+        if s == 0:
+            return 0.0
+        # |s| = m 2^e with m in (1/2, 2), so its log loses no digits
+        e = abs(s.numerator).bit_length() - s.denominator.bit_length()
+        m = abs(s) / (Fraction(2) ** e)
+        return math.copysign(
+            math.exp(math.log(m) + e * math.log(2.0) - a2), s)
     if N > MAX_RATIO_STEPS:
         raise ResourceError(
             "diagonal overlap ratio at level %d takes %d recurrence steps, "

@@ -262,10 +262,39 @@ def quasimode_residual(N, params, eps, K=None, cutoff=None):
     basis, lambda(eps) = lambda_N + eps mu + (1/2) eps^2 sigma mu2 with mu
     the first-order branch value and sigma the calibrated sign. The margin
     flag reports a cutoff too close to K for the truncation error to stay
-    below the eps^3 scale of interest.
+    below the eps^3 scale of interest. Both steps are checked
+    (check_residual_step) before the expansion is formed.
     """
+    K, cutoff = check_residual_step(N, params, eps, K, cutoff)
     return expansion_residual(quasimode_vectors(N, params, K), params, eps,
                               cutoff)
+
+
+def check_residual_step(N, params, eps, K=None, cutoff=None):
+    """(K, cutoff) of quasimode_residual at level N once both steps are
+    admitted, from the arguments alone: the budget of the vectors at K
+    (_spectral_cutoff), then the residual cutoff with the model at eps
+    (_residual_cutoff). Nothing is formed, so a residual step that would
+    be refused is refused before the expansion's displacement matrix is."""
+    K = _spectral_cutoff(N, K, "the quasimode vectors' arrays")
+    return K, _residual_cutoff(K, params, eps, cutoff)
+
+
+def _residual_cutoff(K, params, eps, cutoff):
+    """The residual step's cutoff, K + RESIDUAL_CUTOFF_MARGIN by default
+    and not below K (ValueError), once the model is checked as build would
+    check the AB frame at eps and cutoff (ModelSpecError) and the budget
+    admits its arrays (_check_arrays, ResourceError)."""
+    if cutoff is None:
+        cutoff = K + RESIDUAL_CUTOFF_MARGIN
+    if cutoff < K:
+        raise ValueError("residual cutoff %d is below the spectral cutoff "
+                         "K = %d" % (cutoff, K))
+    ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2, eps,
+                       cutoff).validate()
+    _check_arrays("the quasimode residual's arrays at cutoff %d" % cutoff,
+                  cutoff)
+    return cutoff
 
 
 def expansion_residual(exp, params, eps, cutoff=None):
@@ -275,22 +304,12 @@ def expansion_residual(exp, params, eps, cutoff=None):
     Each branch's u is the frame vector (y, s (-1)^k y) of its sector s, so
     its residual is ||H_s y - lambda y|| / ||y||, with H_s = P + eps B_s
     (sector_perturbation) applied at the cutoff without forming it. The
-    model is checked as build would check the AB frame at eps and cutoff
-    (ModelSpecError), and a cutoff whose arrays would exceed the budget
-    raises ResourceError before D is formed (_check_arrays). A residual
-    that is not finite raises PrecisionError.
+    cutoff and the model are checked before D is formed (_residual_cutoff).
+    A residual that is not finite raises PrecisionError.
     """
     N, K = exp.level, exp.K
-    if cutoff is None:
-        cutoff = K + RESIDUAL_CUTOFF_MARGIN
-    if cutoff < K:
-        raise ValueError("residual cutoff %d is below the spectral cutoff "
-                         "K = %d" % (cutoff, K))
+    cutoff = _residual_cutoff(K, params, eps, cutoff)
     margin_violated = cutoff < K + RESIDUAL_CUTOFF_MARGIN
-    ModelSpec.ab_frame(params.alpha, params.gamma1, params.gamma2, eps,
-                       cutoff).validate()
-    _check_arrays("the quasimode residual's arrays at cutoff %d" % cutoff,
-                  cutoff)
     d = displacement_matrix(cutoff, params.alpha)
     lam = np.arange(cutoff + 1) + 0.5
     worst = 0.0

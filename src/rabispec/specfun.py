@@ -45,10 +45,17 @@ ZERO_PROXIMITY_TOL = 1e-10
 # deriv holds as many floats and one mask; the sign-change scans hold
 # fewer. The Sturm sweeps of avoid-seq hold no per-degree arrays;
 # _STURM_BYTES_PER_DEGREE keeps the exit-9 limit on kcap (near 65 million
-# at 2 GiB) scaled with errors.DENSE_BUDGET_BYTES, until a bound on the
-# sweep time replaces it.
+# at 2 GiB) scaled with errors.DENSE_BUDGET_BYTES, and MAX_STURM_STEPS
+# bounds their time.
 _ZEROS_BYTES_PER_DEGREE = 11 * 8 + 4
 _STURM_BYTES_PER_DEGREE = 4 * 8 + 1
+
+# Work of nondegenerate_sequence in Sturm steps, counted from the code:
+# the proximity check and each of the jmax windows run one scalar sweep
+# of up to kcap degrees, kcap (jmax + 1) steps in all, about 0.35 s per
+# million on one core. The cap admits 10^7 steps, about 4 s; more work
+# raises ResourceError before any sweep.
+MAX_STURM_STEPS = 10 ** 7
 
 # Work of laguerre_zeros in operations, counted from the code: about
 # degree^2 for the tridiagonal eigensolve, degree^2 for each of the three
@@ -347,7 +354,8 @@ def nondegenerate_sequence(x0, jmax, kcap=4000):
     Raises DegenerateInput if x0 sits within 1e-10 of a zero of any L_k with
     k <= kcap, and ResourceError, before any sweep, if kcap is over the
     cap that errors.DENSE_BUDGET_BYTES sets at _STURM_BYTES_PER_DEGREE
-    bytes per degree, or once a window reaches a degree whose zeros
+    bytes per degree or the work, kcap (jmax + 1) Sturm steps, is over
+    MAX_STURM_STEPS, or once a window reaches a degree whose zeros
     laguerre_zeros refuses.
     """
     if jmax < 1:
@@ -361,6 +369,11 @@ def nondegenerate_sequence(x0, jmax, kcap=4000):
         raise ValueError("x0 must be positive")
     check_budget("Sturm counts to kcap = %d need" % kcap,
                  _STURM_BYTES_PER_DEGREE * kcap)
+    if kcap * (jmax + 1) > MAX_STURM_STEPS:
+        raise ResourceError(
+            "avoidance sequence to kcap = %d over %d windows takes up to %d "
+            "Sturm steps, over the cap of %d"
+            % (kcap, jmax, kcap * (jmax + 1), MAX_STURM_STEPS))
     if _first_degree_with_zero_in(x0, ZERO_PROXIMITY_TOL, kcap) is not None:
         raise DegenerateInput(
             "x0 = %.17g is within %g of a Laguerre zero" % (x0, ZERO_PROXIMITY_TOL)

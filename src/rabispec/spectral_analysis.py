@@ -3,9 +3,9 @@ inertia-based eigenvalue counting, and interval statistics of the shifted
 spectrum.
 
 Truncated matrices only approximate the operator, so every consumer-facing
-routine here either runs the cutoff-growth protocol until the requested
-prefix of the spectrum is stable, or refuses to draw conclusions (the
-interval checker raises instead of reporting on an unconverged tail). The
+routine here either grows the cutoffs until bounds for the operator itself
+enclose the requested prefix of the spectrum, or refuses to draw
+conclusions (the interval checker raises on an unconverged tail). The
 Braak census of QR and QRabi (braak_census) is certified for the operator
 itself: its counts come from Sturm sweeps whose brackets close.
 """
@@ -218,38 +218,28 @@ def _grow(cutoffs, cap):
     return tuple(min(cap, math.ceil(c * GROWTH_FACTOR)) for c in cutoffs)
 
 
-def _stable_prefix(prev, cur, m, tol):
-    mm = min(len(prev), len(cur), m)
-    diffs = np.abs(np.asarray(prev[:mm]) - np.asarray(cur[:mm]))
-    bad = np.nonzero(diffs >= tol)[0]
-    return mm if bad.size == 0 else int(bad[0])
+def _check_step(step):
+    """Refuse a growth step whose build, or for every family but QR and
+    QRabi whose dense matrix, is over the budget (ResourceError)."""
+    if step.family not in (QR, QRABI):
+        check_dense_budget(step.basis())
+    check_build_budget(step)
 
 
 def _converge(spec, m, tol, cap):
-    """Cutoff-growth driver: (Spectrum without labels, sector number of
-    each eigenvalue).
+    """Cutoff-growth driver: (Spectrum without labels, sector of each value).
 
-    The steps grow from spec.cutoffs (_grow) until the first m values of
-    two consecutive steps agree to tol (stop "stable"), or up to the cap
-    (stop "cap", a partial result). A step with a cutoff below 1, which no
-    model admits, is the last one too. Before any step is built, the
-    growth is planned: each step's budget is checked from its spec
-    (check_build_budget, and for every family but QR and QRabi the dense
-    matrix, check_dense_budget), and the plan ends before the first step
-    refused (stop "budget", a partial result of the last step planned); a
-    refused first step raises.
-
-    A step is solved (_solve_sectors of its build) only when its values
-    are compared or returned: the comparison at step i can find m stable
-    values only if step i - 1 has at least m, so step i is compared only
-    then, or as the last step of the plan, or as the second step when the
-    first is above the cap (the second lowers it). Each compared step is
-    solved with the step before it, once, and every exit returns what
-    solving every step of the plan in turn returns.
-
-    One debug record per call names the stop reason, the cutoffs tried (up
-    to the returned step, and the refused one), those solved, and the
-    stable prefix at each comparison.
+    The steps grow from spec.cutoffs (_grow) up to the cap. Each step's
+    budget (_check_step) is checked before the step before it is built, so
+    a step is the last one at the cap or where the next one is refused; a
+    refused first step raises before anything is built. A step with at
+    least m eigenvalues, or the last one, is solved (_solve_sectors of its
+    build) and certifies itself: its first k values are converged while
+    each lies within tol of its lower bound (_lower_bounds). The first
+    step with m converged values is returned (stop "enclosed"), else the
+    last one, partial (stop "cap" or "budget"). Its debug record names the
+    stop, m, the steps tried (with the refused one on a budget stop) and
+    each solved step as cutoffs:converged count:largest width.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -257,79 +247,88 @@ def _converge(spec, m, tol, cap):
         raise ValueError("tol must be positive")
     if cap is None:
         cap = SINGLE_MODE_CAP if spec.modes == 1 else MULTI_MODE_CAP
-    cuts = [spec.cutoffs]
-    refused = None
+    tried, solved = [spec.cutoffs], []
+    _check_step(spec)
     while True:
-        step = spec.with_cutoffs(cuts[-1])
-        try:
-            if spec.family not in (QR, QRABI):
-                check_dense_budget(step.basis())
-            check_build_budget(step)
-        except ResourceError as exc:
-            refused = exc
-            break
-        if all(c >= cap for c in cuts[-1]) or any(c < 1 for c in cuts[-1]):
-            break
-        cuts.append(_grow(cuts[-1], cap))
-    last = len(cuts) - 1 - (refused is not None)
-    solved = {}
-    stables = []
-
-    def values(i):
-        if i not in solved:
-            solved[i] = _solve_sectors(
-                build(spec.with_cutoffs(cuts[i])).sectors)
-        return solved[i]
-
-    def record(stop, tried):
-        log.debug("converge stop=%s m=%d tried=%s solved=%s stable=%s", stop,
-                  m, ",".join(map(_cutoff_text, cuts[:tried])),
-                  ",".join(_cutoff_text(cuts[i]) for i in sorted(solved)),
-                  ",".join(stables))
-
-    if last < 0:
-        record("budget", 1)
-        raise refused
-    for i in range(last + 1):
-        compared = i > 0 and (
-            spec.with_cutoffs(cuts[i - 1]).basis().dim >= m
-            or i == 1 and max(cuts[0]) > cap)
-        if not (compared or i == last):
-            continue
-        stable = 0
-        if i > 0:
-            stable = _stable_prefix(values(i - 1)[0], values(i)[0], m, tol)
-            stables.append("%s:%d" % (_cutoff_text(cuts[i]), stable))
-        if stable >= m or i == last:
-            vals, sector = values(i)
-            stop = ("stable" if stable >= m else
-                    "cap" if refused is None else "budget")
-            record(stop, len(cuts) if stop == "budget" else i + 1)
-            return Spectrum(vals, None, stable, cuts[i], spec,
-                            partial=stop != "stable"), sector
+        step = spec.with_cutoffs(tried[-1])
+        stop = "cap" if all(c >= cap for c in step.cutoffs) else None
+        if stop is None:
+            grown = _grow(step.cutoffs, cap)
+            try:
+                _check_step(spec.with_cutoffs(grown))
+            except ResourceError:
+                stop = "budget"
+        if stop or step.basis().dim >= m:
+            sectors = build(step).sectors
+            vals, sector = _solve_sectors(sectors)
+            width = vals[:m] - _lower_bounds(step, sectors, vals, m)
+            count = int(np.cumprod(width <= tol).sum())
+            solved.append("%s:%d:%.3g" % ("x".join(map(str, step.cutoffs)),
+                                          count, width.max()))
+            if count >= m or stop:
+                stop = "enclosed" if count >= m else stop
+                steps = tried + [grown] if stop == "budget" else tried
+                log.debug("converge stop=%s m=%d tried=%s solved=%s", stop,
+                          m, ",".join("x".join(map(str, c)) for c in steps),
+                          ",".join(solved))
+                return Spectrum(vals, None, count, step.cutoffs, spec,
+                                partial=stop != "enclosed"), sector
+        tried.append(grown)
 
 
-def _cutoff_text(cutoffs):
-    """The cutoffs of a growth step as the debug record gives them: 16, or
-    10x12 with more than one mode."""
-    return "x".join(map(str, cutoffs))
+def _lower_bounds(step, sectors, vals, m):
+    """Lower bounds on the first m eigenvalues of the untruncated
+    operator from those of its box A (vals, ascending; step and its
+    sectors), by Haynsworth (Horn & Johnson, Matrix Analysis, 4.3): with f
+    a lower bound on the operator outside the box, and Q >= B^T B for the
+    block B that joins the box to it, A'(mu) = A - Q / (f - mu) has
+    lambda_k(A') <= lambda_k(H) <= lambda_k(A) for every lambda_k(A) <=
+    mu < f, mu the m-th (or last) value; every bound is -inf if mu >= f.
+
+    An AB sector H_s has f = K + 3/2 + eps beta1 - |eps beta2| and Q =
+    (eps beta2)^2 I - c c^T, as D is the truncation of an orthogonal
+    matrix: A' is H_s + c c^T / (f - mu) shifted by -(eps beta2)^2 /
+    (f - mu), summed into H_s (a peak no larger than H_s's solve). Outside
+    a layered box every state lies above layer min(cutoffs), where
+    Sector.floor is f, and each a_k^dagger / sqrt(2) leaves the box
+    through its own face, so Q is diagonal: the sum over the modes k with
+    n_k = c_k of alpha_k^2 (c_k + 1) / 2, rounded up."""
+    import scipy.linalg  # loads at the first call, not with the package
+    mu = vals[min(m, vals.size) - 1]
+    if isinstance(sectors[0], ABSector):
+        g1, g2 = step.gammas
+        e = step.eps * (0.5 * (g1 - g2))
+        f = step.cutoffs[0] + 1.5 + step.eps * (0.5 * (g1 + g2)) - abs(e)
+    else:
+        cut = min(step.cutoffs)
+        f = next(s.floor[cut - s.first] for s in sectors
+                 if 0 <= cut - s.first < s.floor.size)
+    if not mu < f:
+        return np.full_like(vals[:m], -np.inf)
+    if isinstance(sectors[0], ABSector):
+        return _merge([scipy.linalg.eigvalsh(
+            s.matrix() + s.c @ s.c.T / (f - mu), overwrite_a=True)
+            for s in sectors])[0][:m] - e * e / (f - mu)
+    slack = 1.0 + 4.0 * (step.modes + 1) * np.finfo(float).eps
+    occ = np.indices(step.basis().mode_dims).reshape(step.modes, -1)
+    q = sum(np.where(o == c, a * a * (c + 1) / 2.0, 0.0) for o, a, c in zip(
+        occ, step.alphas, step.cutoffs)) * slack / (f - mu)
+    return _solve_sectors([s._replace(diag=s.diag - q[s.index % q.size])
+                           for s in sectors])[0][:m]
 
 
 def converged_spectrum(spec, m, tol, cap=None):
-    """Spectrum with the first m eigenvalues certified stable to tol.
+    """Spectrum of a box whose first m eigenvalues each lie within tol
+    above a lower bound on the untruncated operator's (_lower_bounds).
 
     Cutoffs grow geometrically (factor 1.5, rounded up) from the ones in the
     ModelSpec. Hitting the cap, or a growth step that the budget refuses
     (build's, and for every family but QR and QRabi a dense matrix over
-    errors.DENSE_BUDGET_BYTES, checked before any step is built), yields a
-    partial result: converged_count reports how long a prefix was stable
-    at the last comparison and the partial flag is set. A growth step is
-    solved only when it is compared or returned (_converge): the steps with
-    fewer than m eigenvalues are skipped until a partial result needs the
-    one before its own. Every solved step solves the sectors of its build
-    (_solve_sectors), the AB frame's two parity sectors and the two QR and
-    QRabi parity chains included; parity_split is the same result with
-    the labels.
+    errors.DENSE_BUDGET_BYTES, checked one step ahead), yields a partial
+    result: converged_count reports how long a prefix is enclosed and the
+    partial flag is set. Only the steps with at least m eigenvalues, and
+    the last, are solved (_converge), by the sectors of their build
+    (_solve_sectors); parity_split is the same result with the labels.
     """
     return _converge(spec, m, tol, cap)[0]
 

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rabispec
-from rabispec import (cli, errors, fock_ops, overlaps, spectral_analysis,
-                      specfun, weyl_asymptotics)
+from rabispec import (cli, errors, fock_ops, overlaps, perturbation,
+                      spectral_analysis, specfun, weyl_asymptotics)
 from rabispec.cli import main
 from rabispec.fock_ops import load_matrix
 from rabispec.overlaps import overlap_closed
@@ -796,6 +796,25 @@ def test_quasimode_budget_is_checked_before_the_displacement_matrix(
     assert (doc["K"], doc["margin_violated"]) == (360, False)
 
 
+def test_quasimode_residual_cutoff_is_refused_before_the_expansion(
+        capsys, monkeypatch):
+    # the budget patched to the count of cutoff 400: K 100 is admitted,
+    # the residual cutoff 401 is not, and the refusal comes before any
+    # displacement matrix is formed
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
+                        8 * (401 + 16) * 401 + errors.OBJECT_BYTES)
+    formed = []
+    monkeypatch.setattr(perturbation, "displacement_matrix",
+                        lambda *args: formed.append(args))
+    argv = ["quasimode", "--N", "1", "--alpha", "1", "--gamma1", "1",
+            "--gamma2", "-1", "--K", "100", "--eps", "0.01"]
+    for extra in (["--cutoff", "401"], ["--cutoff", "1000"]):
+        doc = expect_error(capsys, argv + extra, 9, "ResourceError")
+        assert doc["message"].startswith(
+            "the quasimode residual's arrays at cutoff %s need" % extra[1])
+    assert formed == []
+
+
 def test_exit_code_model_spec_nonfinite(capsys):
     expect_error(capsys, ["weyl", "--family", "xi", "--alpha", "nan,0.8",
                           "--gamma", "0.3,0.5", "--eps", "0.05",
@@ -841,6 +860,24 @@ def test_exit_code_resource_laguerre_degrees(tmp_path, capsys):
     assert doc["kcap"] == 4000 and len(doc["entries"]) == 1
     doc = run_json(tmp_path, ["laguerre-zeros", "--degree", "2000"])
     assert len(doc["zeros"]) == 2000
+
+
+def test_exit_code_resource_avoid_seq_work(tmp_path, capsys, monkeypatch):
+    # kcap (jmax + 1) Sturm steps over the cap, patched down to 3 000:
+    # exit 9 with the error object, before any sweep
+    monkeypatch.setattr(specfun, "MAX_STURM_STEPS", 3000)
+    sweeps = []
+    monkeypatch.setattr(specfun, "_first_degree_with_zero_in",
+                        lambda *args: sweeps.append(args))
+    doc = expect_error(capsys, ["avoid-seq", "--x0", "0.5", "--jmax", "2",
+                                "--kcap", "1001"], 9, "ResourceError")
+    assert "3003 Sturm steps, over the cap of 3000" in doc["message"]
+    assert sweeps == []
+    monkeypatch.undo()
+    monkeypatch.setattr(specfun, "MAX_STURM_STEPS", 3000)
+    doc = run_json(tmp_path, ["avoid-seq", "--x0", "0.5", "--jmax", "2",
+                              "--kcap", "1000"])
+    assert len(doc["entries"]) == 2
 
 
 def test_laguerre_zeros_work_cap(tmp_path, capsys, monkeypatch):

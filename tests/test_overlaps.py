@@ -187,6 +187,31 @@ def test_diagonal_ratio_keeps_a_ratio_whose_scale_underflows():
     assert abs(got - want) <= 1e-12 * want
 
 
+def _laguerre_recurrence(N, x):
+    """L_N(x) at a Fraction x by the three-term recurrence, exactly."""
+    prev, cur = Fraction(0), Fraction(1)
+    for n in range(N):
+        prev, cur = cur, ((2 * n + 1 - x) * cur - n * prev) / (n + 1)
+    return cur
+
+
+@pytest.mark.parametrize("N,a2", [(60, 800.0), (30, 760.0), (10, 745.5),
+                                  (5, 720.0)])
+def test_closed_form_ratio_keeps_a_ratio_whose_scale_underflows(N, a2):
+    # e^(-a^2) is 0, or subnormal at a^2 720: the closed form's exact sum
+    # gives the ratio, 7.5e-239, 5.1e-268, 2.4e-299 and -1.0e-299, from
+    # logs, where it gave 0.0, 0.0, 0.0 and 2.8e-12 off
+    a = math.sqrt(a2)
+    L = _laguerre_recurrence(N, 2 * Fraction(a) ** 2)
+    e = abs(L.numerator).bit_length() - L.denominator.bit_length()
+    log_l = math.log(abs(L) / Fraction(2) ** e) + e * math.log(2.0)
+    want = math.copysign(math.exp(log_l - a * a), L)
+    for alpha in (a, -a):
+        got = diagonal_overlap_ratio(N, alpha)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert abs(got) > 1e-300
+
+
 def test_diagonal_ratio_past_the_double_range_raises():
     # a^2 overflows at alpha 1e200, and the recurrence gives NaN
     with pytest.raises(PrecisionError, match="not finite"):

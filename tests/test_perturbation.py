@@ -154,6 +154,29 @@ def test_quasimode_routines_refuse_a_cutoff_over_budget(monkeypatch):
     assert formed == [(100, STD.alpha)] * 3
 
 
+def test_quasimode_residual_checks_its_cutoff_before_the_expansion(
+        monkeypatch):
+    # K 100 is admitted and the residual cutoff 101 is not: refused from
+    # the arguments, before the expansion forms its displacement matrix
+    formed = []
+    monkeypatch.setattr(perturbation, "displacement_matrix",
+                        lambda *args: formed.append(args)
+                        or displacement_matrix(*args))
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
+                        8 * (101 + 16) * 101 + errors.OBJECT_BYTES)
+    with pytest.raises(ResourceError,
+                       match="residual's arrays at cutoff 101 need"):
+        quasimode_residual(3, STD, 1e-2, K=100, cutoff=101)
+    # the default cutoff, K + 40
+    with pytest.raises(ResourceError,
+                       match="residual's arrays at cutoff 101 need"):
+        quasimode_residual(3, STD, 1e-2, K=61)
+    assert formed == []
+    assert perturbation.check_residual_step(3, STD, 1e-2, 60) == (60, 100)
+    assert quasimode_residual(3, STD, 1e-2, K=60).residual > 0.0
+    assert formed == [(60, STD.alpha), (100, STD.alpha)]
+
+
 @pytest.mark.parametrize("K", [2, 10, 61, 200, 400, 1000])
 @pytest.mark.parametrize("alpha", [1.0, -1.0])
 @pytest.mark.parametrize("routine", [quasimode_form, quasimode_vectors],

@@ -210,6 +210,27 @@ def test_laguerre_zeros_and_sturm_counts_refuse_over_the_budget(
         nondegenerate_sequence(0.5, 2, kcap=1001)
 
 
+def test_avoidance_sequence_work_cap(monkeypatch):
+    # kcap (jmax + 1) Sturm steps: the benchmark's kcap 4000 at jmax 4 is
+    # 20 000, far under the cap; with the cap patched to 3 000 steps, kcap
+    # 1 000 at jmax 2 is admitted and kcap 1 001 is refused before any
+    # sweep
+    assert 4000 * 5 * 100 <= specfun.MAX_STURM_STEPS
+    sweeps = []
+    real = specfun._first_degree_with_zero_in
+    monkeypatch.setattr(specfun, "_first_degree_with_zero_in",
+                        lambda *args: sweeps.append(args) or real(*args))
+    monkeypatch.setattr(specfun, "MAX_STURM_STEPS", 3000)
+    assert len(nondegenerate_sequence(0.5, 2, kcap=1000).entries) == 2
+    assert len(sweeps) == 3
+    sweeps.clear()
+    with pytest.raises(ResourceError, match="3003 Sturm steps, over the cap"):
+        nondegenerate_sequence(0.5, 2, kcap=1001)
+    with pytest.raises(ResourceError, match="4000 Sturm steps, over the cap"):
+        nondegenerate_sequence(0.5, 3, kcap=1000)
+    assert sweeps == []
+
+
 @pytest.mark.parametrize("N", [10, 2000, 5000])
 def test_laguerre_zeros_peak_within_their_count(N):
     need = specfun._ZEROS_BYTES_PER_DEGREE * N + errors.OBJECT_BYTES

@@ -149,10 +149,9 @@ def test_multimode_converged_spectrum_matches_dense_growth(spec, m, tol, cap):
         return np.sort(scipy.linalg.eigvalsh(op.matrix)), None
 
     want = _eager_converge(spec, m, tol, cap, dense)
-    assert got.cutoffs_used == want.cutoffs_used
-    assert got.converged_count == want.converged_count
+    _assert_agrees(got, want, m, tol)
     assert got.partial == want.partial and got.parity is None
-    assert _close_to(got.eigenvalues, want.eigenvalues)
+    _assert_enclosed(got, m, tol)
 
 
 # the AB frame's sector route vs its dense eigvalsh: both round the same
@@ -173,11 +172,15 @@ def test_ab_converged_spectrum_matches_dense_growth(spec, m):
         return np.sort(scipy.linalg.eigvalsh(frame)), None
 
     want = _eager_converge(spec, m, 1e-10, None, dense)
-    assert got.cutoffs_used == want.cutoffs_used
-    assert got.converged_count == want.converged_count
-    assert got.partial == want.partial and got.parity is None
-    assert got.eigenvalues.shape == want.eigenvalues.shape
-    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= AB_ROUTE_TOL
+    # the stable-prefix values agree with the certified ones, and the
+    # frame's dense solve at the returned box with its sectors' solve
+    _assert_agrees(got, want, m, 1e-10)
+    assert got.converged_count == want.converged_count == m
+    assert not got.partial and not want.partial and got.parity is None
+    frame, _ = dense(got.cutoffs_used)
+    assert frame.shape == got.eigenvalues.shape
+    assert np.max(np.abs(got.eigenvalues - frame)) <= AB_ROUTE_TOL
+    _assert_enclosed(got, m, 1e-10)
 
 
 def test_ab_growth_steps_keep_the_dense_refusal_point(monkeypatch):
@@ -288,10 +291,18 @@ def test_spectrum_to_dict_round_trip_fields():
 # ------------------------------------------------------- growth driver
 
 
+def _stable_prefix(prev, cur, m, tol):
+    """How many of the first m values of two growth steps agree to tol."""
+    mm = min(len(prev), len(cur), m)
+    diffs = np.abs(np.asarray(prev[:mm]) - np.asarray(cur[:mm]))
+    bad = np.nonzero(diffs >= tol)[0]
+    return mm if bad.size == 0 else int(bad[0])
+
+
 def _eager_converge(spec, m, tol, cap, solve):
-    """The cutoff-growth driver that solves every step in turn, kept as
-    the oracle of _converge, which solves only the steps it compares or
-    returns."""
+    """The stable-prefix driver, kept as the oracle of _converge: it solves
+    every step in turn and calls the first m values converged where two
+    consecutive steps agree to tol."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if not tol > 0:
@@ -310,7 +321,7 @@ def _eager_converge(spec, m, tol, cap, solve):
                 raise
             return Spectrum(*prev, stable, prev_cur, spec, partial=True)
         if prev is not None:
-            stable = spectral_analysis._stable_prefix(prev[0], vals, m, tol)
+            stable = _stable_prefix(prev[0], vals, m, tol)
             if stable >= m:
                 return Spectrum(vals, labels, m, cur, spec, partial=False)
         if all(c >= cap for c in cur):
@@ -355,6 +366,20 @@ def _against_eager(monkeypatch, call, spec, m, tol, cap=None):
     return got, want, asked
 
 
+def _assert_agrees(got, want, m, tol):
+    """The enclosure driver's result got against the stable-prefix
+    oracle's want: the first values that both call converged, at most m,
+    agree within tol, and got's values and labels are bitwise those of
+    solving the sectors of the box it names."""
+    k = min(got.converged_count, want.converged_count, m)
+    assert np.all(np.abs(got.eigenvalues[:k] - want.eigenvalues[:k]) <= tol)
+    box = got.model.with_cutoffs(got.cutoffs_used)
+    vals, sector = spectral_analysis._solve_sectors(build(box).sectors)
+    assert got.eigenvalues.tobytes() == vals.tobytes()
+    if got.parity is not None:
+        assert got.parity == list(np.array(["+", "-"], dtype=object)[sector])
+
+
 def _assert_same_spectrum(got, want):
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     assert got.parity == want.parity
@@ -368,86 +393,94 @@ def _records(caplog):
             if r.getMessage().startswith("converge ")]
 
 
-def test_driver_solves_only_the_compared_steps(monkeypatch, caplog):
+def _record_width(caplog, head):
+    """The largest width of the one converge record, which must read head
+    followed by that width."""
+    record, = _records(caplog)
+    assert record.startswith(head), record
+    return float(record[len(head):])
+
+
+def test_driver_builds_no_step_with_fewer_than_m_values(monkeypatch,
+                                                        caplog):
     # braak's shape, nmax 200: m = 2 (nmax + 2) = 404 levels from cutoff
     # 16; the steps 16 .. 183 (dimension 34 .. 368) have fewer than m
-    # values, and 275 (552) against 413 (828) is already stable
+    # values and are not built, and 275 (552) encloses all 404 (the
+    # stable-prefix oracle went on to 413)
     spec = ModelSpec.qr(1.03, 0.95, -1.07, -0.03, 16)
     with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
         got, want, asked = _against_eager(monkeypatch, parity_split, spec,
                                           404, 1e-9)
-    _assert_same_spectrum(got, want)
-    assert not got.partial and got.cutoffs_used == (413,)
-    assert asked["driver"] == [(275,), (413,)]
-    assert len(asked["eager"]) == 9
-    assert _records(caplog) == [
-        "converge stop=stable m=404 tried=16,24,36,54,81,122,183,275,413 "
-        "solved=275,413 stable=413:404"]
+    _assert_agrees(got, want, 404, 1e-9)
+    assert not got.partial and got.converged_count == 404
+    assert got.cutoffs_used == (275,) and want.cutoffs_used == (413,)
+    assert asked["driver"] == [(275,)]
+    assert _record_width(
+        caplog, "converge stop=enclosed m=404 "
+        "tried=16,24,36,54,81,122,183,275 solved=275:404:") <= 1e-9
 
 
-def test_driver_cap_exit_solves_the_skipped_step_before(monkeypatch,
-                                                        caplog):
+def test_driver_cap_exit_solves_only_the_last_step(monkeypatch, caplog):
     # every step 4 .. 20 (dimension 10 .. 42) has fewer than m = 60 values:
-    # the cap exit at 20 reports its stable prefix against 14, which is
-    # solved only then
+    # only the cap step 20 is built, and its 42nd value lies above the
+    # floor of layer 20, so it encloses none
     spec = ModelSpec.qr(1.0, 1.0, -1.0, 0.3, 4)
     with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
         got, want, asked = _against_eager(monkeypatch, parity_split, spec,
                                           60, 1e-3, cap=20)
-    _assert_same_spectrum(got, want)
+    _assert_agrees(got, want, 60, 1e-3)
     assert got.partial and got.cutoffs_used == (20,)
-    assert 0 < got.converged_count < 60
-    assert asked["driver"] == [(14,), (20,)]
+    assert got.converged_count == 0
+    assert asked["driver"] == [(20,)]
     assert _records(caplog) == [
-        "converge stop=cap m=60 tried=4,6,9,14,20 solved=14,20 stable=20:%d"
-        % got.converged_count]
+        "converge stop=cap m=60 tried=4,6,9,14,20 solved=20:0:inf"]
 
 
 def test_driver_budget_exit_solves_the_latest_admitted_step(monkeypatch,
                                                             caplog):
     # AB steps 10, 15, 23, 35, 53 have dimension 22, 32, 48, 72, 108; a
-    # dense budget of dimension 100 refuses 53, so the plan ends at 35,
-    # which has fewer than m = 80 values: it is solved with 23 for its
-    # stable prefix, and 53 is never built
+    # dense budget of dimension 100 refuses 53, so 35 is the last step: it
+    # is built though it has fewer than m = 80 values, and 53 never is
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 100 ** 2)
     spec = ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 10)
     with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
         got, want, asked = _against_eager(monkeypatch, converged_spectrum,
                                           spec, 80, 1e-3)
-    _assert_same_spectrum(got, want)
-    assert got.partial and got.cutoffs_used == (35,)
-    assert 0 < got.converged_count < 80
-    assert asked["driver"] == [(23,), (35,)]
+    _assert_agrees(got, want, 80, 1e-3)
+    assert got.partial and got.cutoffs_used == want.cutoffs_used == (35,)
+    assert 0 < got.converged_count < 72
+    assert asked["driver"] == [(35,)]
     assert asked["eager"] == [(10,), (15,), (23,), (35,), (53,)]
-    assert _records(caplog) == [
-        "converge stop=budget m=80 tried=10,15,23,35,53 solved=23,35 "
-        "stable=35:%d" % got.converged_count]
+    assert _record_width(
+        caplog, "converge stop=budget m=80 tried=10,15,23,35,53 "
+        "solved=35:%d:" % got.converged_count) > 1e-3
 
 
 @pytest.mark.parametrize("call", [parity_split, converged_spectrum],
                          ids=["parity_split", "converged_spectrum"])
-def test_driver_budget_exit_lists_its_comparison_once(call, monkeypatch,
-                                                      caplog):
-    # QR steps from 4: 162 (dimension 326) has m = 300 values or more, so
-    # 243 is compared; the budget of a dense matrix of dimension 100,
-    # 10 000 words, admits the build of 243 (8 529) and refuses 365
-    # (12 799)
+def test_driver_encloses_at_the_step_before_a_refused_one(call, monkeypatch,
+                                                          caplog):
+    # QR steps from 4: 162 (dimension 326) is the first with m = 300
+    # values, but its 300th lies above the floor of layer 162 and it
+    # encloses none; the budget of a dense matrix of dimension 100, 10 000
+    # words, admits the build of 243 (8 529) and refuses 365 (12 799), so
+    # 243 is the last step, and it encloses all 300
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 100 ** 2)
     spec = ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 4)
     with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
         got, want, asked = _against_eager(monkeypatch, call, spec, 300, 1e-8)
-    _assert_same_spectrum(got, want)
-    assert got.partial and got.cutoffs_used == (243,)
+    _assert_agrees(got, want, 300, 1e-8)
+    assert not got.partial and got.cutoffs_used == (243,)
     assert asked["driver"] == [(162,), (243,)]
     assert asked["eager"][-1] == (365,)
-    assert _records(caplog) == [
-        "converge stop=budget m=300 tried=4,6,9,14,21,32,48,72,108,162,243,"
-        "365 solved=162,243 stable=243:%d" % got.converged_count]
+    assert _record_width(
+        caplog, "converge stop=enclosed m=300 tried=4,6,9,14,21,32,48,72,"
+        "108,162,243 solved=162:0:inf,243:300:") <= 1e-8
 
 
 def test_driver_refused_first_step_still_raises(monkeypatch, caplog):
     # every step from 60 (dimension 122) on is over a budget of dimension
-    # 100: the plan meets the refusal at its first step and builds nothing
+    # 100: the first step is refused before anything is built
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 100 ** 2)
     spec = ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 60)
     built = []
@@ -463,8 +496,7 @@ def test_driver_refused_first_step_still_raises(monkeypatch, caplog):
                         _checking_solve(spec, labelled=False))
     assert str(got.value) == str(want.value)
     assert built == []
-    assert _records(caplog) == [
-        "converge stop=budget m=500 tried=60 solved= stable="]
+    assert _records(caplog) == []
 
 
 BUDGET_SPECS = [ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 4),
@@ -477,9 +509,10 @@ BUDGET_SPECS = [ModelSpec.qr(1.0, 1.0, -1.0, 0.0, 4),
 @pytest.mark.parametrize("spec", BUDGET_SPECS, ids=lambda s: s.family)
 @pytest.mark.parametrize("dim", [100, 300, 1000])
 def test_driver_refuses_where_the_eager_loop_does(spec, dim, monkeypatch):
-    # the plan's admit rule against a solve that refuses as it builds:
-    # each solved step is one the eager loop solved, ascending, and every
-    # exit returns its result
+    # the driver's budget checked one step ahead against a solve that
+    # refuses as it builds: both refuse the same first step, and where both
+    # are partial they end at the same step; the driver builds its steps
+    # ascending, each with at least m values or the last one
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * dim ** 2)
     calls = [converged_spectrum]
     if spec.family in (fock_ops.QR, fock_ops.QRABI):
@@ -494,25 +527,145 @@ def test_driver_refuses_where_the_eager_loop_does(spec, dim, monkeypatch):
                     _eager_converge(spec, m, 1e-3, None,
                                     _checking_solve(spec, False))
                 continue
-            _assert_same_spectrum(got, want)
-            assert set(asked["driver"]) <= set(asked["eager"])
-            assert asked["driver"] == sorted(asked["driver"])
+            _assert_agrees(got, want, m, 1e-3)
+            if got.partial and want.partial:
+                assert got.cutoffs_used == want.cutoffs_used
+            steps = asked["driver"]
+            assert steps == sorted(steps) and steps[-1] == got.cutoffs_used
+            assert all(spec.with_cutoffs(c).basis().dim >= m
+                       for c in steps[:-1])
 
 
 def test_driver_matches_the_eager_loop_on_multimode_steps(monkeypatch):
-    # a start above the cap in one mode: the second step lowers it, so
-    # both first steps are solved whatever their dimension
+    # a start above the cap in one mode: the steps grow to (12, 12), the
+    # first with m = 400 values and the cap, which both routes return
     spec = ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (30, 1))
     got, want, asked = _against_eager(monkeypatch, converged_spectrum, spec,
                                       400, 1e-6, cap=12)
-    _assert_same_spectrum(got, want)
-    assert asked["driver"][:2] == [(30, 1), (12, 2)]
-    # m = 10 values: every step is compared, as in multimode_weyl
+    _assert_agrees(got, want, 400, 1e-6)
+    assert got.partial and got.cutoffs_used == want.cutoffs_used == (12, 12)
+    assert asked["driver"] == [(12, 12)]
+    # m = 10 values: every step is built, as in multimode_weyl, up to the
+    # one that encloses them
     spec = ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (4, 4))
     got, want, asked = _against_eager(monkeypatch, converged_spectrum, spec,
                                       10, 1e-9, cap=20)
-    _assert_same_spectrum(got, want)
-    assert asked["driver"] == asked["eager"]
+    _assert_agrees(got, want, 10, 1e-9)
+    assert not got.partial and got.converged_count == 10
+    assert asked["driver"] == [(4, 4), (6, 6), (9, 9), (14, 14)]
+    _assert_enclosed(got, 10, 1e-9)
+
+
+# ------------------------------------------------------- enclosures
+
+
+def _larger_box(box):
+    """The eigenvalues of a box with three times box's cutoffs, twice with
+    more than one mode."""
+    grow = 3 if box.modes == 1 else 2
+    return eigen_spectrum(build(box.with_cutoffs([grow * c
+                                                  for c in box.cutoffs])))
+
+
+def _assert_contains(big, lower, upper):
+    """lower <= big <= upper, value by value, within a rounding band:
+    upper holds a box's first eigenvalues, lower their bounds
+    (_lower_bounds), big those of a larger box; -inf bounds hold
+    anything."""
+    big = big[:lower.size]
+    band = 1e-10 * np.maximum(1.0, np.abs(big))
+    assert np.all(lower - band <= big), np.max(lower - big)
+    assert np.all(big <= upper[:lower.size] + band)
+
+
+def _assert_enclosed(got, m, tol):
+    """Each converged value of got lies within tol of its lower bound at
+    the box it names, and the bounds and values of that box contain the
+    values of a box three times larger."""
+    box = got.model.with_cutoffs(got.cutoffs_used)
+    lower = spectral_analysis._lower_bounds(box, build(box).sectors,
+                                            got.eigenvalues, m)
+    k = got.converged_count
+    assert k <= lower.size == min(m, got.eigenvalues.size)
+    assert np.all(got.eigenvalues[:k] - lower[:k] <= tol)
+    assert k == lower.size or not got.eigenvalues[k] - lower[k] <= tol
+    _assert_contains(_larger_box(box), lower, got.eigenvalues)
+
+
+@pytest.mark.parametrize("spec,m,tol,call", [
+    (ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 30), 20, 1e-10, converged_spectrum),
+    (ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 30), 20, 1e-10,
+     converged_spectrum)]
+    + [(ModelSpec.qr(1.0, 1.0, -1.0, eps, 16), 26, 1e-9, parity_split)
+       for eps in (0.05, -0.05, 0.02, -0.02)],
+    ids=["c03-qr", "c03-ab", "c06-0.05", "c06--0.05", "c06-0.02",
+         "c06--0.02"])
+def test_gate_spectra_are_enclosed(spec, m, tol, call):
+    got = call(spec, m, tol)
+    assert not got.partial and got.converged_count == m
+    _assert_enclosed(got, m, tol)
+
+
+def _random_models(seed, per_family):
+    """Small boxes of every family, with alpha, eps and the gammas drawn
+    so that the enclosures are wide: eps beta2 of either sign and up to
+    1.5 in size, and multimode cutoffs that differ by mode."""
+    rng = np.random.default_rng(seed)
+
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    for _ in range(per_family):
+        cut = int(rng.integers(3, 20))
+        yield ModelSpec.qr(u(0.3, 2.0), u(0.2, 1.5), -u(0.2, 1.5),
+                           u(-0.5, 0.5), cut)
+        yield ModelSpec.qrabi(u(0.3, 2.0), u(0.2, 2.0), u(-0.5, 0.5), cut)
+        yield ModelSpec.ab_frame(u(-2.0, 2.0), u(0.2, 1.5), -u(0.2, 1.5),
+                                 u(-1.0, 1.0), cut)
+        n = int(rng.integers(2, 4))
+        for ctor in (ModelSpec.xi, ModelSpec.lam, ModelSpec.vee):
+            alphas = rng.uniform(0.3, 1.2, n) * rng.choice([-1.0, 1.0], n)
+            yield ctor(alphas, np.sort(rng.uniform(0.0, 1.0, n)), 0.05,
+                       rng.integers(4, 15 if n == 2 else 7, n))
+
+
+RANDOM_MODELS = list(_random_models(31, 6))
+
+
+@pytest.mark.parametrize("spec", RANDOM_MODELS,
+                         ids=["%s-%d" % (s.family, i)
+                              for i, s in enumerate(RANDOM_MODELS)])
+def test_enclosures_contain_a_larger_box(spec):
+    # at m = 1, 5, 20 and a quarter of the box's dimension: the bounds at
+    # mu = lambda_m hold every value up to m, exact, wide and -inf alike
+    sectors = build(spec).sectors
+    vals = spectral_analysis._solve_sectors(sectors)[0]
+    big = _larger_box(spec)
+    for m in (1, 5, 20, vals.size // 4 + 1):
+        lower = spectral_analysis._lower_bounds(spec, sectors, vals, m)
+        assert lower.size == min(m, vals.size)
+        # A' <= A, up to the rounding of the two solves
+        band = 1e-12 * np.maximum(1.0, np.abs(vals[:m]))
+        assert np.all(lower <= vals[:m] + band)
+        _assert_contains(big, lower, vals)
+
+
+def test_random_enclosures_are_exercised():
+    # the sweep above reaches wide bounds, finite and infinite, on every
+    # family
+    for family in fock_ops.FAMILIES:
+        widths = []
+        for spec in RANDOM_MODELS:
+            if spec.family != family:
+                continue
+            sectors = build(spec).sectors
+            vals = spectral_analysis._solve_sectors(sectors)[0]
+            for m in (1, 5, 20, vals.size // 4 + 1):
+                lower = spectral_analysis._lower_bounds(spec, sectors, vals,
+                                                        m)
+                widths.append(np.max(vals[:lower.size] - lower))
+        widths = np.array(widths)
+        assert np.any((widths > 1e-2) & np.isfinite(widths)), family
 
 
 # ------------------------------------------------------- parity split
@@ -603,13 +756,14 @@ def test_equal_chains_are_solved_once_per_step(spec, call, monkeypatch,
     with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
         got = call(spec, 120, 1e-9)
     steps = _solved_steps(caplog)
-    assert len(steps) >= 2 and len(calls) == len(steps)
+    # one solve of A and one of A' per solved step
+    assert len(steps) >= 1 and len(calls) == 2 * len(steps)
     monkeypatch.setattr(spectral_analysis, "_once_per_matrix", _per_sector)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
         want = call(spec, 120, 1e-9)
     assert _solved_steps(caplog) == steps
-    assert len(calls) == 3 * len(steps)
+    assert len(calls) == 6 * len(steps)
     _assert_same_spectrum(got, want)
     assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
 
@@ -621,7 +775,8 @@ def test_unequal_chains_are_both_solved(spec, monkeypatch, caplog):
     calls = _count_tridiagonal(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
         got = parity_split(spec, 120, 1e-9)
-    assert len(calls) == 2 * len(_solved_steps(caplog))
+    # both chains of A and of A' per solved step
+    assert len(calls) == 4 * len(_solved_steps(caplog))
     monkeypatch.setattr(spectral_analysis, "_once_per_matrix", _per_sector)
     _assert_same_spectrum(got, parity_split(spec, 120, 1e-9))
 
@@ -1510,8 +1665,10 @@ def test_braak_census_empty_range_is_vacuous():
 def _old_census(spec, shift, nmax):
     """The census by the stable-prefix route, the oracle of braak_census:
     2 (nmax + 2) parity-labelled eigenvalues stable to 1e-9 across two
-    growth steps, counted per interval (parity_split, braak_intervals)."""
-    spectrum = parity_split(spec, 2 * (nmax + 2), 1e-9)
+    growth steps (_eager_converge), counted per interval
+    (braak_intervals)."""
+    spectrum = _eager_converge(spec, 2 * (nmax + 2), 1e-9, None,
+                               _checking_solve(spec, labelled=True))
     return spectrum, braak_intervals(spectrum, shift, nmax)
 
 

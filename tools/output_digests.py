@@ -23,8 +23,9 @@ The outputs digested are
   and its count_below at AB_THRESHOLDS, and one `weyl --family abframe`
   run (AB_WEYL);
 * the `spectrum` runs of DRIVER, one or more per exit of the cutoff-growth
-  driver, with the driver's `converge` DEBUG record on its stable and cap
-  exits;
+  driver, each with the driver's `converge` DEBUG record (stop reason, m,
+  the steps tried, and each solved step with its enclosed count and its
+  largest width);
 * smges_gap_check for Xi, Lambda and Vee at one, two and three modes
   (SMGES) and each eps of SMGES_EPS: its gap, its point, and the
   eigenvalues and symbol matrices there;
@@ -110,19 +111,19 @@ AB_WEYL = ["weyl", "--family", "abframe", "--alpha", "1", "--gamma1", "1",
            "--gamma2=-1", "--eps", "0.1", "--cutoff", "400", "--lambdas",
            "5,50,120,190"]
 
-# spectrum runs through the cutoff-growth driver, by exit: stable (QR at
-# eps 0, the AB frame, QRabi with parity labels), cap (QR at cap 20, and
-# Xi from a start above its cap) and budget (Vee (4, 4, 4), whose step 21^3
-# is over the dense budget: partial at 14^3)
+# spectrum runs through the cutoff-growth driver, by exit: enclosed (QR
+# at eps 0, the AB frame, QRabi with parity labels), cap (QR at cap 20,
+# and Xi from a start above its cap) and budget (Vee (4, 4, 4), whose step
+# 21^3 is over the dense budget: partial at 14^3)
 QR_MODEL = ["--family", "qr", "--alpha", "1", "--gamma1", "1", "--gamma2=-1"]
 DRIVER = {
-    "stable/qr-eps0": ["spectrum"] + QR_MODEL + [
+    "enclosed/qr-eps0": ["spectrum"] + QR_MODEL + [
         "--eps", "0", "--cutoff", "20", "--levels", "1200"],
-    "stable/abframe": [
+    "enclosed/abframe": [
         "spectrum", "--family", "abframe", "--alpha", "1.1", "--gamma1",
         "1.05", "--gamma2=-0.9", "--eps", "0.1", "--cutoff", "30",
         "--levels", "480"],
-    "stable/qrabi-parity": [
+    "enclosed/qrabi-parity": [
         "spectrum", "--family", "qrabi", "--alpha", "0.8", "--delta", "0.9",
         "--eps", "0.04", "--cutoff", "20", "--levels", "480", "--parity"],
     "cap/qr": ["spectrum"] + QR_MODEL + [
@@ -233,13 +234,10 @@ def counts(op, thresholds):
     return got, messages
 
 
-def driver_run(name, argv):
-    """run_cli(argv), with its converge DEBUG record unless name is a
-    budget exit, whose record names the refused step."""
+def driver_run(argv):
+    """run_cli(argv) with its converge DEBUG record."""
     with debug_records() as messages:
         out = run_cli(argv)
-    if name.startswith("budget/"):
-        return out
     return out, [m for m in messages if m.startswith("converge ")]
 
 
@@ -291,7 +289,7 @@ def outputs(seeds):
                                [count_below(op, lam) for lam in AB_THRESHOLDS])
     yield "ab/weyl", run_cli(AB_WEYL)
     for name, argv in DRIVER.items():
-        yield "driver/%s" % name, driver_run(name, argv)
+        yield "driver/%s" % name, driver_run(argv)
     for name, spec in SMGES.items():
         for eps in SMGES_EPS:
             g = smges_gap_check(spec, eps)
