@@ -568,14 +568,23 @@ def export_matrix(op, path):
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         f.write(b"\n")
-        f.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(mat, dtype="<f8").data)
 
 
 def load_matrix(path):
+    """The operator written by export_matrix. A matrix over
+    errors.DENSE_BUDGET_BYTES raises ResourceError before its body is
+    read, and the body is read into the one array it fills; a body of
+    another length raises ValueError."""
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode("utf-8"))
-        data = np.frombuffer(f.read(), dtype="<f8")
-    mat = data.reshape(header["rows"], header["cols"]).astype(float)
+        rows, cols = header["rows"], header["cols"]
+        check_budget("a stored matrix of %d x %d needs" % (rows, cols),
+                     8 * rows * cols)
+        mat = np.empty((rows, cols), dtype="<f8")
+        if f.readinto(mat.data) != mat.nbytes or f.read(1):
+            raise ValueError("the matrix body does not hold %d x %d doubles"
+                             % (rows, cols))
     b = header["basis"]
     basis = BasisDescriptor(b["modes"], tuple(b["per_mode_cutoff"]), b["spin_dim"])
     return TruncatedOperator(basis, mat)

@@ -25,6 +25,11 @@ on purpose, since they cross-validate each other in the tests:
   of points, the scan runs max(N, k) steps, and each factor is read off its
   half of the scan's row for its degree.
 
+Both routes, and the Laguerre recurrence of diagonal_overlap_ratio, apply
+their factor e^{-a^2} through one scaled product (_scaled_product), which
+keeps the bits of the plain product where e^{-a^2} is a normal double and
+works from logs beyond it.
+
 The normalized overlaps O(N,k)/(norm_N norm_k) form the displacement matrix;
 for that whole-matrix object the entrywise closed form is useless at large
 cutoffs and a scaled associated-Laguerre recurrence is used instead (see
@@ -82,6 +87,20 @@ class OverlapResult:
         )
 
 
+def _scaled_product(v, c, t):
+    """v * c * e^t, c > 0: the Gaussian factor e^(-a^2) of every overlap.
+
+    Where e^t is a normal double this is v * c * math.exp(t), bit for bit.
+    Below that (a^2 > 708) the product is sign(v) e^(log|v| + log c + t),
+    so a product in the normal range is neither 0 nor subnormal, and one
+    below the double range is 0, also where v * c alone would overflow.
+    """
+    scale = math.exp(t)
+    if scale >= sys.float_info.min or v == 0.0:
+        return v * c * scale
+    return math.copysign(math.exp(math.log(abs(v)) + math.log(c) + t), v)
+
+
 def overlap_closed(N, k, alpha):
     """Closed-form O(N,k), exact alternating sum with one final rounding."""
     _check_degrees(N, k)
@@ -96,7 +115,7 @@ def overlap_closed(N, k, alpha):
     if math.isinf(val):
         raise PrecisionError(
             "closed-form sum at alpha=%r overflows the double range" % alpha)
-    return val * SQRT_PI * math.exp(-alpha * alpha)
+    return _scaled_product(val, SQRT_PI, -alpha * alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -371,59 +390,35 @@ def overlap_quadrature(N, k, alpha, nodes=None):
     if not math.isfinite(sh + sl):
         raise PrecisionError(
             "quadrature sum at alpha=%r overflows the double range" % alpha)
-    return (sh + sl) * math.exp(-a * a)
+    return _scaled_product(sh + sl, 1.0, -a * a)
 
 
 def diagonal_overlap_ratio(N, alpha):
     """Normalized diagonal overlap O(N,N)/norm^2, equal to e^{-a^2} L_N(2 a^2).
 
-    Goes through the exact closed form while the degree cap allows, through
-    the Laguerre recurrence beyond it, up to level MAX_RATIO_STEPS
-    (ResourceError above it, before any step). The recurrence rescales
-    past 1e250 and keeps the discarded magnitude as a log, which e^{-a^2}
-    offsets before it is applied, so a ratio below the double range is 0,
-    not inf * 0. Where that scale, e^{log - a^2}, is itself below the
-    normal range (from a^2 > 708 without a rescale), the ratio is
-    sign(L) e^{log|L| + log - a^2}, so a scaled value L past 1 brings it
-    back; elsewhere (without a rescale the log is 0) the ratio is
-    e^{-a^2} L_N(2 a^2) as evaluated in doubles. A ratio that is not
-    finite raises PrecisionError.
-
-    On the closed-form route, where e^{-a^2} is below the normal range
-    (a^2 > 708), the ratio is sign(S) e^{log|S / N!| - a^2} from the exact
-    sum S = N! L_N(2 a^2) of the closed form, so it is neither 0 nor
-    subnormal where the ratio is normal.
+    Goes through the exact closed form while the degree cap allows and
+    e^{-a^2} is a normal double (a^2 <= 708.39), through the Laguerre
+    recurrence otherwise, up to level MAX_RATIO_STEPS (ResourceError above
+    it, before any step). The recurrence rescales past 1e250 and keeps the
+    discarded magnitude as a log, which e^{-a^2} offsets before it is
+    applied (_scaled_product), so a ratio below the double range is 0, not
+    inf * 0, and a scaled value L past 1 brings back a ratio whose scale
+    alone is below the normal range. Without a rescale the log is 0 and the
+    ratio is e^{-a^2} L_N(2 a^2) as evaluated in doubles. A ratio that is
+    not finite raises PrecisionError.
     """
-    if 2 * N <= MAX_COMBINED_DEGREE:
-        a2 = alpha * alpha
-        if math.exp(-a2) >= sys.float_info.min:
-            return overlap_closed(N, N, alpha) / weighted_norm_squared(N)
-        _check_degrees(N, N)
-        mant, texp = _dyadic(alpha)
-        s = Fraction(_alternating_series(N, N, mant, texp, N, True),
-                     math.factorial(N) << (2 * N * texp))
-        if s == 0:
-            return 0.0
-        # |s| = m 2^e with m in (1/2, 2), so its log loses no digits
-        e = abs(s.numerator).bit_length() - s.denominator.bit_length()
-        m = abs(s) / (Fraction(2) ** e)
-        return math.copysign(
-            math.exp(math.log(m) + e * math.log(2.0) - a2), s)
+    if N < 0:
+        raise ValueError("level must be nonnegative")
+    a2 = float(alpha) * float(alpha)
+    if 2 * N <= MAX_COMBINED_DEGREE and math.exp(-a2) >= sys.float_info.min:
+        return overlap_closed(N, N, alpha) / weighted_norm_squared(N)
     if N > MAX_RATIO_STEPS:
         raise ResourceError(
             "diagonal overlap ratio at level %d takes %d recurrence steps, "
             "over the cap of %d" % (N, N, MAX_RATIO_STEPS))
-    a2 = float(alpha) * float(alpha)
     with np.errstate(invalid="ignore"):  # a NaN raises below
         L, _, logscale = _laguerre_pair_scaled(N, 2.0 * a2)
-    L, log_scale = float(L), float(logscale) - a2
-    scale = math.exp(log_scale)
-    if scale < sys.float_info.min and L != 0.0:
-        # the scale alone is below the normal range, where L may bring the
-        # ratio back: form it from the log of their product
-        r = math.copysign(math.exp(math.log(abs(L)) + log_scale), L)
-    else:
-        r = L * scale
+    r = _scaled_product(float(L), 1.0, float(logscale) - a2)
     if not math.isfinite(r):
         raise PrecisionError("diagonal overlap ratio at level %d, alpha=%r, "
                              "is not finite" % (N, alpha))

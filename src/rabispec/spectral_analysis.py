@@ -237,7 +237,10 @@ def _converge(spec, m, tol, cap):
     build) and certifies itself: its first k values are converged while
     each lies within tol of its lower bound (_lower_bounds). The first
     step with m converged values is returned (stop "enclosed"), else the
-    last one, partial (stop "cap" or "budget"). Its debug record names the
+    last one, partial (stop "cap" or "budget"), whose first j = ceil(J / 2)
+    values are bounded once more at mu = lambda_j, J the count of its first
+    m values below the floor f (_floor): that encloses values where
+    lambda_m lies at or above f. Its debug record names the
     stop, m, the steps tried (with the refused one on a budget stop) and
     each solved step as cutoffs:converged count:largest width.
     """
@@ -261,7 +264,15 @@ def _converge(spec, m, tol, cap):
         if stop or step.basis().dim >= m:
             sectors = build(step).sectors
             vals, sector = _solve_sectors(sectors)
-            width = vals[:m] - _lower_bounds(step, sectors, vals, m)
+            lower = _lower_bounds(step, sectors, vals, m)
+            count = int(np.cumprod(vals[:m] - lower <= tol).sum())
+            if stop and count < m:
+                # partial: bound the first j = ceil(J / 2) once more at
+                # mu = lambda_j, J the count of the first m values below f
+                j = (int(np.sum(vals[:m] < _floor(step, sectors))) + 1) // 2
+                if j:
+                    lower[:j] = _lower_bounds(step, sectors, vals, j)
+            width = vals[:m] - lower
             count = int(np.cumprod(width <= tol).sum())
             solved.append("%s:%d:%.3g" % ("x".join(map(str, step.cutoffs)),
                                           count, width.max()))
@@ -285,8 +296,8 @@ def _lower_bounds(step, sectors, vals, m):
     lambda_k(A') <= lambda_k(H) <= lambda_k(A) for every lambda_k(A) <=
     mu < f, mu the m-th (or last) value; every bound is -inf if mu >= f.
 
-    An AB sector H_s has f = K + 3/2 + eps beta1 - |eps beta2| and Q =
-    (eps beta2)^2 I - c c^T, as D is the truncation of an orthogonal
+    An AB sector H_s has f = K + 3/2 + eps beta1 - |eps beta2| (_floor)
+    and Q = (eps beta2)^2 I - c c^T, as D is the truncation of an orthogonal
     matrix: A' is H_s + c c^T / (f - mu) shifted by -(eps beta2)^2 /
     (f - mu), summed into H_s (a peak no larger than H_s's solve). Outside
     a layered box every state lies above layer min(cutoffs), where
@@ -295,17 +306,12 @@ def _lower_bounds(step, sectors, vals, m):
     n_k = c_k of alpha_k^2 (c_k + 1) / 2, rounded up."""
     import scipy.linalg  # loads at the first call, not with the package
     mu = vals[min(m, vals.size) - 1]
-    if isinstance(sectors[0], ABSector):
-        g1, g2 = step.gammas
-        e = step.eps * (0.5 * (g1 - g2))
-        f = step.cutoffs[0] + 1.5 + step.eps * (0.5 * (g1 + g2)) - abs(e)
-    else:
-        cut = min(step.cutoffs)
-        f = next(s.floor[cut - s.first] for s in sectors
-                 if 0 <= cut - s.first < s.floor.size)
+    f = _floor(step, sectors)
     if not mu < f:
         return np.full_like(vals[:m], -np.inf)
     if isinstance(sectors[0], ABSector):
+        g1, g2 = step.gammas
+        e = step.eps * (0.5 * (g1 - g2))
         return _merge([scipy.linalg.eigvalsh(
             s.matrix() + s.c @ s.c.T / (f - mu), overwrite_a=True)
             for s in sectors])[0][:m] - e * e / (f - mu)
@@ -315,6 +321,19 @@ def _lower_bounds(step, sectors, vals, m):
         occ, step.alphas, step.cutoffs)) * slack / (f - mu)
     return _solve_sectors([s._replace(diag=s.diag - q[s.index % q.size])
                            for s in sectors])[0][:m]
+
+
+def _floor(step, sectors):
+    """f of _lower_bounds: a lower bound on the operator outside the box
+    of step, K + 3/2 + eps beta1 - |eps beta2| on the AB sectors, else
+    Sector.floor at layer min(cutoffs)."""
+    if isinstance(sectors[0], ABSector):
+        g1, g2 = step.gammas
+        return (step.cutoffs[0] + 1.5 + step.eps * (0.5 * (g1 + g2))
+                - abs(step.eps * (0.5 * (g1 - g2))))
+    cut = min(step.cutoffs)
+    return next(s.floor[cut - s.first] for s in sectors
+                if 0 <= cut - s.first < s.floor.size)
 
 
 def converged_spectrum(spec, m, tol, cap=None):

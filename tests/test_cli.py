@@ -206,6 +206,55 @@ def test_perturb_refuses_a_ratio_past_the_double_range(capsys):
     assert "not finite" in doc["message"]
 
 
+def test_perturb_refuses_a_closed_form_level_past_the_double_range(capsys):
+    # at a level the closed form serves, alpha^2 overflows too, and the
+    # recurrence gives NaN
+    doc = expect_error(capsys, PERTURB + ["--N", "1", "--alpha", "1e300"],
+                       5, "PrecisionError")
+    assert doc["message"] == ("diagonal overlap ratio at level 1, "
+                              "alpha=1e+300, is not finite")
+
+
+def test_perturb_keeps_a_ratio_whose_gaussian_underflows(tmp_path):
+    # level 60 at alpha^2 800 goes through the recurrence
+    doc = run_json(tmp_path, PERTURB + ["--N", "60", "--alpha",
+                                        "28.284271247461902"])
+    assert doc["overlap_ratio"] == 7.5076120205717689e-239
+    check_schema(doc, load_schema("perturb"))
+
+
+# e^(-alpha^2) below the normal range: the overlaps are 1.1e-156,
+# -2.9e-158, 2.4e-235 and 1.5e-292 (tests/test_overlaps.py)
+UNDERFLOW_OVERLAPS = [("60", "60", "28.284271247461902"),
+                      ("59", "60", "28.284271247461902"),
+                      ("30", "30", repr(math.sqrt(760.0))),
+                      ("10", "10", repr(math.sqrt(745.5)))]
+
+
+@pytest.mark.parametrize("N,k,alpha", UNDERFLOW_OVERLAPS)
+def test_overlap_keeps_a_value_whose_gaussian_underflows(tmp_path, N, k,
+                                                         alpha):
+    doc = run_json(tmp_path, ["overlap", "--N", N, "--k", k, "--alpha",
+                              alpha, "--method", "both"])
+    assert 1e-300 < abs(doc["closed"]) < 1e-150
+    assert doc["quadrature"] == pytest.approx(doc["closed"], rel=1e-12)
+    assert doc["value"] == doc["closed"]
+    check_schema(doc, load_schema("overlap"))
+
+
+def test_overlap_below_the_double_range_is_zero(tmp_path, capsys):
+    # the float sum is 1.2e308, and the overlap lies below the double
+    # range: 0, not NaN; the quadrature's sum overflows
+    argv = ["overlap", "--N", "60", "--k", "60", "--alpha",
+            "261.1602447949193"]
+    doc = run_json(tmp_path, argv + ["--method", "closed"])
+    assert doc["value"] == doc["closed"] == 0.0
+    check_schema(doc, load_schema("overlap"))
+    doc = expect_error(capsys, argv + ["--method", "both"], 5,
+                       "PrecisionError")
+    assert "quadrature sum" in doc["message"]
+
+
 def test_perturb_refuses_a_level_over_the_step_cap(tmp_path, capsys,
                                                    monkeypatch):
     # the cap patched to level 100: level 101 is refused before any step

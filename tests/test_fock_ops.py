@@ -847,3 +847,77 @@ def test_export_header_is_json_line(tmp_path):
     assert header["rows"] == header["cols"] == 6
     assert header["dtype"] == "<f8"
     assert len(payload) == 6 * 6 * 8
+
+
+def _traced_peak(call):
+    """(result of call(), the peak bytes that tracemalloc saw during it)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_and_load_hold_one_copy_of_the_matrix(tmp_path):
+    # QR at cutoff 300, a 602 x 602 matrix of 2.9 MB: export assembles it
+    # and writes its buffer, and load reads the body into the one array
+    op = build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 300))
+    nbytes = 8 * op.basis.dim ** 2
+    path = tmp_path / "op.bin"
+    _, peak = _traced_peak(lambda: export_matrix(op, path))
+    assert peak <= 1.05 * nbytes + errors.OBJECT_BYTES
+    back, peak = _traced_peak(lambda: load_matrix(path))
+    assert peak <= 1.05 * nbytes + errors.OBJECT_BYTES
+    assert np.array_equal(back.matrix, op.matrix)
+
+
+class _ReadSpy:
+    """A file opened by load_matrix that records every read after its
+    header line."""
+
+    def __init__(self, f, reads):
+        self.f, self.reads = f, reads
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def readline(self):
+        return self.f.readline()
+
+    def readinto(self, b):
+        self.reads.append("readinto")
+        return self.f.readinto(b)
+
+    def read(self, *size):
+        self.reads.append("read")
+        return self.f.read(*size)
+
+
+def test_load_refuses_a_matrix_over_budget_before_its_body(tmp_path,
+                                                           monkeypatch):
+    # a 22 x 22 matrix against a budget of 21 x 21 doubles
+    path = tmp_path / "op.bin"
+    export_matrix(build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 10)), path)
+    reads = []
+    monkeypatch.setattr(fock_ops, "open", lambda p, mode: _ReadSpy(
+        open(p, mode), reads), raising=False)
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 21 ** 2)
+    with pytest.raises(ResourceError, match="stored matrix of 22 x 22"):
+        load_matrix(path)
+    assert reads == []
+    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES", 8 * 22 ** 2)
+    assert load_matrix(path).matrix.shape == (22, 22)
+    assert reads == ["readinto", "read"]
+
+
+@pytest.mark.parametrize("cut", [-8, -1, 1, 8])
+def test_load_refuses_a_body_of_the_wrong_length(tmp_path, cut):
+    path = tmp_path / "op.bin"
+    export_matrix(build(ModelSpec.qr(1.0, 1.0, -1.0, 0.1, 3)), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:cut] if cut < 0 else data + b"\0" * cut)
+    with pytest.raises(ValueError, match="does not hold 8 x 8 doubles"):
+        load_matrix(path)

@@ -1,18 +1,21 @@
 """Displaced-frame overlap integrals: closed form vs quadrature, the
 normalized displacement matrix, and the diagonal ratio."""
 
+import decimal
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rabispec import errors, overlaps
 from rabispec.errors import InsufficientNodes, PrecisionError, ResourceError
 from rabispec.overlaps import (
     MAX_QUADRATURE_NODES,
+    SQRT_PI,
     OverlapResult,
     diagonal_overlap_ratio,
     displacement_matrix,
@@ -198,9 +201,10 @@ def _laguerre_recurrence(N, x):
 @pytest.mark.parametrize("N,a2", [(60, 800.0), (30, 760.0), (10, 745.5),
                                   (5, 720.0)])
 def test_closed_form_ratio_keeps_a_ratio_whose_scale_underflows(N, a2):
-    # e^(-a^2) is 0, or subnormal at a^2 720: the closed form's exact sum
-    # gives the ratio, 7.5e-239, 5.1e-268, 2.4e-299 and -1.0e-299, from
-    # logs, where it gave 0.0, 0.0, 0.0 and 2.8e-12 off
+    # e^(-a^2) is 0, or subnormal at a^2 720: at levels the closed form
+    # serves, the recurrence gives the ratio, 7.5e-239, 5.1e-268, 2.4e-299
+    # and -1.0e-299, from logs, where e^(-a^2) times the closed form gave
+    # 0.0, 0.0, 0.0 and 2.8e-12 off
     a = math.sqrt(a2)
     L = _laguerre_recurrence(N, 2 * Fraction(a) ** 2)
     e = abs(L.numerator).bit_length() - L.denominator.bit_length()
@@ -210,6 +214,77 @@ def test_closed_form_ratio_keeps_a_ratio_whose_scale_underflows(N, a2):
         got = diagonal_overlap_ratio(N, alpha)
         assert abs(got - want) <= 1e-12 * abs(want)
         assert abs(got) > 1e-300
+
+
+def _exact_overlap(N, k, a):
+    """O(N, k) at the double a, from the exact sum of the closed form and
+    60-digit logarithms, rounded once: 0.0 below the double range."""
+    a2 = Fraction(a) ** 2
+    odd = (N + k) & 1
+    s = sum((-1) ** (N - j) * math.comb(N, j) * math.comb(k, j)
+            * math.factorial(j) * (2 * a2) ** ((N + k - 2 * j) // 2)
+            for j in range(min(N, k) + 1))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        log = (D(abs(s.numerator)).ln() - D(s.denominator).ln()
+               + D(math.pi).ln() / 2 - D(a2.numerator) / D(a2.denominator))
+        if odd:  # one more factor sqrt(2) a in every power
+            log += (D(2 * a2.numerator) / D(a2.denominator)).ln() / 2
+        sign = (-1 if s < 0 else 1) * (-1 if odd and a < 0 else 1)
+        return sign * float(log.exp())
+
+
+# e^(-a^2) below the normal range: the overlaps are 1.1e-156, -2.9e-158,
+# 2.4e-235 and 1.5e-292, and below the double range at a = 261.16, where
+# the float sum 1.2e308 times sqrt(pi) overflows
+UNDERFLOW_POINTS = [(60, 60, math.sqrt(800.0)), (59, 60, math.sqrt(800.0)),
+                    (30, 30, math.sqrt(760.0)), (10, 10, math.sqrt(745.5)),
+                    (60, 60, 261.1602447949193)]
+
+
+@pytest.mark.parametrize("N,k,a", UNDERFLOW_POINTS)
+def test_overlaps_keep_a_value_whose_gaussian_underflows(N, k, a):
+    want = _exact_overlap(N, k, a)
+    routes = [overlap_closed]
+    if a < 30.0:  # at a = 261.16 the quadrature sum overflows
+        routes.append(overlap_quadrature)
+    else:
+        assert want == 0.0
+        with pytest.raises(PrecisionError, match="overflows"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            overlap_quadrature(N, k, a)
+    for route in routes:
+        got = route(N, k, a)
+        assert not math.isnan(got)
+        assert abs(got - want) <= 1e-12 * abs(want), route
+        if want:
+            assert abs(got) > 1e-300 and math.copysign(1.0, got) == \
+                math.copysign(1.0, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(min_value=1e-300, max_value=1e300),
+       st.floats(min_value=-708.39, max_value=709.0))
+@example(v=-0.0, c=SQRT_PI, t=-708.0)
+@example(v=1.2e308, c=SQRT_PI, t=-0.5)
+@example(v=3.0, c=1.0, t=math.log(sys.float_info.min))
+def test_scaled_product_keeps_the_bits_where_the_scale_is_normal(v, c, t):
+    assume(math.exp(t) >= sys.float_info.min)
+    assert _bits(overlaps._scaled_product(v, c, t)) == _bits(
+        v * c * math.exp(t))
+
+
+def test_scaled_product_below_the_normal_range():
+    # e^-800 is 0 in doubles: the product comes from the logs, a value
+    # below the double range is 0, and a zero keeps its sign
+    got = overlaps._scaled_product(-3.0e300, SQRT_PI, -800.0)
+    want = -math.exp(math.log(3.0e300) + math.log(SQRT_PI) - 800.0)
+    assert abs(got - want) <= 1e-13 * abs(want) and got < -1e-100
+    assert overlaps._scaled_product(2.0, SQRT_PI, -800.0) == 0.0
+    assert _bits(overlaps._scaled_product(-0.0, SQRT_PI, -800.0)) == \
+        _bits(-0.0)
 
 
 def test_diagonal_ratio_past_the_double_range_raises():

@@ -422,18 +422,19 @@ def test_driver_builds_no_step_with_fewer_than_m_values(monkeypatch,
 
 def test_driver_cap_exit_solves_only_the_last_step(monkeypatch, caplog):
     # every step 4 .. 20 (dimension 10 .. 42) has fewer than m = 60 values:
-    # only the cap step 20 is built, and its 42nd value lies above the
-    # floor of layer 20, so it encloses none
+    # only the cap step 20 is built; its 42nd value lies above the floor
+    # of layer 20, where the bounds at mu = lambda_42 are -inf, and 30 lie
+    # below it, so the bounds at mu = lambda_15 enclose 15
     spec = ModelSpec.qr(1.0, 1.0, -1.0, 0.3, 4)
     with caplog.at_level(logging.DEBUG, logger="rabispec.spectral_analysis"):
         got, want, asked = _against_eager(monkeypatch, parity_split, spec,
                                           60, 1e-3, cap=20)
     _assert_agrees(got, want, 60, 1e-3)
     assert got.partial and got.cutoffs_used == (20,)
-    assert got.converged_count == 0
+    assert got.converged_count == 15
     assert asked["driver"] == [(20,)]
     assert _records(caplog) == [
-        "converge stop=cap m=60 tried=4,6,9,14,20 solved=20:0:inf"]
+        "converge stop=cap m=60 tried=4,6,9,14,20 solved=20:15:inf"]
 
 
 def test_driver_budget_exit_solves_the_latest_admitted_step(monkeypatch,
@@ -557,6 +558,33 @@ def test_driver_matches_the_eager_loop_on_multimode_steps(monkeypatch):
 
 
 # ------------------------------------------------------- enclosures
+
+
+@pytest.mark.parametrize("spec,m,tol,cap,count", [
+    (ModelSpec.qr(1.0, 1.0, -1.0, 0.3, 4), 60, 1e-3, 20, 15),
+    (ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (30, 1)), 400, 1e-8, 12, 11),
+], ids=["cap-qr", "cap-xi"])
+def test_partial_enclosures_contain_a_larger_box(spec, m, tol, cap, count):
+    # the cap exits of tools/output_digests.py: the m-th value lies above
+    # the floor f, so the bounds at mu = lambda_m are -inf; the first
+    # j = ceil(J / 2) values, J of them below f, are bounded at
+    # mu = lambda_j, and each certified value lies in [lambda_k(A'),
+    # lambda_k(A)] with lambda_k of a box three times larger
+    got = converged_spectrum(spec, m, tol, cap)
+    assert got.partial and got.converged_count == count
+    box = spec.with_cutoffs(got.cutoffs_used)
+    sectors = build(box).sectors
+    vals = got.eigenvalues
+    below = int(np.sum(vals[:m] < spectral_analysis._floor(box, sectors)))
+    assert 0 < below < min(m, vals.size)
+    assert np.all(spectral_analysis._lower_bounds(box, sectors, vals, m)
+                  == -np.inf)
+    lower = spectral_analysis._lower_bounds(box, sectors, vals,
+                                            (below + 1) // 2)
+    assert np.all(vals[:count] - lower[:count] <= tol)
+    big = eigen_spectrum(build(box.with_cutoffs([3 * c for c in
+                                                 box.cutoffs])))
+    _assert_contains(big, lower[:count], vals)
 
 
 def _larger_box(box):

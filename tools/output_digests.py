@@ -30,7 +30,9 @@ The outputs digested are
   (SMGES) and each eps of SMGES_EPS: its gap, its point, and the
   eigenvalues and symbol matrices there;
 * `quasimode --vectors --eps` on five models (QUASIMODE), one of them
-  also with an explicit residual `--cutoff`.
+  also with an explicit residual `--cutoff`;
+* `overlap` and `perturb --N` where e^(-alpha^2) is below the normal
+  range, and past the double range (OVERLAP).
 
 BLAS runs on one thread, as in the benchmark. An op that raises is
 digested by its exception's type and message.
@@ -170,6 +172,30 @@ QUASIMODE = {
 }
 QUASIMODE["N3/cutoff90"] = QUASIMODE["N3"] + ["--cutoff", "90"]
 
+# overlaps whose e^(-alpha^2) is below the normal range (alpha^2 800, 760
+# and 745.5), whose float sum times sqrt(pi) overflows (alpha 261.16), and
+# whose sum overflows (1e300, the benchmark's overlap_alpha_1e300);
+# perturb at a closed-form level beyond alpha^2 708.39, and at levels 1 and
+# 100 past the double range
+SQRT_800 = "28.284271247461902"
+OVERLAP = {
+    "%s-%s-%s/both" % (n, k, a): ["overlap", "--N", n, "--k", k, "--alpha",
+                                  a, "--method", "both"]
+    for n, k, a in (("60", "60", SQRT_800), ("59", "60", SQRT_800),
+                    ("30", "30", "27.568097504180443"),
+                    ("10", "10", "27.303845882952093"))
+}
+OVERLAP.update({
+    "%s-%s-%s/closed" % (n, n, a): ["overlap", "--N", n, "--k", n,
+                                    "--alpha", a, "--method", "closed"]
+    for n, a in (("60", "261.1602447949193"), ("1", "1e300"))
+})
+OVERLAP.update({
+    "perturb-%s-%s" % (n, a): ["perturb", "--N", n, "--alpha", a,
+                               "--gamma1", "1", "--gamma2=-1"]
+    for n, a in (("60", SQRT_800), ("1", "1e300"), ("100", "1e200"))
+})
+
 
 def _encode(value, out):
     """Append a byte encoding of value to the bytearray out: bytes and
@@ -298,6 +324,8 @@ def outputs(seeds):
                 g.sample.b1_matrix)
     for name, argv in QUASIMODE.items():
         yield "quasimode/%s" % name, run_cli(argv)
+    for name, argv in OVERLAP.items():
+        yield "overlap/%s" % name, run_cli(argv)
 
 
 def cli(argv=None):
