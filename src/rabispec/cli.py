@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -407,7 +408,16 @@ def _add_common(p, formats=("json", "csv")):
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose errors raise UsageError, so they reach stderr as
-    the JSON error object; subparsers are made of the same class."""
+    the JSON error object; subparsers are made of the same class.
+
+    A token that starts with "-" and a digit, or "-." and a digit, is read
+    as a value, so that --eps -1e-3 and --gamma -0.3,0.5 parse: argparse's
+    own pattern takes only plain negative decimals, and no flag of this
+    tool starts that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise UsageError("%s: %s" % (self.prog, message))

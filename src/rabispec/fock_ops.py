@@ -213,7 +213,6 @@ class ModelSpec:
     gammas: tuple
     eps: float
     cutoffs: tuple
-    delta: float | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -225,7 +224,7 @@ class ModelSpec:
     @classmethod
     def qrabi(cls, alpha, delta, eps, cutoff):
         return cls(QRABI, 2, (float(alpha),), (float(delta), -float(delta)),
-                   float(eps), (int(cutoff),), delta=float(delta))
+                   float(eps), (int(cutoff),))
 
     @classmethod
     def ab_frame(cls, alpha, gamma1, gamma2, eps, cutoff):
@@ -264,8 +263,6 @@ class ModelSpec:
         if self.family not in FAMILIES:
             raise ModelSpecError("unknown model family %r" % (self.family,))
         params = self.alphas + self.gammas + (self.eps,)
-        if self.delta is not None:
-            params += (self.delta,)
         if not all(math.isfinite(v) for v in params):
             raise ModelSpecError("model parameters must be finite")
         if self.family in (QR, QRABI, AB_FRAME):
@@ -292,7 +289,7 @@ class ModelSpec:
 
     def with_cutoffs(self, cutoffs):
         return ModelSpec(self.family, self.spin_dim, self.alphas, self.gammas,
-                         self.eps, tuple(int(c) for c in cutoffs), self.delta)
+                         self.eps, tuple(int(c) for c in cutoffs))
 
 
 def _ladder(basis, mode):

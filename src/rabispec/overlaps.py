@@ -39,7 +39,6 @@ displacement_matrix).
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -107,7 +106,8 @@ def overlap_closed(N, k, alpha):
     mant, texp = _dyadic(alpha)
     numer = _alternating_series(N, k, mant, texp, N, half_powers=True)
     try:
-        val = float(Fraction(numer, 1 << (texp * (N + k))))
+        # int true division rounds the quotient correctly, once
+        val = numer / (1 << (texp * (N + k)))
     except OverflowError:
         val = math.inf
     if (N + k) & 1:
@@ -443,6 +443,10 @@ def displacement_matrix(cutoff, alpha):
     D(-a) = S D(a) S with S = diag((-1)^k), so at alpha < 0 row N's part
     takes the signs that its column takes at alpha > 0.
 
+    Past |alpha| = sqrt(DBL_MAX / 2), where x = 2 alpha^2 overflows, D is
+    the zero matrix: every entry lies below the double range there, as it
+    already does at |alpha| = 1e150. A non-finite alpha raises ValueError.
+
     A cutoff whose (cutoff + 1)^2 array D would exceed
     errors.DENSE_BUDGET_BYTES raises ResourceError before it is formed.
     Beside D, at most 16 vectors of cutoff + 1 are held at once: 7 kept
@@ -455,12 +459,16 @@ def displacement_matrix(cutoff, alpha):
         raise ValueError("cutoff must be nonnegative")
     d = cutoff + 1
     a = float(alpha)
+    if not math.isfinite(a):
+        raise ValueError("alpha must be finite")
     check_budget("the displacement matrix at cutoff %d needs" % cutoff,
                  8 * d * d)
     if a == 0.0:
         return np.eye(d)
     beta = math.sqrt(2.0) * abs(a)
     x = beta * beta
+    if math.isinf(x):
+        return np.zeros((d, d))
     m = np.arange(d, dtype=float)
     lgam = np.array([math.lgamma(i + 1) for i in range(d)])
     Lm1 = np.zeros(d)

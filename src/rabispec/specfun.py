@@ -17,7 +17,6 @@ significance long before the supported degree cap; see the module tests.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -43,12 +42,9 @@ ZERO_PROXIMITY_TOL = 1e-10
 # its masks. A Newton step's scan (its five buffers, the rescaling factors
 # and their log, and its mask) beside the step before's L, L_(N-1) and
 # deriv holds as many floats and one mask; the sign-change scans hold
-# fewer. The Sturm sweeps of avoid-seq hold no per-degree arrays;
-# _STURM_BYTES_PER_DEGREE keeps the exit-9 limit on kcap (near 65 million
-# at 2 GiB) scaled with errors.DENSE_BUDGET_BYTES, and MAX_STURM_STEPS
-# bounds their time.
+# fewer. The Sturm sweeps of avoid-seq hold no per-degree arrays, so
+# MAX_STURM_STEPS, which bounds their time, is their only limit.
 _ZEROS_BYTES_PER_DEGREE = 11 * 8 + 4
-_STURM_BYTES_PER_DEGREE = 4 * 8 + 1
 
 # Work of nondegenerate_sequence in Sturm steps, counted from the code:
 # the proximity check and each of the jmax windows run one scalar sweep
@@ -273,7 +269,7 @@ def p_polynomial(N, k, Z):
     _check_degrees(N, k)
     mant, texp = _dyadic(Z)
     numer = _alternating_series(N, k, mant, texp, k, half_powers=False)
-    return float(Fraction(numer, 1 << (texp * (N + k))))
+    return numer / (1 << (texp * (N + k)))
 
 
 class ZeroDistance(NamedTuple):
@@ -352,11 +348,9 @@ def nondegenerate_sequence(x0, jmax, kcap=4000):
     no degree up to kcap enters the current window.
 
     Raises DegenerateInput if x0 sits within 1e-10 of a zero of any L_k with
-    k <= kcap, and ResourceError, before any sweep, if kcap is over the
-    cap that errors.DENSE_BUDGET_BYTES sets at _STURM_BYTES_PER_DEGREE
-    bytes per degree or the work, kcap (jmax + 1) Sturm steps, is over
-    MAX_STURM_STEPS, or once a window reaches a degree whose zeros
-    laguerre_zeros refuses.
+    k <= kcap, and ResourceError, before any sweep, if the work, kcap
+    (jmax + 1) Sturm steps, is over MAX_STURM_STEPS, or once a window
+    reaches a degree whose zeros laguerre_zeros refuses.
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")
@@ -367,8 +361,6 @@ def nondegenerate_sequence(x0, jmax, kcap=4000):
     if x0 <= 0:
         # zeros all live on the positive axis, nothing to avoid
         raise ValueError("x0 must be positive")
-    check_budget("Sturm counts to kcap = %d need" % kcap,
-                 _STURM_BYTES_PER_DEGREE * kcap)
     if kcap * (jmax + 1) > MAX_STURM_STEPS:
         raise ResourceError(
             "avoidance sequence to kcap = %d over %d windows takes up to %d "

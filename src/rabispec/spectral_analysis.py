@@ -299,7 +299,9 @@ def _lower_bounds(step, sectors, vals, m):
     An AB sector H_s has f = K + 3/2 + eps beta1 - |eps beta2| (_floor)
     and Q = (eps beta2)^2 I - c c^T, as D is the truncation of an orthogonal
     matrix: A' is H_s + c c^T / (f - mu) shifted by -(eps beta2)^2 /
-    (f - mu), summed into H_s (a peak no larger than H_s's solve). Outside
+    (f - mu). Both sectors share c, so c c^T / (f - mu) is formed once and
+    summed into each H_s (a peak one (K + 1)^2 array above H_s's solve,
+    within the dense AB matrix that the budget checks). Outside
     a layered box every state lies above layer min(cutoffs), where
     Sector.floor is f, and each a_k^dagger / sqrt(2) leaves the box
     through its own face, so Q is diagonal: the sum over the modes k with
@@ -312,9 +314,10 @@ def _lower_bounds(step, sectors, vals, m):
     if isinstance(sectors[0], ABSector):
         g1, g2 = step.gammas
         e = step.eps * (0.5 * (g1 - g2))
-        return _merge([scipy.linalg.eigvalsh(
-            s.matrix() + s.c @ s.c.T / (f - mu), overwrite_a=True)
-            for s in sectors])[0][:m] - e * e / (f - mu)
+        c = sectors[0].c
+        q = c @ c.T / (f - mu)
+        return _merge([scipy.linalg.eigvalsh(s.matrix() + q, overwrite_a=True)
+                       for s in sectors])[0][:m] - e * e / (f - mu)
     slack = 1.0 + 4.0 * (step.modes + 1) * np.finfo(float).eps
     occ = np.indices(step.basis().mode_dims).reshape(step.modes, -1)
     q = sum(np.where(o == c, a * a * (c + 1) / 2.0, 0.0) for o, a, c in zip(

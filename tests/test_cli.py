@@ -1,6 +1,7 @@
 """Command-line front end: artifact shapes, determinism, config handling,
 and exit codes. Everything runs in process through main(argv)."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -570,6 +571,100 @@ def test_config_file_errors(tmp_path, capsys):
     assert doc["error"] == "UsageError"
 
 
+# ------------------------------------------------------- negative values
+
+
+QR_WEYL = ["weyl", "--family", "qr", "--alpha", "1", "--gamma1", "1",
+           "--cutoff", "6"]
+XI_MODEL = ["--family", "xi", "--alpha", "1,0.8", "--eps", "0.05",
+            "--cutoff", "5"]
+
+# one case per kind of flag: a float flag (--eps, --gamma2, --x0, --shift),
+# a string flag (overlap's --alpha) and a comma list (--gamma, --lambdas),
+# each given a negative value with an exponent or a negative list
+NEGATIVE_VALUES = [
+    (QR_WEYL + ["--gamma2", "-1", "--lambdas", "3"], "--eps", "-1e-3"),
+    (QR_WEYL + ["--eps", "0.1", "--lambdas", "3"], "--gamma2", "-1e-1"),
+    (QR_WEYL + ["--gamma2", "-1", "--eps", "0.1"], "--lambdas", "-2,3"),
+    (["overlap", "--N", "1", "--k", "2"], "--alpha", "-2e-1"),
+    (["avoid-seq", "--jmax", "1"], "--x0", "-1e-3"),
+    (["braak", "--family", "qr", "--alpha", "1", "--gamma1", "1",
+      "--gamma2", "-1", "--eps", "0.1", "--cutoff", "5", "--nmax", "2"],
+     "--shift", "-5e-1"),
+    (["weyl"] + XI_MODEL + ["--lambdas", "2"], "--gamma", "-0.3,0.5"),
+]
+
+
+def _outputs(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _argparse_default_parser():
+    """build_parser() with argparse's own negative-number pattern, which
+    reads only plain negative decimals as values, on every parser."""
+    parser = cli.build_parser()
+    default = argparse.ArgumentParser()._negative_number_matcher
+    for p in [parser] + list(
+            parser._subparsers._group_actions[0].choices.values()):
+        p._negative_number_matcher = default
+    return parser
+
+
+@pytest.mark.parametrize("argv, flag, value", NEGATIVE_VALUES,
+                         ids=[f[2:] for _, f, _ in NEGATIVE_VALUES])
+def test_a_negative_value_with_an_exponent_or_a_list_parses(
+        tmp_path, capsys, argv, flag, value):
+    # "--flag value" gives the bytes of "--flag=value", also from a config
+    # file, which passes key=value as two tokens; argparse alone refuses it
+    joined = _outputs(capsys, argv + ["%s=%s" % (flag, value)])
+    assert joined[0] == (2 if flag == "--x0" else 0)
+    assert _outputs(capsys, argv + [flag, value]) == joined
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s=%s\n" % (flag[2:], value), encoding="utf-8")
+    assert _outputs(capsys, argv + ["--config", str(cfg)]) == joined
+    assert _parse(_argparse_default_parser(), argv + [flag, value]) == (
+        "usage", "rabispec %s: argument %s: expected one argument"
+        % (argv[0], flag))
+
+
+def test_a_value_copied_from_the_config_echo_parses(tmp_path):
+    # the echo prints -1e-5 as -1.0000000000000001e-05; given back as a
+    # flag value, it reproduces the document
+    argv = QR_WEYL + ["--gamma2", "-1", "--lambdas", "3"]
+    out = tmp_path / "a.json"
+    assert main(argv + ["--eps=-1e-5", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    echoed, = set(re.findall(r'"eps": (-[0-9.e+-]+)', text))
+    assert echoed == "-1.0000000000000001e-05"
+    again = tmp_path / "b.json"
+    assert main(argv + ["--eps", echoed, "--out", str(again)]) == 0
+    assert again.read_text(encoding="utf-8") == text
+
+
+def test_negative_values_leave_every_other_parse_as_it_was():
+    # an argv that argparse's own pattern parses gives the same namespace,
+    # so the same config echo; a flag-like value is still refused
+    ours, default = cli.build_parser(), _argparse_default_parser()
+    argvs = _readme_commands() + _usage_argvs() + [
+        argv + ["%s=%s" % (flag, value)]
+        for argv, flag, value in NEGATIVE_VALUES]
+    parsed = 0
+    for argv in argvs:
+        want = _parse(default, argv)
+        if want[0] == "ok":
+            assert _parse(ours, argv) == want, argv
+            parsed += 1
+    assert parsed > len(NEGATIVE_VALUES)
+    for flag, value in (("--k", "-x"), ("--alpha", "-e3")):
+        argv = ["overlap", "--N", "1", "--k", "1", "--alpha", "1",
+                flag, value]
+        assert _parse(ours, argv) == _parse(default, argv) == (
+            "usage", "rabispec overlap: argument %s: expected one argument"
+            % flag)
+
+
 # ------------------------------------------------------- failure modes
 
 
@@ -890,20 +985,30 @@ def test_exit_code_resource(capsys):
     assert peak < 1e6
 
 
-def test_exit_code_resource_laguerre_degrees(tmp_path, capsys):
-    # Sturm count rows to kcap 1e12 need 30 TiB and the zeros of degree 1e8
-    # 9 GiB: both refused before their work arrays are allocated
+def test_exit_code_resource_laguerre_degrees(tmp_path, capsys,
+                                            monkeypatch):
+    # kcap 1e12 at jmax 1 is 2e12 Sturm steps, over the step cap, and the
+    # zeros of degree 1e8 need 9 GiB: both refused before any sweep or
+    # work array
+    sweeps = []
+    real = specfun._first_degree_with_zero_in
+    monkeypatch.setattr(specfun, "_first_degree_with_zero_in",
+                        lambda *args: sweeps.append(args) or real(*args))
     tracemalloc.start()
     try:
-        for argv in (["avoid-seq", "--x0", "0.5", "--jmax", "1",
-                      "--kcap", "1000000000000"],
-                     ["laguerre-zeros", "--degree", "100000000"]):
+        for argv, message in (
+                (["avoid-seq", "--x0", "0.5", "--jmax", "1",
+                  "--kcap", "1000000000000"],
+                 "2000000000000 Sturm steps, over the cap of 10000000"),
+                (["laguerre-zeros", "--degree", "100000000"],
+                 "over the 2 GiB budget")):
             doc = expect_error(capsys, argv, 9, "ResourceError")
-            assert "over the 2 GiB budget" in doc["message"]
+            assert message in doc["message"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+    assert sweeps == []
     # the default kcap and the benchmark's degree stay within it
     doc = run_json(tmp_path, ["avoid-seq", "--x0", "0.5", "--jmax", "1"])
     assert doc["kcap"] == 4000 and len(doc["entries"]) == 1
@@ -1126,8 +1231,8 @@ def test_overlap_at_node_cap_computes(tmp_path):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["spectrum", "--family", "abframe", "--alpha", "1e300", "--gamma1", "1",
-      "--gamma2", "-1", "--eps", "0.1", "--cutoff", "4"], 2),
+    (["perturb", "--N", "1", "--alpha", "1e300", "--gamma1", "1",
+      "--gamma2", "-1", "--fd-check"], 5),
     (["overlap", "--N", "1", "--k", "1", "--method", "quadrature",
       "--alpha", "1e200"], 5),
     (["weyl", "--family", "xi", "--alpha", "1e300,0.8", "--gamma", "0.3,0.5",
@@ -1147,6 +1252,30 @@ def test_stderr_holds_only_the_error_object(argv, code):
     doc = json.loads(proc.stderr)
     assert doc["exit_code"] == code
     check_schema(doc, load_schema("error"))
+
+
+AB_FAR = ["--family", "abframe", "--gamma1", "1", "--gamma2", "-1",
+          "--eps", "0.1", "--cutoff", "10"]
+
+
+@pytest.mark.parametrize("alpha", ["1e160", "-1e160", "9.5e153"])
+def test_ab_frame_past_the_overflow_of_2_alpha_squared(tmp_path, alpha):
+    # there the displacement matrix is zero, as at alpha 1e150: weyl counts
+    # the box's diagonal 0.5, 1.5, 2.5 twice, and spectrum stops at its
+    # cap unconverged (without --cap it would grow to 4 096)
+    def run(argv, a):
+        doc = run_json(tmp_path, argv + AB_FAR + ["--alpha", a])
+        del doc["config"]
+        return doc
+
+    weyl = ["weyl", "--lambdas", "3"]
+    assert run(weyl, alpha) == run(weyl, "1e150")
+    assert run(weyl, alpha)["rows"][0]["count"] == 6
+    spectrum = ["spectrum", "--cap", "40"]
+    doc = run(spectrum, alpha)
+    assert doc == run(spectrum, "1e150")
+    assert doc["partial"] and doc["converged_count"] == 0
+    assert doc["cutoffs_used"] == [40]
 
 
 def test_smges_check_rejects_two_level(capsys):
@@ -1222,6 +1351,20 @@ def run(argv):
 print(json.dumps([["import", 0, scipy_modules()]]
                  + [run(argv) for argv in json.loads(sys.argv[1])]))
 """
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    # the exact sums round by integer division; nothing else of the
+    # package, or of numpy, loads these modules
+    src = str(Path(rabispec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, rabispec.cli; print(sorted("
+         "{'fractions', 'decimal', 'rabispec.cli'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "['rabispec.cli']\n"
 
 
 def test_cli_loads_scipy_only_at_its_first_lapack_call():

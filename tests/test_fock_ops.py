@@ -271,7 +271,7 @@ def test_model_spec_rejects_descending_gammas():
     ModelSpec.xi((math.nan, 0.8), (0.3, 0.5), 0.05, (6, 6)),
     ModelSpec.qr(1.0, math.inf, -1.0, 0.1, 8),
     ModelSpec.qr(1.0, 1.0, -1.0, -math.inf, 8),
-    ModelSpec("QRabi", 2, (1.0,), (1.0, -1.0), 0.1, (8,), delta=math.nan),
+    ModelSpec.qrabi(1.0, math.nan, 0.1, 8),
 ], ids=["alpha", "gamma", "eps", "delta"])
 def test_model_spec_rejects_nonfinite_parameters(spec):
     with pytest.raises(ModelSpecError):

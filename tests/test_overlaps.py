@@ -24,7 +24,8 @@ from rabispec.overlaps import (
     required_nodes,
     weighted_norm_squared,
 )
-from rabispec.specfun import laguerre_poly
+from rabispec.specfun import (_alternating_series, _dyadic, laguerre_poly,
+                              p_polynomial)
 from test_specfun import lag_exact
 
 # values frozen from a run cross-checked against quadrature and hand algebra
@@ -129,6 +130,52 @@ def test_overlap_antisymmetry(N, k, num):
     a = num / 16.0
     # exact integer core makes the swap relation hold bitwise
     assert overlap_closed(k, N, a) == (-1.0) ** (N + k) * overlap_closed(N, k, a)
+
+
+def _fraction_rounded(N, k, z, sign_parity, half_powers):
+    """The exact sum of _alternating_series over 2^(texp (N + k)), rounded
+    once by Fraction, the oracle of the integer division; None where it
+    overflows a double."""
+    mant, texp = _dyadic(z)
+    numer = _alternating_series(N, k, mant, texp, sign_parity, half_powers)
+    try:
+        return float(Fraction(numer, 1 << (texp * (N + k))))
+    except OverflowError:
+        return None
+
+
+ALPHAS = st.one_of(
+    st.integers(-2 ** 20, 2 ** 20).map(lambda i: i / 1024.0),  # dyadic
+    st.floats(-30.0, 30.0),
+    st.floats(-1e-307, 1e-307),  # subnormal at the ends
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e-300]),
+    st.floats(1e100, 1.7e308).flatmap(lambda a: st.sampled_from([a, -a])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 60), st.integers(0, 60), ALPHAS)
+@example(N=60, k=60, alpha=math.sqrt(800.0))
+@example(N=1, k=1, alpha=1e300)
+@example(N=3, k=0, alpha=5e-324)
+def test_exact_sums_round_as_the_fraction_oracle(N, k, alpha):
+    # p_polynomial and overlap_closed round their exact sum by one integer
+    # true division: bitwise the Fraction's rounding, with the same
+    # OverflowError (PrecisionError from overlap_closed)
+    want = _fraction_rounded(N, k, alpha, k, half_powers=False)
+    if want is None:
+        with pytest.raises(OverflowError):
+            p_polynomial(N, k, alpha)
+    else:
+        assert _bits(p_polynomial(N, k, alpha)) == _bits(want)
+    val = _fraction_rounded(N, k, alpha, N, half_powers=True)
+    if val is not None and (N + k) & 1:
+        val *= overlaps.DISPLACEMENT_COEFF_SCALE
+    if val is None or math.isinf(val):
+        with pytest.raises(PrecisionError, match="overflows"):
+            overlap_closed(N, k, alpha)
+    else:
+        assert _bits(overlap_closed(N, k, alpha)) == _bits(
+            overlaps._scaled_product(val, SQRT_PI, -alpha * alpha))
 
 
 def test_overlap_result_normalization():
@@ -358,6 +405,24 @@ def test_displacement_matrix_high_degree_entries():
 def test_displacement_matrix_rejects_negative_cutoff():
     with pytest.raises(ValueError):
         displacement_matrix(-1, 0.5)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_displacement_matrix_rejects_a_nonfinite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        displacement_matrix(5, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e160, -1e160, 9.5e153, 1e308])
+def test_displacement_matrix_past_the_overflow_of_2_alpha_squared_is_zero(
+        alpha):
+    # past sqrt(DBL_MAX / 2) = 9.4807519081091762e153, x = 2 alpha^2 is
+    # inf and the recurrence would fill D with NaN; every entry lies below
+    # the double range there, as at alpha 1e150, where the recurrence
+    # gives zero
+    assert math.isinf(2.0 * alpha * alpha)
+    assert np.array_equal(displacement_matrix(12, 1e150), np.zeros((13, 13)))
+    assert np.array_equal(displacement_matrix(12, alpha), np.zeros((13, 13)))
 
 
 @pytest.mark.parametrize("alpha", [0.8, 0.0, -0.8])

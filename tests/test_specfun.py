@@ -194,8 +194,7 @@ def test_laguerre_scan_in_place_is_bitwise_the_expression(N):
     assert np.any(got[2] != 0) == (N >= 345)
 
 
-def test_laguerre_zeros_and_sturm_counts_refuse_over_the_budget(
-        monkeypatch):
+def test_laguerre_zeros_refuse_over_the_budget(monkeypatch):
     # refused from the counted work bytes, before anything is allocated
     monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
                         specfun._ZEROS_BYTES_PER_DEGREE * 40
@@ -203,11 +202,6 @@ def test_laguerre_zeros_and_sturm_counts_refuse_over_the_budget(
     assert laguerre_zeros(40).size == 40
     with pytest.raises(ResourceError, match="degree 41"):
         laguerre_zeros(41)
-    monkeypatch.setattr(errors, "DENSE_BUDGET_BYTES",
-                        specfun._STURM_BYTES_PER_DEGREE * 1000)
-    assert len(nondegenerate_sequence(0.5, 2, kcap=1000).entries) == 2
-    with pytest.raises(ResourceError, match="kcap = 1001"):
-        nondegenerate_sequence(0.5, 2, kcap=1001)
 
 
 def test_avoidance_sequence_work_cap(monkeypatch):

@@ -696,6 +696,35 @@ def test_random_enclosures_are_exercised():
         assert np.any((widths > 1e-2) & np.isfinite(widths)), family
 
 
+AB_MODELS = [s for s in RANDOM_MODELS if s.family == fock_ops.AB_FRAME] + [
+    ModelSpec.ab_frame(1.0, 1.0, -1.0, 0.1, 30)]
+
+
+@pytest.mark.parametrize("spec", AB_MODELS,
+                         ids=["ab-%d" % i for i in range(len(AB_MODELS))])
+def test_ab_lower_bounds_are_bitwise_the_per_sector_reference(spec):
+    # the two AB sectors share c, and c c^T / (f - mu) is formed once for
+    # both: the bounds are bitwise those of each sector forming its own
+    sectors = build(spec).sectors
+    vals = spectral_analysis._solve_sectors(sectors)[0]
+    f = spectral_analysis._floor(spec, sectors)
+    g1, g2 = spec.gammas
+    e = spec.eps * (0.5 * (g1 - g2))
+    finite = 0
+    for m in (1, 5, vals.size // 4 + 1):
+        got = spectral_analysis._lower_bounds(spec, sectors, vals, m)
+        mu = vals[min(m, vals.size) - 1]
+        if not mu < f:
+            assert np.all(got == -np.inf)
+            continue
+        want = spectral_analysis._merge([scipy.linalg.eigvalsh(
+            s.matrix() + s.c @ s.c.T / (f - mu)) for s in sectors])[0][:m]
+        want = want - e * e / (f - mu)
+        assert got.tobytes() == want.tobytes()
+        finite += 1
+    assert finite
+
+
 # ------------------------------------------------------- parity split
 
 

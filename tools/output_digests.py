@@ -20,8 +20,9 @@ The outputs digested are
 * for each of three deep boxes (DEEP), its count_below at DEEP_THRESHOLDS
   and the DEBUG records of those counts;
 * for each of four AB frame models (AB), the dense matrix of its build
-  and its count_below at AB_THRESHOLDS, and one `weyl --family abframe`
-  run (AB_WEYL);
+  and its count_below at AB_THRESHOLDS, one `weyl --family abframe` run
+  (AB_WEYL), and `weyl` and `spectrum --cap 40` at alpha 1e160, where
+  2 alpha^2 overflows (AB_FAR);
 * the `spectrum` runs of DRIVER, one or more per exit of the cutoff-growth
   driver, each with the driver's `converge` DEBUG record (stop reason, m,
   the steps tried, and each solved step with its enclosed count and its
@@ -32,7 +33,9 @@ The outputs digested are
 * `quasimode --vectors --eps` on five models (QUASIMODE), one of them
   also with an explicit residual `--cutoff`;
 * `overlap` and `perturb --N` where e^(-alpha^2) is below the normal
-  range, and past the double range (OVERLAP).
+  range, and past the double range (OVERLAP);
+* `weyl` with a negative `--eps` that carries an exponent, as the token
+  after the flag and joined to it by "=" (NEGATIVE).
 
 BLAS runs on one thread, as in the benchmark. An op that raises is
 digested by its exception's type and message.
@@ -112,6 +115,14 @@ AB_THRESHOLDS = (-1.3, 0.7, 3.3, 9.8, 14.2, 40.4, 140.6)
 AB_WEYL = ["weyl", "--family", "abframe", "--alpha", "1", "--gamma1", "1",
            "--gamma2=-1", "--eps", "0.1", "--cutoff", "400", "--lambdas",
            "5,50,120,190"]
+
+# the AB frame past sqrt(DBL_MAX / 2), where the displacement matrix is zero
+AB_FAR_MODEL = ["--family", "abframe", "--alpha", "1e160", "--gamma1", "1",
+                "--gamma2=-1", "--eps", "0.1", "--cutoff", "10"]
+AB_FAR = {
+    "far-weyl": ["weyl"] + AB_FAR_MODEL + ["--lambdas", "3"],
+    "far-spectrum": ["spectrum"] + AB_FAR_MODEL + ["--cap", "40"],
+}
 
 # spectrum runs through the cutoff-growth driver, by exit: enclosed (QR
 # at eps 0, the AB frame, QRabi with parity labels), cap (QR at cap 20,
@@ -195,6 +206,12 @@ OVERLAP.update({
                                "--gamma1", "1", "--gamma2=-1"]
     for n, a in (("60", SQRT_800), ("1", "1e300"), ("100", "1e200"))
 })
+
+NEGATIVE_WEYL = ["weyl"] + QR_MODEL + ["--cutoff", "6", "--lambdas", "3"]
+NEGATIVE = {
+    "eps-split": NEGATIVE_WEYL + ["--eps", "-1e-3"],
+    "eps-joined": NEGATIVE_WEYL + ["--eps=-1e-3"],
+}
 
 
 def _encode(value, out):
@@ -314,6 +331,8 @@ def outputs(seeds):
                                .hexdigest(),
                                [count_below(op, lam) for lam in AB_THRESHOLDS])
     yield "ab/weyl", run_cli(AB_WEYL)
+    for name, argv in AB_FAR.items():
+        yield "ab/%s" % name, run_cli(argv)
     for name, argv in DRIVER.items():
         yield "driver/%s" % name, driver_run(argv)
     for name, spec in SMGES.items():
@@ -326,6 +345,8 @@ def outputs(seeds):
         yield "quasimode/%s" % name, run_cli(argv)
     for name, argv in OVERLAP.items():
         yield "overlap/%s" % name, run_cli(argv)
+    for name, argv in NEGATIVE.items():
+        yield "negative/%s" % name, run_cli(argv)
 
 
 def cli(argv=None):
