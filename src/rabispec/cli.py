@@ -23,7 +23,8 @@ import numpy as np
 
 from . import fock_ops, overlaps, perturbation, specfun, spectral_analysis
 from . import weyl_asymptotics as weyl
-from .errors import PrecisionError, RabispecError, ResourceError, UsageError
+from .errors import (NumericError, PrecisionError, RabispecError,
+                     ResourceError, UsageError)
 
 JSON_FLOAT_FORMAT = "%.17g"
 
@@ -609,9 +610,12 @@ def main(argv=None):
         # OSError: a config file that cannot be read or an output file
         # (--out, --dump-matrix) that cannot be written; OverflowError: a
         # value past the double range, e.g. alpha ** 2 at alpha = 1e200;
-        # MemoryError: an allocation no budget check foresaw
+        # MemoryError: an allocation no budget check foresaw; LinAlgError,
+        # a ValueError: a LAPACK routine that did not converge
         if isinstance(e, OverflowError):
             e = PrecisionError("result overflows the double range: %s" % e)
+        elif isinstance(e, np.linalg.LinAlgError):
+            e = NumericError(str(e))
         elif isinstance(e, MemoryError):
             e = ResourceError("out of memory: %s"
                               % (str(e) or "allocation failed"))

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ModelSpecError, check_budget
+from .errors import ModelSpecError, PrecisionError, check_budget
 from .overlaps import displacement_matrix
 
 QR = "QR"
@@ -426,8 +426,9 @@ def build(spec):
     state, with its empty layers at either end dropped, and carries its
     first occupation and its per-layer bounds (_layer_bounds).
     The spec and its budget are checked before any array is formed
-    (check_build_budget); reading op.matrix checks the dense matrix
-    itself.
+    (check_build_budget), and a diagonal or coupling entry past the double
+    range raises PrecisionError (_check_entries); reading op.matrix checks
+    the dense matrix itself.
     """
     check_build_budget(spec)
     basis = spec.basis()
@@ -465,6 +466,7 @@ def build(spec):
     rows = rows[by_row]
     cols = cols[by_row]
     low = low[by_row]
+    _check_entries(diag, low)
     # each sector's states are consecutive: sector s is [e[s], e[s + 1]) of
     # order and diag, and its entries are those whose rows lie there
     edges = np.cumsum([0] + grid.sum(axis=1).tolist()).tolist()
@@ -526,6 +528,7 @@ def ab_sectors(spec, d):
     frame model at cutoff K from its displacement matrix d: both hold the
     diagonal n + 1/2 + eps beta1 of each spin block and the block
     eps beta2 D that joins them, with beta1, beta2 = (gamma1 +- gamma2) / 2.
+    An entry past the double range raises PrecisionError (_check_entries).
     """
     cut = spec.cutoffs[0]
     g1, g2 = spec.gammas
@@ -533,7 +536,18 @@ def ab_sectors(spec, d):
     beta2 = 0.5 * (g1 - g2)
     diag = np.arange(cut + 1) + 0.5 + spec.eps * beta1
     c = (spec.eps * beta2) * d
+    _check_entries(diag, c)
     return [ABSector(diag, c, 1.0), ABSector(diag, c, -1.0)]
+
+
+def _check_entries(*arrays):
+    """Raise PrecisionError unless every entry of the arrays is finite:
+    finite parameters can still give matrix entries past the double range
+    (eps gamma, alpha sqrt(n / 2), eps beta2 D), and a count or a solve
+    over them would be wrong or fail."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise PrecisionError("the model's matrix entries overflow the double "
+                             "range")
 
 
 def parity_matrix(basis):

@@ -509,11 +509,10 @@ def count_below(op, lam):
     one (_once_per_matrix), as the two QR/QRabi chains are at eps = 0,
     reuses that sector's sweep for the sum and the record.
     Any other operator's matrix is checked for symmetry and takes one
-    sytrf factorization, as an AB sector does. A factorization's breakdown
-    falls back to a full eigensolve with a logged warning. One debug record
-    per call names the route, the dimension, the number of layer merges
-    and the pivots inside the tie band (for the AB frame, of both
-    sectors); the layered route adds the number of sectors, the largest
+    sytrf factorization, as an AB sector does. One debug record per call
+    names the route, the dimension, the number of layer merges and the
+    pivots inside the tie band (for the AB frame, of both sectors); the
+    layered route adds the number of sectors, the largest
     pending block order, the deepest occupation layer any sector swept
     (depth) and the number of sectors that closed before their last layer
     (closed).
@@ -556,11 +555,10 @@ def _sytrf_count(mats, lam, n, tie=None):
     """count_below as the sum over the symmetric dense matrices m of mats
     of the pivots at most tie of one sytrf factorization of m - lam I, with
     one debug record for the dimension n. tie is by default m's own band,
-    n macheps max(1, max|m - lam I|). Where sytrf breaks down, after a
-    logged warning, the eigenvalues of m at most lam + tie are counted."""
+    n macheps max(1, max|m - lam I|). sytrf reports an exactly zero pivot
+    (info > 0) in the factor it returns, where it is counted."""
     import scipy.linalg  # loads at the first call, not with the package
     count = ties = 0
-    route = "dense"
     for m in mats:
         # Fortran order so the factorization can work in place; the
         # diagonal shift avoids materializing lam * I at large dimensions
@@ -569,17 +567,11 @@ def _sytrf_count(mats, lam, n, tie=None):
         band = tie if tie is not None else n * np.finfo(float).eps * max(
             1.0, shifted.max(), -shifted.min())
         sytrf, = scipy.linalg.lapack.get_lapack_funcs(("sytrf",), (shifted,))
-        ldu, ipiv, info = sytrf(shifted, lower=0, overwrite_a=1)
-        if info < 0:
-            log.warning("sytrf failed with info=%d, falling back to "
-                        "eigensolve", info)
-            route = "eigensolve"
-            pivots = scipy.linalg.eigvalsh(m) - lam
-        else:
-            pivots = _block_eigenvalues(ldu, ipiv)
+        ldu, ipiv, _ = sytrf(shifted, lower=0, overwrite_a=1)
+        pivots = _block_eigenvalues(ldu, ipiv)
         count += int(np.count_nonzero(pivots <= band))
         ties += int(np.count_nonzero(np.abs(pivots) <= band))
-    log.debug("count_below route=%s dim=%d merges=0 ties=%d", route, n, ties)
+    log.debug("count_below route=dense dim=%d merges=0 ties=%d", n, ties)
     return count
 
 
@@ -594,78 +586,100 @@ def _verdict(counts):
             "no_adjacent_double": no_adjacent_double}
 
 
-def braak_intervals(spectrum, shift, Nmax):
-    """Counts of shifted eigenvalues per unit interval, with the three
-    interval regularity verdicts evaluated per parity class.
+def _thresholds(shift, nmax):
+    """The thresholds of a census to nmax: b - BOUNDARY_TOL and b +
+    BOUNDARY_TOL, less the shift, for each boundary b = 0 .. nmax + 1,
+    ascending."""
+    return (np.arange(nmax + 2.0)[:, None]
+            + [-BOUNDARY_TOL, BOUNDARY_TOL]).ravel() - shift
 
-    Only converged eigenvalues are examined; if they do not cover every
-    interval up to Nmax the whole report is refused.
+
+def _boundary_ranks(count):
+    """(b, r) for each rank r on a boundary b, from one class's counts at
+    the thresholds (_thresholds): the r-th smallest eigenvalue lies on b
+    when C(b - tol) < r <= C(b + tol)."""
+    c = count.reshape(-1, 2)
+    return [(b, r) for b in np.flatnonzero(c[:, 0] < c[:, 1]).tolist()
+            for r in range(c[b, 0] + 1, c[b, 1] + 1)]
+
+
+def _interval_report(counts, value, shift):
+    """The IntervalReport of a census from counts, each class's counts C
+    at the thresholds (_thresholds), C(x) the number of the class's
+    eigenvalues lam <= x - shift (x - shift the threshold, as formed
+    there): the classes "+" and "-", in that order, or the one class
+    "total".
+
+    Interval N holds the eigenvalues with N + BOUNDARY_TOL < lam + shift
+    <= N + 1 + BOUNDARY_TOL, C(N + 1 + tol) - C(N + tol) of each class,
+    and the three verdicts are taken per class. An eigenvalue on a
+    boundary b, within (b - tol, b + tol], goes to interval b - 1; where
+    there is at least one interval, each is listed in boundary_values,
+    shifted and sorted, as value(class, b, rank) + shift (_boundary_ranks).
+    """
+    per_class = {k: np.diff(c[1::2]).tolist() for k, c in counts.items()}
+    labelled = "total" not in per_class
+    # n holds interval N's count of each class: (plus, minus) or (total,)
+    per_interval = [IntervalCount(N, sum(n), *(n if labelled else
+                                               (None, None)))
+                    for N, n in enumerate(zip(*per_class.values()))]
+    values = [value(k, b, r) + shift for k, c in counts.items()
+              for b, r in _boundary_ranks(c)] if per_interval else []
+    return IntervalReport(per_interval,
+                          {k: _verdict(n) for k, n in per_class.items()},
+                          shift, sorted(values))
+
+
+def braak_intervals(spectrum, shift, Nmax):
+    """The census of a spectrum's converged eigenvalues (_interval_report):
+    counts per unit interval of the shifted spectrum and the three
+    interval regularity verdicts, per parity class ("+" and "-") where
+    the spectrum is labelled, else for the one class "total". Each
+    class's counts at the thresholds (_thresholds) are those of its
+    converged values, sorted, and a value on a boundary is listed as it
+    is, shifted.
+
+    If the converged eigenvalues do not cover every interval up to Nmax
+    the whole report is refused (CoverageError).
     """
     if not math.isfinite(shift):
         raise ValueError("shift must be finite")
     ev = np.asarray(spectrum.eigenvalues, dtype=float)
     conv = spectrum.converged_count
     shifted = ev + shift
-    if Nmax < 0:
-        keys = ("+", "-") if spectrum.parity is not None else ("total",)
-        verdicts = {k: _verdict([]) for k in keys}
-        return IntervalReport([], verdicts, shift)
     if conv < len(ev):
         bound = shifted[conv]
     elif len(ev):
         bound = shifted[-1]
     else:
         bound = -np.inf
-    if bound < Nmax + 1:
+    if Nmax >= 0 and bound < Nmax + 1:
         first_bad = max(int(math.floor(bound)), 0)
         raise CoverageError(
             "converged eigenvalues cover shifted values only up to %.6g; "
             "interval I_%d is not certified" % (bound, first_bad))
-
-    # interval of each converged value: within BOUNDARY_TOL of an integer
-    # boundary b (np.rint rounds half to even, as round does) it goes to
-    # b - 1 and is flagged, otherwise to its floor
-    v = shifted[:conv]
-    b = np.rint(v)
-    flagged = np.abs(v - b) <= BOUNDARY_TOL
-    idx = np.where(flagged, b - 1.0, np.floor(v))
-    inside = (idx >= 0) & (idx <= Nmax)
-    idx = idx[inside].astype(np.intp)
-    labeled = spectrum.parity is not None
-
-    def counts(i):
-        return np.bincount(i, minlength=Nmax + 1).tolist()
-
-    totals = counts(idx)
-    if labeled:
-        is_plus = (np.asarray(spectrum.parity[:conv], dtype=object)
-                   == "+")[inside]
-        plus, minus = counts(idx[is_plus]), counts(idx[~is_plus])
-    per_interval = [
-        IntervalCount(N, totals[N],
-                      plus[N] if labeled else None,
-                      minus[N] if labeled else None)
-        for N in range(Nmax + 1)
-    ]
-    if labeled:
-        verdicts = {"+": _verdict(plus), "-": _verdict(minus)}
+    v = ev[:conv]
+    if spectrum.parity is None:
+        classes = {"total": v}
     else:
-        verdicts = {"total": _verdict(totals)}
-    return IntervalReport(per_interval, verdicts, shift, list(v[flagged]))
+        is_plus = np.asarray(spectrum.parity[:conv], dtype=object) == "+"
+        classes = {"+": v[is_plus], "-": v[~is_plus]}
+    classes = {k: np.sort(c) for k, c in classes.items()}
+    t = _thresholds(shift, Nmax)
+    return _interval_report(
+        {k: np.searchsorted(c, t, side="right") for k, c in classes.items()},
+        lambda k, b, r: classes[k][r - 1], shift)
 
 
 def braak_census(spec, shift, nmax):
     """The Braak census of a QR or QRabi operator, certified for the
     untruncated operator: (IntervalReport, closing depth).
 
-    Interval N holds the eigenvalues lam with N + BOUNDARY_TOL < lam +
-    shift <= N + 1 + BOUNDARY_TOL, braak_intervals' rule, so a parity
-    chain's count in it is C(N + 1 + tol) - C(N + tol), with C(x) the
-    number of the chain's eigenvalues with lam + shift <= x. The counts C
-    at the thresholds b +- tol - shift, b = 0 .. nmax + 1, come from one
-    Sturm sweep per distinct chain (_once_per_matrix) of the box at
-    cutoff SINGLE_MODE_CAP, vectorized over the thresholds
-    (_census_sweep). Each threshold's count is frozen at the first row
+    Each parity chain's counts at the census thresholds (_thresholds)
+    come from one Sturm sweep per distinct chain (_once_per_matrix) of
+    the box at cutoff SINGLE_MODE_CAP, vectorized over the thresholds
+    (_census_sweep), and make the report (_interval_report). Each
+    threshold's count is frozen at the first row
     whose bracket closes (_chain_inertia's test), where it is the count of
     the operator itself (Sector.floor, Sector.coupling), and the sweep
     ends when every count has closed; the rows of a chain do not depend on
@@ -673,15 +687,15 @@ def braak_census(spec, shift, nmax):
     threshold can close only at a row whose floor lies above it, so a
     largest threshold at or above the floor of the last row raises
     CoverageError before the thresholds are formed, and ResourceError
-    refuses work arrays over errors.DENSE_BUDGET_BYTES. A boundary b
-    whose counts at b - tol and b + tol differ holds an eigenvalue, which
-    goes to interval b - 1 and is listed in boundary_values, shifted, as
-    found by bisection on the chain's Sturm count. The closing depth is
+    refuses work arrays over errors.DENSE_BUDGET_BYTES. An eigenvalue on
+    a boundary is listed in boundary_values, shifted, as found by
+    bisection on the chain's Sturm count. The closing depth is
     the deepest row at which a threshold closed: the box of that cutoff
     has the census of the operator. nmax = -1 gives braak_intervals'
-    empty report; nmax < -1, a non-finite shift and matrix entries that
-    overflow raise ValueError, as does any family but QR and QRabi; a
-    malformed spec, its cutoff included, raises ModelSpecError first.
+    empty report; nmax < -1 and a non-finite shift raise ValueError, as
+    does any family but QR and QRabi; a malformed spec, its cutoff
+    included, raises ModelSpecError first, and matrix entries that
+    overflow PrecisionError (build).
     """
     spec.validate()
     if spec.family not in (QR, QRABI):
@@ -692,12 +706,6 @@ def braak_census(spec, shift, nmax):
     if nmax < -1:
         raise ValueError("nmax must be at least -1")
     sectors = build(spec.with_cutoffs((SINGLE_MODE_CAP,))).sectors
-    # eps * gamma or alpha sqrt(n) can overflow where the parameters are
-    # finite
-    if not all(np.isfinite(s.diag).all() and np.isfinite(s.low).all()
-               for s in sectors):
-        raise ValueError("the model's matrix entries overflow the double "
-                         "range")
     top = nmax + 1 + BOUNDARY_TOL - shift
     if not all(s.floor[-1] > top for s in sectors):
         raise CoverageError(
@@ -707,9 +715,7 @@ def braak_census(spec, shift, nmax):
     # t, _census_sweep's per-threshold arrays and its blocks of rows
     check_budget("the census of %d interval boundaries needs" % (nmax + 2),
                  _census_bytes(nmax))
-    # b - tol and b + tol for each boundary b, ascending
-    t = (np.arange(nmax + 2.0)[:, None]
-         + [-BOUNDARY_TOL, BOUNDARY_TOL]).ravel() - shift
+    t = _thresholds(shift, nmax)
     sweeps = _once_per_matrix(sectors, lambda s: _census_sweep(s, t))
     still = [np.flatnonzero(closed < 0) for _, closed in sweeps]
     if any(j.size for j in still):
@@ -718,17 +724,11 @@ def braak_census(spec, shift, nmax):
             "the count bracket at boundary %d of the shifted spectrum is "
             "still open at depth %d; interval I_%d is not certified"
             % (b, SINGLE_MODE_CAP, max(b - 1, 0)))
-    counts = [count.reshape(-1, 2) for count, _ in sweeps]
-    plus, minus = (np.diff(c[:, 1]).tolist() for c in counts)
-    per_interval = [IntervalCount(N, p + m, p, m)
-                    for N, (p, m) in enumerate(zip(plus, minus))]
-    values = [_bisect_chain(s, t[2 * b], t[2 * b + 1], r) + shift
-              for s, c in zip(sectors, counts) if nmax >= 0
-              for b in np.flatnonzero(c[:, 0] < c[:, 1]).tolist()
-              for r in range(c[b, 0] + 1, c[b, 1] + 1)]
-    report = IntervalReport(per_interval,
-                            {"+": _verdict(plus), "-": _verdict(minus)},
-                            shift, sorted(values))
+    chains = dict(zip("+-", sectors))
+    report = _interval_report(
+        {k: count for k, (count, _) in zip("+-", sweeps)},
+        lambda k, b, r: _bisect_chain(chains[k], t[2 * b], t[2 * b + 1], r),
+        shift)
     return report, max(s.first + int(closed.max())
                        for s, (_, closed) in zip(sectors, sweeps))
 

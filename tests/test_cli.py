@@ -672,6 +672,7 @@ def expect_error(capsys, argv, code, name):
     got = main(argv)
     assert got == code
     captured = capsys.readouterr()
+    assert captured.out == ""
     doc = json.loads(captured.err)
     assert doc["error"] == name
     assert doc["exit_code"] == code
@@ -1193,6 +1194,41 @@ def test_nonfinite_and_overflowing_inputs_are_classified(capsys, argv, code):
     expect_error(capsys, argv, code, names[code])
 
 
+# finite parameters whose levels eps * gamma, and whose AB coupling
+# eps beta2 D, are past the double range
+OVERFLOW_MODEL = ["--alpha", "1", "--gamma1", "1e308", "--gamma2=-1e308",
+                  "--eps", "10", "--cutoff", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--family", "qr"] + OVERFLOW_MODEL + ["--lambdas", "2,100"],
+    ["weyl", "--family", "abframe"] + OVERFLOW_MODEL + ["--lambdas", "2,100"],
+    ["spectrum", "--family", "abframe"] + OVERFLOW_MODEL + ["--cap", "8"],
+    ["braak", "--family", "qr"] + OVERFLOW_MODEL + ["--nmax", "3"],
+], ids=["weyl-qr", "weyl-abframe", "spectrum-abframe", "braak-qr"])
+def test_matrix_entries_past_the_double_range_are_refused(capsys, argv):
+    # sector assembly refuses them: the counts were wrong (weyl printed 1
+    # and 1 for qr, 12 and 12 for abframe), and spectrum and braak failed
+    # as usage errors
+    doc = expect_error(capsys, argv, 5, "PrecisionError")
+    assert doc["message"] == ("the model's matrix entries overflow the "
+                              "double range")
+
+
+@pytest.mark.parametrize("family, alpha, gamma", [
+    ("xi", "1e300,0.8", "0.3,0.5"),
+    ("vee", "1e300,1,1", "0.3,0.5,0.7"),
+    ("lambda", "1e300,1", "0.3,0.5"),
+])
+def test_a_lapack_failure_is_a_numeric_error(capsys, family, alpha, gamma):
+    # the entries are finite, but the layered count's eigensolve does not
+    # converge: numpy's LinAlgError, a ValueError, is not a usage error
+    expect_error(capsys, [
+        "weyl", "--family", family, "--alpha", alpha, "--gamma", gamma,
+        "--eps", "0.05", "--cutoff", "5", "--lambdas", "2"], 8,
+        "NumericError")
+
+
 def test_weyl_prediction_is_zero_below_zero(tmp_path):
     argv = ["weyl", "--family", "xi", "--alpha", "1,0.8", "--gamma",
             "0.3,0.5", "--eps", "0.05", "--cutoff", "5", "--lambdas=-1,0,2"]
@@ -1236,7 +1272,7 @@ def test_overlap_at_node_cap_computes(tmp_path):
     (["overlap", "--N", "1", "--k", "1", "--method", "quadrature",
       "--alpha", "1e200"], 5),
     (["weyl", "--family", "xi", "--alpha", "1e300,0.8", "--gamma", "0.3,0.5",
-      "--eps", "0.05", "--cutoff", "5", "--lambdas", "2"], 2),
+      "--eps", "0.05", "--cutoff", "5", "--lambdas", "2"], 8),
 ], ids=["abframe-overflow", "quadrature-overflow", "weyl-overflow"])
 def test_stderr_holds_only_the_error_object(argv, code):
     # numpy warns on these overflows; a separate interpreter shows what a

@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from rabispec import errors, fock_ops, spectral_analysis
-from rabispec.errors import ModelSpecError, ResourceError
+from rabispec.errors import ModelSpecError, PrecisionError, ResourceError
 from rabispec.fock_ops import (
     BasisDescriptor,
     ModelSpec,
@@ -276,6 +276,25 @@ def test_model_spec_rejects_descending_gammas():
 def test_model_spec_rejects_nonfinite_parameters(spec):
     with pytest.raises(ModelSpecError):
         spec.validate()
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec.qr(1.0, 1e308, -1e308, 10.0, 5),
+    ModelSpec.qrabi(1.0, 1e308, 10.0, 5),
+    ModelSpec.xi((1.7e308, 0.8), (0.3, 0.5), 0.05, (6, 6)),
+    ModelSpec.ab_frame(1.0, 1e308, -1e308, 10.0, 5),
+], ids=["qr-level", "qrabi-level", "xi-coupling", "abframe-coupling"])
+def test_sector_entries_past_the_double_range_are_refused(spec):
+    # finite parameters, but eps * gamma, alpha sqrt(n / 2) or eps beta2 D
+    # leaves the double range: build refuses before any count or solve
+    spec.validate()
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(PrecisionError, match="overflow the double range"):
+        build(spec)
+    if spec.family == fock_ops.AB_FRAME:
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(PrecisionError):
+            ab_spectra([spec])
 
 
 def test_model_spec_rejects_shape_mismatch():

@@ -13,7 +13,8 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rabispec import errors, fock_ops, spectral_analysis
-from rabispec.errors import CoverageError, ModelSpecError, ResourceError
+from rabispec.errors import (CoverageError, ModelSpecError, PrecisionError,
+                             ResourceError)
 from rabispec.fock_ops import (
     BasisDescriptor,
     ModelSpec,
@@ -1585,32 +1586,36 @@ def test_count_below_rejects_asymmetric_banded_matrix():
 # ------------------------------------------------------- interval census
 
 
-def _assign_interval(v):
-    """The interval of one shifted value by the boundary rule, and whether
-    it is flagged: the per-value loop kept as the oracle of the array
-    assignment in braak_intervals."""
-    b = round(v)
-    if abs(v - b) <= BOUNDARY_TOL:
-        return int(b) - 1, True
-    return int(math.floor(v)), False
+def _assign_interval(v, shift, nmax):
+    """(the interval of one value v by the census rule, its boundary or
+    None): the per-value loop kept as the oracle of braak_intervals. A
+    value with b - tol < v + shift <= b + tol (the thresholds less the
+    shift, formed as _thresholds forms them) for a boundary b = 0 .. nmax
+    + 1 lies on b and goes to interval b - 1; any other goes to the floor
+    of v + shift."""
+    for b in range(nmax + 2):
+        if (b - BOUNDARY_TOL) - shift < v <= (b + BOUNDARY_TOL) - shift:
+            return b - 1, b
+    return math.floor(v + shift), None
 
 
 def _census_loop(spectrum, shift, Nmax):
     """(totals, plus, minus, boundary values) of braak_intervals by the
-    per-value loop."""
-    shifted = np.asarray(spectrum.eigenvalues, dtype=float) + shift
+    per-value loop: every converged value that lies on a boundary is
+    listed, shifted, where there is at least one interval."""
+    ev = np.asarray(spectrum.eigenvalues, dtype=float)
     totals, plus, minus = ([0] * (Nmax + 1) for _ in range(3))
     boundary = []
     for i in range(spectrum.converged_count):
-        idx, flagged = _assign_interval(shifted[i])
-        if flagged:
-            boundary.append(shifted[i])
+        idx, on = _assign_interval(ev[i], shift, Nmax)
+        if on is not None and Nmax >= 0:
+            boundary.append(ev[i] + shift)
         if not 0 <= idx <= Nmax:
             continue
         totals[idx] += 1
         if spectrum.parity is not None:
             (plus if spectrum.parity[i] == "+" else minus)[idx] += 1
-    return totals, plus, minus, boundary
+    return totals, plus, minus, sorted(boundary)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1643,7 +1648,90 @@ def test_braak_census_matches_the_per_value_loop(seed):
             assert [c.minus for c in rep.per_interval] == minus
         assert np.array(rep.boundary_values).tobytes() \
             == np.array(boundary).tobytes()
-        assert len(boundary) > 2 * (nmax + 5)
+        assert len(boundary) > 2 * (nmax + 1)
+
+
+@st.composite
+def _interval_spectra(draw):
+    """(Spectrum, shift, nmax) for braak_intervals: values on and beside
+    the boundaries -2 .. nmax + 3 (at b, at b +- 0.9 and 1.1 BOUNDARY_TOL,
+    and exactly at the thresholds (b +- BOUNDARY_TOL) - shift), plain values
+    below interval 0 and above nmax, a top value that covers every
+    interval, converged values in any order, and parity labels or none."""
+    tol = BOUNDARY_TOL
+    nmax = draw(st.integers(-1, 8))
+    shift = draw(st.sampled_from([0.0, 0.5, -1.25]) | st.floats(-3.0, 3.0))
+    ends = st.integers(-2, nmax + 3)
+    near = draw(st.lists(st.tuples(
+        ends, st.sampled_from([0.0, 0.9 * tol, -0.9 * tol, 1.1 * tol,
+                               -1.1 * tol])), max_size=30))
+    exact = draw(st.lists(st.tuples(ends, st.sampled_from([tol, -tol])),
+                          max_size=10))
+    plain = draw(st.lists(st.floats(-4.0, nmax + 5.0), max_size=20))
+    ev = np.sort(np.concatenate((
+        [b + o - shift for b, o in near], [(b + o) - shift for b, o in exact],
+        np.array(plain, dtype=float) - shift)))
+    ev = np.append(ev, nmax + 5.5 - shift)
+    # every value from the first at or above nmax + 1.5 on may be
+    # unconverged; the first unconverged value covers every interval
+    conv = draw(st.integers(int(np.searchsorted(ev + shift, nmax + 1.5)),
+                            ev.size))
+    head = min(conv, ev.size - 1)
+    ev[:head] = ev[:head][draw(st.permutations(range(head)))]
+    parity = draw(st.none() | st.lists(st.sampled_from("+-"),
+                                       min_size=ev.size, max_size=ev.size))
+    return Spectrum(ev, parity, conv, (8,), None), shift, nmax
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_interval_spectra())
+def test_braak_intervals_match_the_census_rule_per_value(case):
+    spectrum, shift, nmax = case
+    rep = braak_intervals(spectrum, shift, nmax)
+    totals, plus, minus, boundary = _census_loop(spectrum, shift, nmax)
+    assert [c.N for c in rep.per_interval] == list(range(nmax + 1))
+    assert [c.total for c in rep.per_interval] == totals
+    if spectrum.parity is None:
+        assert all(c.plus is None and c.minus is None
+                   for c in rep.per_interval)
+        assert rep.verdicts == {"total": spectral_analysis._verdict(totals)}
+    else:
+        assert [c.plus for c in rep.per_interval] == plus
+        assert [c.minus for c in rep.per_interval] == minus
+        assert rep.verdicts == {"+": spectral_analysis._verdict(plus),
+                                "-": spectral_analysis._verdict(minus)}
+    assert np.array(rep.boundary_values, dtype=float).tobytes() \
+        == np.array(boundary, dtype=float).tobytes()
+    assert rep.shift_applied == shift
+
+
+def test_braak_intervals_list_only_boundaries_of_the_census():
+    # boundaries 0 .. nmax + 1 only, each inside (b - tol, b + tol]: -1
+    # and 3 lie on boundaries beyond the census, 0.5 and 1.5 on none
+    s = Spectrum(np.array([-1.0, 0.5, 1.5, 2.0, 3.0]), None, 5, (8,), None)
+    rep = braak_intervals(s, 0.0, 1)
+    assert [c.total for c in rep.per_interval] == [1, 2]
+    assert rep.boundary_values == [2.0]
+    # exactly at the threshold (b - tol) - shift a value lies below the
+    # boundary, at (b + tol) - shift on it; both are in interval b - 1
+    for off, on in ((-BOUNDARY_TOL, False), (BOUNDARY_TOL, True)):
+        v = (1.0 + off) - 0.5
+        rep = braak_intervals(Spectrum(np.array([v, 2.5]), None, 2, (8,),
+                                       None), 0.5, 0)
+        assert [c.total for c in rep.per_interval] == [1]
+        assert rep.boundary_values == ([v + 0.5] if on else [])
+
+
+@pytest.mark.parametrize("eps", [0.05, -0.05, 0.02, -0.02])
+def test_braak_intervals_and_the_certified_census_agree_on_c06(eps):
+    # c06's models: the census of a converged spectrum and the certified
+    # census of the operator give the same counts and verdicts
+    spec = ModelSpec.qr(1.0, 1.0, -1.0, eps, 16)
+    rep = braak_intervals(parity_split(spec, 26, 1e-9), 0.5, 9)
+    census, _ = spectral_analysis.braak_census(spec, 0.5, 9)
+    assert rep.per_interval == census.per_interval
+    assert rep.verdicts == census.verdicts
+    assert [c.total for c in rep.per_interval] == [2] * 10
 
 
 def test_braak_census_two_per_interval():
@@ -1856,8 +1944,8 @@ def test_certified_census_refusals():
         census(spec, 0.5, -2)
     with pytest.raises(ValueError, match="QR-type"):
         census(ModelSpec.xi((1.0, 0.8), (0.3, 0.5), 0.05, (6, 6)), 0.5, 3)
-    # finite parameters whose level eps * gamma1 overflows
-    with np.errstate(over="ignore"), pytest.raises(ValueError,
+    # finite parameters whose level eps * gamma1 overflows: build refuses
+    with np.errstate(over="ignore"), pytest.raises(PrecisionError,
                                                   match="overflow"):
         census(ModelSpec.qr(1.0, 1e300, 1.0, 1e300, 6), 0.5, 1)
     # a cutoff the model refuses is refused here too, though the census

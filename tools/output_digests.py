@@ -13,7 +13,10 @@ The outputs digested are
   imported, not changed) at each seed: a CLI op by its output file's
   bytes, a library op by its arrays, tuples and numbers in a fixed byte
   encoding (_encode);
-* braak on the four models of the c06 gate, in JSON and in CSV;
+* braak on the four models of the c06 gate, in JSON and in CSV, and
+  braak_intervals of each model's parity_split (the c06 gate's route),
+  and of one spectrum with values on boundaries inside and beyond the
+  census (INTERVAL_VALUES);
 * for each of ten layered models (LAYERED), the dense matrix of its build,
   its eigen_spectrum, its count_below at COUNT_THRESHOLDS and the DEBUG
   records of those counts;
@@ -35,7 +38,10 @@ The outputs digested are
 * `overlap` and `perturb --N` where e^(-alpha^2) is below the normal
   range, and past the double range (OVERLAP);
 * `weyl` with a negative `--eps` that carries an exponent, as the token
-  after the flag and joined to it by "=" (NEGATIVE).
+  after the flag and joined to it by "=" (NEGATIVE);
+* commands on finite parameters whose matrix entries are past the double
+  range, and whose layered count's eigensolve does not converge
+  (REFUSED).
 
 BLAS runs on one thread, as in the benchmark. An op that raises is
 digested by its exception's type and message.
@@ -63,7 +69,9 @@ import rabispec  # noqa: E402
 import workloads  # noqa: E402
 from rabispec.cli import main  # noqa: E402
 from rabispec.fock_ops import ModelSpec, build  # noqa: E402
-from rabispec.spectral_analysis import count_below, eigen_spectrum  # noqa
+from rabispec.spectral_analysis import (Spectrum, braak_intervals,  # noqa
+                                        count_below, eigen_spectrum,
+                                        parity_split)
 from rabispec.weyl_asymptotics import smges_gap_check  # noqa: E402
 
 if not rabispec.__file__.startswith(sys.path[0]):
@@ -72,6 +80,9 @@ if not rabispec.__file__.startswith(sys.path[0]):
 
 # c06: qr at alpha 1, gamma (1, -1), cutoff 16, intervals 0..9 at shift 1/2
 C06_EPS = ("0.05", "-0.05", "0.02", "-0.02")
+# braak_intervals at shift 0 to nmax 1: -1 and 3 lie on boundaries beyond
+# the census, 2 on its last one, 0.5 and 1.5 on none
+INTERVAL_VALUES = (-1.0, 0.5, 1.5, 2.0, 3.0)
 
 # every layered family at one, two and three modes, an eps = 0 model whose
 # sectors coincide, and a three-mode box of dimension 8788
@@ -213,6 +224,28 @@ NEGATIVE = {
     "eps-joined": NEGATIVE_WEYL + ["--eps=-1e-3"],
 }
 
+# levels eps * gamma of +-inf, and an AB coupling eps beta2 D of inf and nan;
+# a coupling of 1e300, whose layered count's eigensolve does not converge
+OVERFLOW_MODEL = ["--alpha", "1", "--gamma1", "1e308", "--gamma2=-1e308",
+                  "--eps", "10", "--cutoff", "5"]
+LAPACK_WEYL = ["--eps", "0.05", "--cutoff", "5", "--lambdas", "2"]
+REFUSED = {
+    "overflow/weyl-qr": ["weyl", "--family", "qr"] + OVERFLOW_MODEL + [
+        "--lambdas", "2,100"],
+    "overflow/weyl-abframe": ["weyl", "--family", "abframe"]
+    + OVERFLOW_MODEL + ["--lambdas", "2,100"],
+    "overflow/spectrum-abframe": ["spectrum", "--family", "abframe"]
+    + OVERFLOW_MODEL + ["--cap", "8"],
+    "overflow/braak-qr": ["braak", "--family", "qr"] + OVERFLOW_MODEL + [
+        "--nmax", "3"],
+    "lapack/weyl-xi": ["weyl", "--family", "xi", "--alpha", "1e300,0.8",
+                       "--gamma", "0.3,0.5"] + LAPACK_WEYL,
+    "lapack/weyl-vee": ["weyl", "--family", "vee", "--alpha", "1e300,1,1",
+                        "--gamma", "0.3,0.5,0.7"] + LAPACK_WEYL,
+    "lapack/weyl-lambda": ["weyl", "--family", "lambda", "--alpha",
+                           "1e300,1", "--gamma", "0.3,0.5"] + LAPACK_WEYL,
+}
+
 
 def _encode(value, out):
     """Append a byte encoding of value to the bytearray out: bytes and
@@ -293,6 +326,14 @@ def layered_outputs(spec):
     return (matrix, eigen_spectrum(op)) + counts(op, COUNT_THRESHOLDS)
 
 
+def interval_report(spectrum, shift, nmax):
+    """braak_intervals of spectrum: its counts, verdicts, shift and
+    boundary values."""
+    rep = braak_intervals(spectrum, shift, nmax)
+    return (rep.per_interval, list(rep.verdicts.items()), rep.shift_applied,
+            rep.boundary_values)
+
+
 def readme_commands():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
         text = f.read()
@@ -321,6 +362,12 @@ def outputs(seeds):
                     "1", "--gamma2=-1", "--eps", eps, "--cutoff", "16",
                     "--nmax", "9", "--shift", "0.5", "--format", fmt]
             yield "braak_c06/eps%s/%s" % (eps, fmt), run_cli(argv)
+        spectrum = parity_split(ModelSpec.qr(1.0, 1.0, -1.0, float(eps), 16),
+                                26, 1e-9)
+        yield "intervals_c06/eps%s" % eps, interval_report(spectrum, 0.5, 9)
+    yield "intervals/boundaries", interval_report(
+        Spectrum(np.array(INTERVAL_VALUES), None, len(INTERVAL_VALUES), (8,),
+                 None), 0.0, 1)
     for name, spec in LAYERED.items():
         yield "layered/%s" % name, layered_outputs(spec)
     for name, spec in DEEP.items():
@@ -347,6 +394,8 @@ def outputs(seeds):
         yield "overlap/%s" % name, run_cli(argv)
     for name, argv in NEGATIVE.items():
         yield "negative/%s" % name, run_cli(argv)
+    for name, argv in REFUSED.items():
+        yield "refused/%s" % name, run_cli(argv)
 
 
 def cli(argv=None):
