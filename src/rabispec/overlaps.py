@@ -38,7 +38,6 @@ displacement_matrix).
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,22 +67,6 @@ def weighted_norm_squared(N):
 def required_nodes(N, k):
     """Minimal Gauss-Hermite node count that integrates O(N,k) exactly."""
     return (N + k) // 2 + 1
-
-
-@dataclass
-class OverlapResult:
-    N: int
-    k: int
-    alpha: float
-    value: float
-    method: str
-    nodes: int | None = None
-
-    @property
-    def normalized(self):
-        return self.value / math.sqrt(
-            weighted_norm_squared(self.N) * weighted_norm_squared(self.k)
-        )
 
 
 def _scaled_product(v, c, t):

@@ -1,13 +1,16 @@
-"""Hermite and Laguerre machinery used by the overlap and spectral layers.
+"""Laguerre machinery used by the overlap and spectral layers, and the one
+Hermite convention of the overlap layer.
 
-Two Hermite normalizations are supported. The default "ladder" convention is
-the one generated by repeated application of the raising operator
+The Hermite polynomials of the overlaps are in the "ladder" convention: the
+one generated by repeated application of the raising operator
 (x - d/dx)/sqrt(2) to the Gaussian, i.e. 2^(-N/2) times the physicists'
 polynomial, with recurrence
 
     H_{N+1}(x) = sqrt(2) x H_N(x) - N H_{N-1}(x).
 
 In this convention the weighted L2 norm of degree N is sqrt(sqrt(pi) N!).
+They are evaluated by one double-double scan of that recurrence,
+overlaps._hermite_pair_scan_dd.
 
 The alternating finite sums (p_polynomial and friends) are evaluated in exact
 integer arithmetic over a dyadic representation of the float argument, with a
@@ -16,16 +19,13 @@ significance long before the supported degree cap; see the module tests.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (OBJECT_BYTES, DegenerateInput, NumericError,
                      PrecisionError, ResourceError, check_budget)
-
-LADDER = "ladder"
-PHYSICISTS = "physicists"
 
 # Cap on N + k for the exact alternating sums. Kept as a hard contract
 # boundary so callers cannot wander into multi-second big-integer territory
@@ -62,29 +62,6 @@ MAX_STURM_STEPS = 10 ** 7
 # a larger degree raises ResourceError before any work.
 _ZEROS_WORK_PER_DEGREE_SQUARED = 6
 MAX_ZEROS_WORK = _ZEROS_WORK_PER_DEGREE_SQUARED * 10_000 ** 2
-
-
-def hermite_poly(N, x, convention=LADDER):
-    """Hermite polynomial of degree N at x (scalar or array).
-
-    convention is "ladder" (default, 2^(-N/2) scaling) or "physicists".
-    """
-    if N < 0:
-        raise ValueError("degree must be nonnegative")
-    if convention not in (LADDER, PHYSICISTS):
-        raise ValueError("unknown convention %r" % (convention,))
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    if convention == LADDER:
-        sx = math.sqrt(2.0) * x
-        for n in range(N):
-            prev, cur = cur, sx * cur - n * prev
-    else:
-        tx = 2.0 * x
-        for n in range(N):
-            prev, cur = cur, tx * cur - 2.0 * n * prev
-    return cur if cur.ndim else float(cur)
 
 
 def laguerre_poly(N, x):
@@ -199,27 +176,6 @@ def _brackets_a_zero(N, z):
     return lower * np.sign(_laguerre_pair_scaled(N, z + step)[0]) <= 0
 
 
-@dataclass
-class LaguerreZeroSet:
-    """Zeros of L_1 .. L_degree_max, keyed by degree."""
-
-    degree_max: int
-    zeros: dict = field(default_factory=dict)
-
-    def all_zeros(self):
-        out = []
-        for k in range(1, self.degree_max + 1):
-            for i, z in enumerate(self.zeros[k]):
-                out.append((z, k, i))
-        out.sort()
-        return out
-
-
-def laguerre_zero_set(degree_max):
-    zs = {k: laguerre_zeros(k) for k in range(1, degree_max + 1)}
-    return LaguerreZeroSet(degree_max=degree_max, zeros=zs)
-
-
 def _dyadic(z):
     # exact representation z = mant / 2**texp for a finite float
     if not math.isfinite(z):
@@ -270,26 +226,6 @@ def p_polynomial(N, k, Z):
     mant, texp = _dyadic(Z)
     numer = _alternating_series(N, k, mant, texp, k, half_powers=False)
     return numer / (1 << (texp * (N + k)))
-
-
-class ZeroDistance(NamedTuple):
-    distance: float
-    degree: int
-    index: int
-
-
-def zero_set_distance(x0, kmax):
-    """Distance from x0 to the nearest zero of any L_k, k <= kmax, with witness."""
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-    best = ZeroDistance(math.inf, 0, 0)
-    for k in range(1, kmax + 1):
-        z = laguerre_zeros(k)
-        i = int(np.argmin(np.abs(z - x0)))
-        d = abs(z[i] - x0)
-        if d < best.distance:
-            best = ZeroDistance(d, k, i)
-    return best
 
 
 def _first_degree_with_zero_in(x0, delta, kmax):

@@ -639,25 +639,32 @@ def braak_intervals(spectrum, shift, Nmax):
     converged values, sorted, and a value on a boundary is listed as it
     is, shifted.
 
-    If the converged eigenvalues do not cover every interval up to Nmax
-    the whole report is refused (CoverageError).
+    The converged eigenvalues cover every interval up to Nmax when the
+    first unconverged eigenvalue, or else the last one, lies above the
+    top threshold; otherwise the whole report is refused (CoverageError),
+    naming the interval that value falls in. Nmax = -1 gives the empty
+    report; Nmax < -1 and a non-finite shift raise ValueError, as in
+    braak_census.
     """
     if not math.isfinite(shift):
         raise ValueError("shift must be finite")
+    if Nmax < -1:
+        raise ValueError("nmax must be at least -1")
     ev = np.asarray(spectrum.eigenvalues, dtype=float)
     conv = spectrum.converged_count
-    shifted = ev + shift
+    t = _thresholds(shift, Nmax)
     if conv < len(ev):
-        bound = shifted[conv]
+        bound = ev[conv]
     elif len(ev):
-        bound = shifted[-1]
+        bound = ev[-1]
     else:
         bound = -np.inf
-    if Nmax >= 0 and bound < Nmax + 1:
-        first_bad = max(int(math.floor(bound)), 0)
+    if Nmax >= 0 and not bound > t[-1]:
+        # interval N holds the values in (t[2N + 1], t[2N + 3]]
+        first_bad = max(int(np.searchsorted(t[1::2], bound)) - 1, 0)
         raise CoverageError(
             "converged eigenvalues cover shifted values only up to %.6g; "
-            "interval I_%d is not certified" % (bound, first_bad))
+            "interval I_%d is not certified" % (bound + shift, first_bad))
     v = ev[:conv]
     if spectrum.parity is None:
         classes = {"total": v}
@@ -665,7 +672,6 @@ def braak_intervals(spectrum, shift, Nmax):
         is_plus = np.asarray(spectrum.parity[:conv], dtype=object) == "+"
         classes = {"+": v[is_plus], "-": v[~is_plus]}
     classes = {k: np.sort(c) for k, c in classes.items()}
-    t = _thresholds(shift, Nmax)
     return _interval_report(
         {k: np.searchsorted(c, t, side="right") for k, c in classes.items()},
         lambda k, b, r: classes[k][r - 1], shift)

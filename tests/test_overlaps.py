@@ -16,7 +16,6 @@ from rabispec.errors import InsufficientNodes, PrecisionError, ResourceError
 from rabispec.overlaps import (
     MAX_QUADRATURE_NODES,
     SQRT_PI,
-    OverlapResult,
     diagonal_overlap_ratio,
     displacement_matrix,
     overlap_closed,
@@ -180,8 +179,8 @@ def test_exact_sums_round_as_the_fraction_oracle(N, k, alpha):
 
 def test_overlap_result_normalization():
     v = overlap_closed(1, 1, 1.0)
-    res = OverlapResult(N=1, k=1, alpha=1.0, value=v, method="closed")
-    assert res.normalized == pytest.approx(diagonal_overlap_ratio(1, 1.0), rel=1e-14)
+    assert v / weighted_norm_squared(1) == pytest.approx(
+        diagonal_overlap_ratio(1, 1.0), rel=1e-14)
     assert weighted_norm_squared(0) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
     assert weighted_norm_squared(3) == pytest.approx(
         6.0 * math.sqrt(math.pi), rel=1e-15
@@ -569,6 +568,28 @@ def test_pair_scan_is_bitwise_the_per_degree_scan_at_signed_zeros():
                 + _ladder_scan_dd(k, xh[half:], xl[half:]))
         for g, w in zip(got, want):
             assert np.array_equal(_bits(g), _bits(w)), (N, k)
+
+
+def test_pair_scan_is_the_ladder_convention():
+    # H_0 .. H_3 of the ladder convention, 2^(-n/2) times the physicists'
+    # polynomials, against a 50-digit evaluation, within dd rounding
+    pts = [0.0, 0.7, -1.3, 2.5, 1e-3, -7.25]
+    xh = np.array(pts + pts)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        r2 = D(2).sqrt()
+        ladder = [lambda x: D(1), lambda x: r2 * x,
+                  lambda x: 2 * x * x - 1,
+                  lambda x: 2 * r2 * x ** 3 - 3 * r2 * x]
+        for n, h in enumerate(ladder):
+            got = overlaps._hermite_pair_scan_dd(n, n, xh, np.zeros_like(xh))
+            for hi, lo in (got[:2], got[2:]):
+                for x, gh, gl in zip(pts, hi.tolist(), lo.tolist()):
+                    x = D(x)
+                    scale = max(D(1), 4 * abs(x) ** 3)
+                    assert abs(D(gh) + D(gl) - h(x)) <= D(1e-30) * scale, \
+                        (n, x)
 
 
 @pytest.mark.parametrize("cutoff, alpha", [

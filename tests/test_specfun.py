@@ -1,5 +1,5 @@
-"""Scalar special-function layer: Hermite/Laguerre evaluation, zero sets,
-the overlap kernel polynomial, and the zero-avoidance sequence."""
+"""Scalar special-function layer: Laguerre evaluation and zeros, the
+overlap kernel polynomial, and the zero-avoidance sequence."""
 
 import math
 import tracemalloc
@@ -14,17 +14,12 @@ from rabispec import errors, specfun
 from rabispec.errors import (DegenerateInput, NumericError, PrecisionError,
                              ResourceError)
 from rabispec.specfun import (
-    LADDER,
     MAX_COMBINED_DEGREE,
-    PHYSICISTS,
     ZERO_PROXIMITY_TOL,
-    hermite_poly,
     laguerre_poly,
-    laguerre_zero_set,
     laguerre_zeros,
     nondegenerate_sequence,
     p_polynomial,
-    zero_set_distance,
 )
 
 
@@ -35,45 +30,6 @@ def lag_exact(N, x):
         Fraction((-1) ** j * math.comb(N, j), math.factorial(j)) * xf ** j
         for j in range(N + 1)
     )
-
-
-# ---------------------------------------------------------------- Hermite
-
-
-def test_hermite_physicists_low_degrees():
-    x = 0.7
-    assert hermite_poly(0, x, PHYSICISTS) == 1.0
-    assert hermite_poly(1, x, PHYSICISTS) == pytest.approx(2 * x, rel=1e-15)
-    assert hermite_poly(2, x, PHYSICISTS) == pytest.approx(4 * x ** 2 - 2, rel=1e-15)
-    assert hermite_poly(3, x, PHYSICISTS) == pytest.approx(
-        8 * x ** 3 - 12 * x, rel=1e-14
-    )
-
-
-def test_hermite_ladder_low_degrees():
-    x = -1.3
-    assert hermite_poly(0, x) == 1.0
-    assert hermite_poly(1, x) == pytest.approx(math.sqrt(2) * x, rel=1e-15)
-    assert hermite_poly(2, x) == pytest.approx(2 * x ** 2 - 1, rel=1e-14)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=14),
-    st.floats(min_value=-5, max_value=5, allow_nan=False),
-)
-def test_hermite_convention_bridge(N, x):
-    # the ladder normalization differs by 2^(-N/2)
-    a = hermite_poly(N, x, LADDER)
-    b = hermite_poly(N, x, PHYSICISTS) * 2.0 ** (-N / 2.0)
-    assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
-
-
-def test_hermite_rejects_bad_input():
-    with pytest.raises(ValueError):
-        hermite_poly(-1, 0.0)
-    with pytest.raises(ValueError):
-        hermite_poly(2, 0.0, convention="probabilists")
 
 
 # ---------------------------------------------------------------- Laguerre
@@ -240,17 +196,6 @@ def test_laguerre_zeros_peak_within_their_count(N):
     assert specfun._ZEROS_BYTES_PER_DEGREE * N <= 1.05 * peak
 
 
-def test_laguerre_zero_set_collects_all_degrees():
-    zs = laguerre_zero_set(4)
-    assert sorted(zs.zeros.keys()) == [1, 2, 3, 4]
-    flat = zs.all_zeros()
-    assert len(flat) == 1 + 2 + 3 + 4
-    vals = [t[0] for t in flat]
-    assert vals == sorted(vals)
-    # the smallest zero over all degrees belongs to L_4
-    assert flat[0][1] == 4 and flat[0][2] == 0
-
-
 # ------------------------------------------------- overlap kernel polynomial
 
 
@@ -293,32 +238,6 @@ def test_p_polynomial_degree_cap():
         p_polynomial(61, 60, 0.5)
     with pytest.raises(ValueError):
         p_polynomial(-1, 2, 0.5)
-
-
-# ------------------------------------------------------ zero-set distances
-
-
-def test_zero_set_distance_exact_hit():
-    hit = zero_set_distance(1.0, 5)
-    assert hit.distance < 1e-13
-    assert hit.degree == 1
-    assert hit.index == 0
-
-
-def test_zero_set_distance_matches_exhaustive_scan():
-    for x0 in (0.5, 3.7, 10.1):
-        got = zero_set_distance(x0, 25)
-        best = math.inf
-        for k in range(1, 26):
-            coeffs = [0.0] * k + [1.0]
-            z = np.polynomial.laguerre.lagroots(coeffs).real
-            best = min(best, float(np.min(np.abs(z - x0))))
-        assert got.distance == pytest.approx(best, rel=1e-8, abs=1e-10)
-
-
-def test_zero_set_distance_rejects_empty_range():
-    with pytest.raises(ValueError):
-        zero_set_distance(0.5, 0)
 
 
 # ------------------------------------------------- zero-avoidance sequence

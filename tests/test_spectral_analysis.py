@@ -1794,6 +1794,28 @@ def test_braak_census_refuses_unconverged_interval():
     assert [c.total for c in rep.per_interval] == [1, 1, 1]
 
 
+def test_braak_intervals_refuse_a_value_on_the_top_boundary():
+    # the first unconverged value 1 + 5e-11 lies on the boundary 1, in
+    # interval 0 by the census rule, so it does not cover interval 0;
+    # converged, as the last value, it does not either
+    for conv in (1, 2):
+        s = Spectrum(np.array([0.5, 1 + 5e-11]), None, conv, (1,), None)
+        with pytest.raises(CoverageError, match="interval I_0 is not"):
+            braak_intervals(s, 0.0, 0)
+    # just above the top threshold the value covers it
+    s = Spectrum(np.array([0.5, 1 + 2 * BOUNDARY_TOL]), None, 1, (1,), None)
+    assert [c.total for c in braak_intervals(s, 0.0, 0).per_interval] == [1]
+
+
+def test_braak_intervals_and_the_census_refuse_nmax_below_minus_one():
+    s = Spectrum(np.array([0.5, 1.5]), None, 2, (8,), None)
+    with pytest.raises(ValueError, match="nmax must be at least -1"):
+        braak_intervals(s, 0.0, -3)
+    with pytest.raises(ValueError, match="nmax must be at least -1"):
+        spectral_analysis.braak_census(ModelSpec.qr(1.0, 1.0, -1.0, 0.02, 16),
+                                       0.0, -3)
+
+
 def test_braak_census_empty_range_is_vacuous():
     ev = np.array([0.5, 1.5])
     s = Spectrum(ev, None, 2, (8,), None)
